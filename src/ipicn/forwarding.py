@@ -37,11 +37,6 @@ class PacketKind(enum.IntEnum):
     CTRL_SR = 4  # subscription towards the rendezvous
 
 
-CONTROL_KINDS = frozenset(
-    {PacketKind.CTRL_PR, PacketKind.CTRL_RT, PacketKind.CTRL_TP, PacketKind.CTRL_SR}
-)
-
-
 @dataclass(frozen=True)
 class IcnPacket:
     """On-wire unit: forwarding id, TTL, kind, name, opaque payload."""

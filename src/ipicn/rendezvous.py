@@ -63,10 +63,12 @@ class Rendezvous:
         Re-subscribing is idempotent: same state, same current matches.
         """
         self._subs.setdefault(name, set()).add(client)
+        matched = sorted(
+            (pub_name for pub_name in self._pubs if covers(name, pub_name)),
+            key=render_name,
+        )
         events = []
-        for pub_name in self._sorted_pub_names():
-            if not covers(name, pub_name):
-                continue
+        for pub_name in matched:
             subs = self.match_set(pub_name)
             for publisher in sorted(self._pubs[pub_name]):
                 events.append(MatchEvent(pub_name, publisher, subs))
@@ -93,11 +95,10 @@ class Rendezvous:
             log.warning("unsubscribe without subscription: client=%s %s",
                         client, render_name(name))
             return []
-        affected = [
-            (publisher, pub_name)
-            for publisher, pub_name in self._sorted_active()
-            if covers(name, pub_name)
-        ]
+        affected = sorted(
+            (pn for pn in self._active if covers(name, pn[1])),
+            key=lambda pn: (pn[0], render_name(pn[1])),
+        )
         before = {pub_name: self.match_set(pub_name) for _, pub_name in affected}
         holders.discard(client)
         if not holders:
@@ -126,11 +127,3 @@ class Rendezvous:
             self._active.discard((client, name))
             return MatchEvent(name, client, frozenset())
         return None
-
-    # -- helpers ---------------------------------------------------------
-
-    def _sorted_pub_names(self) -> list[IcnName]:
-        return sorted(self._pubs, key=render_name)
-
-    def _sorted_active(self) -> list[tuple[ClientId, IcnName]]:
-        return sorted(self._active, key=lambda pn: (pn[0], render_name(pn[1])))

@@ -93,12 +93,20 @@ def load_scenario(doc: dict | str) -> Scenario:
         op = action.get("op")
         if op not in WORKLOAD_OPS:
             raise ScenarioError(f"unknown workload op: {op!r}")
-        if int(action.get("t_us", -1)) < 0:
+        try:
+            t_us = int(action.get("t_us", -1))
+        except (TypeError, ValueError, OverflowError):
+            raise ScenarioError(f"workload op {op!r} has a non-integer t_us") from None
+        if t_us < 0:
             raise ScenarioError(f"workload op {op!r} needs a non-negative t_us")
+    try:
+        seed = int(doc.get("seed", 1))
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError("scenario seed is not an integer") from None
     return Scenario(
         workload=list(workload),
         mode=mode,
-        seed=int(doc.get("seed", 1)),
+        seed=seed,
         topology=doc.get("topology"),
     )
 
@@ -218,9 +226,17 @@ class _AccountingMixin:
         self._next_packet_id = 1
         self.trace = [] if collect_trace else None
 
-    def _trace_row(self, node: int, event: str, link: str, size: int, name: str) -> None:
+    def _trace_row(
+        self, node: int, event: str, link: Link | None, size: int, name: object
+    ) -> None:
+        """Append one trace row; `name` is an `IcnName`, an address or "-".
+
+        The link and name are formatted only when tracing is on.
+        """
         if self.trace is not None:
-            self.trace.append(f"{self.now},{node},{event},{link},{size},{name}")
+            link_text = "-" if link is None else _link_key(link)
+            name_text = render_name(name) if isinstance(name, IcnName) else name
+            self.trace.append(f"{self.now},{node},{event},{link_text},{size},{name_text}")
 
     def _alloc_packet_id(self) -> int:
         pid = self._next_packet_id
@@ -323,7 +339,7 @@ class IcnSimulation(_AccountingMixin):
 
         self.rv_node = min(self.graph.nodes)
         self.rv = Rendezvous()
-        _, self._rv_pred = dijkstra(self.graph, self.rv_node)
+        self._rv_pred = dijkstra(self.graph, self.rv_node)
 
         operator_prefixes = tuple(p for nap in topo.naps for p in nap.prefixes)
         self.gateways: dict[ClientId, Nap | BorderGateway] = {}
@@ -392,13 +408,13 @@ class IcnSimulation(_AccountingMixin):
                             lambda: self._apply_one(self.rv.unpublish(client, name)))
 
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
-        self._trace_row(self.gateways[client].node, "deliver", "-",
-                        len(ip.payload), str(ip.dst))
+        self._trace_row(self.gateways[client].node, "deliver", None,
+                        len(ip.payload), ip.dst)
         self._record_ip_flow(ip, client)
 
     def note_peer_emitted(self, client: ClientId, ip: IpPacket) -> None:
-        self._trace_row(self.gateways[client].node, "peer-out", "-",
-                        len(ip.payload), str(ip.dst))
+        self._trace_row(self.gateways[client].node, "peer-out", None,
+                        len(ip.payload), ip.dst)
         self._record_ip_flow(ip, client)
 
     def note_http_complete(
@@ -410,7 +426,7 @@ class IcnSimulation(_AccountingMixin):
         """A gateway emits a data packet at its attachment node."""
         node = self.gateways[client].node
         meta = self._tree_edges.get((client, pkt.name), frozenset())
-        self._trace_row(node, "emit", "-", pkt.wire_size, render_name(pkt.name))
+        self._trace_row(node, "emit", None, pkt.wire_size, pkt.name)
         for other in self._clients_at.get(node, ()):
             if other != client:
                 self.gateways[other].on_icn_data(pkt)
@@ -488,8 +504,7 @@ class IcnSimulation(_AccountingMixin):
                 return
             link = path[index]
             self._count_link(link, size, control=True)
-            self._trace_row(link.src, "ctrl", _link_key(link), size,
-                            render_name(pkt.name))
+            self._trace_row(link.src, "ctrl", link, size, pkt.name)
             arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
             self.queue.push(arrival, lambda: hop(index + 1))
 
@@ -507,8 +522,7 @@ class IcnSimulation(_AccountingMixin):
         if pkt.ttl <= 1:
             if forward(self.graph, node, replace(pkt, ttl=2), in_link):
                 self.counters["ttl_drops"] += 1
-                self._trace_row(node, "ttl-drop", "-", pkt.wire_size,
-                                render_name(pkt.name))
+                self._trace_row(node, "ttl-drop", None, pkt.wire_size, pkt.name)
             return
         size = pkt.wire_size
         for link in forward(self.graph, node, pkt, in_link):
@@ -516,8 +530,7 @@ class IcnSimulation(_AccountingMixin):
             self._count_link(link, size, control=False)
             if (link.src, link.dst) not in meta:
                 self.counters["off_tree_forwards"] += 1
-            self._trace_row(node, "data", _link_key(link), size,
-                            render_name(pkt.name))
+            self._trace_row(node, "data", link, size, pkt.name)
             arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
             self.queue.push(arrival, lambda l=link, c=copy: self._arrive(l, c, meta))
 
@@ -610,7 +623,6 @@ class BaselineSimulation(_AccountingMixin):
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
         self._fqdn_at: dict[str, tuple[ClientId, int]] = {}
-        self._pred: dict[int, dict[int, int]] = {}
         self.peer_log: list[tuple[int, IpPacket]] = []
         self.device_log: dict[ClientId, list[IpPacket]] = {}
         self.http_bodies: list[tuple[ClientId, str, str, bytes]] = []
@@ -619,9 +631,7 @@ class BaselineSimulation(_AccountingMixin):
         )
 
     def _path(self, src: int, dst: int) -> list[Link]:
-        if src not in self._pred:
-            _, self._pred[src] = dijkstra(self.graph, src)
-        pred = self._pred[src]
+        pred = dijkstra(self.graph, src)
         links: list[Link] = []
         node = dst
         while node != src:
@@ -643,7 +653,7 @@ class BaselineSimulation(_AccountingMixin):
                 return
             link = path[index]
             self._count_link(link, size, control=False)
-            self._trace_row(link.src, "data", _link_key(link), size, "-")
+            self._trace_row(link.src, "data", link, size, "-")
             arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
             self.queue.push(arrival, lambda: hop(index + 1))
 

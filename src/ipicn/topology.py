@@ -4,7 +4,8 @@ The graph is loaded once from a JSON document and is immutable afterwards.
 For every publication match the manager computes a publisher-rooted
 shortest-path tree over link delay (deterministic tie-breaking by lowest
 predecessor id), ORs the tree's link masks into a forwarding identifier and
-hands that back to the publisher.
+hands that back to the publisher. Shortest-path predecessors are computed
+once per root and kept on the graph.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class NetworkGraph:
     attachments: dict[ClientId, int]
     _adjacency: dict[int, tuple[Link, ...]] = field(init=False, repr=False)
     _by_pair: dict[tuple[int, int], Link] = field(init=False, repr=False)
+    # root -> predecessor map, filled by `dijkstra`
+    _pred_by_root: dict[int, dict[int, int]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         adjacency: dict[int, list[Link]] = {n: [] for n in self.nodes}
@@ -69,6 +74,7 @@ class NetworkGraph:
             by_pair[(link.src, link.dst)] = link
         self._adjacency = {n: tuple(ls) for n, ls in adjacency.items()}
         self._by_pair = by_pair
+        self._pred_by_root = {}
 
     def out_links(self, node: int) -> tuple[Link, ...]:
         return self._adjacency[node]
@@ -140,6 +146,23 @@ class FidDelivery:
         return self.fid == 0 and not self.local
 
 
+def _entries(doc: dict, key: str) -> list[dict]:
+    entries = doc.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise TopologyError(f"topology {key!r} must be a list of objects")
+    return entries
+
+
+# What reading an entry's integer fields raises when one is missing or malformed.
+_FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+
+
+def _field_error(what: str, entry: dict, exc: Exception) -> TopologyError:
+    if isinstance(exc, KeyError):
+        return TopologyError(f"{what} entry needs {exc}: {entry!r}")
+    return TopologyError(f"{what} entry has a non-integer field: {entry!r}")
+
+
 def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     """Build the graph from a document (dict or JSON text), assigning link
     masks deterministically from `seed` in document order."""
@@ -152,8 +175,11 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
         raise TopologyError("topology document must be a JSON object")
 
     nodes: list[int] = []
-    for entry in doc.get("nodes", []):
-        node_id = int(entry["id"])
+    for entry in _entries(doc, "nodes"):
+        try:
+            node_id = int(entry["id"])
+        except _FIELD_ERRORS as exc:
+            raise _field_error("node", entry, exc) from None
         if node_id in nodes:
             raise TopologyError(f"duplicate node id {node_id}")
         nodes.append(node_id)
@@ -173,8 +199,13 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
 
     links: list[Link] = []
     seen_pairs: set[tuple[int, int]] = set()
-    for entry in doc.get("links", []):
-        a, b = int(entry["a"]), int(entry["b"])
+    for entry in _entries(doc, "links"):
+        try:
+            a, b = int(entry["a"]), int(entry["b"])
+            delay = int(entry.get("delay_us", DEFAULT_DELAY_US))
+            cap = int(entry.get("capacity_bps", DEFAULT_CAPACITY_BPS))
+        except _FIELD_ERRORS as exc:
+            raise _field_error("link", entry, exc) from None
         if a == b:
             raise TopologyError(f"self-loop link at node {a}")
         if a not in node_set or b not in node_set:
@@ -182,8 +213,6 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
         if (a, b) in seen_pairs or (b, a) in seen_pairs:
             raise TopologyError(f"duplicate link entry {a}-{b}")
         seen_pairs.add((a, b))
-        delay = int(entry.get("delay_us", DEFAULT_DELAY_US))
-        cap = int(entry.get("capacity_bps", DEFAULT_CAPACITY_BPS))
         if delay < 0 or cap <= 0:
             raise TopologyError(f"bad delay/capacity on link {a}-{b}")
         links.append(Link(a, b, delay, cap, next_lid()))
@@ -191,8 +220,11 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
 
     naps = []
     attachments: dict[ClientId, int] = {}
-    for entry in doc.get("naps", []):
-        client, node = int(entry["client"]), int(entry["node"])
+    for entry in _entries(doc, "naps"):
+        try:
+            client, node = int(entry["client"]), int(entry["node"])
+        except _FIELD_ERRORS as exc:
+            raise _field_error("nap", entry, exc) from None
         if node not in node_set:
             raise TopologyError(f"nap client {client} attached to unknown node {node}")
         if client in attachments:
@@ -201,14 +233,20 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
             prefixes = tuple(
                 ipaddress.IPv4Network(p) for p in entry.get("prefixes", [])
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise TopologyError(f"bad prefix on nap {client}: {exc}") from exc
         attachments[client] = node
         naps.append(NapConfig(client, node, prefixes))
 
     border = None
-    if "border" in doc and doc["border"] is not None:
-        client, node = int(doc["border"]["client"]), int(doc["border"]["node"])
+    entry = doc.get("border")
+    if entry is not None:
+        if not isinstance(entry, dict):
+            raise TopologyError("topology 'border' must be an object")
+        try:
+            client, node = int(entry["client"]), int(entry["node"])
+        except _FIELD_ERRORS as exc:
+            raise _field_error("border", entry, exc) from None
         if node not in node_set:
             raise TopologyError(f"border attached to unknown node {node}")
         if client in attachments:
@@ -225,41 +263,42 @@ def load_graph(doc: dict | str, seed: int) -> NetworkGraph:
     return load_topology_doc(doc, seed).graph
 
 
-def dijkstra(g: NetworkGraph, root: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Least-delay distances from `root` and deterministic predecessors.
+def dijkstra(g: NetworkGraph, root: int) -> dict[int, int]:
+    """Deterministic least-delay predecessors of every node reached from `root`.
 
-    The predecessor of each reached node is the lowest-id neighbour that
-    attains the shortest distance, so equal-cost ties always break the
-    same way.
+    The predecessor of a node is the lowest-id neighbour that attains its
+    shortest distance, among neighbours settled before it, so equal-cost
+    ties always break the same way and zero-delay links cannot form a
+    cycle. Each root's map is computed once and stored on the graph, which
+    must not change after load; the map is shared, so callers must not
+    mutate it.
     """
+    pred = g._pred_by_root.get(root)
+    if pred is not None:
+        return pred
+    pred = {}
     dist: dict[int, int] = {root: 0}
+    settled: set[int] = set()
     heap: list[tuple[int, int]] = [(0, root)]
     while heap:
         d, node = heapq.heappop(heap)
-        if d > dist[node]:
+        if node in settled:
             continue
+        settled.add(node)
         for link in g.out_links(node):
+            dst = link.dst
+            if dst in settled:
+                continue
             nd = d + link.delay_us
-            if link.dst not in dist or nd < dist[link.dst]:
-                dist[link.dst] = nd
-                heapq.heappush(heap, (nd, link.dst))
-    pred: dict[int, int] = {}
-    for node in dist:
-        if node == root:
-            continue
-        candidates = [
-            link.src
-            for link in _in_links(g, node)
-            if link.src in dist and dist[link.src] + link.delay_us == dist[node]
-        ]
-        pred[node] = min(candidates)
-    return dist, pred
-
-
-def _in_links(g: NetworkGraph, node: int):
-    # Every link is paired with its reverse, so incoming links are the
-    # reverses of outgoing ones.
-    return (g.link(out.dst, out.src) for out in g.out_links(node))
+            old = dist.get(dst)
+            if old is None or nd < old:
+                dist[dst] = nd
+                pred[dst] = node
+                heapq.heappush(heap, (nd, dst))
+            elif nd == old and node < pred[dst]:
+                pred[dst] = node
+    g._pred_by_root[root] = pred
+    return pred
 
 
 def shortest_path_tree(
@@ -271,8 +310,8 @@ def shortest_path_tree(
     unknown = set(leaves) - set(g.nodes)
     if unknown:
         raise TopologyError(f"leaves not in graph: {sorted(unknown)}")
-    dist, pred = dijkstra(g, root)
-    unreachable = [leaf for leaf in leaves if leaf not in dist]
+    pred = dijkstra(g, root)
+    unreachable = [leaf for leaf in leaves if leaf != root and leaf not in pred]
     if unreachable:
         raise TopologyError(f"unreachable leaves: {sorted(unreachable)}")
     edges: set[Link] = set()

@@ -73,6 +73,15 @@ class TestRun:
         paths["topo"].write_text('{"nodes": []}')
         assert main(run_args(paths)) == 2
 
+    def test_non_integer_time_exits_2(self, paths, capsys):
+        bad = dict(SCENARIO)
+        bad["workload"] = [{"t_us": "abc", "op": "attach", "client": 1,
+                            "addr": "10.0.1.5"}]
+        paths["scenario"].write_text(json.dumps(bad))
+        assert main(run_args(paths, mode="icn")) == 2
+        assert "t_us" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
     def test_unknown_client_exits_3(self, paths):
         bad = dict(SCENARIO)
         bad["workload"] = [
@@ -125,6 +134,17 @@ class TestValidate:
         paths["topo"].write_text(json.dumps(doc))
         assert main(["validate", str(paths["topo"])]) == 2
         assert "duplicate node" in capsys.readouterr().err
+
+    def test_non_integer_node_id_exits_2(self, paths, capsys):
+        paths["topo"].write_text(json.dumps({"nodes": [{"id": "x"}]}))
+        assert main(["validate", str(paths["topo"])]) == 2
+        assert "node entry has a non-integer field" in capsys.readouterr().err
+
+    def test_link_without_endpoint_exits_2(self, paths, capsys):
+        doc = {"nodes": [{"id": 1}, {"id": 2}], "links": [{"a": 1}]}
+        paths["topo"].write_text(json.dumps(doc))
+        assert main(["validate", str(paths["topo"])]) == 2
+        assert "link entry needs 'b'" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, paths):
         assert main(["validate", str(paths["dir"] / "absent.json")]) == 2

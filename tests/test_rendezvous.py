@@ -4,7 +4,15 @@ import random
 
 import pytest
 
-from ipicn.names import IcnName, Locality, NsId, external_scope, name_for_ip
+from ipicn.names import (
+    IcnName,
+    Locality,
+    NsId,
+    covers,
+    external_scope,
+    name_for_ip,
+    render_name,
+)
 from ipicn.rendezvous import MatchEvent, Rendezvous
 
 
@@ -210,3 +218,77 @@ class TestOracleEquivalence:
                 6, name_for_ip(addr, Locality.INTERNAL)
             )
             assert internal is None
+
+
+class SortThenFilterRendezvous(Rendezvous):
+    """Reference: sorts every publication or standing tree, then filters."""
+
+    def subscribe(self, client, name):
+        self._subs.setdefault(name, set()).add(client)
+        events = []
+        for pub_name in sorted(self._pubs, key=render_name):
+            if not covers(name, pub_name):
+                continue
+            subs = self.match_set(pub_name)
+            for publisher in sorted(self._pubs[pub_name]):
+                events.append(MatchEvent(pub_name, publisher, subs))
+                self._active.add((publisher, pub_name))
+        return events
+
+    def unsubscribe(self, client, name):
+        holders = self._subs.get(name)
+        if holders is None or client not in holders:
+            return []
+        affected = [
+            (publisher, pub_name)
+            for publisher, pub_name in sorted(
+                self._active, key=lambda pn: (pn[0], render_name(pn[1]))
+            )
+            if covers(name, pub_name)
+        ]
+        before = {pub_name: self.match_set(pub_name) for _, pub_name in affected}
+        holders.discard(client)
+        if not holders:
+            del self._subs[name]
+        events = []
+        for publisher, pub_name in affected:
+            after = self.match_set(pub_name)
+            if after == before[pub_name]:
+                continue
+            events.append(MatchEvent(pub_name, publisher, after))
+            if not after:
+                self._active.discard((publisher, pub_name))
+        return events
+
+
+class TestReferenceEquivalence:
+    def test_event_sequences_match_sort_then_filter_reference(self):
+        rng = random.Random(59)
+        emitted = 0
+        for _ in range(40):
+            rv, ref = Rendezvous(), SortThenFilterRendezvous()
+            live_subs, live_pubs = set(), set()
+            for _ in range(300):
+                roll = rng.random()
+                if roll < 0.35:
+                    client, sub = rng.randint(1, 6), random_sub_name(rng, 3)
+                    got, want = rv.subscribe(client, sub), ref.subscribe(client, sub)
+                    live_subs.add((client, sub))
+                elif roll < 0.65:
+                    client, item = rng.randint(1, 6), random_item_name(rng, 3)
+                    got = rv.publish_availability(client, item)
+                    want = ref.publish_availability(client, item)
+                    live_pubs.add((client, item))
+                elif roll < 0.9 and live_subs:
+                    client, sub = rng.choice(sorted(live_subs, key=str))
+                    got, want = rv.unsubscribe(client, sub), ref.unsubscribe(client, sub)
+                    live_subs.discard((client, sub))
+                elif live_pubs:
+                    client, item = rng.choice(sorted(live_pubs, key=str))
+                    got, want = rv.unpublish(client, item), ref.unpublish(client, item)
+                    live_pubs.discard((client, item))
+                else:
+                    continue
+                assert got == want
+                emitted += len(got) if isinstance(got, list) else got is not None
+        assert emitted > 1000  # the streams really exercise matching

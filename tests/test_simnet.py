@@ -1,6 +1,8 @@
 """Simulation harness: accounting, determinism, baseline parity."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,9 @@ from ipicn.simnet import (
     UnknownClientError,
     load_scenario,
 )
+from ipicn.topology import load_topology_doc
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def two_node_doc():
@@ -392,6 +397,19 @@ class TestTrace:
             assert len(row.split(",")) == 6
         events = {row.split(",")[2] for row in sim.trace}
         assert "ctrl" in events and "data" in events and "peer-out" in events
+
+
+    @pytest.mark.parametrize("cls, digest", [
+        (IcnSimulation, "e2ac0d2a82c00e2a2d27081893b53d2f783857ed"),
+        (BaselineSimulation, "f745e7b2cddf96af7054e2ec891a6caa78e46a1a"),
+    ])
+    def test_small_demo_trace_is_pinned(self, cls, digest):
+        scenario = load_scenario((DEMO_DATA / "small_scenario.json").read_text())
+        topo = load_topology_doc((DEMO_DATA / "small.json").read_text(), scenario.seed)
+        sim = cls(topo, scenario, collect_trace=True)
+        sim.run()
+        text = "\n".join(sim.trace)
+        assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
 class TestConservation:

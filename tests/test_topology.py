@@ -1,5 +1,6 @@
 """Graph loading, delivery trees (vs a scipy oracle) and fid assembly."""
 
+import heapq
 import json
 import random
 
@@ -12,6 +13,7 @@ from ipicn.names import IcnName, NsId
 from ipicn.rendezvous import MatchEvent
 from ipicn.topology import (
     TopologyError,
+    dijkstra,
     fid_for_tree,
     handle_match,
     load_graph,
@@ -38,6 +40,33 @@ def scipy_distances(g, root):
     )
     dist = scipy_dijkstra(matrix, directed=True, indices=index[root])
     return {n: dist[index[n]] for n in nodes}
+
+
+def reference_predecessors(g, root):
+    """Two-pass rule: plain Dijkstra distances, then for each reached node
+    the lowest-id in-neighbour that attains its distance."""
+    dist = {root: 0}
+    heap = [(0, root)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        for link in g.out_links(node):
+            nd = d + link.delay_us
+            if link.dst not in dist or nd < dist[link.dst]:
+                dist[link.dst] = nd
+                heapq.heappush(heap, (nd, link.dst))
+    pred = {}
+    for node in dist:
+        if node == root:
+            continue
+        pred[node] = min(
+            out.dst
+            for out in g.out_links(node)
+            if out.dst in dist
+            and dist[out.dst] + g.link(out.dst, node).delay_us == dist[node]
+        )
+    return pred
 
 
 class TestLoading:
@@ -166,6 +195,40 @@ class TestShortestPathTree:
             for leaf in tree.leaves:
                 assert leaf == root or leaf in children
             assert len(tree.edges) <= len(nodes) - 1
+
+    def test_predecessors_match_two_pass_reference_under_ties(self):
+        rng = random.Random(61)
+        for trial in range(30):
+            n = rng.randint(4, 25)
+            nodes, pairs = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            links = [(a, b, {"delay_us": rng.choice((1, 2, 3))}) for a, b in pairs]
+            g = make_topology_doc(nodes, links, seed=trial).graph
+            for root in nodes:
+                assert dijkstra(g, root) == reference_predecessors(g, root)
+
+    def test_predecessor_map_is_computed_once_per_root(self):
+        g = make_topology_doc([1, 2, 3], [(1, 2), (2, 3)]).graph
+        assert dijkstra(g, 1) is dijkstra(g, 1)
+        assert dijkstra(g, 3) == {2: 3, 1: 2}
+
+    def test_zero_delay_link_does_not_make_a_predecessor_cycle(self):
+        # 5 and 6 are both 2 away from 1 and 0 apart: each attains the
+        # other's distance, so predecessors must come from settled nodes.
+        unit = {"delay_us": 1}
+        g = make_topology_doc(
+            [1, 5, 6, 7, 8],
+            [(1, 7, unit), (1, 8, unit), (7, 5, unit), (8, 6, unit),
+             (5, 6, {"delay_us": 0})],
+        ).graph
+        pred = dijkstra(g, 1)
+        for start in pred:
+            node, hops = start, 0
+            while node != 1:
+                node = pred[node]
+                hops += 1
+                assert hops < len(g.nodes)
+        tree = shortest_path_tree(g, 1, {5, 6})
+        assert {(e.src, e.dst) for e in tree.edges} == {(1, 7), (7, 5), (5, 6)}
 
     def test_deterministic_repetition(self):
         rng = random.Random(57)

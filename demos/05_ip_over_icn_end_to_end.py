@@ -9,7 +9,7 @@ signalling share of total traffic.
 
 from pathlib import Path
 
-from ipicn import IcnSimulation, load_scenario, load_topology_doc
+from ipicn import IcnSimulation, Nap, load_scenario, load_topology_doc
 
 DATA = Path(__file__).parent / "data"
 
@@ -49,13 +49,14 @@ def main() -> None:
 
     print()
     print("device logs stay pure IP:")
+    # one payload-free record per delivered packet: its flow names the
+    # addresses ("ip:src->dst") and its size is the payload length
     for client, gw in sorted(sim.gateways.items()):
-        if hasattr(gw, "device_log") and gw.device_log:
-            got = [f"{p.src}->{p.dst} ({len(p.payload)}B)" for p in gw.device_log]
-            print(f"  NAP {client}: {got}")
-        if hasattr(gw, "peer_log") and gw.peer_log:
-            got = [f"{p.src}->{p.dst}" for _, p in gw.peer_log]
-            print(f"  border {client} relayed: {got}")
+        got = [d for d in sim.deliveries if d.client == client and d.packet_id is not None]
+        if got and isinstance(gw, Nap):
+            print(f"  NAP {client}: {[f'{d.flow[3:]} ({d.size}B)' for d in got]}")
+        elif got:
+            print(f"  border {client} relayed: {[d.flow[3:] for d in got]}")
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from .rendezvous import ClientId, MatchEvent, Rendezvous
 from .simnet import (
     BaselineSimulation,
     ComparisonReport,
+    Delivery,
     IcnSimulation,
     KpiReport,
     Scenario,
@@ -61,7 +62,6 @@ from .topology import (
     TopologyError,
     fid_for_tree,
     handle_match,
-    load_graph,
     load_topology_doc,
     shortest_path_tree,
 )
@@ -74,6 +74,7 @@ __all__ = [
     "ClientId",
     "ComparisonReport",
     "DEFAULT_TTL",
+    "Delivery",
     "DeliveryTree",
     "FidDelivery",
     "HttpResponse",
@@ -107,7 +108,6 @@ __all__ = [
     "handle_match",
     "is_ancestor",
     "lid_matches",
-    "load_graph",
     "load_scenario",
     "load_topology_doc",
     "name_for_http",

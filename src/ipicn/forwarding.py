@@ -62,9 +62,18 @@ class IcnPacket:
 
 
 def gen_lid(rng: random.Random) -> int:
-    """Draw a link identifier: a uniform 5-subset of the 256 bit positions."""
+    """Draw a link identifier: a uniform 5-subset of the 256 bit positions.
+
+    Each position is redrawn from `getrandbits` until it is in range and
+    not yet set, which consumes the generator exactly as
+    `rng.sample(range(FID_BITS), LID_SET_BITS)` does, at a third of its cost.
+    """
+    draw, width = rng.getrandbits, FID_BITS.bit_length()
     mask = 0
-    for pos in rng.sample(range(FID_BITS), LID_SET_BITS):
+    for _ in range(LID_SET_BITS):
+        pos = draw(width)
+        while pos >= FID_BITS or mask >> pos & 1:
+            pos = draw(width)
         mask |= 1 << pos
     return mask
 

@@ -12,7 +12,9 @@ it holds a standing subscription to the external scope and encapsulates
 ingress traffic under internal names.
 
 Devices only ever see IpPacket and HttpResponse values; no ICN type
-crosses the device boundary.
+crosses the device boundary. Each delivery is handed to the environment
+(`note_ip_delivered`, `note_http_complete`, `note_peer_emitted`) and the
+gateways keep no copy of it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ _SEGMENT_FRAME = struct.Struct(">QQ")
 SEGMENT_CHUNK = MAX_IP_PAYLOAD
 
 _IP_HEADER = struct.Struct(">4s4sBQ")
+IP_HEADER_SIZE = _IP_HEADER.size  # encapsulation bytes added to each IP payload
 
 
 @dataclass(frozen=True)
@@ -219,8 +222,6 @@ class Nap(_IcnClient):
         self.operator_prefixes = operator_prefixes
         self.window_us = window_us
         self.addresses: set[ipaddress.IPv4Address] = set()
-        self.device_log: list[IpPacket] = []
-        self.http_log: list[HttpResponse] = []
         self._served: dict[IcnName, str] = {}
         self._exchanges: dict[IcnName, HttpExchange] = {}
         self._gets: dict[IcnName, _GetState] = {}
@@ -302,7 +303,6 @@ class Nap(_IcnClient):
                 self.counters["duplicates"] += 1
                 return
             self._seen_ids.add(ip.id)
-            self.device_log.append(ip)
             self.env.note_ip_delivered(self.client, ip)
         elif not loopback:
             self.counters["fp_deliveries"] += 1
@@ -373,8 +373,7 @@ class Nap(_IcnClient):
         body = b"".join(state.buf[o] for o in sorted(state.buf))[:total]
         response = HttpResponse(fqdn=state.fqdn, url=state.url, body=body)
         for _ in range(state.count):
-            self.http_log.append(response)
-            self.env.note_http_complete(self.client, state.fqdn, state.url, body)
+            self.env.note_http_complete(self.client, response)
         del self._gets[name]
         self.env.unsubscribe(self.client, name)
 
@@ -391,7 +390,6 @@ class BorderGateway(_IcnClient):
     ) -> None:
         super().__init__(env, client, node)
         self.operator_prefixes = operator_prefixes
-        self.peer_log: list[tuple[int, IpPacket]] = []
 
     def start(self) -> None:
         """Take the standing subscription to the external scope."""
@@ -418,7 +416,6 @@ class BorderGateway(_IcnClient):
             self.counters["duplicates"] += 1
             return
         self._seen_ids.add(ip.id)
-        self.peer_log.append((self.env.now_us(), ip))
         self.env.note_peer_emitted(self.client, ip)
 
     def on_icn_data(self, pkt: IcnPacket, loopback: bool = False) -> None:

@@ -24,11 +24,15 @@ import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .forwarding import IcnPacket, PacketKind, forward
 from .gateways import (
+    IP_HEADER_SIZE,
+    MAX_IP_PAYLOAD,
+    SEGMENT_CHUNK,
     BorderGateway,
+    HttpResponse,
     IpPacket,
     Nap,
     encode_ip_packet,
@@ -52,7 +56,20 @@ DEFAULT_EXT_SRC = ipaddress.IPv4Address("203.0.113.1")
 _CTRL_META = struct.Struct(">IB")  # client id | operation flag
 _CTRL_FID = struct.Struct(">I32sB")  # publisher | fid | local flag
 
-WORKLOAD_OPS = ("attach", "send_ip", "http_serve", "http_get", "ext_in")
+# (field, JSON type, highest, default) per field of each workload op: an
+# integer with a highest value must lie in 0..highest, and a field whose
+# default is None is required
+_CLIENT, _FQDN = ("client", int, None, None), ("fqdn", str, None, None)
+_SRC, _DST = ("src", str, None, None), ("dst", str, None, None)
+_SIZES = (("bytes", int, MAX_IP_PAYLOAD, 0), ("proto", int, 255, 17))
+_OP_FIELDS = {
+    "attach": (_CLIENT, ("addr", str, None, None)),
+    "send_ip": (_CLIENT, _SRC, _DST, *_SIZES),
+    "http_serve": (_CLIENT, _FQDN),
+    "http_get": (_CLIENT, _FQDN, ("url", str, None, None), ("resp_bytes", int, math.inf, 0)),
+    "ext_in": (("src", str, None, ""), _DST, *_SIZES),
+}
+WORKLOAD_OPS = tuple(_OP_FIELDS)
 
 
 class ScenarioError(ValueError):
@@ -65,7 +82,11 @@ class UnknownClientError(ScenarioError):
 
 @dataclass
 class Scenario:
-    """A timed workload plus run parameters."""
+    """A timed workload plus run parameters.
+
+    `load_scenario` checks every op's fields; a Scenario built directly is
+    taken as given.
+    """
 
     workload: list[dict]
     mode: str = "icn"
@@ -91,7 +112,8 @@ def load_scenario(doc: dict | str) -> Scenario:
         if not isinstance(action, dict):
             raise ScenarioError("workload entries must be objects")
         op = action.get("op")
-        if op not in WORKLOAD_OPS:
+        fields = _OP_FIELDS.get(op) if isinstance(op, str) else None
+        if fields is None:
             raise ScenarioError(f"unknown workload op: {op!r}")
         try:
             t_us = int(action.get("t_us", -1))
@@ -99,6 +121,12 @@ def load_scenario(doc: dict | str) -> Scenario:
             raise ScenarioError(f"workload op {op!r} has a non-integer t_us") from None
         if t_us < 0:
             raise ScenarioError(f"workload op {op!r} needs a non-negative t_us")
+        for key, kind, high, default in fields:
+            value = action.get(key, default)
+            if type(value) is not kind or high is not None and not 0 <= value <= high:
+                if key not in action:
+                    raise ScenarioError(f"workload op {op!r} needs {key!r}")
+                raise ScenarioError(f"workload op {op!r} has an invalid {key!r}: {value!r}")
     try:
         seed = int(doc.get("seed", 1))
     except (TypeError, ValueError, OverflowError):
@@ -182,14 +210,24 @@ def _link_key(link: Link) -> str:
     return f"{link.src}->{link.dst}"
 
 
-def _flow_stats(arrivals: list[tuple[int, int]]) -> dict[str, int]:
+class Delivery(NamedTuple):
+    """One arrival at a device, an external peer or an HTTP requester."""
+
+    time_us: int
+    client: ClientId
+    flow: str
+    latency_us: int
+    size: int  # IP payload or HTTP body bytes; the bytes themselves are not kept
+    packet_id: int | None  # None for an HTTP response
+
+
+def _flow_stats(records: list[Delivery]) -> dict[str, int]:
     """delivered count, mean latency, and inter-arrival jitter for a flow.
 
     Jitter is the population standard deviation of consecutive arrival
     gaps, computed in integer math so reports never carry float noise.
     """
-    times = [t for t, _ in arrivals]
-    latencies = [lat for _, lat in arrivals]
+    times = [d.time_us for d in records]
     gaps = [b - a for a, b in zip(times, times[1:])]
     if gaps:
         n = len(gaps)
@@ -198,14 +236,14 @@ def _flow_stats(arrivals: list[tuple[int, int]]) -> dict[str, int]:
     else:
         jitter = 0
     return {
-        "delivered": len(arrivals),
-        "latency_us": sum(latencies) // len(arrivals) if arrivals else 0,
+        "delivered": len(records),
+        "latency_us": sum(d.latency_us for d in records) // len(records) if records else 0,
         "jitter_us": jitter,
     }
 
 
 class _AccountingMixin:
-    """Shared per-link byte counters, flow records and trace collection."""
+    """Shared per-link byte counters, delivery records and trace collection."""
 
     graph: NetworkGraph
     trace: list[str] | None
@@ -217,11 +255,8 @@ class _AccountingMixin:
             _link_key(l): [0, 0] for l in self.graph.links  # [control, data]
         }
         self.counters: Counter[str] = Counter()
-        self.flow_arrivals: dict[str, list[tuple[int, int]]] = {}
-        self.sent_ip: dict[int, IpPacket] = {}
+        self.deliveries: list[Delivery] = []
         self.send_time: dict[int, int] = {}
-        self.delivered_ip: list[tuple[int, ClientId, IpPacket]] = []
-        self.delivered_http: list[tuple[int, ClientId, str, str, bytes]] = []
         self._http_issue: dict[tuple[ClientId, str, str], deque[int]] = {}
         self._next_packet_id = 1
         self.trace = [] if collect_trace else None
@@ -238,30 +273,67 @@ class _AccountingMixin:
             name_text = render_name(name) if isinstance(name, IcnName) else name
             self.trace.append(f"{self.now},{node},{event},{link_text},{size},{name_text}")
 
-    def _alloc_packet_id(self) -> int:
-        pid = self._next_packet_id
-        self._next_packet_id += 1
-        return pid
-
     def _count_link(self, link: Link, size: int, control: bool) -> None:
         self.link_bytes[_link_key(link)][0 if control else 1] += size
 
     def _record_ip_flow(self, ip: IpPacket, client: ClientId) -> None:
-        flow = f"ip:{ip.src}->{ip.dst}"
-        latency = self.now - self.send_time[ip.id]
-        self.flow_arrivals.setdefault(flow, []).append((self.now, latency))
-        self.delivered_ip.append((self.now, client, ip))
+        self.deliveries.append(Delivery(
+            self.now, client, f"ip:{ip.src}->{ip.dst}",
+            self.now - self.send_time[ip.id], len(ip.payload), ip.id,
+        ))
 
-    def _record_http_flow(
-        self, client: ClientId, fqdn: str, url: str, body: bytes
-    ) -> None:
+    def _record_http_flow(self, client: ClientId, fqdn: str, url: str, size: int) -> None:
         issued = self._http_issue[(client, fqdn, url)].popleft()
-        flow = f"http:{client}:{fqdn}{url}"
-        self.flow_arrivals.setdefault(flow, []).append((self.now, self.now - issued))
-        self.delivered_http.append((self.now, client, fqdn, url, body))
+        self.deliveries.append(Delivery(
+            self.now, client, f"http:{client}:{fqdn}{url}", self.now - issued, size, None,
+        ))
 
     def _note_http_issue(self, client: ClientId, fqdn: str, url: str) -> None:
         self._http_issue.setdefault((client, fqdn, url), deque()).append(self.now)
+
+    def _path(self, pred: dict[int, int], root: int, node: int) -> list[Link]:
+        """Links from `root` to `node` along `root`'s predecessor map."""
+        links: list[Link] = []
+        while node != root:
+            parent = pred[node]
+            links.append(self.graph.link(parent, node))
+            node = parent
+        links.reverse()
+        return links
+
+    def _send_over(
+        self, path: list[Link], index: int, size: int, control: bool, name: object,
+        on_arrive: Callable[[], None],
+    ) -> None:
+        """Carry `size` wire bytes over `path[index:]`, one link per event,
+        then call `on_arrive`; `name` labels the trace rows.
+
+        Each hop schedules the next as a new call rather than through a
+        closure that refers to itself, so the scheduled state, payload
+        included, is freed when its last event has run instead of waiting
+        for the cycle collector.
+        """
+        if index == len(path):
+            on_arrive()
+            return
+        link = path[index]
+        self._count_link(link, size, control)
+        self._trace_row(link.src, "ctrl" if control else "data", link, size, name)
+        arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
+        self.queue.push(arrival, lambda: self._send_over(
+            path, index + 1, size, control, name, on_arrive))
+
+    def _make_ip_packet(self, src: str, dst: str, size: int, proto: int) -> IpPacket:
+        pid = self._next_packet_id
+        self._next_packet_id += 1
+        self.send_time[pid] = self.now
+        return IpPacket(
+            src=ipaddress.IPv4Address(src),
+            dst=ipaddress.IPv4Address(dst),
+            proto=proto,
+            id=pid,
+            payload=synth_bytes(f"{src}>{dst}#{pid}", size),
+        )
 
     def _drain(self, max_time_us: int) -> None:
         while self.queue:
@@ -291,6 +363,9 @@ class _AccountingMixin:
         )
         counters.update(self.counters)
         counters.update(extra_counters)
+        by_flow: dict[str, list[Delivery]] = {}
+        for d in self.deliveries:
+            by_flow.setdefault(d.flow, []).append(d)
         return KpiReport(
             per_link={
                 k: {"control_bytes": v[0], "data_bytes": v[1]}
@@ -301,10 +376,7 @@ class _AccountingMixin:
                 "data_bytes": data,
                 "signalling_overhead_pct": overhead,
             },
-            flows={
-                flow: _flow_stats(arrivals)
-                for flow, arrivals in self.flow_arrivals.items()
-            },
+            flows={flow: _flow_stats(records) for flow, records in by_flow.items()},
             counters=dict(counters),
         )
 
@@ -312,12 +384,8 @@ class _AccountingMixin:
 def _validate_workload(scenario: Scenario, known_clients: set[ClientId]) -> None:
     for action in scenario.workload:
         client = action.get("client")
-        if client is not None and int(client) not in known_clients:
+        if client is not None and client not in known_clients:
             raise UnknownClientError(f"workload references unknown client {client}")
-        if action["op"] in ("attach", "send_ip", "http_serve", "http_get") and (
-            client is None
-        ):
-            raise ScenarioError(f"op {action['op']!r} needs a client")
 
 
 class IcnSimulation(_AccountingMixin):
@@ -417,10 +485,8 @@ class IcnSimulation(_AccountingMixin):
                         len(ip.payload), ip.dst)
         self._record_ip_flow(ip, client)
 
-    def note_http_complete(
-        self, client: ClientId, fqdn: str, url: str, body: bytes
-    ) -> None:
-        self._record_http_flow(client, fqdn, url, body)
+    def note_http_complete(self, client: ClientId, response: HttpResponse) -> None:
+        self._record_http_flow(client, response.fqdn, response.url, len(response.body))
 
     def transmit(self, client: ClientId, pkt: IcnPacket) -> None:
         """A gateway emits a data packet at its attachment node."""
@@ -476,39 +542,20 @@ class IcnSimulation(_AccountingMixin):
             name=ev.name,
             payload=_CTRL_FID.pack(ev.publisher, fd.fid.to_bytes(32, "big"), fd.local),
         )
-        self._route_control(pkt, self._path_from_rv(gw.node), lambda: gw.on_fid(fd))
-
-    def _path_from_rv(self, node: int) -> list[Link]:
-        links: list[Link] = []
-        while node != self.rv_node:
-            parent = self._rv_pred[node]
-            links.append(self.graph.link(parent, node))
-            node = parent
-        links.reverse()
-        return links
+        path = self._path(self._rv_pred, self.rv_node, gw.node)
+        self._route_control(pkt, path, lambda: gw.on_fid(fd))
 
     def _path_to_rv(self, node: int) -> list[Link]:
-        return [self.graph.link(l.dst, l.src) for l in reversed(self._path_from_rv(node))]
+        from_rv = self._path(self._rv_pred, self.rv_node, node)
+        return [self.graph.link(l.dst, l.src) for l in reversed(from_rv)]
 
     def _route_control(
         self, pkt: IcnPacket, path: list[Link], handler: Callable[[], None]
     ) -> None:
         if self.ideal_control or not path:
             self.queue.push(self.now, handler)
-            return
-        size = pkt.wire_size
-
-        def hop(index: int) -> None:
-            if index == len(path):
-                handler()
-                return
-            link = path[index]
-            self._count_link(link, size, control=True)
-            self._trace_row(link.src, "ctrl", link, size, pkt.name)
-            arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
-            self.queue.push(arrival, lambda: hop(index + 1))
-
-        hop(0)
+        else:
+            self._send_over(path, 0, pkt.wire_size, True, pkt.name, handler)
 
     # -- data plane ----------------------------------------------------------
 
@@ -552,45 +599,31 @@ class IcnSimulation(_AccountingMixin):
         elif op == "send_ip":
             nap = self._nap(action["client"])
             pkt = self._make_ip_packet(
-                action["src"], action["dst"], int(action.get("bytes", 0)),
-                int(action.get("proto", 17)),
+                action["src"], action["dst"], action.get("bytes", 0), action.get("proto", 17)
             )
             nap.send_ip(pkt)
         elif op == "http_serve":
             self._nap(action["client"]).http_serve(action["fqdn"])
         elif op == "http_get":
-            client = int(action["client"])
+            client = action["client"]
             self._note_http_issue(client, action["fqdn"], action["url"])
             self._nap(client).http_get(
-                action["fqdn"], action["url"], int(action.get("resp_bytes", 0))
+                action["fqdn"], action["url"], action.get("resp_bytes", 0)
             )
         elif op == "ext_in":
             if self.border is None:
                 raise ScenarioError("ext_in requires a border gateway")
             pkt = self._make_ip_packet(
                 action.get("src", str(DEFAULT_EXT_SRC)), action["dst"],
-                int(action.get("bytes", 0)), int(action.get("proto", 17)),
+                action.get("bytes", 0), action.get("proto", 17),
             )
             self.border.ingress(pkt)
 
-    def _nap(self, client) -> Nap:
-        gw = self.gateways[int(client)]
+    def _nap(self, client: ClientId) -> Nap:
+        gw = self.gateways[client]
         if not isinstance(gw, Nap):
             raise ScenarioError(f"client {client} is not a NAP")
         return gw
-
-    def _make_ip_packet(self, src: str, dst: str, size: int, proto: int) -> IpPacket:
-        pid = self._alloc_packet_id()
-        pkt = IpPacket(
-            src=ipaddress.IPv4Address(src),
-            dst=ipaddress.IPv4Address(dst),
-            proto=proto,
-            id=pid,
-            payload=synth_bytes(f"{src}>{dst}#{pid}", size),
-        )
-        self.sent_ip[pid] = pkt
-        self.send_time[pid] = self.now
-        return pkt
 
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
         if self.border is not None:
@@ -623,44 +656,18 @@ class BaselineSimulation(_AccountingMixin):
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
         self._fqdn_at: dict[str, tuple[ClientId, int]] = {}
-        self.peer_log: list[tuple[int, IpPacket]] = []
-        self.device_log: dict[ClientId, list[IpPacket]] = {}
-        self.http_bodies: list[tuple[ClientId, str, str, bytes]] = []
         _validate_workload(
             scenario, set(self.nap_nodes) | ({self.border.client} if self.border else set())
         )
-
-    def _path(self, src: int, dst: int) -> list[Link]:
-        pred = dijkstra(self.graph, src)
-        links: list[Link] = []
-        node = dst
-        while node != src:
-            parent = pred[node]
-            links.append(self.graph.link(parent, node))
-            node = parent
-        links.reverse()
-        return links
 
     def _route(
         self, src: int, dst: int, size: int, on_arrive: Callable[[], None]
     ) -> None:
         """Send `size` wire bytes hop-by-hop from node src to node dst."""
-        path = self._path(src, dst)
+        path = self._path(dijkstra(self.graph, src), src, dst)
+        self._send_over(path, 0, size, False, "-", on_arrive)
 
-        def hop(index: int) -> None:
-            if index == len(path):
-                on_arrive()
-                return
-            link = path[index]
-            self._count_link(link, size, control=False)
-            self._trace_row(link.src, "data", link, size, "-")
-            arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
-            self.queue.push(arrival, lambda: hop(index + 1))
-
-        hop(0)
-
-    def _nap_node(self, client) -> int:
-        client = int(client)
+    def _nap_node(self, client: ClientId) -> int:
         if client not in self.nap_nodes:
             raise ScenarioError(f"client {client} is not a NAP")
         return self.nap_nodes[client]
@@ -668,7 +675,7 @@ class BaselineSimulation(_AccountingMixin):
     def _inject(self, action: dict) -> None:
         op = action["op"]
         if op == "attach":
-            client = int(action["client"])
+            client = action["client"]
             node = self._nap_node(client)
             addr = ipaddress.IPv4Address(action["addr"])
             if not any(addr in p for p in self.nap_prefixes[client]):
@@ -677,41 +684,26 @@ class BaselineSimulation(_AccountingMixin):
                 raise ScenarioError(f"{addr} attached twice")
             self._addr_at[addr] = (client, node)
         elif op == "send_ip":
-            client = int(action["client"])
             pkt = self._make_ip_packet(
-                action["src"], action["dst"], int(action.get("bytes", 0)),
-                int(action.get("proto", 17)),
+                action["src"], action["dst"], action.get("bytes", 0), action.get("proto", 17)
             )
-            self._route_ip(self._nap_node(client), pkt)
+            self._route_ip(self._nap_node(action["client"]), pkt)
         elif op == "ext_in":
             if self.border is None:
                 raise ScenarioError("ext_in requires a border gateway")
             pkt = self._make_ip_packet(
                 action.get("src", str(DEFAULT_EXT_SRC)), action["dst"],
-                int(action.get("bytes", 0)), int(action.get("proto", 17)),
+                action.get("bytes", 0), action.get("proto", 17),
             )
             if not any(pkt.dst in p for p in self.operator_prefixes):
                 self.counters["drops"] += 1
                 return
             self._route_ip(self.border.node, pkt)
         elif op == "http_serve":
-            client = int(action["client"])
+            client = action["client"]
             self._fqdn_at[action["fqdn"]] = (client, self._nap_node(client))
         elif op == "http_get":
             self._http_get(action)
-
-    def _make_ip_packet(self, src: str, dst: str, size: int, proto: int) -> IpPacket:
-        pid = self._alloc_packet_id()
-        pkt = IpPacket(
-            src=ipaddress.IPv4Address(src),
-            dst=ipaddress.IPv4Address(dst),
-            proto=proto,
-            id=pid,
-            payload=synth_bytes(f"{src}>{dst}#{pid}", size),
-        )
-        self.sent_ip[pid] = pkt
-        self.send_time[pid] = self.now
-        return pkt
 
     def _route_ip(self, from_node: int, pkt: IpPacket) -> None:
         size = len(encode_ip_packet(pkt))
@@ -723,26 +715,25 @@ class BaselineSimulation(_AccountingMixin):
                 return
             client, node = target
             self._route(from_node, node, size,
-                        lambda: self._deliver_ip(client, pkt))
+                        lambda: self.note_ip_delivered(client, pkt))
         else:
             if self.border is None:
                 self.counters["drops"] += 1
                 return
             self._route(from_node, self.border.node, size,
-                        lambda: self._deliver_peer(pkt))
+                        lambda: self.note_peer_emitted(self.border.client, pkt))
 
-    def _deliver_ip(self, client: ClientId, pkt: IpPacket) -> None:
-        self.device_log.setdefault(client, []).append(pkt)
-        self._record_ip_flow(pkt, client)
+    # the ICN gateways report arrivals through hooks of the same names
+    def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
+        self._record_ip_flow(ip, client)
 
-    def _deliver_peer(self, pkt: IpPacket) -> None:
-        self.peer_log.append((self.now, pkt))
-        self._record_ip_flow(pkt, self.border.client)
+    def note_peer_emitted(self, client: ClientId, ip: IpPacket) -> None:
+        self._record_ip_flow(ip, client)
 
     def _http_get(self, action: dict) -> None:
-        client = int(action["client"])
+        client = action["client"]
         fqdn, url = action["fqdn"], action["url"]
-        resp_bytes = int(action.get("resp_bytes", 0))
+        resp_bytes = action.get("resp_bytes", 0)
         self._note_http_issue(client, fqdn, url)
         served = self._fqdn_at.get(fqdn)
         if served is None:
@@ -754,23 +745,23 @@ class BaselineSimulation(_AccountingMixin):
             {"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
             sort_keys=True,
         ).encode()
-        req_size = len(request) + 17  # same encapsulation overhead as send_ip
+        req_size = len(request) + IP_HEADER_SIZE  # same encapsulation as send_ip
 
         def respond() -> None:
-            body = synth_bytes(f"{fqdn}{url}", resp_bytes)
-            chunks = [
-                body[off : off + 65507] for off in range(0, len(body), 65507)
-            ] or [b""]
-            remaining = {"n": len(chunks)}
+            # the body in the NAP's segment sizes; an empty body is one segment
+            sizes = [
+                min(SEGMENT_CHUNK, resp_bytes - off) + IP_HEADER_SIZE
+                for off in range(0, resp_bytes, SEGMENT_CHUNK)
+            ] or [IP_HEADER_SIZE]
+            remaining = {"n": len(sizes)}
 
             def chunk_arrived() -> None:
                 remaining["n"] -= 1
                 if remaining["n"] == 0:
-                    self.http_bodies.append((client, fqdn, url, body))
-                    self._record_http_flow(client, fqdn, url, body)
+                    self._record_http_flow(client, fqdn, url, resp_bytes)
 
-            for chunk in chunks:
-                self._route(server_node, client_node, len(chunk) + 17, chunk_arrived)
+            for size in sizes:
+                self._route(server_node, client_node, size, chunk_arrived)
 
         self._route(client_node, server_node, req_size, respond)
 

@@ -259,10 +259,6 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     return TopologyDoc(graph=graph, naps=tuple(naps), border=border)
 
 
-def load_graph(doc: dict | str, seed: int) -> NetworkGraph:
-    return load_topology_doc(doc, seed).graph
-
-
 def dijkstra(g: NetworkGraph, root: int) -> dict[int, int]:
     """Deterministic least-delay predecessors of every node reached from `root`.
 

@@ -1,4 +1,5 @@
-"""Shared fixtures: graph builders and a synchronous gateway environment."""
+"""Shared fixtures: graph builders, a synchronous gateway environment and
+simulations that capture what their delivery hooks see."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import pytest
 
 from ipicn.forwarding import IcnPacket, forward
 from ipicn.rendezvous import Rendezvous
+from ipicn.simnet import BaselineSimulation, IcnSimulation
 from ipicn.topology import NetworkGraph, TopologyDoc, handle_match, load_topology_doc
 
 
@@ -91,7 +93,7 @@ class SyncEnv:
         self.control_log: list[tuple[str, int, object]] = []
         self.emissions: list[tuple[int, IcnPacket]] = []
         self.ip_deliveries: list[tuple[int, object]] = []
-        self.http_completions: list[tuple[int, str, str, bytes]] = []
+        self.http_completions: list[tuple[int, object]] = []
         self.peer_emissions: list[tuple[int, object]] = []
 
     def add(self, gw) -> None:
@@ -173,11 +175,52 @@ class SyncEnv:
     def note_ip_delivered(self, client, pkt) -> None:
         self.ip_deliveries.append((client, pkt))
 
-    def note_http_complete(self, client, fqdn, url, body) -> None:
-        self.http_completions.append((client, fqdn, url, body))
+    def note_http_complete(self, client, response) -> None:
+        self.http_completions.append((client, response))
 
     def note_peer_emitted(self, client, pkt) -> None:
         self.peer_emissions.append((client, pkt))
+
+
+class CaptureDeliveries:
+    """Mixin for a simulation class: keeps every packet it makes and every
+    value its delivery hooks receive, which the simulation itself drops.
+
+    `sent` maps packet id to the IpPacket as sent; `ip_deliveries` and
+    `http_completions` hold (client, IpPacket) and (client, HttpResponse)
+    per hook call, in call order (peer emissions count as IP deliveries).
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.sent: dict[int, object] = {}
+        self.ip_deliveries: list[tuple[int, object]] = []
+        self.http_completions: list[tuple[int, object]] = []
+        super().__init__(*args, **kwargs)
+
+    def _make_ip_packet(self, *args):
+        pkt = super()._make_ip_packet(*args)
+        self.sent[pkt.id] = pkt
+        return pkt
+
+    def note_ip_delivered(self, client, ip) -> None:
+        self.ip_deliveries.append((client, ip))
+        super().note_ip_delivered(client, ip)
+
+    def note_peer_emitted(self, client, ip) -> None:
+        self.ip_deliveries.append((client, ip))
+        super().note_peer_emitted(client, ip)
+
+    def note_http_complete(self, client, response) -> None:
+        self.http_completions.append((client, response))
+        super().note_http_complete(client, response)
+
+
+class CapturingIcnSimulation(CaptureDeliveries, IcnSimulation):
+    pass
+
+
+class CapturingBaselineSimulation(CaptureDeliveries, BaselineSimulation):
+    pass
 
 
 @pytest.fixture

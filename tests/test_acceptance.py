@@ -10,7 +10,7 @@ import random
 import time
 import typing
 
-from conftest import make_topology_doc, random_connected_graph
+from conftest import CapturingIcnSimulation, make_topology_doc, random_connected_graph
 from ipicn import simnet
 from ipicn.forwarding import FID_BITS, IcnPacket, PacketKind
 from ipicn.gateways import BorderGateway, HttpResponse, IpPacket, Nap
@@ -115,20 +115,24 @@ def test_c2_end_to_end_ip_identity():
                        "dst": rng.choice(internal),
                        "bytes": rng.randint(0, 1200)})
 
-    sim = IcnSimulation(doc, Scenario(workload=wl))
+    sim = CapturingIcnSimulation(doc, Scenario(workload=wl))
     report = sim.run()
 
     delivered_by_id: dict[int, list[IpPacket]] = {}
-    for _, _, pkt in sim.delivered_ip:
+    for _, pkt in sim.ip_deliveries:
         delivered_by_id.setdefault(pkt.id, []).append(pkt)
-    assert len(sim.sent_ip) == 1000
-    missing = [pid for pid in sim.sent_ip if pid not in delivered_by_id]
+    assert len(sim.sent) == 1000
+    missing = [pid for pid in sim.sent if pid not in delivered_by_id]
     assert missing == [], f"{len(missing)} packets never delivered"
-    for pid, sent in sim.sent_ip.items():
+    for pid, sent in sim.sent.items():
         copies = delivered_by_id[pid]
         assert len(copies) == 1, f"packet {pid} delivered {len(copies)} times"
         assert copies[0].payload == sent.payload
         assert copies[0] == sent
+    # the delivery record keeps one payload-free entry per hook call
+    assert [(d.client, d.packet_id, d.size) for d in sim.deliveries] == [
+        (client, pkt.id, len(pkt.payload)) for client, pkt in sim.ip_deliveries
+    ]
 
     assert report.counters["drops"] == 0
     assert report.counters["corrupt"] == 0
@@ -393,6 +397,10 @@ def test_c8_legacy_device_constraint():
         Nap.http_get,
         Nap.http_serve,
         BorderGateway.ingress,
+        # the hooks that hand each delivery to the simulation
+        IcnSimulation.note_ip_delivered,
+        IcnSimulation.note_peer_emitted,
+        IcnSimulation.note_http_complete,
     ]
     for fn in device_facing:
         hints = typing.get_type_hints(fn)
@@ -406,7 +414,8 @@ def test_c8_legacy_device_constraint():
             leaked = _type_names(hint) & ICN_TYPE_NAMES
             assert not leaked, f"{value_type.__name__}.{fieldname} leaks {leaked}"
 
-    # runtime check: after a full run the device logs hold only IP/HTTP values
+    # runtime check: every value handed to the delivery hooks in a full run
+    # is an IP/HTTP value
     doc = make_topology_doc(
         nodes=[1, 2],
         undirected_links=[(1, 2)],
@@ -425,12 +434,10 @@ def test_c8_legacy_device_constraint():
         {"t_us": 2000, "op": "http_get", "client": 1, "fqdn": "cdn.example",
          "url": "/x", "resp_bytes": 1000},
     ])
-    sim = IcnSimulation(doc, sc)
+    sim = CapturingIcnSimulation(doc, sc)
     sim.run()
-    for gw in sim.gateways.values():
-        if isinstance(gw, Nap):
-            assert all(isinstance(p, IpPacket) for p in gw.device_log)
-            assert all(isinstance(r, HttpResponse) for r in gw.http_log)
-        else:
-            assert all(isinstance(p, IpPacket) for _, p in gw.peer_log)
+    assert [c for c, _ in sim.ip_deliveries] == [2]
+    assert [c for c, _ in sim.http_completions] == [1]
+    assert all(type(p) is IpPacket for _, p in sim.ip_deliveries)
+    assert all(type(r) is HttpResponse for _, r in sim.http_completions)
     _ok(8, "legacy device constraint (no ICN types at the device boundary)")

@@ -82,6 +82,36 @@ class TestRun:
         assert "t_us" in capsys.readouterr().err
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize(
+        "op, field, value",
+        [
+            ("send_ip", "bytes", None),
+            ("send_ip", "bytes", [1]),
+            ("send_ip", "bytes", -5),
+            ("send_ip", "proto", None),
+            ("send_ip", "proto", 300),
+            ("send_ip", "client", [1]),
+            ("http_get", "resp_bytes", None),
+            ("http_get", "fqdn", None),
+        ],
+        ids=["bytes-null", "bytes-list", "bytes-negative", "proto-null",
+             "proto-300", "client-list", "resp_bytes-null", "fqdn-null"],
+    )
+    @pytest.mark.parametrize("mode", ["icn", "ip"])
+    def test_malformed_op_field_exits_2(self, paths, capsys, mode, op, field, value):
+        bad = json.loads(json.dumps(SCENARIO))
+        bad["workload"] += [
+            {"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "cdn.example"},
+            {"t_us": 2000, "op": "http_get", "client": 1, "fqdn": "cdn.example",
+             "url": "/x", "resp_bytes": 100},
+        ]
+        target = next(a for a in bad["workload"] if a["op"] == op)
+        target[field] = value
+        paths["scenario"].write_text(json.dumps(bad))
+        assert main(run_args(paths, mode=mode)) == 2
+        assert repr(field) in capsys.readouterr().err
+        assert not paths["out"].exists()
+
     def test_unknown_client_exits_3(self, paths):
         bad = dict(SCENARIO)
         bad["workload"] = [

@@ -37,6 +37,15 @@ class TestGenLid:
         b = [gen_lid(random.Random(99)) for _ in range(50)]
         assert a == b
 
+    def test_same_masks_as_random_sample(self):
+        # the masks every report depends on: one per sampled 5-subset
+        for seed in range(20):
+            rng, ref = random.Random(seed), random.Random(seed)
+            for _ in range(500):
+                expected = sum(1 << p for p in ref.sample(range(FID_BITS), LID_SET_BITS))
+                assert gen_lid(rng) == expected
+            assert rng.random() == ref.random()  # same generator state after
+
     def test_per_bit_frequency_within_three_sigma(self):
         # each draw sets any given bit with p = 5/256; over n draws the
         # per-bit count is Binomial(n, p); seed chosen so all 256 bits sit

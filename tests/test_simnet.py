@@ -2,11 +2,16 @@
 
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from conftest import make_topology_doc
+from conftest import (
+    CapturingBaselineSimulation,
+    CapturingIcnSimulation,
+    make_topology_doc,
+)
 from ipicn import simnet
 from ipicn.simnet import (
     BaselineSimulation,
@@ -58,6 +63,19 @@ class TestScenarioLoading:
     def test_missing_time_rejected(self):
         with pytest.raises(ScenarioError, match="t_us"):
             load_scenario('{"workload":[{"op":"attach","client":1,"addr":"10.0.1.5"}]}')
+
+    def test_missing_op_field_rejected(self):
+        with pytest.raises(ScenarioError, match="needs 'dst'"):
+            load_scenario('{"workload":[{"t_us":0,"op":"send_ip","client":1,'
+                          '"src":"10.0.1.5"}]}')
+
+    def test_op_field_types_and_ranges(self):
+        op = '{"t_us":0,"op":"send_ip","client":1,"src":"a","dst":"b",%s}'
+        load_scenario('{"workload":[%s]}' % (op % '"bytes":65507,"proto":255'))
+        for bad in ('"bytes":65508', '"bytes":true', '"proto":-1', '"proto":1.0',
+                    '"dst":7'):
+            with pytest.raises(ScenarioError, match="invalid"):
+                load_scenario('{"workload":[%s]}' % (op % bad))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ScenarioError, match="mode"):
@@ -250,12 +268,12 @@ class TestBaseline:
                  "dst": "10.0.2.9", "bytes": 777},
             ]
         )
-        icn = IcnSimulation(make_topology_doc(**doc_args), sc)
+        icn = CapturingIcnSimulation(make_topology_doc(**doc_args), sc)
         icn.run()
-        base = BaselineSimulation(make_topology_doc(**doc_args), sc)
+        base = CapturingBaselineSimulation(make_topology_doc(**doc_args), sc)
         base.run()
-        icn_payloads = [p.payload for _, _, p in icn.delivered_ip]
-        base_payloads = [p.payload for _, _, p in base.delivered_ip]
+        icn_payloads = [p.payload for _, p in icn.ip_deliveries]
+        base_payloads = [p.payload for _, p in base.ip_deliveries]
         assert icn_payloads == base_payloads
         assert len(icn_payloads) == 1
 
@@ -438,3 +456,47 @@ class TestConservation:
         assert report.counters["ttl_drops"] == 0
         assert report.counters["off_tree_forwards"] == 0
         assert sum(f["delivered"] for f in report.flows.values()) == 3
+
+class TestMemory:
+    """A run keeps no delivered payload: only its payload-free records."""
+
+    URLS, RESP, PACKETS, PACKET_BYTES = 10, 300_000, 100, 1000
+
+    def scenario(self):
+        wl = [
+            {"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "cdn.example"},
+            {"t_us": 0, "op": "attach", "client": 2, "addr": "10.0.2.9"},
+            {"t_us": 0, "op": "attach", "client": 3, "addr": "10.0.3.9"},
+        ]
+        for url in range(self.URLS):
+            for client in (2, 3):
+                wl.append({"t_us": 1000 + url, "op": "http_get", "client": client,
+                           "fqdn": "cdn.example", "url": f"/v/{url}",
+                           "resp_bytes": self.RESP})
+        for k in range(self.PACKETS):
+            wl.append({"t_us": 1000 + 100 * k, "op": "send_ip", "client": 2,
+                       "src": "10.0.2.9", "dst": "10.0.3.9",
+                       "bytes": self.PACKET_BYTES})
+        return Scenario(workload=wl)
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
+    def test_retained_memory_is_bounded(self, cls):
+        doc = line_doc(2, naps=[
+            {"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+            {"client": 2, "node": 2, "prefixes": ["10.0.2.0/24"]},
+            {"client": 3, "node": 3, "prefixes": ["10.0.3.0/24"]},
+        ])
+        sc = self.scenario()
+        tracemalloc.start()
+        try:
+            sim = cls(doc, sc)
+            report = sim.run()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        flows = report.flows
+        assert sum(f["delivered"] for k, f in flows.items() if k.startswith("http:")) == 20
+        assert flows["ip:10.0.2.9->10.0.3.9"]["delivered"] == self.PACKETS
+        # 20 bodies of 300 kB were delivered (6 MB); keeping any of them
+        # would exceed this bound by more than the body's own size
+        assert retained < 256 * 1024, retained

@@ -16,7 +16,6 @@ from ipicn.topology import (
     dijkstra,
     fid_for_tree,
     handle_match,
-    load_graph,
     load_topology_doc,
     shortest_path_tree,
 )
@@ -75,13 +74,14 @@ class TestLoading:
             "nodes": [{"id": 1}, {"id": 2}, {"id": 3}],
             "links": [{"a": 1, "b": 2}, {"a": 2, "b": 3}],
         }
-        g1 = load_graph(json.dumps(doc), seed=42)
-        g2 = load_graph(json.dumps(doc), seed=42)
+        g1 = load_topology_doc(json.dumps(doc), seed=42).graph
+        g2 = load_topology_doc(json.dumps(doc), seed=42).graph
         assert g1.links == g2.links
         assert g1.nodes == g2.nodes
 
     def test_two_node_document_yields_two_distinct_directed_links(self):
-        g = load_graph({"nodes": [{"id": 1}, {"id": 2}], "links": [{"a": 1, "b": 2}]}, 7)
+        doc = {"nodes": [{"id": 1}, {"id": 2}], "links": [{"a": 1, "b": 2}]}
+        g = load_topology_doc(doc, 7).graph
         assert len(g.links) == 2
         a, b = g.links
         assert (a.src, a.dst) == (1, 2) and (b.src, b.dst) == (2, 1)
@@ -93,11 +93,11 @@ class TestLoading:
             "links": [{"a": 1, "b": 2}],
         }
         with pytest.raises(TopologyError, match="disconnected"):
-            load_graph(doc, 1)
+            load_topology_doc(doc, 1).graph
 
     def test_duplicate_node_rejected(self):
         with pytest.raises(TopologyError, match="duplicate node"):
-            load_graph({"nodes": [{"id": 1}, {"id": 1}], "links": []}, 1)
+            load_topology_doc({"nodes": [{"id": 1}, {"id": 1}], "links": []}, 1).graph
 
     def test_attachment_to_unknown_node_rejected(self):
         doc = {
@@ -123,7 +123,7 @@ class TestLoading:
             "links": [{"a": 1, "b": 2}, {"a": 2, "b": 1}],
         }
         with pytest.raises(TopologyError, match="duplicate link"):
-            load_graph(doc, 1)
+            load_topology_doc(doc, 1).graph
 
 
 class TestShortestPathTree:

@@ -23,6 +23,7 @@ import ipaddress
 import json
 import struct
 from collections import Counter, deque
+from collections.abc import Container
 from dataclasses import dataclass, field
 
 from .forwarding import DEFAULT_TTL, IcnPacket, PacketKind
@@ -92,6 +93,21 @@ def decode_ip_packet(buf: bytes) -> IpPacket:
         id=pkt_id,
         payload=buf[_IP_HEADER.size :],
     )
+
+
+def assign_address(
+    addr: ipaddress.IPv4Address | str,
+    prefixes: tuple[ipaddress.IPv4Network, ...],
+    assigned: Container[ipaddress.IPv4Address],
+) -> ipaddress.IPv4Address:
+    """Parse a device address for a NAP: it must lie in the NAP's prefixes
+    and not be in `assigned` yet. Both modes attach devices by this rule."""
+    addr = ipaddress.IPv4Address(addr)
+    if not any(addr in p for p in prefixes):
+        raise ValueError(f"{addr} outside this NAP's prefixes")
+    if addr in assigned:
+        raise ValueError(f"{addr} already assigned")
+    return addr
 
 
 def synth_bytes(tag: str, size: int) -> bytes:
@@ -230,11 +246,7 @@ class Nap(_IcnClient):
 
     def attach_device(self, addr: ipaddress.IPv4Address | str) -> None:
         """Assign an address and subscribe to its internal name."""
-        addr = ipaddress.IPv4Address(addr)
-        if not any(addr in p for p in self.prefixes):
-            raise ValueError(f"{addr} outside this NAP's prefixes")
-        if addr in self.addresses:
-            raise ValueError(f"{addr} already assigned")
+        addr = assign_address(addr, self.prefixes, self.addresses)
         self.env.register_address(addr, self.client)
         self.addresses.add(addr)
         self.env.subscribe(self.client, name_for_ip(addr, Locality.INTERNAL))

@@ -35,6 +35,7 @@ from .gateways import (
     HttpResponse,
     IpPacket,
     Nap,
+    assign_address,
     encode_ip_packet,
     synth_bytes,
 )
@@ -115,10 +116,12 @@ def load_scenario(doc: dict | str) -> Scenario:
         fields = _OP_FIELDS.get(op) if isinstance(op, str) else None
         if fields is None:
             raise ScenarioError(f"unknown workload op: {op!r}")
-        try:
-            t_us = int(action.get("t_us", -1))
-        except (TypeError, ValueError, OverflowError):
-            raise ScenarioError(f"workload op {op!r} has a non-integer t_us") from None
+        t_us = action.get("t_us", -1)
+        if type(t_us) is not int:  # skips the int() call for the common case
+            try:
+                t_us = int(t_us)
+            except (TypeError, ValueError, OverflowError):
+                raise ScenarioError(f"workload op {op!r} has a non-integer t_us") from None
         if t_us < 0:
             raise ScenarioError(f"workload op {op!r} needs a non-negative t_us")
         for key, kind, high, default in fields:
@@ -323,16 +326,18 @@ class _AccountingMixin:
         self.queue.push(arrival, lambda: self._send_over(
             path, index + 1, size, control, name, on_arrive))
 
-    def _make_ip_packet(self, src: str, dst: str, size: int, proto: int) -> IpPacket:
+    def _make_ip_packet(self, action: dict, src: str) -> IpPacket:
+        """The packet a `send_ip` or `ext_in` op sends from `src`."""
         pid = self._next_packet_id
         self._next_packet_id += 1
         self.send_time[pid] = self.now
+        dst = action["dst"]
         return IpPacket(
             src=ipaddress.IPv4Address(src),
             dst=ipaddress.IPv4Address(dst),
-            proto=proto,
+            proto=action.get("proto", 17),
             id=pid,
-            payload=synth_bytes(f"{src}>{dst}#{pid}", size),
+            payload=synth_bytes(f"{src}>{dst}#{pid}", action.get("bytes", 0)),
         )
 
     def _drain(self, max_time_us: int) -> None:
@@ -598,10 +603,7 @@ class IcnSimulation(_AccountingMixin):
             nap.attach_device(action["addr"])
         elif op == "send_ip":
             nap = self._nap(action["client"])
-            pkt = self._make_ip_packet(
-                action["src"], action["dst"], action.get("bytes", 0), action.get("proto", 17)
-            )
-            nap.send_ip(pkt)
+            nap.send_ip(self._make_ip_packet(action, action["src"]))
         elif op == "http_serve":
             self._nap(action["client"]).http_serve(action["fqdn"])
         elif op == "http_get":
@@ -613,11 +615,8 @@ class IcnSimulation(_AccountingMixin):
         elif op == "ext_in":
             if self.border is None:
                 raise ScenarioError("ext_in requires a border gateway")
-            pkt = self._make_ip_packet(
-                action.get("src", str(DEFAULT_EXT_SRC)), action["dst"],
-                action.get("bytes", 0), action.get("proto", 17),
-            )
-            self.border.ingress(pkt)
+            self.border.ingress(
+                self._make_ip_packet(action, action.get("src", str(DEFAULT_EXT_SRC))))
 
     def _nap(self, client: ClientId) -> Nap:
         gw = self.gateways[client]
@@ -677,24 +676,15 @@ class BaselineSimulation(_AccountingMixin):
         if op == "attach":
             client = action["client"]
             node = self._nap_node(client)
-            addr = ipaddress.IPv4Address(action["addr"])
-            if not any(addr in p for p in self.nap_prefixes[client]):
-                raise ScenarioError(f"{addr} outside prefixes of client {client}")
-            if addr in self._addr_at:
-                raise ScenarioError(f"{addr} attached twice")
+            addr = assign_address(action["addr"], self.nap_prefixes[client], self._addr_at)
             self._addr_at[addr] = (client, node)
         elif op == "send_ip":
-            pkt = self._make_ip_packet(
-                action["src"], action["dst"], action.get("bytes", 0), action.get("proto", 17)
-            )
+            pkt = self._make_ip_packet(action, action["src"])
             self._route_ip(self._nap_node(action["client"]), pkt)
         elif op == "ext_in":
             if self.border is None:
                 raise ScenarioError("ext_in requires a border gateway")
-            pkt = self._make_ip_packet(
-                action.get("src", str(DEFAULT_EXT_SRC)), action["dst"],
-                action.get("bytes", 0), action.get("proto", 17),
-            )
+            pkt = self._make_ip_packet(action, action.get("src", str(DEFAULT_EXT_SRC)))
             if not any(pkt.dst in p for p in self.operator_prefixes):
                 self.counters["drops"] += 1
                 return

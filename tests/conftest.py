@@ -184,17 +184,16 @@ class SyncEnv:
 
 class CaptureDeliveries:
     """Mixin for a simulation class: keeps every packet it makes and every
-    value its delivery hooks receive, which the simulation itself drops.
+    IP value its delivery hooks receive, which the simulation itself drops.
 
-    `sent` maps packet id to the IpPacket as sent; `ip_deliveries` and
-    `http_completions` hold (client, IpPacket) and (client, HttpResponse)
-    per hook call, in call order (peer emissions count as IP deliveries).
+    `sent` maps packet id to the IpPacket as sent; `ip_deliveries` holds
+    (client, IpPacket) per hook call, in call order (peer emissions count
+    as IP deliveries).
     """
 
     def __init__(self, *args, **kwargs) -> None:
         self.sent: dict[int, object] = {}
         self.ip_deliveries: list[tuple[int, object]] = []
-        self.http_completions: list[tuple[int, object]] = []
         super().__init__(*args, **kwargs)
 
     def _make_ip_packet(self, *args):
@@ -210,13 +209,18 @@ class CaptureDeliveries:
         self.ip_deliveries.append((client, ip))
         super().note_peer_emitted(client, ip)
 
+
+class CapturingIcnSimulation(CaptureDeliveries, IcnSimulation):
+    """Also keeps each (client, HttpResponse) in `http_completions`; the
+    baseline builds no HTTP bodies, so only ICN mode has this hook."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.http_completions: list[tuple[int, object]] = []
+        super().__init__(*args, **kwargs)
+
     def note_http_complete(self, client, response) -> None:
         self.http_completions.append((client, response))
         super().note_http_complete(client, response)
-
-
-class CapturingIcnSimulation(CaptureDeliveries, IcnSimulation):
-    pass
 
 
 class CapturingBaselineSimulation(CaptureDeliveries, BaselineSimulation):

@@ -290,6 +290,18 @@ class TestBaseline:
         assert report.counters["drops"] == 1
         assert report.flows == {}
 
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
+    @pytest.mark.parametrize("addrs, match", [
+        (["10.0.2.5"], "outside this NAP's prefixes"),
+        (["10.0.1.5", "10.0.1.5"], "already assigned"),
+    ])
+    def test_both_modes_attach_by_one_rule(self, cls, addrs, match):
+        sc = Scenario(workload=[
+            {"t_us": 0, "op": "attach", "client": 1, "addr": a} for a in addrs
+        ])
+        with pytest.raises(ValueError, match=match):
+            cls(two_node_doc(), sc).run()
+
 
 class TestHttpScenarios:
     @staticmethod

@@ -23,7 +23,7 @@ import ipaddress
 import json
 import struct
 from collections import Counter, deque
-from collections.abc import Container
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 
 from .forwarding import DEFAULT_TTL, IcnPacket, PacketKind
@@ -95,6 +95,21 @@ def decode_ip_packet(buf: bytes) -> IpPacket:
     )
 
 
+class AddressPlan:
+    """The operator's address plan: which IPv4 addresses are internal. A
+    membership test is one set lookup per distinct prefix length."""
+
+    def __init__(self, prefixes: Iterable[ipaddress.IPv4Network]) -> None:
+        by_mask: dict[int, set[int]] = {}
+        for p in prefixes:
+            by_mask.setdefault(int(p.netmask), set()).add(int(p.network_address))
+        self._by_mask = tuple((mask, frozenset(nets)) for mask, nets in by_mask.items())
+
+    def __contains__(self, addr: ipaddress.IPv4Address) -> bool:
+        value = int(addr)
+        return any(value & mask in nets for mask, nets in self._by_mask)
+
+
 def assign_address(
     addr: ipaddress.IPv4Address | str,
     prefixes: tuple[ipaddress.IPv4Network, ...],
@@ -102,7 +117,8 @@ def assign_address(
 ) -> ipaddress.IPv4Address:
     """Parse a device address for a NAP: it must lie in the NAP's prefixes
     and not be in `assigned` yet. Both modes attach devices by this rule."""
-    addr = ipaddress.IPv4Address(addr)
+    if not isinstance(addr, ipaddress.IPv4Address):
+        addr = ipaddress.IPv4Address(addr)
     if not any(addr in p for p in prefixes):
         raise ValueError(f"{addr} outside this NAP's prefixes")
     if addr in assigned:
@@ -235,7 +251,7 @@ class Nap(_IcnClient):
     ) -> None:
         super().__init__(env, client, node)
         self.prefixes = prefixes
-        self.operator_prefixes = operator_prefixes
+        self.operator_plan = AddressPlan(operator_prefixes)
         self.window_us = window_us
         self.addresses: set[ipaddress.IPv4Address] = set()
         self._served: dict[IcnName, str] = {}
@@ -255,8 +271,7 @@ class Nap(_IcnClient):
         """Encapsulate a device packet under its destination's name."""
         if pkt.src not in self.addresses:
             raise ValueError(f"source {pkt.src} not assigned at this NAP")
-        internal = any(pkt.dst in p for p in self.operator_prefixes)
-        loc = Locality.INTERNAL if internal else Locality.EXTERNAL
+        loc = Locality.INTERNAL if pkt.dst in self.operator_plan else Locality.EXTERNAL
         self._send_encapsulated(name_for_ip(pkt.dst, loc), pkt)
 
     def http_get(self, fqdn: str, url: str, resp_bytes: int) -> None:
@@ -401,7 +416,7 @@ class BorderGateway(_IcnClient):
         operator_prefixes: tuple[ipaddress.IPv4Network, ...],
     ) -> None:
         super().__init__(env, client, node)
-        self.operator_prefixes = operator_prefixes
+        self.operator_plan = AddressPlan(operator_prefixes)
 
     def start(self) -> None:
         """Take the standing subscription to the external scope."""
@@ -409,7 +424,7 @@ class BorderGateway(_IcnClient):
 
     def ingress(self, pkt: IpPacket) -> None:
         """An external sender's packet entering the operator domain."""
-        if not any(pkt.dst in p for p in self.operator_prefixes):
+        if pkt.dst not in self.operator_plan:
             self.counters["drops"] += 1
             return
         self._send_encapsulated(name_for_ip(pkt.dst, Locality.INTERNAL), pkt)

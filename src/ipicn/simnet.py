@@ -31,6 +31,7 @@ from .gateways import (
     IP_HEADER_SIZE,
     MAX_IP_PAYLOAD,
     SEGMENT_CHUNK,
+    AddressPlan,
     BorderGateway,
     HttpResponse,
     IpPacket,
@@ -48,29 +49,29 @@ from .topology import (
     dijkstra,
     handle_match,
     load_topology_doc,
+    path_links,
     tree_for_match,
 )
 
 DEFAULT_MAX_TIME_US = 60_000_000
-DEFAULT_EXT_SRC = ipaddress.IPv4Address("203.0.113.1")
+DEFAULT_EXT_SRC = "203.0.113.1"
 
 _CTRL_META = struct.Struct(">IB")  # client id | operation flag
 _CTRL_FID = struct.Struct(">I32sB")  # publisher | fid | local flag
 
-# (field, JSON type, highest, default) per field of each workload op: an
-# integer with a highest value must lie in 0..highest, and a field whose
-# default is None is required
-_CLIENT, _FQDN = ("client", int, None, None), ("fqdn", str, None, None)
+# (field, JSON type, bound, default) per field of each workload op: an
+# integer with a bound must lie in 0..bound, a string with a bound must not
+# be empty, and a field whose default is None is required
+_CLIENT, _FQDN = ("client", int, None, None), ("fqdn", str, True, None)
 _SRC, _DST = ("src", str, None, None), ("dst", str, None, None)
 _SIZES = (("bytes", int, MAX_IP_PAYLOAD, 0), ("proto", int, 255, 17))
 _OP_FIELDS = {
     "attach": (_CLIENT, ("addr", str, None, None)),
     "send_ip": (_CLIENT, _SRC, _DST, *_SIZES),
     "http_serve": (_CLIENT, _FQDN),
-    "http_get": (_CLIENT, _FQDN, ("url", str, None, None), ("resp_bytes", int, math.inf, 0)),
+    "http_get": (_CLIENT, _FQDN, ("url", str, True, None), ("resp_bytes", int, math.inf, 0)),
     "ext_in": (("src", str, None, ""), _DST, *_SIZES),
 }
-WORKLOAD_OPS = tuple(_OP_FIELDS)
 
 
 class ScenarioError(ValueError):
@@ -85,8 +86,8 @@ class UnknownClientError(ScenarioError):
 class Scenario:
     """A timed workload plus run parameters.
 
-    `load_scenario` checks every op's fields; a Scenario built directly is
-    taken as given.
+    `load_scenario` checks every op's fields (a Scenario built directly is
+    taken as given); the simulations check what the ops refer to.
     """
 
     workload: list[dict]
@@ -124,9 +125,10 @@ def load_scenario(doc: dict | str) -> Scenario:
                 raise ScenarioError(f"workload op {op!r} has a non-integer t_us") from None
         if t_us < 0:
             raise ScenarioError(f"workload op {op!r} needs a non-negative t_us")
-        for key, kind, high, default in fields:
+        for key, kind, bound, default in fields:
             value = action.get(key, default)
-            if type(value) is not kind or high is not None and not 0 <= value <= high:
+            if type(value) is not kind or bound is not None and not (
+                    value if kind is str else 0 <= value <= bound):
                 if key not in action:
                     raise ScenarioError(f"workload op {op!r} needs {key!r}")
                 raise ScenarioError(f"workload op {op!r} has an invalid {key!r}: {value!r}")
@@ -294,16 +296,6 @@ class _AccountingMixin:
     def _note_http_issue(self, client: ClientId, fqdn: str, url: str) -> None:
         self._http_issue.setdefault((client, fqdn, url), deque()).append(self.now)
 
-    def _path(self, pred: dict[int, int], root: int, node: int) -> list[Link]:
-        """Links from `root` to `node` along `root`'s predecessor map."""
-        links: list[Link] = []
-        while node != root:
-            parent = pred[node]
-            links.append(self.graph.link(parent, node))
-            node = parent
-        links.reverse()
-        return links
-
     def _send_over(
         self, path: list[Link], index: int, size: int, control: bool, name: object,
         on_arrive: Callable[[], None],
@@ -326,15 +318,15 @@ class _AccountingMixin:
         self.queue.push(arrival, lambda: self._send_over(
             path, index + 1, size, control, name, on_arrive))
 
-    def _make_ip_packet(self, action: dict, src: str) -> IpPacket:
-        """The packet a `send_ip` or `ext_in` op sends from `src`."""
+    def _make_ip_packet(self, action: dict) -> IpPacket:
+        """The packet a `send_ip` or `ext_in` op sends."""
         pid = self._next_packet_id
         self._next_packet_id += 1
         self.send_time[pid] = self.now
-        dst = action["dst"]
+        src, dst = action.get("src", DEFAULT_EXT_SRC), action["dst"]
         return IpPacket(
-            src=ipaddress.IPv4Address(src),
-            dst=ipaddress.IPv4Address(dst),
+            src=self._addresses[src],
+            dst=self._addresses[dst],
             proto=action.get("proto", 17),
             id=pid,
             payload=synth_bytes(f"{src}>{dst}#{pid}", action.get("bytes", 0)),
@@ -386,11 +378,45 @@ class _AccountingMixin:
         )
 
 
-def _validate_workload(scenario: Scenario, known_clients: set[ClientId]) -> None:
-    for action in scenario.workload:
-        client = action.get("client")
-        if client is not None and client not in known_clients:
-            raise UnknownClientError(f"workload references unknown client {client}")
+def _check_workload(topo: TopologyDoc, ops: list[dict]) -> dict[str, ipaddress.IPv4Address]:
+    """Check what each op refers to, in run order, so that no run meets a bad
+    reference; return each address string the ops name, parsed once."""
+    naps = {cfg.client: cfg for cfg in topo.naps}
+    attached: set[ipaddress.IPv4Address] = set()
+    owner: dict[str, ClientId] = {}  # by text: IPv4Address hashing is slow
+    addresses: dict[str, ipaddress.IPv4Address] = {}
+
+    def parse(text: str) -> ipaddress.IPv4Address:
+        if text not in addresses:
+            try:
+                addresses[text] = ipaddress.IPv4Address(text)
+            except ValueError:
+                raise ScenarioError(f"invalid IPv4 address {text!r}") from None
+        return addresses[text]
+
+    for action in sorted(ops, key=lambda a: int(a["t_us"])):
+        op = action["op"]
+        if op == "ext_in":
+            if topo.border is None:
+                raise ScenarioError("ext_in requires a border gateway")
+            parse(action.get("src", DEFAULT_EXT_SRC))
+            parse(action["dst"])
+            continue
+        client = action["client"]
+        nap = naps.get(client)
+        if nap is None:
+            if topo.border is None or client != topo.border.client:
+                raise UnknownClientError(f"workload references unknown client {client}")
+            raise ScenarioError(f"client {client} is not a NAP")
+        if op == "attach":
+            attached.add(assign_address(parse(action["addr"]), nap.prefixes, attached))
+            owner[action["addr"]] = client
+        elif op == "send_ip":
+            src = action["src"]
+            parse(action["dst"])
+            if owner.get(src) != client:
+                raise ScenarioError(f"send_ip source {src!r} not attached at client {client}")
+    return addresses
 
 
 class IcnSimulation(_AccountingMixin):
@@ -407,6 +433,7 @@ class IcnSimulation(_AccountingMixin):
     ) -> None:
         self.graph = topo.graph
         self.scenario = scenario
+        self._addresses = _check_workload(topo, scenario.workload)
         self.ideal_control = ideal_control
         self._init_accounting(collect_trace)
 
@@ -415,21 +442,15 @@ class IcnSimulation(_AccountingMixin):
         self._rv_pred = dijkstra(self.graph, self.rv_node)
 
         operator_prefixes = tuple(p for nap in topo.naps for p in nap.prefixes)
-        self.gateways: dict[ClientId, Nap | BorderGateway] = {}
-        for cfg in topo.naps:
-            self.gateways[cfg.client] = Nap(
-                self,
-                cfg.client,
-                cfg.node,
-                cfg.prefixes,
-                operator_prefixes,
-                window_us=window_us if window_us is not None else 100_000,
-            )
+        self.gateways: dict[ClientId, Nap | BorderGateway] = {
+            cfg.client: Nap(self, cfg.client, cfg.node, cfg.prefixes, operator_prefixes,
+                            window_us=window_us if window_us is not None else 100_000)
+            for cfg in topo.naps
+        }
         self.border: BorderGateway | None = None
         if topo.border is not None:
-            self.border = BorderGateway(
-                self, topo.border.client, topo.border.node, operator_prefixes
-            )
+            self.border = BorderGateway(self, topo.border.client, topo.border.node,
+                                        operator_prefixes)
             self.gateways[topo.border.client] = self.border
 
         self._clients_at: dict[int, tuple[ClientId, ...]] = {}
@@ -437,13 +458,8 @@ class IcnSimulation(_AccountingMixin):
             node = self.gateways[client].node
             self._clients_at[node] = self._clients_at.get(node, ()) + (client,)
 
-        self._addr_owner: dict[ipaddress.IPv4Address, ClientId] = {}
         self._fqdn_owner: dict[str, ClientId] = {}
-        self._tree_edges: dict[
-            tuple[ClientId, IcnName], frozenset[tuple[int, int]]
-        ] = {}
-
-        _validate_workload(scenario, set(self.gateways))
+        self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
 
     # -- environment interface used by the gateways ------------------------
 
@@ -454,9 +470,7 @@ class IcnSimulation(_AccountingMixin):
         self.queue.push(max(time_us, self.now), fn)
 
     def register_address(self, addr: ipaddress.IPv4Address, client: ClientId) -> None:
-        if addr in self._addr_owner:
-            raise ValueError(f"{addr} already assigned to client {self._addr_owner[addr]}")
-        self._addr_owner[addr] = client
+        """Nothing to record: the workload check gave each address one owner."""
 
     def register_fqdn(self, fqdn: str, client: ClientId) -> None:
         self._fqdn_owner[fqdn] = client
@@ -547,11 +561,11 @@ class IcnSimulation(_AccountingMixin):
             name=ev.name,
             payload=_CTRL_FID.pack(ev.publisher, fd.fid.to_bytes(32, "big"), fd.local),
         )
-        path = self._path(self._rv_pred, self.rv_node, gw.node)
+        path = path_links(self.graph, self._rv_pred, self.rv_node, gw.node)
         self._route_control(pkt, path, lambda: gw.on_fid(fd))
 
     def _path_to_rv(self, node: int) -> list[Link]:
-        from_rv = self._path(self._rv_pred, self.rv_node, node)
+        from_rv = path_links(self.graph, self._rv_pred, self.rv_node, node)
         return [self.graph.link(l.dst, l.src) for l in reversed(from_rv)]
 
     def _route_control(
@@ -598,31 +612,19 @@ class IcnSimulation(_AccountingMixin):
 
     def _inject(self, action: dict) -> None:
         op = action["op"]
+        if op == "ext_in":
+            self.border.ingress(self._make_ip_packet(action))
+            return
+        nap = self.gateways[action["client"]]
         if op == "attach":
-            nap = self._nap(action["client"])
-            nap.attach_device(action["addr"])
+            nap.attach_device(self._addresses[action["addr"]])
         elif op == "send_ip":
-            nap = self._nap(action["client"])
-            nap.send_ip(self._make_ip_packet(action, action["src"]))
+            nap.send_ip(self._make_ip_packet(action))
         elif op == "http_serve":
-            self._nap(action["client"]).http_serve(action["fqdn"])
+            nap.http_serve(action["fqdn"])
         elif op == "http_get":
-            client = action["client"]
-            self._note_http_issue(client, action["fqdn"], action["url"])
-            self._nap(client).http_get(
-                action["fqdn"], action["url"], action.get("resp_bytes", 0)
-            )
-        elif op == "ext_in":
-            if self.border is None:
-                raise ScenarioError("ext_in requires a border gateway")
-            self.border.ingress(
-                self._make_ip_packet(action, action.get("src", str(DEFAULT_EXT_SRC))))
-
-    def _nap(self, client: ClientId) -> Nap:
-        gw = self.gateways[client]
-        if not isinstance(gw, Nap):
-            raise ScenarioError(f"client {client} is not a NAP")
-        return gw
+            self._note_http_issue(nap.client, action["fqdn"], action["url"])
+            nap.http_get(action["fqdn"], action["url"], action.get("resp_bytes", 0))
 
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
         if self.border is not None:
@@ -648,57 +650,43 @@ class BaselineSimulation(_AccountingMixin):
     ) -> None:
         self.graph = topo.graph
         self.scenario = scenario
+        self._addresses = _check_workload(topo, scenario.workload)
         self._init_accounting(collect_trace)
-        self.operator_prefixes = tuple(p for nap in topo.naps for p in nap.prefixes)
+        self.operator_plan = AddressPlan(p for nap in topo.naps for p in nap.prefixes)
         self.nap_nodes = {cfg.client: cfg.node for cfg in topo.naps}
-        self.nap_prefixes = {cfg.client: cfg.prefixes for cfg in topo.naps}
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
         self._fqdn_at: dict[str, tuple[ClientId, int]] = {}
-        _validate_workload(
-            scenario, set(self.nap_nodes) | ({self.border.client} if self.border else set())
-        )
 
     def _route(
         self, src: int, dst: int, size: int, on_arrive: Callable[[], None]
     ) -> None:
         """Send `size` wire bytes hop-by-hop from node src to node dst."""
-        path = self._path(dijkstra(self.graph, src), src, dst)
+        path = path_links(self.graph, dijkstra(self.graph, src), src, dst)
         self._send_over(path, 0, size, False, "-", on_arrive)
-
-    def _nap_node(self, client: ClientId) -> int:
-        if client not in self.nap_nodes:
-            raise ScenarioError(f"client {client} is not a NAP")
-        return self.nap_nodes[client]
 
     def _inject(self, action: dict) -> None:
         op = action["op"]
         if op == "attach":
             client = action["client"]
-            node = self._nap_node(client)
-            addr = assign_address(action["addr"], self.nap_prefixes[client], self._addr_at)
-            self._addr_at[addr] = (client, node)
+            self._addr_at[self._addresses[action["addr"]]] = (client, self.nap_nodes[client])
         elif op == "send_ip":
-            pkt = self._make_ip_packet(action, action["src"])
-            self._route_ip(self._nap_node(action["client"]), pkt)
+            self._route_ip(self.nap_nodes[action["client"]], self._make_ip_packet(action))
         elif op == "ext_in":
-            if self.border is None:
-                raise ScenarioError("ext_in requires a border gateway")
-            pkt = self._make_ip_packet(action, action.get("src", str(DEFAULT_EXT_SRC)))
-            if not any(pkt.dst in p for p in self.operator_prefixes):
+            pkt = self._make_ip_packet(action)
+            if pkt.dst not in self.operator_plan:
                 self.counters["drops"] += 1
                 return
             self._route_ip(self.border.node, pkt)
         elif op == "http_serve":
             client = action["client"]
-            self._fqdn_at[action["fqdn"]] = (client, self._nap_node(client))
+            self._fqdn_at[action["fqdn"]] = (client, self.nap_nodes[client])
         elif op == "http_get":
             self._http_get(action)
 
     def _route_ip(self, from_node: int, pkt: IpPacket) -> None:
         size = len(encode_ip_packet(pkt))
-        internal = any(pkt.dst in p for p in self.operator_prefixes)
-        if internal:
+        if pkt.dst in self.operator_plan:
             target = self._addr_at.get(pkt.dst)
             if target is None:
                 self.counters["drops"] += 1
@@ -730,7 +718,7 @@ class BaselineSimulation(_AccountingMixin):
             self.counters["unroutable_http"] += 1
             return
         _, server_node = served
-        client_node = self._nap_node(client)
+        client_node = self.nap_nodes[client]
         request = json.dumps(
             {"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
             sort_keys=True,
@@ -763,7 +751,7 @@ class BaselineSimulation(_AccountingMixin):
 
 
 def _resolve_topology(
-    scenario: Scenario, topology: TopologyDoc | dict | str | None, seed: int
+    scenario: Scenario, topology: TopologyDoc | dict | str | None, seed: int | None
 ) -> TopologyDoc:
     source = topology if topology is not None else scenario.topology
     if source is None:
@@ -772,11 +760,7 @@ def _resolve_topology(
         return source
     if isinstance(source, str) and not source.lstrip().startswith("{"):
         source = Path(source).read_text()
-    return load_topology_doc(source, seed)
-
-
-def _effective_seed(scenario: Scenario, seed: int | None) -> int:
-    return seed if seed is not None else scenario.seed
+    return load_topology_doc(source, seed if seed is not None else scenario.seed)
 
 
 def run(
@@ -790,8 +774,7 @@ def run(
     max_time_us: int = DEFAULT_MAX_TIME_US,
 ) -> KpiReport:
     """Run the scenario in ICN mode and report KPIs."""
-    eff_seed = _effective_seed(scenario, seed)
-    topo = _resolve_topology(scenario, topology, eff_seed)
+    topo = _resolve_topology(scenario, topology, seed)
     sim = IcnSimulation(
         topo, scenario, window_us=window_us, ideal_control=ideal_control,
         collect_trace=collect_trace,
@@ -808,8 +791,7 @@ def run_ip_baseline(
     max_time_us: int = DEFAULT_MAX_TIME_US,
 ) -> KpiReport:
     """Run the scenario against the plain-IP unicast baseline."""
-    eff_seed = _effective_seed(scenario, seed)
-    topo = _resolve_topology(scenario, topology, eff_seed)
+    topo = _resolve_topology(scenario, topology, seed)
     sim = BaselineSimulation(topo, scenario, collect_trace=collect_trace)
     return sim.run(max_time_us)
 

@@ -22,6 +22,7 @@ from .rendezvous import ClientId, MatchEvent
 
 DEFAULT_DELAY_US = 1000
 DEFAULT_CAPACITY_BPS = 1_000_000_000
+MAX_CLIENT_ID = 2**32 - 1  # control messages carry a client id in 32 bits
 
 
 class TopologyError(ValueError):
@@ -218,24 +219,30 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
         links.append(Link(a, b, delay, cap, next_lid()))
         links.append(Link(b, a, delay, cap, next_lid()))
 
-    naps = []
     attachments: dict[ClientId, int] = {}
-    for entry in _entries(doc, "naps"):
+
+    def gateway(what: str, entry: dict) -> tuple[ClientId, int]:
+        """The entry's client id and node, checked and recorded."""
         try:
             client, node = int(entry["client"]), int(entry["node"])
         except _FIELD_ERRORS as exc:
-            raise _field_error("nap", entry, exc) from None
+            raise _field_error(what, entry, exc) from None
+        if not 0 <= client <= MAX_CLIENT_ID:
+            raise TopologyError(f"{what} client id {client} outside 0..{MAX_CLIENT_ID}")
         if node not in node_set:
-            raise TopologyError(f"nap client {client} attached to unknown node {node}")
+            raise TopologyError(f"{what} client {client} attached to unknown node {node}")
         if client in attachments:
             raise TopologyError(f"duplicate client id {client}")
+        attachments[client] = node
+        return client, node
+
+    naps = []
+    for entry in _entries(doc, "naps"):
+        client, node = gateway("nap", entry)
         try:
-            prefixes = tuple(
-                ipaddress.IPv4Network(p) for p in entry.get("prefixes", [])
-            )
+            prefixes = tuple(ipaddress.IPv4Network(p) for p in entry.get("prefixes", []))
         except (TypeError, ValueError) as exc:
             raise TopologyError(f"bad prefix on nap {client}: {exc}") from exc
-        attachments[client] = node
         naps.append(NapConfig(client, node, prefixes))
 
     border = None
@@ -243,16 +250,7 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     if entry is not None:
         if not isinstance(entry, dict):
             raise TopologyError("topology 'border' must be an object")
-        try:
-            client, node = int(entry["client"]), int(entry["node"])
-        except _FIELD_ERRORS as exc:
-            raise _field_error("border", entry, exc) from None
-        if node not in node_set:
-            raise TopologyError(f"border attached to unknown node {node}")
-        if client in attachments:
-            raise TopologyError(f"duplicate client id {client}")
-        attachments[client] = node
-        border = BorderConfig(client, node)
+        border = BorderConfig(*gateway("border", entry))
 
     graph = NetworkGraph(node_set, tuple(links), attachments)
     graph.validate()
@@ -297,6 +295,17 @@ def dijkstra(g: NetworkGraph, root: int) -> dict[int, int]:
     return pred
 
 
+def path_links(g: NetworkGraph, pred: dict[int, int], root: int, node: int) -> list[Link]:
+    """Links from `root` to `node` along `root`'s predecessor map."""
+    links: list[Link] = []
+    while node != root:
+        parent = pred[node]
+        links.append(g.link(parent, node))
+        node = parent
+    links.reverse()
+    return links
+
+
 def shortest_path_tree(
     g: NetworkGraph, root: int, leaves: set[int] | frozenset[int]
 ) -> DeliveryTree:
@@ -310,13 +319,7 @@ def shortest_path_tree(
     unreachable = [leaf for leaf in leaves if leaf != root and leaf not in pred]
     if unreachable:
         raise TopologyError(f"unreachable leaves: {sorted(unreachable)}")
-    edges: set[Link] = set()
-    for leaf in leaves:
-        node = leaf
-        while node != root:
-            parent = pred[node]
-            edges.add(g.link(parent, node))
-            node = parent
+    edges = {link for leaf in leaves for link in path_links(g, pred, root, leaf)}
     return DeliveryTree(root=root, leaves=frozenset(leaves), edges=frozenset(edges))
 
 

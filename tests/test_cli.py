@@ -93,9 +93,13 @@ class TestRun:
             ("send_ip", "client", [1]),
             ("http_get", "resp_bytes", None),
             ("http_get", "fqdn", None),
+            ("http_get", "fqdn", ""),
+            ("http_get", "url", ""),
+            ("http_serve", "fqdn", ""),
         ],
         ids=["bytes-null", "bytes-list", "bytes-negative", "proto-null",
-             "proto-300", "client-list", "resp_bytes-null", "fqdn-null"],
+             "proto-300", "client-list", "resp_bytes-null", "fqdn-null",
+             "fqdn-empty", "url-empty", "serve-fqdn-empty"],
     )
     @pytest.mark.parametrize("mode", ["icn", "ip"])
     def test_malformed_op_field_exits_2(self, paths, capsys, mode, op, field, value):
@@ -110,6 +114,42 @@ class TestRun:
         paths["scenario"].write_text(json.dumps(bad))
         assert main(run_args(paths, mode=mode)) == 2
         assert repr(field) in capsys.readouterr().err
+        assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("mode", ["icn", "ip"])
+    def test_client_id_outside_32_bits_exits_2(self, paths, capsys, mode):
+        for role, client in (("nap", -1), ("nap", 2**32), ("border", 2**32)):
+            topo = json.loads(json.dumps(TOPOLOGY))
+            scenario = json.loads(json.dumps(SCENARIO))
+            if role == "nap":
+                topo["naps"][0]["client"] = client
+                for action in scenario["workload"]:
+                    action["client"] = client
+            else:
+                topo["border"]["client"] = client
+            paths["topo"].write_text(json.dumps(topo))
+            paths["scenario"].write_text(json.dumps(scenario))
+            assert main(run_args(paths, mode=mode)) == 2
+            assert f"client id {client} outside" in capsys.readouterr().err
+            assert not paths["out"].exists()
+
+    @pytest.mark.parametrize(
+        "workload, message",
+        [
+            ([{"t_us": 0, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+               "dst": "8.8.8.8"}], "not attached"),
+            ([{"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.5"},
+              {"t_us": 5_000_000, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+               "dst": "nope"}], "invalid IPv4 address 'nope'"),
+        ],
+        ids=["unattached-source", "bad-late-destination"],
+    )
+    @pytest.mark.parametrize("mode", ["icn", "ip"])
+    def test_bad_reference_exits_2_in_both_modes(self, paths, capsys, mode, workload,
+                                                  message):
+        paths["scenario"].write_text(json.dumps(dict(SCENARIO, workload=workload)))
+        assert main(run_args(paths, mode=mode)) == 2
+        assert message in capsys.readouterr().err
         assert not paths["out"].exists()
 
     def test_unknown_client_exits_3(self, paths):

@@ -1,6 +1,7 @@
 """NAP and border gateway behaviour over a synchronous control plane."""
 
 import ipaddress
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from conftest import SyncEnv
 from ipicn.forwarding import IcnPacket, PacketKind
 from ipicn.gateways import (
     PENDING_CAPACITY,
+    AddressPlan,
     BorderGateway,
     HttpResponse,
     IpPacket,
@@ -77,6 +79,27 @@ class TestIpCodec:
     def test_payload_cap(self):
         with pytest.raises(ValueError):
             ip_packet("10.0.1.5", "10.0.2.9", payload=b"x" * 65508)
+
+
+class TestAddressPlan:
+    def test_agrees_with_a_scan_of_every_prefix(self):
+        rng = random.Random(5)
+        for _ in range(400):
+            lengths = rng.choices([0, 8, 12, 16, 24, 28, 32],
+                                  weights=[1, 4, 4, 4, 4, 4, 4], k=rng.randint(0, 6))
+            prefixes = tuple(
+                ipaddress.IPv4Network((rng.getrandbits(32) >> (32 - n) << (32 - n), n))
+                for n in lengths
+            )
+            plan = AddressPlan(prefixes)
+            probes = [rng.getrandbits(32) for _ in range(20)]
+            for p in prefixes:
+                first, last = int(p.network_address), int(p.broadcast_address)
+                probes += [first, last, (first - 1) % 2**32, (last + 1) % 2**32,
+                           rng.randint(first, last)]
+            for value in probes:
+                addr = ipaddress.IPv4Address(value)
+                assert (addr in plan) == any(addr in p for p in prefixes), (addr, prefixes)
 
 
 class TestAttach:

@@ -246,14 +246,17 @@ class Nap(_IcnClient):
         client: ClientId,
         node: int,
         prefixes: tuple[ipaddress.IPv4Network, ...],
-        operator_prefixes: tuple[ipaddress.IPv4Network, ...],
+        operator_plan: AddressPlan,
         window_us: int = DEFAULT_WINDOW_US,
     ) -> None:
         super().__init__(env, client, node)
         self.prefixes = prefixes
-        self.operator_plan = AddressPlan(operator_prefixes)
+        self.operator_plan = operator_plan
         self.window_us = window_us
         self.addresses: set[ipaddress.IPv4Address] = set()
+        # internal name -> attached address, so data under any other name is
+        # rejected without decoding its payload
+        self._device_names: dict[IcnName, ipaddress.IPv4Address] = {}
         self._served: dict[IcnName, str] = {}
         self._exchanges: dict[IcnName, HttpExchange] = {}
         self._gets: dict[IcnName, _GetState] = {}
@@ -265,7 +268,9 @@ class Nap(_IcnClient):
         addr = assign_address(addr, self.prefixes, self.addresses)
         self.env.register_address(addr, self.client)
         self.addresses.add(addr)
-        self.env.subscribe(self.client, name_for_ip(addr, Locality.INTERNAL))
+        name = name_for_ip(addr, Locality.INTERNAL)
+        self._device_names[name] = addr
+        self.env.subscribe(self.client, name)
 
     def send_ip(self, pkt: IpPacket) -> None:
         """Encapsulate a device packet under its destination's name."""
@@ -318,20 +323,21 @@ class Nap(_IcnClient):
             self.counters["fp_deliveries"] += 1
 
     def _recv_ip(self, pkt: IcnPacket, loopback: bool) -> None:
-        try:
-            ip = decode_ip_packet(pkt.payload)
-        except ValueError:
-            self.counters["corrupt"] += 1
-            return
-        if ip.dst in self.addresses and pkt.name == name_for_ip(
-            ip.dst, Locality.INTERNAL
-        ):
-            if ip.id in self._seen_ids:
-                self.counters["duplicates"] += 1
+        addr = self._device_names.get(pkt.name)
+        if addr is not None:
+            try:
+                ip = decode_ip_packet(pkt.payload)
+            except ValueError:
+                self.counters["corrupt"] += 1
                 return
-            self._seen_ids.add(ip.id)
-            self.env.note_ip_delivered(self.client, ip)
-        elif not loopback:
+            if ip.dst == addr:
+                if ip.id in self._seen_ids:
+                    self.counters["duplicates"] += 1
+                else:
+                    self._seen_ids.add(ip.id)
+                    self.env.note_ip_delivered(self.client, ip)
+                return
+        if not loopback:
             self.counters["fp_deliveries"] += 1
 
     def _recv_http(self, pkt: IcnPacket, loopback: bool) -> None:
@@ -413,10 +419,10 @@ class BorderGateway(_IcnClient):
         env,
         client: ClientId,
         node: int,
-        operator_prefixes: tuple[ipaddress.IPv4Network, ...],
+        operator_plan: AddressPlan,
     ) -> None:
         super().__init__(env, client, node)
-        self.operator_plan = AddressPlan(operator_prefixes)
+        self.operator_plan = operator_plan
 
     def start(self) -> None:
         """Take the standing subscription to the external scope."""

@@ -75,6 +75,12 @@ class IcnName:
             raise ValueError("name needs at least one scope")
         if len(self.scopes) > MAX_DEPTH:
             raise ValueError(f"scope path deeper than {MAX_DEPTH}")
+        # names key every table on the data path; hash once, with the value
+        # the generated dataclass hash would give
+        object.__setattr__(self, "_hash", hash((self.scopes, self.item)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_item(self) -> bool:
@@ -97,14 +103,20 @@ def _loc_scope(loc: Locality) -> NsId:
     return NsId(loc.value)
 
 
+# shared identifiers for address names, so equal names share their elements
+_OCTETS = tuple(NsId(o) for o in range(256))
+_IP_PREFIX = {loc: (NsId(ROOT_IP), _loc_scope(loc)) for loc in Locality}
+
+
 def name_for_ip(addr: ipaddress.IPv4Address | str, loc: Locality) -> IcnName:
     """Item name for one IPv4 address: one scope per leading octet, the
     final octet as the item."""
-    addr = ipaddress.IPv4Address(addr)
+    if isinstance(addr, str):
+        addr = ipaddress.IPv4Address(addr)
     o1, o2, o3, o4 = addr.packed
     return IcnName(
-        scopes=(NsId(ROOT_IP), _loc_scope(loc), NsId(o1), NsId(o2), NsId(o3)),
-        item=NsId(o4),
+        scopes=(*_IP_PREFIX[loc], _OCTETS[o1], _OCTETS[o2], _OCTETS[o3]),
+        item=_OCTETS[o4],
     )
 
 

@@ -23,6 +23,7 @@ import math
 import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -57,6 +58,7 @@ DEFAULT_MAX_TIME_US = 60_000_000
 DEFAULT_EXT_SRC = "203.0.113.1"
 
 _CTRL_META = struct.Struct(">IB")  # client id | operation flag
+_CTRL_RT = struct.Struct(">II")  # publisher | subscriber count
 _CTRL_FID = struct.Struct(">I32sB")  # publisher | fid | local flag
 
 # (field, JSON type, bound, default) per field of each workload op: an
@@ -261,7 +263,9 @@ class _AccountingMixin:
         }
         self.counters: Counter[str] = Counter()
         self.deliveries: list[Delivery] = []
-        self.send_time: dict[int, int] = {}
+        # packet id -> (send time, flow key) until the packet is delivered
+        self.send_time: dict[int, tuple[int, str]] = {}
+        self._ip_flows: dict[tuple[str, str], str] = {}
         self._http_issue: dict[tuple[ClientId, str, str], deque[int]] = {}
         self._next_packet_id = 1
         self.trace = [] if collect_trace else None
@@ -282,9 +286,9 @@ class _AccountingMixin:
         self.link_bytes[_link_key(link)][0 if control else 1] += size
 
     def _record_ip_flow(self, ip: IpPacket, client: ClientId) -> None:
+        sent, flow = self.send_time.pop(ip.id)
         self.deliveries.append(Delivery(
-            self.now, client, f"ip:{ip.src}->{ip.dst}",
-            self.now - self.send_time[ip.id], len(ip.payload), ip.id,
+            self.now, client, flow, self.now - sent, len(ip.payload), ip.id,
         ))
 
     def _record_http_flow(self, client: ClientId, fqdn: str, url: str, size: int) -> None:
@@ -322,24 +326,40 @@ class _AccountingMixin:
         """The packet a `send_ip` or `ext_in` op sends."""
         pid = self._next_packet_id
         self._next_packet_id += 1
-        self.send_time[pid] = self.now
         src, dst = action.get("src", DEFAULT_EXT_SRC), action["dst"]
-        return IpPacket(
-            src=self._addresses[src],
-            dst=self._addresses[dst],
-            proto=action.get("proto", 17),
-            id=pid,
-            payload=synth_bytes(f"{src}>{dst}#{pid}", action.get("bytes", 0)),
-        )
+        src_addr, dst_addr = self._addresses[src], self._addresses[dst]
+        flow = self._ip_flows.get((src, dst))
+        if flow is None:
+            flow = self._ip_flows[(src, dst)] = f"ip:{src_addr}->{dst_addr}"
+        self.send_time[pid] = (self.now, flow)
+        return IpPacket(src_addr, dst_addr, action.get("proto", 17), pid,
+                        synth_bytes(f"{src}>{dst}#{pid}", action.get("bytes", 0)))
 
     def _drain(self, max_time_us: int) -> None:
-        while self.queue:
-            time_us, fn = self.queue.pop()
-            if time_us > max_time_us:
+        """Run the workload ops, fed from their run-order list, and the queued
+        events in time order, until both run out or the next is due after
+        `max_time_us`. At equal times an op runs after the events queued
+        before the run and before those the run queues, as it did when every
+        op was queued up front."""
+        queue, heap = self.queue, self.queue._heap
+        before_run = queue._seq
+        for t_us, action in (*self._run_order, (math.inf, None)):
+            # heap entries are (time, seq, fn): this holds for an entry due
+            # before the op, or due with it and queued before the run
+            while heap and heap[0] < (t_us, before_run):
+                time_us, fn = queue.pop()
+                if time_us > max_time_us:
+                    self.counters["time_limit_hits"] += 1
+                    return
+                self.now = time_us
+                fn()
+            if action is None:
+                return
+            if t_us > max_time_us:
                 self.counters["time_limit_hits"] += 1
-                break
-            self.now = time_us
-            fn()
+                return
+            self.now = t_us
+            self._inject(action)
 
     def _build_report(self, extra_counters: Counter[str]) -> KpiReport:
         control = sum(v[0] for v in self.link_bytes.values())
@@ -378,9 +398,12 @@ class _AccountingMixin:
         )
 
 
-def _check_workload(topo: TopologyDoc, ops: list[dict]) -> dict[str, ipaddress.IPv4Address]:
+def _check_workload(
+    topo: TopologyDoc, ops: list[dict]
+) -> tuple[dict[str, ipaddress.IPv4Address], list[tuple[int, dict]]]:
     """Check what each op refers to, in run order, so that no run meets a bad
-    reference; return each address string the ops name, parsed once."""
+    reference. Return each address string the ops name, parsed once, and the
+    ops as (time, op) in run order: stably sorted by time."""
     naps = {cfg.client: cfg for cfg in topo.naps}
     attached: set[ipaddress.IPv4Address] = set()
     owner: dict[str, ClientId] = {}  # by text: IPv4Address hashing is slow
@@ -394,7 +417,8 @@ def _check_workload(topo: TopologyDoc, ops: list[dict]) -> dict[str, ipaddress.I
                 raise ScenarioError(f"invalid IPv4 address {text!r}") from None
         return addresses[text]
 
-    for action in sorted(ops, key=lambda a: int(a["t_us"])):
+    run_order = sorted(((int(a["t_us"]), a) for a in ops), key=itemgetter(0))
+    for _, action in run_order:
         op = action["op"]
         if op == "ext_in":
             if topo.border is None:
@@ -416,7 +440,7 @@ def _check_workload(topo: TopologyDoc, ops: list[dict]) -> dict[str, ipaddress.I
             parse(action["dst"])
             if owner.get(src) != client:
                 raise ScenarioError(f"send_ip source {src!r} not attached at client {client}")
-    return addresses
+    return addresses, run_order
 
 
 class IcnSimulation(_AccountingMixin):
@@ -433,7 +457,7 @@ class IcnSimulation(_AccountingMixin):
     ) -> None:
         self.graph = topo.graph
         self.scenario = scenario
-        self._addresses = _check_workload(topo, scenario.workload)
+        self._addresses, self._run_order = _check_workload(topo, scenario.workload)
         self.ideal_control = ideal_control
         self._init_accounting(collect_trace)
 
@@ -441,16 +465,15 @@ class IcnSimulation(_AccountingMixin):
         self.rv = Rendezvous()
         self._rv_pred = dijkstra(self.graph, self.rv_node)
 
-        operator_prefixes = tuple(p for nap in topo.naps for p in nap.prefixes)
+        plan = AddressPlan(p for nap in topo.naps for p in nap.prefixes)  # shared by all
         self.gateways: dict[ClientId, Nap | BorderGateway] = {
-            cfg.client: Nap(self, cfg.client, cfg.node, cfg.prefixes, operator_prefixes,
+            cfg.client: Nap(self, cfg.client, cfg.node, cfg.prefixes, plan,
                             window_us=window_us if window_us is not None else 100_000)
             for cfg in topo.naps
         }
         self.border: BorderGateway | None = None
         if topo.border is not None:
-            self.border = BorderGateway(self, topo.border.client, topo.border.node,
-                                        operator_prefixes)
+            self.border = BorderGateway(self, topo.border.client, topo.border.node, plan)
             self.gateways[topo.border.client] = self.border
 
         self._clients_at: dict[int, tuple[ClientId, ...]] = {}
@@ -511,11 +534,12 @@ class IcnSimulation(_AccountingMixin):
         """A gateway emits a data packet at its attachment node."""
         node = self.gateways[client].node
         meta = self._tree_edges.get((client, pkt.name), frozenset())
-        self._trace_row(node, "emit", None, pkt.wire_size, pkt.name)
+        size = pkt.wire_size
+        self._trace_row(node, "emit", None, size, pkt.name)
         for other in self._clients_at.get(node, ()):
             if other != client:
                 self.gateways[other].on_icn_data(pkt)
-        self._forward_from(node, pkt, None, meta)
+        self._forward_from(node, pkt, pkt.ttl, size, None, meta)
 
     # -- control plane ------------------------------------------------------
 
@@ -543,7 +567,7 @@ class IcnSimulation(_AccountingMixin):
     def _instruct_tm(self, ev: MatchEvent) -> None:
         # RV and TM share a node, so this message never crosses a link.
         pkt = IcnPacket(fid=0, kind=PacketKind.CTRL_RT, name=ev.name,
-                        payload=_CTRL_META.pack(ev.publisher, len(ev.subscribers)))
+                        payload=_CTRL_RT.pack(ev.publisher, len(ev.subscribers)))
         self._route_control(pkt, [], lambda: self._tm_handle(ev))
 
     def _tm_handle(self, ev: MatchEvent) -> None:
@@ -578,35 +602,33 @@ class IcnSimulation(_AccountingMixin):
 
     # -- data plane ----------------------------------------------------------
 
-    def _forward_from(
-        self,
-        node: int,
-        pkt: IcnPacket,
-        in_link: Link | None,
-        meta: frozenset[tuple[int, int]],
-    ) -> None:
-        if pkt.ttl <= 1:
-            if forward(self.graph, node, replace(pkt, ttl=2), in_link):
+    def _forward_from(self, node: int, pkt: IcnPacket, ttl: int, size: int,
+                      in_link: Link | None, meta: frozenset[tuple[int, int]]) -> None:
+        """Send `pkt`, here with `ttl` left, on every matching link. The TTL
+        and wire size travel in the events; every copy is the emitted packet,
+        so only one emitted with TTL 1 needs a copy to pass forward()'s check."""
+        links = forward(self.graph, node, pkt if pkt.ttl > 1 else replace(pkt, ttl=2),
+                        in_link)
+        if ttl <= 1:
+            if links:
                 self.counters["ttl_drops"] += 1
-                self._trace_row(node, "ttl-drop", None, pkt.wire_size, pkt.name)
+                self._trace_row(node, "ttl-drop", None, size, pkt.name)
             return
-        size = pkt.wire_size
-        for link in forward(self.graph, node, pkt, in_link):
-            copy = replace(pkt, ttl=pkt.ttl - 1)
+        ttl -= 1
+        for link in links:
             self._count_link(link, size, control=False)
             if (link.src, link.dst) not in meta:
                 self.counters["off_tree_forwards"] += 1
             self._trace_row(node, "data", link, size, pkt.name)
             arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
-            self.queue.push(arrival, lambda l=link, c=copy: self._arrive(l, c, meta))
+            self.queue.push(arrival, lambda l=link: self._arrive(l, pkt, ttl, size, meta))
 
-    def _arrive(
-        self, link: Link, pkt: IcnPacket, meta: frozenset[tuple[int, int]]
-    ) -> None:
+    def _arrive(self, link: Link, pkt: IcnPacket, ttl: int, size: int,
+                meta: frozenset[tuple[int, int]]) -> None:
         node = link.dst
         for client in self._clients_at.get(node, ()):
             self.gateways[client].on_icn_data(pkt)
-        self._forward_from(node, pkt, link, meta)
+        self._forward_from(node, pkt, ttl, size, link, meta)
 
     # -- workload -------------------------------------------------------------
 
@@ -629,8 +651,6 @@ class IcnSimulation(_AccountingMixin):
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
         if self.border is not None:
             self.queue.push(0, self.border.start)
-        for action in self.scenario.workload:
-            self.queue.push(int(action["t_us"]), lambda a=action: self._inject(a))
         self._drain(max_time_us)
         gw_counters: Counter[str] = Counter()
         for client in sorted(self.gateways):
@@ -650,19 +670,23 @@ class BaselineSimulation(_AccountingMixin):
     ) -> None:
         self.graph = topo.graph
         self.scenario = scenario
-        self._addresses = _check_workload(topo, scenario.workload)
+        self._addresses, self._run_order = _check_workload(topo, scenario.workload)
         self._init_accounting(collect_trace)
         self.operator_plan = AddressPlan(p for nap in topo.naps for p in nap.prefixes)
         self.nap_nodes = {cfg.client: cfg.node for cfg in topo.naps}
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
         self._fqdn_at: dict[str, tuple[ClientId, int]] = {}
+        self._routes: dict[tuple[int, int], list[Link]] = {}  # the graph never changes
 
     def _route(
         self, src: int, dst: int, size: int, on_arrive: Callable[[], None]
     ) -> None:
         """Send `size` wire bytes hop-by-hop from node src to node dst."""
-        path = path_links(self.graph, dijkstra(self.graph, src), src, dst)
+        path = self._routes.get((src, dst))
+        if path is None:
+            path = path_links(self.graph, dijkstra(self.graph, src), src, dst)
+            self._routes[(src, dst)] = path
         self._send_over(path, 0, size, False, "-", on_arrive)
 
     def _inject(self, action: dict) -> None:
@@ -744,8 +768,6 @@ class BaselineSimulation(_AccountingMixin):
         self._route(client_node, server_node, req_size, respond)
 
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
-        for action in self.scenario.workload:
-            self.queue.push(int(action["t_us"]), lambda a=action: self._inject(a))
         self._drain(max_time_us)
         return self._build_report(Counter())
 

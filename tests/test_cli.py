@@ -161,6 +161,27 @@ class TestRun:
         assert main(run_args(paths, mode="icn")) == 3
         assert not paths["out"].exists()
 
+    def test_256_subscribers_to_one_name_complete_in_both_modes(self, paths):
+        # the rendezvous tells the topology manager the subscriber count,
+        # which once had to fit in one byte
+        clients = range(1, 257)
+        paths["topo"].write_text(json.dumps(dict(TOPOLOGY, naps=[
+            {"client": 1000, "node": 1, "prefixes": ["10.2.0.0/24"]},
+            *({"client": c, "node": 2, "prefixes": [f"10.1.{c - 1}.0/24"]}
+              for c in clients),
+        ], border=None)))
+        paths["scenario"].write_text(json.dumps(dict(SCENARIO, workload=[
+            {"t_us": 0, "op": "http_serve", "client": 1000, "fqdn": "cdn.example"},
+            *({"t_us": 10, "op": "http_get", "client": c, "fqdn": "cdn.example",
+               "url": "/v/1", "resp_bytes": 100} for c in clients),
+        ])))
+        assert main(run_args(paths, mode="compare")) == 0
+        report = json.loads(paths["out"].read_text())
+        for mode in ("icn", "baseline"):
+            flows = report[mode]["flows"]
+            assert sum(f["delivered"] for f in flows.values()) == 256, mode
+            assert len(flows) == 256, mode
+
     def test_trace_flag_writes_trace(self, paths, tmp_path):
         trace = tmp_path / "trace.csv"
         assert main(run_args(paths, mode="icn", extra=("--trace", str(trace)))) == 0

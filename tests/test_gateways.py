@@ -6,6 +6,7 @@ import random
 import pytest
 
 from conftest import SyncEnv
+from ipicn import gateways
 from ipicn.forwarding import IcnPacket, PacketKind
 from ipicn.gateways import (
     PENDING_CAPACITY,
@@ -30,6 +31,11 @@ def net(*cidrs):
     return tuple(ipaddress.IPv4Network(c) for c in cidrs)
 
 
+def plan(*cidrs):
+    """The operator's address plan over these prefixes."""
+    return AddressPlan(net(*cidrs))
+
+
 def ip_packet(src, dst, pid=1, payload=b"hello"):
     return IpPacket(
         src=ipaddress.IPv4Address(src),
@@ -47,21 +53,21 @@ def env(line3_doc):
 
 @pytest.fixture
 def nap1(env):
-    nap = Nap(env, 1, 3, net("10.0.1.0/24"), net("10.0.1.0/24", "10.0.2.0/24"))
+    nap = Nap(env, 1, 3, net("10.0.1.0/24"), plan("10.0.1.0/24", "10.0.2.0/24"))
     env.add(nap)
     return nap
 
 
 @pytest.fixture
 def nap2(env):
-    nap = Nap(env, 2, 1, net("10.0.2.0/24"), net("10.0.1.0/24", "10.0.2.0/24"))
+    nap = Nap(env, 2, 1, net("10.0.2.0/24"), plan("10.0.1.0/24", "10.0.2.0/24"))
     env.add(nap)
     return nap
 
 
 @pytest.fixture
 def border(env):
-    gw = BorderGateway(env, 99, 1, net("10.0.1.0/24", "10.0.2.0/24"))
+    gw = BorderGateway(env, 99, 1, plan("10.0.1.0/24", "10.0.2.0/24"))
     env.add(gw)
     gw.start()
     return gw
@@ -119,7 +125,7 @@ class TestAttach:
             nap1.attach_device("10.0.1.5")
 
     def test_cross_nap_duplicate_rejected(self, env, nap1):
-        other = Nap(env, 5, 1, net("10.0.1.0/24"), net("10.0.1.0/24"))
+        other = Nap(env, 5, 1, net("10.0.1.0/24"), plan("10.0.1.0/24"))
         env.add(other)
         nap1.attach_device("10.0.1.5")
         with pytest.raises(ValueError, match="already"):
@@ -224,6 +230,32 @@ class TestOnIcnData:
         nap1.on_icn_data(bad)
         assert nap1.counters["corrupt"] == 1
 
+    def test_foreign_name_is_rejected_without_a_decode(self, nap1, monkeypatch):
+        def no_decode(buf):
+            raise AssertionError("decoded a packet for another name")
+
+        monkeypatch.setattr(gateways, "decode_ip_packet", no_decode)
+        nap1.attach_device("10.0.1.5")
+        foreign = IcnPacket(
+            fid=0,
+            kind=PacketKind.DATA,
+            name=name_for_ip("10.0.1.200", Locality.INTERNAL),
+            payload=b"\x00\x01",
+        )
+        nap1.on_icn_data(foreign)
+        assert (nap1.counters["fp_deliveries"], nap1.counters["corrupt"]) == (1, 0)
+        nap1.on_icn_data(foreign, loopback=True)
+        assert (nap1.counters["fp_deliveries"], nap1.counters["corrupt"]) == (1, 0)
+
+    def test_own_name_for_another_address_counts_false_positive(self, env, nap1):
+        nap1.attach_device("10.0.1.5")
+        icn, _ = self.make_data(nap1, "10.0.2.9", "10.0.1.6")
+        own = IcnPacket(icn.fid, icn.kind, name_for_ip("10.0.1.5", Locality.INTERNAL),
+                        icn.payload)
+        nap1.on_icn_data(own)
+        assert nap1.counters["fp_deliveries"] == 1
+        assert env.ip_deliveries == []
+
     def test_duplicate_ids_suppressed(self, env, nap1):
         nap1.attach_device("10.0.1.5")
         icn, original = self.make_data(nap1, "10.0.2.9", "10.0.1.5", pid=9)
@@ -316,7 +348,7 @@ class TestHttp:
             seed=11,
         )
         env = SyncEnv(doc.graph)
-        all_nets = net("10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24")
+        all_nets = plan("10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24")
         nap1 = Nap(env, 1, 3, net("10.0.1.0/24"), all_nets)
         nap2 = Nap(env, 2, 1, net("10.0.2.0/24"), all_nets)
         server = Nap(env, 3, 2, net("10.0.3.0/24"), all_nets)

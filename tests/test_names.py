@@ -71,6 +71,13 @@ class TestIpNames:
             key = (render_name(name),)
             assert seen.setdefault(key, (addr, loc)) == (addr, loc)
 
+    def test_address_object_and_text_give_equal_names(self):
+        rng = random.Random(3)
+        for _ in range(500):
+            addr = ipaddress.IPv4Address(rng.getrandbits(32))
+            for loc in Locality:
+                assert name_for_ip(addr, loc) == name_for_ip(str(addr), loc)
+
     def test_injective_exhaustive_slash24(self):
         names = {
             render_name(name_for_ip(f"192.168.7.{h}", loc))
@@ -203,6 +210,21 @@ class TestIsAncestor:
             s2 = IcnName(name.scopes[:d2])
             assert is_ancestor(s2, s1) and is_ancestor(s1, name)
             assert is_ancestor(s2, name)
+
+
+class TestHash:
+    def test_cached_hash_is_the_dataclass_hash(self):
+        # sets and dicts of names must behave as with the generated hash
+        rng = random.Random(11)
+        names = [random_name(rng) for _ in range(2000)] + [
+            name_for_ip("10.0.1.5", Locality.INTERNAL),
+            name_for_http("cdn.example", HttpRole.RESPONSE, "/v/1"),
+            external_scope(),
+            parse_name("/1/2/~3"),
+        ]
+        for name in names:
+            assert hash(name) == hash((name.scopes, name.item))
+            assert hash(name) == hash(IcnName(tuple(name.scopes), name.item))
 
 
 class TestTextualForm:

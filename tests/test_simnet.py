@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from conftest import (
     make_topology_doc,
 )
 from ipicn import simnet
+from ipicn.forwarding import IcnPacket, PacketKind
+from ipicn.names import Locality, name_for_ip
 from ipicn.simnet import (
     BaselineSimulation,
     IcnSimulation,
@@ -469,6 +472,87 @@ class TestConservation:
         assert report.counters["off_tree_forwards"] == 0
         assert sum(f["delivered"] for f in report.flows.values()) == 3
 
+class TestDataPath:
+    @pytest.mark.parametrize("ttl, ttl_drops, crossed", [
+        (1, 1, []),  # spent at the emitting node, which still counts the drop
+        (2, 1, ["1->2"]),
+        (3, 0, ["1->2", "2->3"]),
+    ])
+    def test_transmitted_ttl_bounds_the_copies(self, ttl, ttl_drops, crossed):
+        doc = line_doc(2, naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]}])
+        sim = IcnSimulation(doc, Scenario(workload=[]))
+        pkt = IcnPacket(fid=(1 << 256) - 1, kind=PacketKind.DATA,
+                        name=name_for_ip("10.0.2.9", Locality.INTERNAL),
+                        payload=b"x", ttl=ttl)
+        sim.transmit(1, pkt)
+        report = sim.run()
+        assert report.counters["ttl_drops"] == ttl_drops
+        assert sorted(k for k, v in report.per_link.items() if v["data_bytes"]) == crossed
+        assert all(v["data_bytes"] == pkt.wire_size
+                   for k, v in report.per_link.items() if k in crossed)
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
+    def test_send_times_are_freed_on_delivery(self, cls):
+        sim = cls(TestDeterminism().doc(), TestDeterminism.SC)
+        report = sim.run()
+        assert sum(f["delivered"] for f in report.flows.values()) == 3
+        assert sim.send_time == {}
+
+
+class TestEventOrder:
+    """The ops, fed from their run-order list, interleave with queued events
+    exactly as when every op was queued up front, after the events queued
+    before the run (the border's start): the same order and the same
+    time-limit count."""
+
+    @staticmethod
+    def fire(label, now, push, log):
+        """Log one event; it queues up to two children, due 0..2 us later."""
+        log.append((now, label))
+        rng = random.Random(label)
+        if label.count("/") < 3:
+            for k in range(rng.randint(0, 2)):
+                push(now + rng.randint(0, 2), f"{label}/{k}")
+
+    def reference(self, ops, before, max_time_us):
+        queue, log, clock = simnet._EventQueue(), [], [0]
+
+        def push(t, label):
+            queue.push(t, lambda: self.fire(label, clock[0], push, log))
+
+        for t, label in [*before, *sorted(ops, key=lambda op: op[0])]:
+            push(t, label)
+        hits = 0
+        while queue:
+            t, fn = queue.pop()
+            if t > max_time_us:
+                hits += 1
+                break
+            clock[0] = t
+            fn()
+        return log, hits
+
+    def test_same_order_as_queueing_every_op_up_front(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            ops = [(rng.randint(0, 6), f"op{i}") for i in range(rng.randint(0, 8))]
+            before = [(rng.randint(0, 6), f"pre{i}") for i in range(rng.randint(0, 2))]
+            max_time_us = rng.randint(0, 9)
+            sim = BaselineSimulation(two_node_doc(), Scenario(workload=[]))
+            log = []
+
+            def push(t, label):
+                sim.queue.push(t, lambda: self.fire(label, sim.now, push, log))
+
+            sim._inject = lambda label: self.fire(label, sim.now, push, log)
+            sim._run_order = sorted(ops, key=lambda op: op[0])
+            for t, label in before:
+                push(t, label)
+            report = sim.run(max_time_us)
+            assert (log, report.counters.get("time_limit_hits", 0)) == self.reference(
+                ops, before, max_time_us), (ops, before, max_time_us)
+
+
 class TestMemory:
     """A run keeps no delivered payload: only its payload-free records."""
 
@@ -512,3 +596,49 @@ class TestMemory:
         # 20 bodies of 300 kB were delivered (6 MB); keeping any of them
         # would exceed this bound by more than the body's own size
         assert retained < 256 * 1024, retained
+
+
+class TestSaturatedFid:
+    """A dense 50-node graph whose HTTP response tree reaches 49 nodes, plus
+    unicast IP over it. The response fid sets so many bits that copies leave
+    the tree and loop until their TTL is spent. The pins come from the data
+    path that copied each forwarded packet to decrement its TTL."""
+
+    REPORT_SHA1 = "15e6aa773493813c591cf2d1d4d7340a3e9c46ab"
+    TRACE_SHA1 = "6ef5627e3aa392ddc2e2772473dc1ef41cde209f"
+
+    @staticmethod
+    def inputs():
+        rng = random.Random(5)
+        nodes = list(range(1, 51))
+        pairs = set()
+        for i in range(1, 50):
+            parent = rng.choice(nodes[:i])
+            pairs.add((min(parent, nodes[i]), max(parent, nodes[i])))
+        while len(pairs) < 49 + 120:
+            a, b = rng.sample(nodes, 2)
+            pairs.add((min(a, b), max(a, b)))
+        naps = [{"client": 100, "node": 1, "prefixes": ["10.0.0.0/24"]}] + [
+            {"client": i, "node": i + 1, "prefixes": [f"10.0.{i}.0/24"]}
+            for i in range(1, 50)
+        ]
+        doc = make_topology_doc(nodes, sorted(pairs), naps=naps, seed=5)
+        wl = [{"t_us": 0, "op": "http_serve", "client": 100, "fqdn": "cdn.example"}]
+        wl += [{"t_us": 0, "op": "attach", "client": i, "addr": f"10.0.{i}.5"}
+               for i in range(1, 7)]
+        wl += [{"t_us": 10 * i, "op": "http_get", "client": i, "fqdn": "cdn.example",
+                "url": "/v/1", "resp_bytes": 1000} for i in range(1, 50)]
+        wl += [{"t_us": 2000 + 100 * k, "op": "send_ip", "client": 1,
+                "src": "10.0.1.5", "dst": f"10.0.{2 + k % 5}.5", "bytes": 200}
+               for k in range(15)]
+        return doc, Scenario(workload=wl)
+
+    def test_report_and_trace_are_pinned(self):
+        doc, sc = self.inputs()
+        sim = IcnSimulation(doc, sc, collect_trace=True)
+        report = sim.run()
+        assert report.counters["off_tree_forwards"] > 0
+        assert report.counters["ttl_drops"] > 0
+        assert report.flows["ip:10.0.1.5->10.0.2.5"]["delivered"] == 3
+        assert hashlib.sha1(report.to_canonical_json().encode()).hexdigest() == self.REPORT_SHA1
+        assert hashlib.sha1("\n".join(sim.trace).encode()).hexdigest() == self.TRACE_SHA1

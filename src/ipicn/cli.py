@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 from . import simnet
+from .gateways import DEFAULT_WINDOW_US
 from .simnet import ScenarioError, Scenario, UnknownClientError, load_scenario
 from .topology import TopologyDoc, TopologyError, load_topology_doc
 
@@ -36,16 +37,16 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _load_inputs(args) -> tuple[TopologyDoc, Scenario, int]:
+def _load_inputs(args) -> tuple[TopologyDoc, Scenario]:
     scenario = load_scenario(Path(args.scenario).read_text())
     seed = args.seed if args.seed is not None else scenario.seed
     topo = load_topology_doc(Path(args.topology).read_text(), seed)
-    return topo, scenario, seed
+    return topo, scenario
 
 
 def cmd_run(args) -> int:
     try:
-        topo, scenario, seed = _load_inputs(args)
+        topo, scenario = _load_inputs(args)
     except (OSError, TopologyError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
@@ -67,7 +68,7 @@ def cmd_run(args) -> int:
             trace = sim.trace
         else:
             report = simnet.compare(
-                scenario, topo, seed=seed, window_us=args.window_us,
+                scenario, topo, window_us=args.window_us,
                 ideal_control=args.ideal_control,
             )
             text = report.to_canonical_json()
@@ -116,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="link-mask seed (defaults to the scenario's, then 1)")
     run_p.add_argument("--out", required=True, help="report output path")
     run_p.add_argument("--trace", default=None, help="forwarding trace output path")
-    run_p.add_argument("--window-us", type=int, default=None,
+    run_p.add_argument("--window-us", type=int, default=DEFAULT_WINDOW_US,
                        help="HTTP coalescing window override")
     run_p.add_argument("--ideal-control", action="store_true",
                        help="deliver control messages instantly at zero byte cost")

@@ -14,7 +14,9 @@ ingress traffic under internal names.
 Devices only ever see IpPacket and HttpResponse values; no ICN type
 crosses the device boundary. Each delivery is handed to the environment
 (`note_ip_delivered`, `note_http_complete`, `note_peer_emitted`) and the
-gateways keep no copy of it.
+gateways keep no copy of it. A packet a gateway drops (a full pending
+queue, an ingress address outside the operator's plan) goes to
+`note_ip_dropped`.
 """
 
 from __future__ import annotations
@@ -80,6 +82,14 @@ class HttpResponse:
 
 def encode_ip_packet(pkt: IpPacket) -> bytes:
     return _IP_HEADER.pack(pkt.src.packed, pkt.dst.packed, pkt.proto, pkt.id) + pkt.payload
+
+
+def encode_http_request(client: ClientId, fqdn: str, url: str, resp_bytes: int) -> bytes:
+    """The request a NAP publishes to fetch `url` from `fqdn`."""
+    return json.dumps(
+        {"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
+        sort_keys=True,
+    ).encode()
 
 
 def decode_ip_packet(buf: bytes) -> IpPacket:
@@ -187,6 +197,7 @@ class _IcnClient:
         if len(queue) == PENDING_CAPACITY:
             # deque(maxlen) evicts the oldest entry on append
             self.counters["drops"] += 1
+            self.env.note_ip_dropped(queue[0])
         queue.append(pkt)
         self._announce(name)
 
@@ -293,12 +304,8 @@ class Nap(_IcnClient):
         self._gets[resp_name] = _GetState(fqdn=fqdn, url=url)
         self.env.subscribe(self.client, resp_name)
         req_name = name_for_http(fqdn, HttpRole.REQUEST, url)
-        request = json.dumps(
-            {"client": self.client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
-            sort_keys=True,
-        ).encode()
         self._unpublish_after_flush.add(req_name)
-        self._queue_raw(req_name, request)
+        self._queue_raw(req_name, encode_http_request(self.client, fqdn, url, resp_bytes))
         self._announce(req_name)
 
     def http_serve(self, fqdn: str) -> None:
@@ -432,6 +439,7 @@ class BorderGateway(_IcnClient):
         """An external sender's packet entering the operator domain."""
         if pkt.dst not in self.operator_plan:
             self.counters["drops"] += 1
+            self.env.note_ip_dropped(pkt)
             return
         self._send_encapsulated(name_for_ip(pkt.dst, Locality.INTERNAL), pkt)
 

@@ -49,9 +49,6 @@ class Rendezvous:
             matched |= self._subs.get(name.scope_prefix(depth), set())
         return frozenset(matched)
 
-    def has_subscription(self, client: ClientId, name: IcnName) -> bool:
-        return client in self._subs.get(name, set())
-
     def publications(self) -> dict[IcnName, frozenset[ClientId]]:
         return {n: frozenset(cs) for n, cs in self._pubs.items() if cs}
 

@@ -24,11 +24,11 @@ import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from .forwarding import IcnPacket, PacketKind, forward
 from .gateways import (
+    DEFAULT_WINDOW_US,
     IP_HEADER_SIZE,
     MAX_IP_PAYLOAD,
     SEGMENT_CHUNK,
@@ -38,6 +38,7 @@ from .gateways import (
     IpPacket,
     Nap,
     assign_address,
+    encode_http_request,
     encode_ip_packet,
     synth_bytes,
 )
@@ -45,7 +46,6 @@ from .names import IcnName, render_name
 from .rendezvous import ClientId, MatchEvent, Rendezvous
 from .topology import (
     Link,
-    NetworkGraph,
     TopologyDoc,
     dijkstra,
     handle_match,
@@ -58,7 +58,6 @@ DEFAULT_MAX_TIME_US = 60_000_000
 DEFAULT_EXT_SRC = "203.0.113.1"
 
 _CTRL_META = struct.Struct(">IB")  # client id | operation flag
-_CTRL_RT = struct.Struct(">II")  # publisher | subscriber count
 _CTRL_FID = struct.Struct(">I32sB")  # publisher | fid | local flag
 
 # (field, JSON type, bound, default) per field of each workload op: an
@@ -86,7 +85,8 @@ class UnknownClientError(ScenarioError):
 
 @dataclass
 class Scenario:
-    """A timed workload plus run parameters.
+    """A timed workload plus run parameters; `seed` sets the link masks of
+    a topology loaded from a dict or JSON text for it.
 
     `load_scenario` checks every op's fields (a Scenario built directly is
     taken as given); the simulations check what the ops refer to.
@@ -95,7 +95,6 @@ class Scenario:
     workload: list[dict]
     mode: str = "icn"
     seed: int = 1
-    topology: str | dict | None = None
 
 
 def load_scenario(doc: dict | str) -> Scenario:
@@ -142,7 +141,6 @@ def load_scenario(doc: dict | str) -> Scenario:
         workload=list(workload),
         mode=mode,
         seed=seed,
-        topology=doc.get("topology"),
     )
 
 
@@ -250,12 +248,14 @@ def _flow_stats(records: list[Delivery]) -> dict[str, int]:
 
 
 class _AccountingMixin:
-    """Shared per-link byte counters, delivery records and trace collection."""
+    """What both simulations share: the checked workload, the operator's
+    address plan, per-link byte counters, delivery records and the trace."""
 
-    graph: NetworkGraph
-    trace: list[str] | None
-
-    def _init_accounting(self, collect_trace: bool) -> None:
+    def __init__(self, topo: TopologyDoc, scenario: Scenario, collect_trace: bool) -> None:
+        self.graph = topo.graph
+        self.scenario = scenario
+        self._addresses, self._run_order = _check_workload(topo, scenario.workload)
+        self.operator_plan = AddressPlan(p for nap in topo.naps for p in nap.prefixes)
         self.now = 0
         self.queue = _EventQueue()
         self.link_bytes: dict[str, list[int]] = {
@@ -263,7 +263,7 @@ class _AccountingMixin:
         }
         self.counters: Counter[str] = Counter()
         self.deliveries: list[Delivery] = []
-        # packet id -> (send time, flow key) until the packet is delivered
+        # packet id -> (send time, flow key) until the packet is delivered or dropped
         self.send_time: dict[int, tuple[int, str]] = {}
         self._ip_flows: dict[tuple[str, str], str] = {}
         self._http_issue: dict[tuple[ClientId, str, str], deque[int]] = {}
@@ -282,14 +282,26 @@ class _AccountingMixin:
             name_text = render_name(name) if isinstance(name, IcnName) else name
             self.trace.append(f"{self.now},{node},{event},{link_text},{size},{name_text}")
 
-    def _count_link(self, link: Link, size: int, control: bool) -> None:
+    def _cross(
+        self, link: Link, size: int, control: bool, name: object, on_arrive: Callable[[], None]
+    ) -> None:
+        """Bill `size` wire bytes to `link`, trace the hop and call `on_arrive`
+        when the bytes reach the far end."""
         self.link_bytes[_link_key(link)][0 if control else 1] += size
+        self._trace_row(link.src, "ctrl" if control else "data", link, size, name)
+        self.queue.push(self.now + link.delay_us + _serialization_us(size, link.capacity_bps),
+                        on_arrive)
 
     def _record_ip_flow(self, ip: IpPacket, client: ClientId) -> None:
         sent, flow = self.send_time.pop(ip.id)
         self.deliveries.append(Delivery(
             self.now, client, flow, self.now - sent, len(ip.payload), ip.id,
         ))
+
+    def note_ip_dropped(self, ip: IpPacket) -> None:
+        """`ip` will never be delivered (the baseline's drop sites and the ICN
+        gateways report it here): forget when it was sent."""
+        del self.send_time[ip.id]
 
     def _record_http_flow(self, client: ClientId, fqdn: str, url: str, size: int) -> None:
         issued = self._http_issue[(client, fqdn, url)].popleft()
@@ -315,11 +327,7 @@ class _AccountingMixin:
         if index == len(path):
             on_arrive()
             return
-        link = path[index]
-        self._count_link(link, size, control)
-        self._trace_row(link.src, "ctrl" if control else "data", link, size, name)
-        arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
-        self.queue.push(arrival, lambda: self._send_over(
+        self._cross(path[index], size, control, name, lambda: self._send_over(
             path, index + 1, size, control, name, on_arrive))
 
     def _make_ip_packet(self, action: dict) -> IpPacket:
@@ -451,24 +459,20 @@ class IcnSimulation(_AccountingMixin):
         topo: TopologyDoc,
         scenario: Scenario,
         *,
-        window_us: int | None = None,
+        window_us: int = DEFAULT_WINDOW_US,
         ideal_control: bool = False,
         collect_trace: bool = False,
     ) -> None:
-        self.graph = topo.graph
-        self.scenario = scenario
-        self._addresses, self._run_order = _check_workload(topo, scenario.workload)
+        super().__init__(topo, scenario, collect_trace)
         self.ideal_control = ideal_control
-        self._init_accounting(collect_trace)
 
         self.rv_node = min(self.graph.nodes)
         self.rv = Rendezvous()
         self._rv_pred = dijkstra(self.graph, self.rv_node)
 
-        plan = AddressPlan(p for nap in topo.naps for p in nap.prefixes)  # shared by all
+        plan = self.operator_plan  # shared by all gateways
         self.gateways: dict[ClientId, Nap | BorderGateway] = {
-            cfg.client: Nap(self, cfg.client, cfg.node, cfg.prefixes, plan,
-                            window_us=window_us if window_us is not None else 100_000)
+            cfg.client: Nap(self, cfg.client, cfg.node, cfg.prefixes, plan, window_us=window_us)
             for cfg in topo.naps
         }
         self.border: BorderGateway | None = None
@@ -503,19 +507,19 @@ class IcnSimulation(_AccountingMixin):
 
     def subscribe(self, client: ClientId, name: IcnName) -> None:
         self._control_to_rv(PacketKind.CTRL_SR, client, name, 1,
-                            lambda: self._apply(self.rv.subscribe(client, name)))
+                            lambda: self._to_tm(*self.rv.subscribe(client, name)))
 
     def unsubscribe(self, client: ClientId, name: IcnName) -> None:
         self._control_to_rv(PacketKind.CTRL_SR, client, name, 0,
-                            lambda: self._apply(self.rv.unsubscribe(client, name)))
+                            lambda: self._to_tm(*self.rv.unsubscribe(client, name)))
 
     def publish_availability(self, client: ClientId, name: IcnName) -> None:
         self._control_to_rv(PacketKind.CTRL_PR, client, name, 1,
-                            lambda: self._apply_one(self.rv.publish_availability(client, name)))
+                            lambda: self._to_tm(self.rv.publish_availability(client, name)))
 
     def unpublish(self, client: ClientId, name: IcnName) -> None:
         self._control_to_rv(PacketKind.CTRL_PR, client, name, 0,
-                            lambda: self._apply_one(self.rv.unpublish(client, name)))
+                            lambda: self._to_tm(self.rv.unpublish(client, name)))
 
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
         self._trace_row(self.gateways[client].node, "deliver", None,
@@ -556,19 +560,12 @@ class IcnSimulation(_AccountingMixin):
         path = self._path_to_rv(self.gateways[client].node)
         self._route_control(pkt, path, handler)
 
-    def _apply(self, events: list[MatchEvent]) -> None:
+    def _to_tm(self, *events: MatchEvent | None) -> None:
+        """Hand each match event to the TM as its own event. RV and TM share
+        a node, so the hand-off crosses no link and costs no bytes."""
         for ev in events:
-            self._instruct_tm(ev)
-
-    def _apply_one(self, ev: MatchEvent | None) -> None:
-        if ev is not None:
-            self._instruct_tm(ev)
-
-    def _instruct_tm(self, ev: MatchEvent) -> None:
-        # RV and TM share a node, so this message never crosses a link.
-        pkt = IcnPacket(fid=0, kind=PacketKind.CTRL_RT, name=ev.name,
-                        payload=_CTRL_RT.pack(ev.publisher, len(ev.subscribers)))
-        self._route_control(pkt, [], lambda: self._tm_handle(ev))
+            if ev is not None:
+                self.queue.push(self.now, lambda ev=ev: self._tm_handle(ev))
 
     def _tm_handle(self, ev: MatchEvent) -> None:
         fd = handle_match(self.graph, ev)
@@ -616,12 +613,10 @@ class IcnSimulation(_AccountingMixin):
             return
         ttl -= 1
         for link in links:
-            self._count_link(link, size, control=False)
             if (link.src, link.dst) not in meta:
                 self.counters["off_tree_forwards"] += 1
-            self._trace_row(node, "data", link, size, pkt.name)
-            arrival = self.now + link.delay_us + _serialization_us(size, link.capacity_bps)
-            self.queue.push(arrival, lambda l=link: self._arrive(l, pkt, ttl, size, meta))
+            self._cross(link, size, False, pkt.name,
+                        lambda l=link: self._arrive(l, pkt, ttl, size, meta))
 
     def _arrive(self, link: Link, pkt: IcnPacket, ttl: int, size: int,
                 meta: frozenset[tuple[int, int]]) -> None:
@@ -668,11 +663,7 @@ class BaselineSimulation(_AccountingMixin):
         *,
         collect_trace: bool = False,
     ) -> None:
-        self.graph = topo.graph
-        self.scenario = scenario
-        self._addresses, self._run_order = _check_workload(topo, scenario.workload)
-        self._init_accounting(collect_trace)
-        self.operator_plan = AddressPlan(p for nap in topo.naps for p in nap.prefixes)
+        super().__init__(topo, scenario, collect_trace)
         self.nap_nodes = {cfg.client: cfg.node for cfg in topo.naps}
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
@@ -700,6 +691,7 @@ class BaselineSimulation(_AccountingMixin):
             pkt = self._make_ip_packet(action)
             if pkt.dst not in self.operator_plan:
                 self.counters["drops"] += 1
+                self.note_ip_dropped(pkt)
                 return
             self._route_ip(self.border.node, pkt)
         elif op == "http_serve":
@@ -714,6 +706,7 @@ class BaselineSimulation(_AccountingMixin):
             target = self._addr_at.get(pkt.dst)
             if target is None:
                 self.counters["drops"] += 1
+                self.note_ip_dropped(pkt)
                 return
             client, node = target
             self._route(from_node, node, size,
@@ -721,6 +714,7 @@ class BaselineSimulation(_AccountingMixin):
         else:
             if self.border is None:
                 self.counters["drops"] += 1
+                self.note_ip_dropped(pkt)
                 return
             self._route(from_node, self.border.node, size,
                         lambda: self.note_peer_emitted(self.border.client, pkt))
@@ -743,11 +737,8 @@ class BaselineSimulation(_AccountingMixin):
             return
         _, server_node = served
         client_node = self.nap_nodes[client]
-        request = json.dumps(
-            {"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
-            sort_keys=True,
-        ).encode()
-        req_size = len(request) + IP_HEADER_SIZE  # same encapsulation as send_ip
+        # the request a NAP publishes, in the same encapsulation as send_ip
+        req_size = len(encode_http_request(client, fqdn, url, resp_bytes)) + IP_HEADER_SIZE
 
         def respond() -> None:
             # the body in the NAP's segment sizes; an empty body is one segment
@@ -772,67 +763,43 @@ class BaselineSimulation(_AccountingMixin):
         return self._build_report(Counter())
 
 
-def _resolve_topology(
-    scenario: Scenario, topology: TopologyDoc | dict | str | None, seed: int | None
-) -> TopologyDoc:
-    source = topology if topology is not None else scenario.topology
-    if source is None:
-        raise ScenarioError("no topology given (argument or scenario field)")
-    if isinstance(source, TopologyDoc):
-        return source
-    if isinstance(source, str) and not source.lstrip().startswith("{"):
-        source = Path(source).read_text()
-    return load_topology_doc(source, seed if seed is not None else scenario.seed)
+def _load_topology(scenario: Scenario, topology: TopologyDoc | dict | str) -> TopologyDoc:
+    """A `TopologyDoc` as is; a dict or JSON text loaded with the scenario's seed."""
+    if isinstance(topology, TopologyDoc):
+        return topology
+    return load_topology_doc(topology, scenario.seed)
 
 
 def run(
     scenario: Scenario,
-    topology: TopologyDoc | dict | str | None = None,
+    topology: TopologyDoc | dict | str,
     *,
-    seed: int | None = None,
-    window_us: int | None = None,
+    window_us: int = DEFAULT_WINDOW_US,
     ideal_control: bool = False,
-    collect_trace: bool = False,
-    max_time_us: int = DEFAULT_MAX_TIME_US,
 ) -> KpiReport:
     """Run the scenario in ICN mode and report KPIs."""
-    topo = _resolve_topology(scenario, topology, seed)
-    sim = IcnSimulation(
-        topo, scenario, window_us=window_us, ideal_control=ideal_control,
-        collect_trace=collect_trace,
-    )
-    return sim.run(max_time_us)
+    topo = _load_topology(scenario, topology)
+    sim = IcnSimulation(topo, scenario, window_us=window_us, ideal_control=ideal_control)
+    return sim.run()
 
 
-def run_ip_baseline(
-    scenario: Scenario,
-    topology: TopologyDoc | dict | str | None = None,
-    *,
-    seed: int | None = None,
-    collect_trace: bool = False,
-    max_time_us: int = DEFAULT_MAX_TIME_US,
-) -> KpiReport:
+def run_ip_baseline(scenario: Scenario, topology: TopologyDoc | dict | str) -> KpiReport:
     """Run the scenario against the plain-IP unicast baseline."""
-    topo = _resolve_topology(scenario, topology, seed)
-    sim = BaselineSimulation(topo, scenario, collect_trace=collect_trace)
-    return sim.run(max_time_us)
+    return BaselineSimulation(_load_topology(scenario, topology), scenario).run()
 
 
 def compare(
     scenario: Scenario,
-    topology: TopologyDoc | dict | str | None = None,
+    topology: TopologyDoc | dict | str,
     *,
-    seed: int | None = None,
-    window_us: int | None = None,
+    window_us: int = DEFAULT_WINDOW_US,
     ideal_control: bool = False,
-    max_time_us: int = DEFAULT_MAX_TIME_US,
 ) -> ComparisonReport:
-    """Run both modes and report per-link ratios and bottleneck savings."""
-    icn = run(
-        scenario, topology, seed=seed, window_us=window_us,
-        ideal_control=ideal_control, max_time_us=max_time_us,
-    )
-    baseline = run_ip_baseline(scenario, topology, seed=seed, max_time_us=max_time_us)
+    """Run both modes on one loaded topology and report per-link ratios and
+    bottleneck savings."""
+    topo = _load_topology(scenario, topology)
+    icn = run(scenario, topo, window_us=window_us, ideal_control=ideal_control)
+    baseline = run_ip_baseline(scenario, topo)
 
     links: dict[str, dict] = {}
     for key in icn.per_link:

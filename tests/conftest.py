@@ -95,6 +95,7 @@ class SyncEnv:
         self.ip_deliveries: list[tuple[int, object]] = []
         self.http_completions: list[tuple[int, object]] = []
         self.peer_emissions: list[tuple[int, object]] = []
+        self.ip_drops: list[object] = []
 
     def add(self, gw) -> None:
         self.gateways[gw.client] = gw
@@ -180,6 +181,9 @@ class SyncEnv:
 
     def note_peer_emitted(self, client, pkt) -> None:
         self.peer_emissions.append((client, pkt))
+
+    def note_ip_dropped(self, pkt) -> None:
+        self.ip_drops.append(pkt)
 
 
 class CaptureDeliveries:

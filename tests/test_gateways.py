@@ -167,6 +167,7 @@ class TestSendIp:
         for pid in range(1, PENDING_CAPACITY + 2):  # 65 packets
             nap1.send_ip(ip_packet("10.0.1.5", "10.0.2.9", pid=pid))
         assert nap1.counters["drops"] == 1
+        assert [pkt.id for pkt in env.ip_drops] == [1]  # the evicted one
         nap1.on_fid(FidDelivery(1, dst_name, fid=1, local=False))
         sent_ids = [decode_ip_packet(pkt.payload).id for _, pkt in env.emissions]
         assert sent_ids == list(range(2, PENDING_CAPACITY + 2))  # FIFO, oldest gone
@@ -289,8 +290,10 @@ class TestEndToEnd:
 
 class TestBorder:
     def test_ingress_outside_prefixes_dropped(self, env, border):
-        border.ingress(ip_packet("198.51.100.7", "192.168.9.9"))
+        dropped = ip_packet("198.51.100.7", "192.168.9.9")
+        border.ingress(dropped)
         assert border.counters["drops"] == 1
+        assert env.ip_drops == [dropped]
 
     def test_egress_rejects_internal_scope(self, env, border):
         pkt = IcnPacket(

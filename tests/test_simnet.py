@@ -1,6 +1,7 @@
 """Simulation harness: accounting, determinism, baseline parity."""
 
 import hashlib
+import json
 import math
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from conftest import (
     CapturingBaselineSimulation,
     CapturingIcnSimulation,
     make_topology_doc,
+    random_connected_graph,
 )
 from ipicn import simnet
 from ipicn.forwarding import IcnPacket, PacketKind
@@ -89,6 +91,40 @@ class TestScenarioLoading:
                                  "addr": "10.0.1.5"}])
         with pytest.raises(UnknownClientError):
             IcnSimulation(two_node_doc(), sc)
+
+
+class TestEntryPoints:
+    """A `TopologyDoc` is used as is; a dict or JSON text is loaded once,
+    with the scenario's seed."""
+
+    @staticmethod
+    def inputs():
+        # a 20-node mesh whose one HTTP response tree sets enough fid bits
+        # that seed 4's link masks forward off the tree and seed 1's do not
+        nodes, pairs = random_connected_graph(random.Random(5), 20, 50)
+        doc = {
+            "nodes": [{"id": n} for n in nodes],
+            "links": [{"a": a, "b": b} for a, b in pairs],
+            "naps": [{"client": i, "node": i, "prefixes": [f"10.0.{i}.0/24"]}
+                     for i in nodes],
+        }
+        wl = [{"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "cdn.example"}]
+        wl += [{"t_us": 10 * i, "op": "http_get", "client": i, "fqdn": "cdn.example",
+                "url": "/v/1", "resp_bytes": 1000} for i in nodes[1:]]
+        return json.dumps(doc), Scenario(workload=wl, seed=4)
+
+    @pytest.mark.parametrize("entry", [simnet.run, simnet.run_ip_baseline, simnet.compare])
+    def test_json_text_is_loaded_with_the_scenario_seed(self, entry):
+        text, sc = self.inputs()
+        expected = entry(sc, load_topology_doc(text, sc.seed)).to_canonical_json()
+        assert entry(sc, text).to_canonical_json() == expected
+        assert entry(sc, json.loads(text)).to_canonical_json() == expected
+
+    def test_the_seed_reaches_the_link_masks(self):
+        text, sc = self.inputs()
+        seeded = simnet.run(sc, text)
+        assert seeded.counters["off_tree_forwards"] > 0
+        assert simnet.run(sc, load_topology_doc(text, 1)).counters["off_tree_forwards"] == 0
 
 
 class TestEmptyWorkload:
@@ -497,6 +533,24 @@ class TestDataPath:
         report = sim.run()
         assert sum(f["delivered"] for f in report.flows.values()) == 3
         assert sim.send_time == {}
+
+    @pytest.mark.parametrize("cls, drops, kept", [
+        # ICN: 936 evicted from the pending queue, 50 dropped at the border
+        # ingress, and the 64 still queued for a name no one subscribes to
+        (IcnSimulation, 936 + 50, 64),
+        (BaselineSimulation, 1000 + 50, 0),
+    ])
+    def test_send_times_are_freed_on_drop(self, cls, drops, kept):
+        wl = [{"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.5"}]
+        wl += [{"t_us": 1000 + k, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+                "dst": "10.0.1.200", "bytes": 10} for k in range(1000)]
+        wl += [{"t_us": 5000 + k, "op": "ext_in", "dst": "198.51.100.1", "bytes": 10}
+               for k in range(50)]
+        sim = cls(two_node_doc(), Scenario(workload=wl))
+        report = sim.run()
+        assert report.counters["drops"] == drops
+        assert report.flows == {}
+        assert len(sim.send_time) == kept
 
 
 class TestEventOrder:

@@ -52,15 +52,16 @@ def cmd_run(args) -> int:
         return EXIT_BAD_INPUT
 
     collect_trace = args.trace is not None
+    mode = args.mode or scenario.mode
     try:
-        if args.mode == "icn":
+        if mode == "icn":
             sim = simnet.IcnSimulation(
                 topo, scenario, window_us=args.window_us,
                 ideal_control=args.ideal_control, collect_trace=collect_trace,
             )
             text = sim.run().to_canonical_json()
             trace = sim.trace
-        elif args.mode == "ip":
+        elif mode == "ip":
             sim = simnet.BaselineSimulation(
                 topo, scenario, collect_trace=collect_trace
             )
@@ -112,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario and write the KPI report")
     run_p.add_argument("--topology", required=True, help="topology JSON path")
     run_p.add_argument("--scenario", required=True, help="scenario JSON path")
-    run_p.add_argument("--mode", required=True, choices=("icn", "ip", "compare"))
+    run_p.add_argument("--mode", default=None, choices=("icn", "ip", "compare"),
+                       help="simulation mode (defaults to the scenario's, then icn)")
     run_p.add_argument("--seed", type=int, default=None,
                        help="link-mask seed (defaults to the scenario's, then 1)")
     run_p.add_argument("--out", required=True, help="report output path")

@@ -12,11 +12,11 @@ it holds a standing subscription to the external scope and encapsulates
 ingress traffic under internal names.
 
 Devices only ever see IpPacket and HttpResponse values; no ICN type
-crosses the device boundary. Each delivery is handed to the environment
-(`note_ip_delivered`, `note_http_complete`, `note_peer_emitted`) and the
-gateways keep no copy of it. A packet a gateway drops (a full pending
-queue, an ingress address outside the operator's plan) goes to
-`note_ip_dropped`.
+crosses the device boundary. Gateways only report, keeping no copy: each
+decoded IP arrival for their own address or scope, duplicates included,
+goes to `note_ip_delivered` or `note_peer_emitted`, each dropped packet (a
+full pending queue, an ingress address outside the operator's plan) to
+`note_ip_dropped`, and each completed HTTP response to `note_http_complete`.
 """
 
 from __future__ import annotations
@@ -161,7 +161,6 @@ class _GetState:
     fqdn: str
     url: str
     count: int = 1
-    total: int | None = None
     buf: dict[int, bytes] = field(default_factory=dict)
 
 
@@ -178,7 +177,6 @@ class _IcnClient:
         self._pending_raw: dict[IcnName, list[bytes]] = {}
         self._announced: set[IcnName] = set()
         self._unpublish_after_flush: set[IcnName] = set()
-        self._seen_ids: set[int] = set()
 
     @property
     def fid_cache(self) -> dict[IcnName, tuple[int, bool]]:
@@ -196,7 +194,6 @@ class _IcnClient:
         queue = self._pending_ip.setdefault(name, deque(maxlen=PENDING_CAPACITY))
         if len(queue) == PENDING_CAPACITY:
             # deque(maxlen) evicts the oldest entry on append
-            self.counters["drops"] += 1
             self.env.note_ip_dropped(queue[0])
         queue.append(pkt)
         self._announce(name)
@@ -277,7 +274,6 @@ class Nap(_IcnClient):
     def attach_device(self, addr: ipaddress.IPv4Address | str) -> None:
         """Assign an address and subscribe to its internal name."""
         addr = assign_address(addr, self.prefixes, self.addresses)
-        self.env.register_address(addr, self.client)
         self.addresses.add(addr)
         name = name_for_ip(addr, Locality.INTERNAL)
         self._device_names[name] = addr
@@ -312,7 +308,7 @@ class Nap(_IcnClient):
         """Register as the server for a host: subscribe to its request scope."""
         scope = http_request_scope(fqdn)
         self._served[scope] = fqdn
-        self.env.register_fqdn(fqdn, self.client)
+        self.env.register_fqdn(fqdn)
         self.env.subscribe(self.client, scope)
 
     # -- ICN-facing handlers ----------------------------------------------
@@ -338,11 +334,7 @@ class Nap(_IcnClient):
                 self.counters["corrupt"] += 1
                 return
             if ip.dst == addr:
-                if ip.id in self._seen_ids:
-                    self.counters["duplicates"] += 1
-                else:
-                    self._seen_ids.add(ip.id)
-                    self.env.note_ip_delivered(self.client, ip)
+                self.env.note_ip_delivered(self.client, ip)
                 return
         if not loopback:
             self.counters["fp_deliveries"] += 1
@@ -407,7 +399,6 @@ class Nap(_IcnClient):
             self.counters["duplicates"] += 1
             return
         state.buf[offset] = payload[_SEGMENT_FRAME.size :]
-        state.total = total
         if sum(len(c) for c in state.buf.values()) < total:
             return
         body = b"".join(state.buf[o] for o in sorted(state.buf))[:total]
@@ -438,7 +429,6 @@ class BorderGateway(_IcnClient):
     def ingress(self, pkt: IpPacket) -> None:
         """An external sender's packet entering the operator domain."""
         if pkt.dst not in self.operator_plan:
-            self.counters["drops"] += 1
             self.env.note_ip_dropped(pkt)
             return
         self._send_encapsulated(name_for_ip(pkt.dst, Locality.INTERNAL), pkt)
@@ -453,10 +443,6 @@ class BorderGateway(_IcnClient):
         except ValueError:
             self.counters["corrupt"] += 1
             return
-        if ip.id in self._seen_ids:
-            self.counters["duplicates"] += 1
-            return
-        self._seen_ids.add(ip.id)
         self.env.note_peer_emitted(self.client, ip)
 
     def on_icn_data(self, pkt: IcnPacket, loopback: bool = False) -> None:

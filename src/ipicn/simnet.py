@@ -292,15 +292,23 @@ class _AccountingMixin:
         self.queue.push(self.now + link.delay_us + _serialization_us(size, link.capacity_bps),
                         on_arrive)
 
-    def _record_ip_flow(self, ip: IpPacket, client: ClientId) -> None:
-        sent, flow = self.send_time.pop(ip.id)
+    def _record_ip_flow(self, ip: IpPacket, client: ClientId) -> bool:
+        """Record `ip`'s delivery, or count a duplicate and return False: an IP
+        id has one destination, and drop sites free only unemitted packets."""
+        entry = self.send_time.pop(ip.id, None)
+        if entry is None:
+            self.counters["duplicates"] += 1
+            return False
+        sent, flow = entry
         self.deliveries.append(Delivery(
             self.now, client, flow, self.now - sent, len(ip.payload), ip.id,
         ))
+        return True
 
     def note_ip_dropped(self, ip: IpPacket) -> None:
         """`ip` will never be delivered (the baseline's drop sites and the ICN
-        gateways report it here): forget when it was sent."""
+        gateways report it here): count the drop and forget when it was sent."""
+        self.counters["drops"] += 1
         del self.send_time[ip.id]
 
     def _record_http_flow(self, client: ClientId, fqdn: str, url: str, size: int) -> None:
@@ -415,6 +423,7 @@ def _check_workload(
     naps = {cfg.client: cfg for cfg in topo.naps}
     attached: set[ipaddress.IPv4Address] = set()
     owner: dict[str, ClientId] = {}  # by text: IPv4Address hashing is slow
+    server: dict[str, ClientId] = {}
     addresses: dict[str, ipaddress.IPv4Address] = {}
 
     def parse(text: str) -> ipaddress.IPv4Address:
@@ -448,6 +457,10 @@ def _check_workload(
             parse(action["dst"])
             if owner.get(src) != client:
                 raise ScenarioError(f"send_ip source {src!r} not attached at client {client}")
+        elif op == "http_serve":
+            fqdn = action["fqdn"]
+            if server.setdefault(fqdn, client) != client:
+                raise ScenarioError(f"{fqdn!r} is already served by client {server[fqdn]}")
     return addresses, run_order
 
 
@@ -485,7 +498,7 @@ class IcnSimulation(_AccountingMixin):
             node = self.gateways[client].node
             self._clients_at[node] = self._clients_at.get(node, ()) + (client,)
 
-        self._fqdn_owner: dict[str, ClientId] = {}
+        self._fqdns: set[str] = set()
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
 
     # -- environment interface used by the gateways ------------------------
@@ -496,14 +509,11 @@ class IcnSimulation(_AccountingMixin):
     def call_at(self, time_us: int, fn: Callable[[], None]) -> None:
         self.queue.push(max(time_us, self.now), fn)
 
-    def register_address(self, addr: ipaddress.IPv4Address, client: ClientId) -> None:
-        """Nothing to record: the workload check gave each address one owner."""
-
-    def register_fqdn(self, fqdn: str, client: ClientId) -> None:
-        self._fqdn_owner[fqdn] = client
+    def register_fqdn(self, fqdn: str) -> None:
+        self._fqdns.add(fqdn)
 
     def fqdn_served(self, fqdn: str) -> bool:
-        return fqdn in self._fqdn_owner
+        return fqdn in self._fqdns
 
     def subscribe(self, client: ClientId, name: IcnName) -> None:
         self._control_to_rv(PacketKind.CTRL_SR, client, name, 1,
@@ -522,14 +532,14 @@ class IcnSimulation(_AccountingMixin):
                             lambda: self._to_tm(self.rv.unpublish(client, name)))
 
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
-        self._trace_row(self.gateways[client].node, "deliver", None,
-                        len(ip.payload), ip.dst)
-        self._record_ip_flow(ip, client)
+        if self._record_ip_flow(ip, client):
+            self._trace_row(self.gateways[client].node, "deliver", None,
+                            len(ip.payload), ip.dst)
 
     def note_peer_emitted(self, client: ClientId, ip: IpPacket) -> None:
-        self._trace_row(self.gateways[client].node, "peer-out", None,
-                        len(ip.payload), ip.dst)
-        self._record_ip_flow(ip, client)
+        if self._record_ip_flow(ip, client):
+            self._trace_row(self.gateways[client].node, "peer-out", None,
+                            len(ip.payload), ip.dst)
 
     def note_http_complete(self, client: ClientId, response: HttpResponse) -> None:
         self._record_http_flow(client, response.fqdn, response.url, len(response.body))
@@ -690,7 +700,6 @@ class BaselineSimulation(_AccountingMixin):
         elif op == "ext_in":
             pkt = self._make_ip_packet(action)
             if pkt.dst not in self.operator_plan:
-                self.counters["drops"] += 1
                 self.note_ip_dropped(pkt)
                 return
             self._route_ip(self.border.node, pkt)
@@ -705,7 +714,6 @@ class BaselineSimulation(_AccountingMixin):
         if pkt.dst in self.operator_plan:
             target = self._addr_at.get(pkt.dst)
             if target is None:
-                self.counters["drops"] += 1
                 self.note_ip_dropped(pkt)
                 return
             client, node = target
@@ -713,7 +721,6 @@ class BaselineSimulation(_AccountingMixin):
                         lambda: self.note_ip_delivered(client, pkt))
         else:
             if self.border is None:
-                self.counters["drops"] += 1
                 self.note_ip_dropped(pkt)
                 return
             self._route(from_node, self.border.node, size,

@@ -335,15 +335,12 @@ def fid_for_tree(g: NetworkGraph, tree: DeliveryTree) -> int:
 
 def handle_match(g: NetworkGraph, ev: MatchEvent) -> FidDelivery:
     """Turn a match event into the forwarding identifier for its publisher."""
-    root = g.attach_node(ev.publisher)
-    sub_nodes = {g.attach_node(s) for s in ev.subscribers}
-    leaves = sub_nodes - {root}
-    tree = shortest_path_tree(g, root, leaves)
+    tree = tree_for_match(g, ev)
     return FidDelivery(
         publisher=ev.publisher,
         name=ev.name,
         fid=fid_for_tree(g, tree),
-        local=root in sub_nodes,
+        local=any(g.attach_node(s) == tree.root for s in ev.subscribers),
     )
 
 

@@ -88,8 +88,7 @@ class SyncEnv:
         self.now = 0
         self._timers: list[tuple[int, int, object]] = []
         self._timer_seq = 0
-        self.addr_owner: dict[object, int] = {}
-        self.fqdns: dict[str, int] = {}
+        self.fqdns: set[str] = set()
         self.control_log: list[tuple[str, int, object]] = []
         self.emissions: list[tuple[int, IcnPacket]] = []
         self.ip_deliveries: list[tuple[int, object]] = []
@@ -162,13 +161,8 @@ class SyncEnv:
 
     # -- registries and notes ----------------------------------------------------
 
-    def register_address(self, addr, client) -> None:
-        if addr in self.addr_owner:
-            raise ValueError(f"{addr} already assigned")
-        self.addr_owner[addr] = client
-
-    def register_fqdn(self, fqdn, client) -> None:
-        self.fqdns[fqdn] = client
+    def register_fqdn(self, fqdn) -> None:
+        self.fqdns.add(fqdn)
 
     def fqdn_served(self, fqdn) -> bool:
         return fqdn in self.fqdns
@@ -188,11 +182,12 @@ class SyncEnv:
 
 class CaptureDeliveries:
     """Mixin for a simulation class: keeps every packet it makes and every
-    IP value its delivery hooks receive, which the simulation itself drops.
+    IP value its delivery hooks record, which the simulation itself drops.
 
     `sent` maps packet id to the IpPacket as sent; `ip_deliveries` holds
-    (client, IpPacket) per hook call, in call order (peer emissions count
-    as IP deliveries).
+    (client, IpPacket) per first delivery of a packet, in call order (peer
+    emissions count as IP deliveries); a duplicate, which the simulation
+    only counts, is not kept.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -206,11 +201,13 @@ class CaptureDeliveries:
         return pkt
 
     def note_ip_delivered(self, client, ip) -> None:
-        self.ip_deliveries.append((client, ip))
+        if ip.id in self.send_time:
+            self.ip_deliveries.append((client, ip))
         super().note_ip_delivered(client, ip)
 
     def note_peer_emitted(self, client, ip) -> None:
-        self.ip_deliveries.append((client, ip))
+        if ip.id in self.send_time:
+            self.ip_deliveries.append((client, ip))
         super().note_peer_emitted(client, ip)
 
 

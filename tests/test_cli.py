@@ -199,6 +199,32 @@ class TestRun:
         args.remove("--seed")
         assert main(args) == 0
 
+    def test_mode_defaults_to_the_scenario_and_the_flag_wins(self, paths):
+        paths["scenario"].write_text(json.dumps(dict(SCENARIO, mode="ip")))
+        reports = {}
+        for mode in (None, "ip", "icn"):
+            args = run_args(paths, mode=mode or "ip")
+            if mode is None:
+                del args[args.index("--mode") + 1]
+                args.remove("--mode")
+            assert main(args) == 0
+            reports[mode] = paths["out"].read_bytes()
+        assert reports[None] == reports["ip"] != reports["icn"]
+
+    @pytest.mark.parametrize("mode", ["icn", "ip"])
+    def test_second_server_for_one_fqdn_exits_2(self, paths, capsys, mode):
+        paths["topo"].write_text(json.dumps(dict(TOPOLOGY, naps=[
+            {"client": 1, "node": 2, "prefixes": ["10.0.1.0/24"]},
+            {"client": 2, "node": 1, "prefixes": ["10.0.2.0/24"]},
+        ])))
+        paths["scenario"].write_text(json.dumps(dict(SCENARIO, workload=[
+            {"t_us": 0, "op": "http_serve", "client": c, "fqdn": "cdn.example"}
+            for c in (1, 2)
+        ])))
+        assert main(run_args(paths, mode=mode)) == 2
+        assert "'cdn.example' is already served by client 1" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
     def test_ip_mode_has_no_control_traffic(self, paths):
         assert main(run_args(paths, mode="ip")) == 0
         report = json.loads(paths["out"].read_text())

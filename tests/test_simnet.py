@@ -17,6 +17,7 @@ from conftest import (
 )
 from ipicn import simnet
 from ipicn.forwarding import IcnPacket, PacketKind
+from ipicn.gateways import encode_ip_packet
 from ipicn.names import Locality, name_for_ip
 from ipicn.simnet import (
     BaselineSimulation,
@@ -551,6 +552,53 @@ class TestDataPath:
         assert report.counters["drops"] == drops
         assert report.flows == {}
         assert len(sim.send_time) == kept
+
+
+class TestIpPacketFate:
+    """Gateways report every decoded copy and every drop; the simulation
+    alone decides whether a packet was delivered, duplicated or dropped."""
+
+    def test_cross_nap_duplicate_rejected(self):
+        doc = make_topology_doc(
+            nodes=[1, 2], undirected_links=[(1, 2)],
+            naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                  {"client": 5, "node": 2, "prefixes": ["10.0.0.0/16"]}],
+        )
+        sc = Scenario(workload=[
+            {"t_us": 0, "op": "attach", "client": c, "addr": "10.0.1.5"} for c in (1, 5)
+        ])
+        for cls in (IcnSimulation, BaselineSimulation):
+            with pytest.raises(ValueError, match="already assigned"):
+                cls(doc, sc)
+
+    @staticmethod
+    def hand_twice(client, dst, locality):
+        """An ICN simulation whose gateway `client` was handed two copies of
+        one encapsulated packet from 10.0.1.5 to `dst`."""
+        attach = [{"t_us": 0, "op": "attach", "client": 1, "addr": a}
+                  for a in ("10.0.1.5", "10.0.1.6")]
+        send = {"t_us": 0, "op": "send_ip", "client": 1, "src": "10.0.1.5", "dst": dst}
+        sim = IcnSimulation(two_node_doc(), Scenario(workload=[*attach, send]),
+                            collect_trace=True)
+        for op in attach:
+            sim._inject(op)
+        ip = sim._make_ip_packet(send)
+        copy = IcnPacket(fid=0, kind=PacketKind.DATA, name=name_for_ip(dst, locality),
+                         payload=encode_ip_packet(ip))
+        sim.gateways[client].on_icn_data(copy)
+        sim.gateways[client].on_icn_data(copy)
+        return sim
+
+    @pytest.mark.parametrize("client, dst, locality, row", [
+        (1, "10.0.1.6", Locality.INTERNAL, "deliver"),
+        (99, "8.8.8.8", Locality.EXTERNAL, "peer-out"),
+    ], ids=["nap", "border"])
+    def test_a_second_copy_counts_one_duplicate(self, client, dst, locality, row):
+        sim = self.hand_twice(client, dst, locality)
+        assert [(d.client, d.packet_id) for d in sim.deliveries] == [(client, 1)]
+        assert sim.counters["duplicates"] == 1
+        assert [r.split(",")[2] for r in sim.trace].count(row) == 1
+        assert sim.send_time == {}
 
 
 class TestEventOrder:

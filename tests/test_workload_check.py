@@ -6,6 +6,8 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 import pytest
@@ -51,6 +53,10 @@ def send(t_us, client, src, dst="8.8.8.8"):
             "bytes": 10}
 
 
+def serve(t_us, client, fqdn="a.example"):
+    return {"t_us": t_us, "op": "http_serve", "client": client, "fqdn": fqdn}
+
+
 @pytest.mark.parametrize("cls", MODES)
 @pytest.mark.parametrize(
     "border, workload, error, match",
@@ -69,15 +75,15 @@ def send(t_us, client, src, dst="8.8.8.8"):
          ScenarioError, "invalid IPv4 address ''"),
         (False, [{"t_us": 0, "op": "ext_in", "dst": "10.0.1.5"}],
          ScenarioError, "requires a border"),
-        (True, [{"t_us": 0, "op": "http_serve", "client": 99, "fqdn": "a.example"}],
-         ScenarioError, "not a NAP"),
-        (False, [{"t_us": 0, "op": "http_serve", "client": 99, "fqdn": "a.example"}],
-         UnknownClientError, "unknown client 99"),
+        (True, [serve(0, 99)], ScenarioError, "not a NAP"),
+        (False, [serve(0, 99)], UnknownClientError, "unknown client 99"),
+        (True, [serve(0, 1), serve(0, 1), serve(5_000_000, 2)],
+         ScenarioError, "'a.example' is already served by client 1"),
     ],
     ids=["unattached-source", "source-at-another-nap", "attach-after-send",
          "attach-listed-after-send-at-same-time", "bad-late-destination",
          "bad-attach-address", "bad-ext-source", "ext-in-without-border",
-         "border-as-nap", "no-border-client"],
+         "border-as-nap", "no-border-client", "fqdn-served-by-a-second-client"],
 )
 def test_bad_reference_rejected_by_the_constructor(cls, border, workload, error, match):
     topo = load_topology_doc(topology(border), 7)
@@ -96,6 +102,15 @@ def test_attach_listed_first_at_the_same_time_comes_first(cls):
         attach(0, 2, "10.0.2.5"), attach(0, 1, "10.0.1.5"), send(0, 1, "10.0.1.5", "10.0.2.5"),
     ]))
     assert sim.run().flows["ip:10.0.1.5->10.0.2.5"]["delivered"] == 1
+
+
+@pytest.mark.parametrize("cls", MODES)
+def test_repeat_serve_by_the_same_client_is_allowed(cls):
+    get = {"t_us": 10, "op": "http_get", "client": 2, "fqdn": "a.example", "url": "/x",
+           "resp_bytes": 100}
+    sim = cls(load_topology_doc(topology(False), 7),
+              Scenario(workload=[serve(0, 1), serve(5, 1), get]))
+    assert sim.run().flows["http:2:a.example/x"]["delivered"] == 1
 
 
 # -- both modes accept and reject alike -------------------------------------
@@ -153,3 +168,69 @@ def test_both_modes_exit_alike_and_reject_before_the_run(border, workload):
         except ValueError:
             expected = 2
         assert codes["icn"] == expected
+
+
+# -- arbitrary JSON ------------------------------------------------------------
+
+DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
+SMALL = {
+    "topology": json.loads((DEMO_DATA / "small.json").read_text()),
+    "scenario": json.loads((DEMO_DATA / "small_scenario.json").read_text()),
+}
+
+
+def _places(doc, path=()):
+    """Every path to the document, its fields, their entries and their fields."""
+    yield path
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _places(value, (*path, key))
+
+
+PLACES = [(which, path) for which, doc in SMALL.items() for path in _places(doc)]
+# any JSON value, with integers and the documents' own values drawn often, so
+# that many replaced documents still load and run
+JSON_VALUES = st.integers() | st.sampled_from([
+    reduce(getitem, path, SMALL[which]) for which, path in PLACES
+]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def _replace(doc, path, value):
+    """`doc` with the value at `path` replaced; unchanged if an earlier
+    replacement took that place away."""
+    if not path:
+        return value
+    try:
+        parent = reduce(getitem, path[:-1], doc)
+        if isinstance(parent, (dict, list)):
+            parent[path[-1]]  # raises unless the place still exists
+            parent[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(PLACES), JSON_VALUES), min_size=1, max_size=3))
+def test_arbitrary_json_exits_0_2_or_3(replacements):
+    """Any JSON value in place of either small demo document or of any of
+    their fields makes `ipicn run` exit 0, 2 or 3, in every mode, never with
+    a traceback. That scenario serves no HTTP: a response body is built in
+    full and `resp_bytes` has no upper bound, so documents that do are left
+    to tests with sized responses."""
+    docs = json.loads(json.dumps(SMALL))
+    for (which, path), value in replacements:
+        docs[which] = _replace(docs[which], path, value)
+    topo_text, scenario_text = json.dumps(docs["topology"]), json.dumps(docs["scenario"])
+    for mode in ("icn", "ip", "compare"):
+        assert cli_exit_code(mode, topo_text, scenario_text) in (0, 2, 3)

@@ -47,6 +47,7 @@ from .topology import FidDelivery
 MAX_IP_PAYLOAD = 65507
 PENDING_CAPACITY = 64
 DEFAULT_WINDOW_US = 100_000
+MAX_RESPONSE_BYTES = 1 << 24  # largest HTTP body a fetch may ask for: 257 segments
 
 # HTTP bodies travel as framed segments: offset u64 | total u64 | chunk.
 _SEGMENT_FRAME = struct.Struct(">QQ")
@@ -136,6 +137,12 @@ def assign_address(
     return addr
 
 
+def body_segments(total: int) -> list[tuple[int, int]]:
+    """(offset, length) of each segment of a `total`-byte HTTP body; an
+    empty body is one empty segment. Both modes split responses by this."""
+    return [(o, min(SEGMENT_CHUNK, total - o)) for o in range(0, total, SEGMENT_CHUNK)] or [(0, 0)]
+
+
 def synth_bytes(tag: str, size: int) -> bytes:
     """Deterministic filler content so payload identity is checkable."""
     if size == 0:
@@ -150,10 +157,7 @@ class HttpExchange:
 
     fqdn: str
     url: str
-    requesters: set[ClientId]
-    window_deadline: int
     response_size: int
-    closed: bool = False
 
 
 @dataclass
@@ -198,11 +202,14 @@ class _IcnClient:
         queue.append(pkt)
         self._announce(name)
 
-    def _queue_raw(self, name: IcnName, payload: bytes) -> None:
-        # caller announces once everything for the name is queued: the
-        # availability publication can complete the whole fid round trip
-        # synchronously, flushing the queue on the spot
-        self._pending_raw.setdefault(name, []).append(payload)
+    def _publish_once(self, name: IcnName, payloads: Iterable[bytes]) -> None:
+        """Publish `payloads` under `name` and withdraw the name once they are
+        flushed. Everything is queued before the announce: the availability
+        publication can complete the whole fid round trip synchronously,
+        flushing the queue on the spot."""
+        self._unpublish_after_flush.add(name)
+        self._pending_raw.setdefault(name, []).extend(payloads)
+        self._announce(name)
 
     def _send_encapsulated(self, name: IcnName, pkt: IpPacket) -> None:
         cached = self._fid_cache.get(name)
@@ -265,7 +272,7 @@ class Nap(_IcnClient):
         # internal name -> attached address, so data under any other name is
         # rejected without decoding its payload
         self._device_names: dict[IcnName, ipaddress.IPv4Address] = {}
-        self._served: dict[IcnName, str] = {}
+        self._served: set[IcnName] = set()  # request scopes of the FQDNs served here
         self._exchanges: dict[IcnName, HttpExchange] = {}
         self._gets: dict[IcnName, _GetState] = {}
 
@@ -288,9 +295,6 @@ class Nap(_IcnClient):
 
     def http_get(self, fqdn: str, url: str, resp_bytes: int) -> None:
         """Fetch a URL: subscribe to the response, publish the request."""
-        if not self.env.fqdn_served(fqdn):
-            self.counters["unroutable_http"] += 1
-            return
         resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
         state = self._gets.get(resp_name)
         if state is not None:
@@ -299,16 +303,13 @@ class Nap(_IcnClient):
             return
         self._gets[resp_name] = _GetState(fqdn=fqdn, url=url)
         self.env.subscribe(self.client, resp_name)
-        req_name = name_for_http(fqdn, HttpRole.REQUEST, url)
-        self._unpublish_after_flush.add(req_name)
-        self._queue_raw(req_name, encode_http_request(self.client, fqdn, url, resp_bytes))
-        self._announce(req_name)
+        self._publish_once(name_for_http(fqdn, HttpRole.REQUEST, url),
+                           [encode_http_request(self.client, fqdn, url, resp_bytes)])
 
     def http_serve(self, fqdn: str) -> None:
         """Register as the server for a host: subscribe to its request scope."""
         scope = http_request_scope(fqdn)
-        self._served[scope] = fqdn
-        self.env.register_fqdn(fqdn)
+        self._served.add(scope)
         self.env.subscribe(self.client, scope)
 
     # -- ICN-facing handlers ----------------------------------------------
@@ -356,38 +357,30 @@ class Nap(_IcnClient):
         try:
             req = json.loads(payload)
             fqdn, url = req["fqdn"], req["url"]
-            requester, size = int(req["client"]), int(req["resp_bytes"])
+            int(req["client"])  # checked only: the response goes to every subscriber
+            size = int(req["resp_bytes"])
         except (ValueError, KeyError, TypeError):
             self.counters["corrupt"] += 1
             return
         resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
         ex = self._exchanges.get(resp_name)
-        if ex is None or ex.closed:
-            ex = HttpExchange(
-                fqdn=fqdn,
-                url=url,
-                requesters={requester},
-                window_deadline=self.env.now_us() + self.window_us,
-                response_size=size,
-            )
-            self._exchanges[resp_name] = ex
-            self.env.call_at(ex.window_deadline, lambda: self._close_exchange(resp_name))
+        if ex is None:
+            self._exchanges[resp_name] = HttpExchange(fqdn=fqdn, url=url, response_size=size)
+            self.env.call_at(self.env.now_us() + self.window_us,
+                             lambda: self._close_exchange(resp_name))
         else:
-            ex.requesters.add(requester)
             ex.response_size = max(ex.response_size, size)
 
     def _close_exchange(self, resp_name: IcnName) -> None:
-        """Window expiry: publish the response once for every requester."""
-        ex = self._exchanges[resp_name]
-        ex.closed = True
+        """Window expiry: publish the response once for every requester; a
+        later request for the URL opens a new exchange."""
+        ex = self._exchanges.pop(resp_name)
         body = synth_bytes(f"{ex.fqdn}{ex.url}", ex.response_size)
         total = len(body)
-        offsets = range(0, total, SEGMENT_CHUNK) if total else (0,)
-        self._unpublish_after_flush.add(resp_name)
-        for offset in offsets:
-            frame = _SEGMENT_FRAME.pack(offset, total)
-            self._queue_raw(resp_name, frame + body[offset : offset + SEGMENT_CHUNK])
-        self._announce(resp_name)
+        self._publish_once(resp_name, [
+            _SEGMENT_FRAME.pack(offset, total) + body[offset : offset + length]
+            for offset, length in body_segments(total)
+        ])
 
     def _recv_response_segment(self, name: IcnName, payload: bytes) -> None:
         state = self._gets[name]

@@ -31,13 +31,14 @@ from .gateways import (
     DEFAULT_WINDOW_US,
     IP_HEADER_SIZE,
     MAX_IP_PAYLOAD,
-    SEGMENT_CHUNK,
+    MAX_RESPONSE_BYTES,
     AddressPlan,
     BorderGateway,
     HttpResponse,
     IpPacket,
     Nap,
     assign_address,
+    body_segments,
     encode_http_request,
     encode_ip_packet,
     synth_bytes,
@@ -70,7 +71,8 @@ _OP_FIELDS = {
     "attach": (_CLIENT, ("addr", str, None, None)),
     "send_ip": (_CLIENT, _SRC, _DST, *_SIZES),
     "http_serve": (_CLIENT, _FQDN),
-    "http_get": (_CLIENT, _FQDN, ("url", str, True, None), ("resp_bytes", int, math.inf, 0)),
+    "http_get": (_CLIENT, _FQDN, ("url", str, True, None),
+                 ("resp_bytes", int, MAX_RESPONSE_BYTES, 0)),
     "ext_in": (("src", str, None, ""), _DST, *_SIZES),
 }
 
@@ -248,8 +250,8 @@ def _flow_stats(records: list[Delivery]) -> dict[str, int]:
 
 
 class _AccountingMixin:
-    """What both simulations share: the checked workload, the operator's
-    address plan, per-link byte counters, delivery records and the trace."""
+    """What both simulations share: the checked workload, the address plan,
+    HTTP servers, per-link byte counters, delivery records and the trace."""
 
     def __init__(self, topo: TopologyDoc, scenario: Scenario, collect_trace: bool) -> None:
         self.graph = topo.graph
@@ -266,6 +268,8 @@ class _AccountingMixin:
         # packet id -> (send time, flow key) until the packet is delivered or dropped
         self.send_time: dict[int, tuple[int, str]] = {}
         self._ip_flows: dict[tuple[str, str], str] = {}
+        self._http_servers: dict[str, ClientId] = {}  # fqdn -> client, by http_serve
+        # (client, fqdn, url) -> issue times of its routable fetches in flight
         self._http_issue: dict[tuple[ClientId, str, str], deque[int]] = {}
         self._next_packet_id = 1
         self.trace = [] if collect_trace else None
@@ -312,13 +316,25 @@ class _AccountingMixin:
         del self.send_time[ip.id]
 
     def _record_http_flow(self, client: ClientId, fqdn: str, url: str, size: int) -> None:
-        issued = self._http_issue[(client, fqdn, url)].popleft()
+        key = (client, fqdn, url)
+        pending = self._http_issue[key]
+        issued = pending.popleft()
+        if not pending:
+            del self._http_issue[key]
         self.deliveries.append(Delivery(
             self.now, client, f"http:{client}:{fqdn}{url}", self.now - issued, size, None,
         ))
 
-    def _note_http_issue(self, client: ClientId, fqdn: str, url: str) -> None:
-        self._http_issue.setdefault((client, fqdn, url), deque()).append(self.now)
+    def _issue_http(self, action: dict) -> ClientId | None:
+        """The server of an `http_get`'s FQDN, noting the fetch's issue time;
+        None, counted `unroutable_http`, if no `http_serve` of it ran yet."""
+        server = self._http_servers.get(action["fqdn"])
+        if server is None:
+            self.counters["unroutable_http"] += 1
+            return None
+        key = (action["client"], action["fqdn"], action["url"])
+        self._http_issue.setdefault(key, deque()).append(self.now)
+        return server
 
     def _send_over(
         self, path: list[Link], index: int, size: int, control: bool, name: object,
@@ -498,7 +514,6 @@ class IcnSimulation(_AccountingMixin):
             node = self.gateways[client].node
             self._clients_at[node] = self._clients_at.get(node, ()) + (client,)
 
-        self._fqdns: set[str] = set()
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
 
     # -- environment interface used by the gateways ------------------------
@@ -508,12 +523,6 @@ class IcnSimulation(_AccountingMixin):
 
     def call_at(self, time_us: int, fn: Callable[[], None]) -> None:
         self.queue.push(max(time_us, self.now), fn)
-
-    def register_fqdn(self, fqdn: str) -> None:
-        self._fqdns.add(fqdn)
-
-    def fqdn_served(self, fqdn: str) -> bool:
-        return fqdn in self._fqdns
 
     def subscribe(self, client: ClientId, name: IcnName) -> None:
         self._control_to_rv(PacketKind.CTRL_SR, client, name, 1,
@@ -648,10 +657,11 @@ class IcnSimulation(_AccountingMixin):
         elif op == "send_ip":
             nap.send_ip(self._make_ip_packet(action))
         elif op == "http_serve":
+            self._http_servers[action["fqdn"]] = action["client"]
             nap.http_serve(action["fqdn"])
         elif op == "http_get":
-            self._note_http_issue(nap.client, action["fqdn"], action["url"])
-            nap.http_get(action["fqdn"], action["url"], action.get("resp_bytes", 0))
+            if self._issue_http(action) is not None:
+                nap.http_get(action["fqdn"], action["url"], action.get("resp_bytes", 0))
 
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
         if self.border is not None:
@@ -677,7 +687,6 @@ class BaselineSimulation(_AccountingMixin):
         self.nap_nodes = {cfg.client: cfg.node for cfg in topo.naps}
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
-        self._fqdn_at: dict[str, tuple[ClientId, int]] = {}
         self._routes: dict[tuple[int, int], list[Link]] = {}  # the graph never changes
 
     def _route(
@@ -704,8 +713,7 @@ class BaselineSimulation(_AccountingMixin):
                 return
             self._route_ip(self.border.node, pkt)
         elif op == "http_serve":
-            client = action["client"]
-            self._fqdn_at[action["fqdn"]] = (client, self.nap_nodes[client])
+            self._http_servers[action["fqdn"]] = action["client"]
         elif op == "http_get":
             self._http_get(action)
 
@@ -734,34 +742,28 @@ class BaselineSimulation(_AccountingMixin):
         self._record_ip_flow(ip, client)
 
     def _http_get(self, action: dict) -> None:
+        server = self._issue_http(action)
+        if server is None:
+            return
         client = action["client"]
         fqdn, url = action["fqdn"], action["url"]
         resp_bytes = action.get("resp_bytes", 0)
-        self._note_http_issue(client, fqdn, url)
-        served = self._fqdn_at.get(fqdn)
-        if served is None:
-            self.counters["unroutable_http"] += 1
-            return
-        _, server_node = served
-        client_node = self.nap_nodes[client]
+        server_node, client_node = self.nap_nodes[server], self.nap_nodes[client]
         # the request a NAP publishes, in the same encapsulation as send_ip
         req_size = len(encode_http_request(client, fqdn, url, resp_bytes)) + IP_HEADER_SIZE
 
         def respond() -> None:
-            # the body in the NAP's segment sizes; an empty body is one segment
-            sizes = [
-                min(SEGMENT_CHUNK, resp_bytes - off) + IP_HEADER_SIZE
-                for off in range(0, resp_bytes, SEGMENT_CHUNK)
-            ] or [IP_HEADER_SIZE]
-            remaining = {"n": len(sizes)}
+            segments = body_segments(resp_bytes)  # each in its own IP packet
+            remaining = len(segments)
 
-            def chunk_arrived() -> None:
-                remaining["n"] -= 1
-                if remaining["n"] == 0:
+            def segment_arrived() -> None:
+                nonlocal remaining
+                remaining -= 1
+                if remaining == 0:
                     self._record_http_flow(client, fqdn, url, resp_bytes)
 
-            for size in sizes:
-                self._route(server_node, client_node, size, chunk_arrived)
+            for _, length in segments:
+                self._route(server_node, client_node, length + IP_HEADER_SIZE, segment_arrived)
 
         self._route(client_node, server_node, req_size, respond)
 

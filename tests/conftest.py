@@ -88,7 +88,6 @@ class SyncEnv:
         self.now = 0
         self._timers: list[tuple[int, int, object]] = []
         self._timer_seq = 0
-        self.fqdns: set[str] = set()
         self.control_log: list[tuple[str, int, object]] = []
         self.emissions: list[tuple[int, IcnPacket]] = []
         self.ip_deliveries: list[tuple[int, object]] = []
@@ -159,13 +158,7 @@ class SyncEnv:
                     for _ in range(arrivals[node]):
                         gw.on_icn_data(pkt)
 
-    # -- registries and notes ----------------------------------------------------
-
-    def register_fqdn(self, fqdn) -> None:
-        self.fqdns.add(fqdn)
-
-    def fqdn_served(self, fqdn) -> bool:
-        return fqdn in self.fqdns
+    # -- notes ----------------------------------------------------------------
 
     def note_ip_delivered(self, client, pkt) -> None:
         self.ip_deliveries.append((client, pkt))

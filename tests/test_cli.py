@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ipicn.cli import main
+from ipicn.gateways import MAX_RESPONSE_BYTES
 
 TOPOLOGY = {
     "nodes": [{"id": 1}, {"id": 2}],
@@ -92,14 +93,15 @@ class TestRun:
             ("send_ip", "proto", 300),
             ("send_ip", "client", [1]),
             ("http_get", "resp_bytes", None),
+            ("http_get", "resp_bytes", MAX_RESPONSE_BYTES + 1),
             ("http_get", "fqdn", None),
             ("http_get", "fqdn", ""),
             ("http_get", "url", ""),
             ("http_serve", "fqdn", ""),
         ],
         ids=["bytes-null", "bytes-list", "bytes-negative", "proto-null",
-             "proto-300", "client-list", "resp_bytes-null", "fqdn-null",
-             "fqdn-empty", "url-empty", "serve-fqdn-empty"],
+             "proto-300", "client-list", "resp_bytes-null", "resp_bytes-over-bound",
+             "fqdn-null", "fqdn-empty", "url-empty", "serve-fqdn-empty"],
     )
     @pytest.mark.parametrize("mode", ["icn", "ip"])
     def test_malformed_op_field_exits_2(self, paths, capsys, mode, op, field, value):

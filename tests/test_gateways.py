@@ -1,6 +1,7 @@
 """NAP and border gateway behaviour over a synchronous control plane."""
 
 import ipaddress
+import json
 import random
 
 import pytest
@@ -9,13 +10,17 @@ from conftest import SyncEnv
 from ipicn import gateways
 from ipicn.forwarding import IcnPacket, PacketKind
 from ipicn.gateways import (
+    MAX_RESPONSE_BYTES,
     PENDING_CAPACITY,
+    SEGMENT_CHUNK,
     AddressPlan,
     BorderGateway,
     HttpResponse,
     IpPacket,
     Nap,
+    body_segments,
     decode_ip_packet,
+    encode_http_request,
     encode_ip_packet,
 )
 from ipicn.names import (
@@ -312,10 +317,6 @@ class TestBorder:
 
 
 class TestHttp:
-    def test_unregistered_fqdn_counted_unroutable(self, env, nap1):
-        nap1.http_get("nowhere.example", "/x", 100)
-        assert nap1.counters["unroutable_http"] == 1
-
     def test_single_requester_gets_identical_bytes(self, env, nap1, nap2):
         from ipicn.gateways import synth_bytes
 
@@ -387,3 +388,37 @@ class TestHttp:
         nap1.http_get("cdn.example", "/empty", 0)
         env.advance(nap2.window_us + 1)
         assert env.http_completions == [(1, HttpResponse("cdn.example", "/empty", b""))]
+
+    def test_server_keeps_no_exchange_once_its_window_closed(self, env, nap1, nap2):
+        nap2.http_serve("cdn.example")
+        for k in range(500):
+            nap1.http_get("cdn.example", f"/v/{k}", 10)
+        env.advance(nap2.window_us + 1)
+        assert len(env.http_completions) == 500
+        assert nap2._exchanges == {}
+
+    @pytest.mark.parametrize("request_doc", [
+        {"fqdn": "cdn.example", "url": "/v/1", "resp_bytes": 10},
+        {"client": 1, "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": "lots"},
+        {"client": 1, "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": None},
+        {"client": "one", "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": 10},
+    ], ids=["client-missing", "resp_bytes-text", "resp_bytes-null", "client-text"])
+    def test_malformed_request_counts_corrupt(self, env, nap2, request_doc):
+        nap2.http_serve("cdn.example")
+        req_name = name_for_http("cdn.example", HttpRole.REQUEST, "/v/1")
+        for payload in (json.dumps(request_doc).encode(),
+                        encode_http_request(1, "cdn.example", "/v/1", 10)):
+            nap2.on_icn_data(IcnPacket(0, PacketKind.DATA, req_name, payload))
+        # only the well-formed request opens an exchange
+        assert nap2.counters["corrupt"] == 1
+        assert len(nap2._exchanges) == 1
+
+    @pytest.mark.parametrize("total, count", [
+        (0, 1), (1, 1), (SEGMENT_CHUNK, 1), (SEGMENT_CHUNK + 1, 2), (MAX_RESPONSE_BYTES, 257),
+    ])
+    def test_body_segments_tile_the_body(self, total, count):
+        segments = body_segments(total)
+        assert len(segments) == count
+        ends = [offset + length for offset, length in segments]
+        assert [offset for offset, _ in segments] == [0, *ends[:-1]]
+        assert ends[-1] == total

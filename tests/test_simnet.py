@@ -401,6 +401,52 @@ class TestHttpScenarios:
         assert wide.per_link[served_link]["data_bytes"] == body_with_frame
         assert narrow.per_link[served_link]["data_bytes"] == 2 * body_with_frame
 
+    @staticmethod
+    def two_nap_doc():
+        """NAP 1 at node 1 fetches from NAP 2 at node 2, one link away."""
+        return make_topology_doc(nodes=[1, 2], undirected_links=[(1, 2)], naps=[
+            {"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+            {"client": 2, "node": 2, "prefixes": ["10.0.2.0/24"]}], seed=7)
+
+    @staticmethod
+    def get(t_us, fqdn="cdn.example"):
+        return {"t_us": t_us, "op": "http_get", "client": 1, "fqdn": fqdn, "url": "/v/1",
+                "resp_bytes": 100}
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation], ids=["icn", "ip"])
+    def test_unserved_fqdn_counted_unroutable(self, cls):
+        sc = Scenario(workload=[
+            {"t_us": 0, "op": "http_serve", "client": 2, "fqdn": "cdn.example"},
+            self.get(10, fqdn="nowhere.example"),
+        ])
+        sim = cls(self.two_nap_doc(), sc)
+        report = sim.run()
+        assert report.counters["unroutable_http"] == 1
+        assert report.flows == {}
+        assert report.totals["data_bytes"] == 0  # no request left the NAP
+        assert sim._http_issue == {}
+
+    @pytest.mark.parametrize("cls, latency_us", [
+        # ICN: the 100 ms window plus the request and response trips
+        (IcnSimulation, 104_006),
+        # baseline: one link each way
+        (BaselineSimulation, 2_002),
+    ], ids=["icn", "ip"])
+    def test_fetch_before_the_server_leaves_no_issue_time(self, cls, latency_us):
+        # the first fetch has no server yet; the later one with the same
+        # client, FQDN and URL is timed from its own issue
+        sc = Scenario(workload=[
+            self.get(0),
+            {"t_us": 10, "op": "http_serve", "client": 2, "fqdn": "cdn.example"},
+            self.get(1_000_000),
+        ])
+        sim = cls(self.two_nap_doc(), sc)
+        report = sim.run()
+        assert report.counters["unroutable_http"] == 1
+        assert report.flows["http:1:cdn.example/v/1"]["delivered"] == 1
+        assert report.flows["http:1:cdn.example/v/1"]["latency_us"] == latency_us
+        assert sim._http_issue == {}
+
 
 class TestJitter:
     def test_population_stddev_of_gaps(self):

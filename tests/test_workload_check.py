@@ -173,9 +173,12 @@ def test_both_modes_exit_alike_and_reject_before_the_run(border, workload):
 # -- arbitrary JSON ------------------------------------------------------------
 
 DEMO_DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
-SMALL = {
-    "topology": json.loads((DEMO_DATA / "small.json").read_text()),
-    "scenario": json.loads((DEMO_DATA / "small_scenario.json").read_text()),
+DEMOS = {
+    demo: {
+        "topology": json.loads((DEMO_DATA / f"{demo}.json").read_text()),
+        "scenario": json.loads((DEMO_DATA / f"{demo}_scenario.json").read_text()),
+    }
+    for demo in ("small", "star")
 }
 
 
@@ -192,11 +195,15 @@ def _places(doc, path=()):
         yield from _places(value, (*path, key))
 
 
-PLACES = [(which, path) for which, doc in SMALL.items() for path in _places(doc)]
+PLACES = {
+    demo: [(which, path) for which, doc in docs.items() for path in _places(doc)]
+    for demo, docs in DEMOS.items()
+}
 # any JSON value, with integers and the documents' own values drawn often, so
 # that many replaced documents still load and run
 JSON_VALUES = st.integers() | st.sampled_from([
-    reduce(getitem, path, SMALL[which]) for which, path in PLACES
+    reduce(getitem, path, DEMOS[demo][which])
+    for demo, places in PLACES.items() for which, path in places
 ]) | st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
     | st.floats(allow_nan=False, allow_infinity=False),
@@ -220,15 +227,21 @@ def _replace(doc, path, value):
     return doc
 
 
+# one demo, then up to three places in its documents and a value for each
+DEMO_REPLACEMENTS = st.sampled_from(sorted(DEMOS)).flatmap(lambda demo: st.tuples(
+    st.just(demo),
+    st.lists(st.tuples(st.sampled_from(PLACES[demo]), JSON_VALUES), min_size=1, max_size=3),
+))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(PLACES), JSON_VALUES), min_size=1, max_size=3))
-def test_arbitrary_json_exits_0_2_or_3(replacements):
-    """Any JSON value in place of either small demo document or of any of
-    their fields makes `ipicn run` exit 0, 2 or 3, in every mode, never with
-    a traceback. That scenario serves no HTTP: a response body is built in
-    full and `resp_bytes` has no upper bound, so documents that do are left
-    to tests with sized responses."""
-    docs = json.loads(json.dumps(SMALL))
+@given(DEMO_REPLACEMENTS)
+def test_arbitrary_json_exits_0_2_or_3(demo_replacements):
+    """Any JSON value in place of a demo document (the small unicast one or
+    the star that serves HTTP) or of any of its fields makes `ipicn run` exit
+    0, 2 or 3, in every mode, never with a traceback."""
+    demo, replacements = demo_replacements
+    docs = json.loads(json.dumps(DEMOS[demo]))
     for (which, path), value in replacements:
         docs[which] = _replace(docs[which], path, value)
     topo_text, scenario_text = json.dumps(docs["topology"]), json.dumps(docs["scenario"])

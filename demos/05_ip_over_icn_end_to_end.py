@@ -14,11 +14,34 @@ from ipicn import IcnSimulation, Nap, load_scenario, load_topology_doc
 DATA = Path(__file__).parent / "data"
 
 
+class LoggingSimulation(IcnSimulation):
+    """Keeps, per client, each first arrival its delivery hooks see, as
+    ("src->dst", payload length); the simulation itself keeps only
+    per-flow totals."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.arrivals: dict[int, list[tuple[str, int]]] = {}
+
+    def _log(self, client: int, ip) -> None:
+        if ip.id in self.send_time:  # a later copy only counts a duplicate
+            self.arrivals.setdefault(client, []).append((f"{ip.src}->{ip.dst}", len(ip.payload)))
+
+    def note_ip_delivered(self, client, ip) -> None:
+        self._log(client, ip)
+        super().note_ip_delivered(client, ip)
+
+    def note_peer_emitted(self, client, ip) -> None:
+        self._log(client, ip)
+        super().note_peer_emitted(client, ip)
+
+
 def main() -> None:
     topo = load_topology_doc((DATA / "small.json").read_text(), seed=1)
     scenario = load_scenario((DATA / "small_scenario.json").read_text())
 
-    sim = IcnSimulation(topo, scenario, collect_trace=True)
+    rows: list[str] = []
+    sim = LoggingSimulation(topo, scenario, trace=rows.append)
     report = sim.run()
 
     print("== per-flow results ==")
@@ -44,19 +67,17 @@ def main() -> None:
 
     print()
     print("== first forwarding decisions (time_us,node,event,link,bytes,name) ==")
-    for row in sim.trace[:8]:
+    for row in rows[:8]:
         print(" ", row)
 
     print()
     print("device logs stay pure IP:")
-    # one payload-free record per delivered packet: its flow names the
-    # addresses ("ip:src->dst") and its size is the payload length
     for client, gw in sorted(sim.gateways.items()):
-        got = [d for d in sim.deliveries if d.client == client and d.packet_id is not None]
+        got = sim.arrivals.get(client)
         if got and isinstance(gw, Nap):
-            print(f"  NAP {client}: {[f'{d.flow[3:]} ({d.size}B)' for d in got]}")
+            print(f"  NAP {client}: {[f'{flow} ({size}B)' for flow, size in got]}")
         elif got:
-            print(f"  border {client} relayed: {[d.flow[3:] for d in got]}")
+            print(f"  border {client} relayed: {[flow for flow, _ in got]}")
 
 
 if __name__ == "__main__":

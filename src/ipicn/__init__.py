@@ -44,7 +44,6 @@ from .rendezvous import ClientId, MatchEvent, Rendezvous
 from .simnet import (
     BaselineSimulation,
     ComparisonReport,
-    Delivery,
     IcnSimulation,
     KpiReport,
     Scenario,
@@ -74,7 +73,6 @@ __all__ = [
     "ClientId",
     "ComparisonReport",
     "DEFAULT_TTL",
-    "Delivery",
     "DeliveryTree",
     "FidDelivery",
     "HttpResponse",

@@ -1,8 +1,10 @@
 """Command-line entry point: run scenarios and validate topologies.
 
-Exit codes: 0 success, 2 invalid input files, 3 scenario references
-undefined entities. Reports are written atomically (write-then-rename) so
-a crash never leaves a partial file behind.
+Exit codes: 0 success, 2 invalid input files or unwritable output paths,
+3 scenario references undefined entities. The report and the trace are
+written to temporary files, opened before the run, and renamed into place
+only when the run succeeds, so a failure never leaves a partial file
+behind.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 from . import simnet
@@ -24,16 +27,25 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_REFERENCE = 3
 
 
-def _write_atomic(path: str, text: str) -> None:
+@contextmanager
+def _atomic_output(path: str):
+    """A text file that appears at `path` only if the block completes.
+
+    A missing directory or a path naming a directory fails here, before
+    anything is written."""
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name)
+    if target.is_dir():
+        raise OSError(f"cannot write {path}: it is a directory")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name)
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -51,39 +63,33 @@ def cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
-    collect_trace = args.trace is not None
     mode = args.mode or scenario.mode
     try:
-        if mode == "icn":
-            sim = simnet.IcnSimulation(
-                topo, scenario, window_us=args.window_us,
-                ideal_control=args.ideal_control, collect_trace=collect_trace,
-            )
-            text = sim.run().to_canonical_json()
-            trace = sim.trace
-        elif mode == "ip":
-            sim = simnet.BaselineSimulation(
-                topo, scenario, collect_trace=collect_trace
-            )
-            text = sim.run().to_canonical_json()
-            trace = sim.trace
-        else:
-            report = simnet.compare(
-                scenario, topo, window_us=args.window_us,
-                ideal_control=args.ideal_control,
-            )
-            text = report.to_canonical_json()
+        with ExitStack() as outputs:
+            out = outputs.enter_context(_atomic_output(args.out))
             trace = None
+            if args.trace is not None and mode != "compare":
+                rows = outputs.enter_context(_atomic_output(args.trace))
+                trace = lambda row: rows.write(row + "\n")
+            if mode == "icn":
+                report = simnet.IcnSimulation(
+                    topo, scenario, window_us=args.window_us,
+                    ideal_control=args.ideal_control, trace=trace,
+                ).run()
+            elif mode == "ip":
+                report = simnet.BaselineSimulation(topo, scenario, trace=trace).run()
+            else:
+                report = simnet.compare(
+                    scenario, topo, window_us=args.window_us,
+                    ideal_control=args.ideal_control,
+                )
+            out.write(report.to_canonical_json() + "\n")
     except UnknownClientError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_REFERENCE
-    except (ScenarioError, TopologyError, ValueError) as exc:
+    except (OSError, ScenarioError, TopologyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-
-    _write_atomic(args.out, text + "\n")
-    if collect_trace and trace is not None:
-        _write_atomic(args.trace, "\n".join(trace) + ("\n" if trace else ""))
     return EXIT_OK
 
 

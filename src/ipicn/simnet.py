@@ -24,7 +24,7 @@ import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .forwarding import IcnPacket, PacketKind, forward
 from .gateways import (
@@ -217,43 +217,27 @@ def _link_key(link: Link) -> str:
     return f"{link.src}->{link.dst}"
 
 
-class Delivery(NamedTuple):
-    """One arrival at a device, an external peer or an HTTP requester."""
-
-    time_us: int
-    client: ClientId
-    flow: str
-    latency_us: int
-    size: int  # IP payload or HTTP body bytes; the bytes themselves are not kept
-    packet_id: int | None  # None for an HTTP response
-
-
-def _flow_stats(records: list[Delivery]) -> dict[str, int]:
-    """delivered count, mean latency, and inter-arrival jitter for a flow.
+def _flow_stats(count: int, latency_sum: int, _last: int, gap_sum: int,
+                gap_squares: int) -> dict[str, int]:
+    """delivered count, mean latency, and inter-arrival jitter for a flow
+    from its folded record (see `_AccountingMixin._fold`).
 
     Jitter is the population standard deviation of consecutive arrival
     gaps, computed in integer math so reports never carry float noise.
     """
-    times = [d.time_us for d in records]
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    if gaps:
-        n = len(gaps)
-        variance_numerator = n * sum(g * g for g in gaps) - sum(gaps) ** 2
-        jitter = math.isqrt(variance_numerator) // n
-    else:
-        jitter = 0
-    return {
-        "delivered": len(records),
-        "latency_us": sum(d.latency_us for d in records) // len(records) if records else 0,
-        "jitter_us": jitter,
-    }
+    gaps = count - 1
+    jitter = math.isqrt(gaps * gap_squares - gap_sum ** 2) // gaps if gaps else 0
+    return {"delivered": count, "latency_us": latency_sum // count, "jitter_us": jitter}
 
 
 class _AccountingMixin:
     """What both simulations share: the checked workload, the address plan,
-    HTTP servers, per-link byte counters, delivery records and the trace."""
+    HTTP servers, per-link byte counters, per-flow records and the trace
+    sink."""
 
-    def __init__(self, topo: TopologyDoc, scenario: Scenario, collect_trace: bool) -> None:
+    def __init__(
+        self, topo: TopologyDoc, scenario: Scenario, trace: Callable[[str], None] | None
+    ) -> None:
         self.graph = topo.graph
         self.scenario = scenario
         self._addresses, self._run_order = _check_workload(topo, scenario.workload)
@@ -264,7 +248,8 @@ class _AccountingMixin:
             _link_key(l): [0, 0] for l in self.graph.links  # [control, data]
         }
         self.counters: Counter[str] = Counter()
-        self.deliveries: list[Delivery] = []
+        # flow -> [count, latency sum, last arrival, gap sum, gap square sum]
+        self._flows: dict[str, list[int]] = {}
         # packet id -> (send time, flow key) until the packet is delivered or dropped
         self.send_time: dict[int, tuple[int, str]] = {}
         self._ip_flows: dict[tuple[str, str], str] = {}
@@ -272,19 +257,17 @@ class _AccountingMixin:
         # (client, fqdn, url) -> issue times of its routable fetches in flight
         self._http_issue: dict[tuple[ClientId, str, str], deque[int]] = {}
         self._next_packet_id = 1
-        self.trace = [] if collect_trace else None
+        self._trace = trace
 
     def _trace_row(
         self, node: int, event: str, link: Link | None, size: int, name: object
     ) -> None:
-        """Append one trace row; `name` is an `IcnName`, an address or "-".
-
-        The link and name are formatted only when tracing is on.
-        """
-        if self.trace is not None:
+        """Pass one trace row to the sink; `name` is an `IcnName`, an address
+        or "-". The row is formatted only when there is a sink."""
+        if self._trace is not None:
             link_text = "-" if link is None else _link_key(link)
             name_text = render_name(name) if isinstance(name, IcnName) else name
-            self.trace.append(f"{self.now},{node},{event},{link_text},{size},{name_text}")
+            self._trace(f"{self.now},{node},{event},{link_text},{size},{name_text}")
 
     def _cross(
         self, link: Link, size: int, control: bool, name: object, on_arrive: Callable[[], None]
@@ -304,9 +287,7 @@ class _AccountingMixin:
             self.counters["duplicates"] += 1
             return False
         sent, flow = entry
-        self.deliveries.append(Delivery(
-            self.now, client, flow, self.now - sent, len(ip.payload), ip.id,
-        ))
+        self._fold(flow, self.now - sent)
         return True
 
     def note_ip_dropped(self, ip: IpPacket) -> None:
@@ -315,15 +296,26 @@ class _AccountingMixin:
         self.counters["drops"] += 1
         del self.send_time[ip.id]
 
-    def _record_http_flow(self, client: ClientId, fqdn: str, url: str, size: int) -> None:
+    def _record_http_flow(self, client: ClientId, fqdn: str, url: str) -> None:
         key = (client, fqdn, url)
         pending = self._http_issue[key]
         issued = pending.popleft()
         if not pending:
             del self._http_issue[key]
-        self.deliveries.append(Delivery(
-            self.now, client, f"http:{client}:{fqdn}{url}", self.now - issued, size, None,
-        ))
+        self._fold(f"http:{client}:{fqdn}{url}", self.now - issued)
+
+    def _fold(self, flow: str, latency_us: int) -> None:
+        """Add an arrival now, `latency_us` after its send, to `flow`'s record."""
+        record = self._flows.get(flow)
+        if record is None:
+            self._flows[flow] = [1, latency_us, self.now, 0, 0]
+            return
+        gap = self.now - record[2]
+        record[0] += 1
+        record[1] += latency_us
+        record[2] = self.now
+        record[3] += gap
+        record[4] += gap * gap
 
     def _issue_http(self, action: dict) -> ClientId | None:
         """The server of an `http_get`'s FQDN, noting the fetch's issue time;
@@ -412,9 +404,6 @@ class _AccountingMixin:
         )
         counters.update(self.counters)
         counters.update(extra_counters)
-        by_flow: dict[str, list[Delivery]] = {}
-        for d in self.deliveries:
-            by_flow.setdefault(d.flow, []).append(d)
         return KpiReport(
             per_link={
                 k: {"control_bytes": v[0], "data_bytes": v[1]}
@@ -425,7 +414,7 @@ class _AccountingMixin:
                 "data_bytes": data,
                 "signalling_overhead_pct": overhead,
             },
-            flows={flow: _flow_stats(records) for flow, records in by_flow.items()},
+            flows={flow: _flow_stats(*record) for flow, record in self._flows.items()},
             counters=dict(counters),
         )
 
@@ -490,9 +479,9 @@ class IcnSimulation(_AccountingMixin):
         *,
         window_us: int = DEFAULT_WINDOW_US,
         ideal_control: bool = False,
-        collect_trace: bool = False,
+        trace: Callable[[str], None] | None = None,
     ) -> None:
-        super().__init__(topo, scenario, collect_trace)
+        super().__init__(topo, scenario, trace)
         self.ideal_control = ideal_control
 
         self.rv_node = min(self.graph.nodes)
@@ -551,7 +540,7 @@ class IcnSimulation(_AccountingMixin):
                             len(ip.payload), ip.dst)
 
     def note_http_complete(self, client: ClientId, response: HttpResponse) -> None:
-        self._record_http_flow(client, response.fqdn, response.url, len(response.body))
+        self._record_http_flow(client, response.fqdn, response.url)
 
     def transmit(self, client: ClientId, pkt: IcnPacket) -> None:
         """A gateway emits a data packet at its attachment node."""
@@ -681,9 +670,9 @@ class BaselineSimulation(_AccountingMixin):
         topo: TopologyDoc,
         scenario: Scenario,
         *,
-        collect_trace: bool = False,
+        trace: Callable[[str], None] | None = None,
     ) -> None:
-        super().__init__(topo, scenario, collect_trace)
+        super().__init__(topo, scenario, trace)
         self.nap_nodes = {cfg.client: cfg.node for cfg in topo.naps}
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
@@ -760,7 +749,7 @@ class BaselineSimulation(_AccountingMixin):
                 nonlocal remaining
                 remaining -= 1
                 if remaining == 0:
-                    self._record_http_flow(client, fqdn, url, resp_bytes)
+                    self._record_http_flow(client, fqdn, url)
 
             for _, length in segments:
                 self._route(server_node, client_node, length + IP_HEADER_SIZE, segment_arrived)

@@ -1,11 +1,18 @@
 """Command-line behaviour: exit codes, atomic reports, flags."""
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ipicn.cli import main
 from ipicn.gateways import MAX_RESPONSE_BYTES
+
+ROOT = Path(__file__).resolve().parent.parent
 
 TOPOLOGY = {
     "nodes": [{"id": 1}, {"id": 2}],
@@ -190,6 +197,19 @@ class TestRun:
         rows = trace.read_text().strip().splitlines()
         assert rows and all(len(r.split(",")) == 6 for r in rows)
 
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    @pytest.mark.parametrize("case", ["missing_directory", "existing_directory"])
+    def test_unwritable_output_path_exits_2(self, paths, capsys, flag, case):
+        (paths["dir"] / "taken").mkdir()
+        bad = paths["dir"] / ("missing/x.csv" if case == "missing_directory" else "taken")
+        args = run_args(paths, mode="icn", extra=("--trace", str(paths["dir"] / "t.csv")))
+        args[args.index(flag) + 1] = str(bad)
+        before = sorted(paths["dir"].rglob("*"))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+        assert sorted(paths["dir"].rglob("*")) == before  # no report, trace or temp file
+
     def test_ideal_control_zeroes_control_bytes(self, paths):
         assert main(run_args(paths, mode="icn", extra=("--ideal-control",))) == 0
         report = json.loads(paths["out"].read_text())
@@ -267,3 +287,42 @@ class TestValidate:
 
     def test_missing_file_exits_2(self, paths):
         assert main(["validate", str(paths["dir"] / "absent.json")]) == 2
+
+
+class TestHashSeed:
+    """Reports and streamed traces do not depend on the interpreter's hash
+    seed: `ipicn run` in fresh processes under two `PYTHONHASHSEED` values."""
+
+    SCENARIO = {"workload": [
+        {"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.5"},
+        {"t_us": 0, "op": "attach", "client": 2, "addr": "10.0.2.9"},
+        {"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "cdn.example"},
+        *({"t_us": 1000 + 700 * k, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+           "dst": ("10.0.2.9", "8.8.8.8")[k % 2], "bytes": 100 + k} for k in range(6)),
+        *({"t_us": 1500 + 900 * k, "op": "ext_in", "src": "198.51.100.7",
+           "dst": "10.0.2.9", "bytes": 64} for k in range(3)),
+        *({"t_us": 2000 + 10 * c, "op": "http_get", "client": c, "fqdn": "cdn.example",
+           "url": "/v/1", "resp_bytes": 90_000} for c in (1, 2)),
+    ]}
+
+    def outputs(self, tmp_path, mode, hash_seed):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(self.SCENARIO))
+        out, trace = tmp_path / f"{mode}-{hash_seed}.json", tmp_path / f"{mode}-{hash_seed}.csv"
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=str(ROOT / "src"))
+        subprocess.run(
+            [sys.executable, "-m", "ipicn.cli", "run", "--mode", mode,
+             "--topology", str(ROOT / "demos" / "data" / "small.json"),
+             "--scenario", str(scenario), "--out", str(out), "--trace", str(trace)],
+            env=env, check=True,
+        )
+        return out.read_bytes(), trace.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["icn", "ip"])
+    def test_report_and_trace_bytes_equal_across_hash_seeds(self, tmp_path, mode):
+        report, trace = self.outputs(tmp_path, mode, 0)
+        flows = json.loads(report)["flows"]
+        assert {"ip:10.0.1.5->8.8.8.8", "ip:198.51.100.7->10.0.2.9",
+                "http:2:cdn.example/v/1"} <= set(flows)
+        assert trace.count(b",data,") > 0
+        assert (report, trace) == self.outputs(tmp_path, mode, 1)

@@ -12,9 +12,9 @@ drops by design and the baseline does not.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_topology_doc
+from conftest import CapturingBaselineSimulation, CapturingIcnSimulation, make_topology_doc
 from ipicn.gateways import PENDING_CAPACITY
-from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
+from ipicn.simnet import Scenario
 
 MAX_SENDS = 40
 BORDER = 99
@@ -65,7 +65,7 @@ def delivered_ids(cls, doc, scenario) -> list[int]:
     sim = cls(doc, scenario)
     report = sim.run()
     assert report.counters.get("time_limit_hits", 0) == 0
-    return sorted(d.packet_id for d in sim.deliveries)
+    return sorted(ip.id for _, ip in sim.ip_deliveries)
 
 
 @settings(max_examples=150, deadline=None)
@@ -73,6 +73,6 @@ def delivered_ids(cls, doc, scenario) -> list[int]:
 def test_icn_and_baseline_deliver_the_same_packet_ids(case):
     assert MAX_SENDS < PENDING_CAPACITY
     doc, scenario = case
-    icn = delivered_ids(IcnSimulation, doc, scenario)
+    icn = delivered_ids(CapturingIcnSimulation, doc, scenario)
     assert len(set(icn)) == len(icn)  # each packet at most once
-    assert icn == delivered_ids(BaselineSimulation, doc, scenario)
+    assert icn == delivered_ids(CapturingBaselineSimulation, doc, scenario)

@@ -1,0 +1,134 @@
+"""Properties of whole runs, in both modes, over small random networks.
+
+- Flow statistics: the report's `flows` equal the two-pass formula over
+  every arrival that reached the simulation's per-flow fold.
+- Per-link conservation: each link's `ctrl` and `data` trace rows add up
+  to its report `control_bytes` and `data_bytes`.
+
+Workloads mix `send_ip`, `ext_in` (when there is a border), `http_serve`
+and `http_get`, so IP, border and HTTP flows all take part.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import make_topology_doc
+from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
+
+BORDER = 99
+FQDNS = ("a.example", "b.example")
+
+
+@st.composite
+def runs(draw):
+    """(topology doc, scenario): a connected graph of 2-7 nodes, 1-3 NAPs
+    with 1-2 devices each, an optional border, and up to 30 ops."""
+    n = draw(st.integers(2, 7))
+    nodes = list(range(1, n + 1))
+    pairs = {(draw(st.integers(1, node - 1)), node) for node in nodes[1:]}
+    for a, b in draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                              max_size=n)):
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+    links = [(a, b, {"delay_us": draw(st.integers(0, 3000))}) for a, b in sorted(pairs)]
+    clients = list(range(1, draw(st.integers(1, 3)) + 1))
+    naps = [{"client": c, "node": draw(st.sampled_from(nodes)), "prefixes": [f"10.0.{c}.0/24"]}
+            for c in clients]
+    border = draw(st.one_of(st.none(), st.sampled_from(nodes)))
+    doc = make_topology_doc(
+        nodes, links, naps=naps,
+        border=None if border is None else {"client": BORDER, "node": border},
+        seed=draw(st.integers(1, 1000)),
+    )
+
+    devices = [(c, f"10.0.{c}.{host}") for c in clients
+               for host in range(1, draw(st.integers(1, 2)) + 1)]
+    internal = [addr for _, addr in devices] + ["10.0.1.200"]
+    wl = [{"t_us": 0, "op": "attach", "client": c, "addr": addr} for c, addr in devices]
+    wl += [{"t_us": draw(st.integers(0, 5000)), "op": "http_serve", "client": c, "fqdn": fqdn}
+           for fqdn, c in zip(FQDNS, draw(st.lists(st.sampled_from(clients), max_size=2)))]
+    t_us = st.integers(0, 20_000)
+    send_ip = st.builds(
+        lambda t, device, dst, size: {"t_us": t, "op": "send_ip", "client": device[0],
+                                      "src": device[1], "dst": dst, "bytes": size},
+        t_us, st.sampled_from(devices), st.sampled_from(internal + ["8.8.8.8"]),
+        st.integers(0, 1500))
+    http_get = st.builds(
+        lambda t, c, fqdn, url, size: {"t_us": t, "op": "http_get", "client": c,
+                                       "fqdn": fqdn, "url": url, "resp_bytes": size},
+        t_us, st.sampled_from(clients), st.sampled_from(FQDNS),
+        st.sampled_from(("/x", "/y")), st.integers(0, 150_000))
+    ops = [send_ip, http_get]
+    if border is not None:
+        ops.append(st.builds(
+            lambda t, dst, size: {"t_us": t, "op": "ext_in", "src": "198.51.100.7",
+                                  "dst": dst, "bytes": size},
+            t_us, st.sampled_from(internal), st.integers(0, 1500)))
+    wl += draw(st.lists(st.one_of(ops), max_size=30))
+    return doc, Scenario(workload=wl)
+
+
+def recording(cls):
+    """`cls` keeping each (flow, time, latency) its per-flow fold receives."""
+
+    class Recording(cls):
+        def __init__(self, *args, **kwargs) -> None:
+            self.folded: list[tuple[str, int, int]] = []
+            super().__init__(*args, **kwargs)
+
+        def _fold(self, flow: str, latency_us: int) -> None:
+            self.folded.append((flow, self.now, latency_us))
+            super()._fold(flow, latency_us)
+
+    return Recording
+
+
+def two_pass_flow_stats(records: list[tuple[int, int]]) -> dict[str, int]:
+    """The reference: the flow statistics computed from every (time,
+    latency) arrival of a flow in arrival order, as the simulation did when
+    it kept each arrival until the run ended."""
+    times = [t for t, _ in records]
+    gaps = [b - a for a, b in zip(times, times[1:])]
+    if gaps:
+        n = len(gaps)
+        variance_numerator = n * sum(g * g for g in gaps) - sum(gaps) ** 2
+        jitter = math.isqrt(variance_numerator) // n
+    else:
+        jitter = 0
+    return {
+        "delivered": len(records),
+        "latency_us": sum(lat for _, lat in records) // len(records) if records else 0,
+        "jitter_us": jitter,
+    }
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=runs())
+def test_flows_equal_the_two_pass_formula_over_every_arrival(case):
+    doc, scenario = case
+    for cls in (IcnSimulation, BaselineSimulation):
+        sim = recording(cls)(doc, scenario)
+        report = sim.run()
+        by_flow: dict[str, list[tuple[int, int]]] = {}
+        for flow, time_us, latency_us in sim.folded:
+            by_flow.setdefault(flow, []).append((time_us, latency_us))
+        assert report.flows == {
+            flow: two_pass_flow_stats(records) for flow, records in by_flow.items()
+        }, cls.__name__
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=runs())
+def test_trace_rows_add_up_to_each_links_bytes(case):
+    doc, scenario = case
+    for cls in (IcnSimulation, BaselineSimulation):
+        rows: list[str] = []
+        report = cls(doc, scenario, trace=rows.append).run()
+        billed = {key: {"control_bytes": 0, "data_bytes": 0} for key in report.per_link}
+        for row in rows:
+            _, _, event, link, size, _ = row.split(",")
+            if event in ("ctrl", "data"):
+                billed[link]["control_bytes" if event == "ctrl" else "data_bytes"] += int(size)
+        assert billed == report.per_link, cls.__name__

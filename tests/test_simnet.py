@@ -1,5 +1,7 @@
 """Simulation harness: accounting, determinism, baseline parity."""
 
+import contextlib
+import gc
 import hashlib
 import json
 import math
@@ -506,12 +508,12 @@ class TestIdealControl:
 class TestTrace:
     def test_rows_have_six_fields(self):
         doc = two_node_doc()
-        sim = IcnSimulation(doc, TestSinglePacketHandTrace.SC, collect_trace=True)
-        sim.run()
-        assert sim.trace, "trace should not be empty"
-        for row in sim.trace:
+        rows = []
+        IcnSimulation(doc, TestSinglePacketHandTrace.SC, trace=rows.append).run()
+        assert rows, "trace should not be empty"
+        for row in rows:
             assert len(row.split(",")) == 6
-        events = {row.split(",")[2] for row in sim.trace}
+        events = {row.split(",")[2] for row in rows}
         assert "ctrl" in events and "data" in events and "peer-out" in events
 
 
@@ -522,9 +524,9 @@ class TestTrace:
     def test_small_demo_trace_is_pinned(self, cls, digest):
         scenario = load_scenario((DEMO_DATA / "small_scenario.json").read_text())
         topo = load_topology_doc((DEMO_DATA / "small.json").read_text(), scenario.seed)
-        sim = cls(topo, scenario, collect_trace=True)
-        sim.run()
-        text = "\n".join(sim.trace)
+        rows = []
+        cls(topo, scenario, trace=rows.append).run()
+        text = "\n".join(rows)
         assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
@@ -620,12 +622,13 @@ class TestIpPacketFate:
     @staticmethod
     def hand_twice(client, dst, locality):
         """An ICN simulation whose gateway `client` was handed two copies of
-        one encapsulated packet from 10.0.1.5 to `dst`."""
+        one encapsulated packet from 10.0.1.5 to `dst`, and its trace rows."""
         attach = [{"t_us": 0, "op": "attach", "client": 1, "addr": a}
                   for a in ("10.0.1.5", "10.0.1.6")]
         send = {"t_us": 0, "op": "send_ip", "client": 1, "src": "10.0.1.5", "dst": dst}
-        sim = IcnSimulation(two_node_doc(), Scenario(workload=[*attach, send]),
-                            collect_trace=True)
+        rows = []
+        sim = CapturingIcnSimulation(two_node_doc(), Scenario(workload=[*attach, send]),
+                                     trace=rows.append)
         for op in attach:
             sim._inject(op)
         ip = sim._make_ip_packet(send)
@@ -633,17 +636,17 @@ class TestIpPacketFate:
                          payload=encode_ip_packet(ip))
         sim.gateways[client].on_icn_data(copy)
         sim.gateways[client].on_icn_data(copy)
-        return sim
+        return sim, rows
 
     @pytest.mark.parametrize("client, dst, locality, row", [
         (1, "10.0.1.6", Locality.INTERNAL, "deliver"),
         (99, "8.8.8.8", Locality.EXTERNAL, "peer-out"),
     ], ids=["nap", "border"])
     def test_a_second_copy_counts_one_duplicate(self, client, dst, locality, row):
-        sim = self.hand_twice(client, dst, locality)
-        assert [(d.client, d.packet_id) for d in sim.deliveries] == [(client, 1)]
+        sim, rows = self.hand_twice(client, dst, locality)
+        assert [(c, ip.id) for c, ip in sim.ip_deliveries] == [(client, 1)]
         assert sim.counters["duplicates"] == 1
-        assert [r.split(",")[2] for r in sim.trace].count(row) == 1
+        assert [r.split(",")[2] for r in rows].count(row) == 1
         assert sim.send_time == {}
 
 
@@ -702,7 +705,7 @@ class TestEventOrder:
 
 
 class TestMemory:
-    """A run keeps no delivered payload: only its payload-free records."""
+    """A run keeps no delivered payload: only its per-flow records."""
 
     URLS, RESP, PACKETS, PACKET_BYTES = 10, 300_000, 100, 1000
 
@@ -746,6 +749,69 @@ class TestMemory:
         assert retained < 256 * 1024, retained
 
 
+class TestMemoryFlatInTraffic:
+    """Memory a run retains does not grow with its traffic: each arrival is
+    folded into its flow's record and each trace row goes to the sink."""
+
+    PERIOD_US = 20_000
+    PAIRS = ((1, "10.0.1.5", "10.0.2.9"), (2, "10.0.2.9", "10.0.1.6"),
+             (1, "10.0.1.6", "8.8.8.8"))
+
+    def scenario(self, repeat):
+        """The demo network's devices and one server, then one period of
+        IP, border and HTTP traffic `repeat` times over."""
+        wl = [{"t_us": 0, "op": "attach", "client": c, "addr": a}
+              for c, a in ((1, "10.0.1.5"), (1, "10.0.1.6"), (2, "10.0.2.9"))]
+        wl.append({"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "cdn.example"})
+        for r in range(repeat):
+            start = 1000 + r * self.PERIOD_US
+            wl += [{"t_us": start + 50 * k, "op": "send_ip", "client": c, "src": src,
+                    "dst": dst, "bytes": 100}
+                   for k, (c, src, dst) in enumerate(self.PAIRS * 100)]
+            wl += [{"t_us": start + 500 * k, "op": "ext_in", "src": "198.51.100.7",
+                    "dst": "10.0.2.9", "bytes": 100} for k in range(30)]
+            wl += [{"t_us": start + 3000 * k, "op": "http_get", "client": 2,
+                    "fqdn": "cdn.example", "url": f"/v/{k}", "resp_bytes": 3000}
+                   for k in range(4)]
+        return Scenario(workload=wl)
+
+    def retained(self, cls, repeat, trace_path):
+        """Bytes traced after `run()` less those traced after construction,
+        and the report; a trace file is flushed before the second reading,
+        since its write buffer is the file's, bounded by the io chunk size."""
+        topo = load_topology_doc((DEMO_DATA / "small.json").read_text(), 1)
+        scenario = self.scenario(repeat)
+        tracemalloc.start()
+        try:
+            with contextlib.ExitStack() as stack:
+                trace = None
+                if trace_path is not None:
+                    handle = stack.enter_context(open(trace_path, "w"))
+                    trace = lambda row: handle.write(row + "\n")  # as `ipicn run` does
+                sim = cls(topo, scenario, trace=trace)
+                gc.collect()
+                before = tracemalloc.get_traced_memory()[0]
+                report = sim.run()
+                if trace is not None:
+                    handle.flush()
+                gc.collect()
+                after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return after - before, report
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["no_trace", "file_sink"])
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
+    def test_eight_times_the_traffic_retains_the_same_memory(self, cls, traced, tmp_path):
+        once, report = self.retained(cls, 1, tmp_path / "once.csv" if traced else None)
+        eight, report8 = self.retained(cls, 8, tmp_path / "eight.csv" if traced else None)
+        delivered = {k: f["delivered"] for k, f in report.flows.items()}
+        assert {k: f["delivered"] for k, f in report8.flows.items()} == {
+            k: 8 * n for k, n in delivered.items()}
+        assert sum(delivered.values()) == 334  # 300 sends, 30 ext_in, 4 fetches
+        assert eight <= 1.25 * once, (once, eight)
+
+
 class TestSaturatedFid:
     """A dense 50-node graph whose HTTP response tree reaches 49 nodes, plus
     unicast IP over it. The response fid sets so many bits that copies leave
@@ -783,10 +849,10 @@ class TestSaturatedFid:
 
     def test_report_and_trace_are_pinned(self):
         doc, sc = self.inputs()
-        sim = IcnSimulation(doc, sc, collect_trace=True)
-        report = sim.run()
+        rows = []
+        report = IcnSimulation(doc, sc, trace=rows.append).run()
         assert report.counters["off_tree_forwards"] > 0
         assert report.counters["ttl_drops"] > 0
         assert report.flows["ip:10.0.1.5->10.0.2.5"]["delivered"] == 3
         assert hashlib.sha1(report.to_canonical_json().encode()).hexdigest() == self.REPORT_SHA1
-        assert hashlib.sha1("\n".join(sim.trace).encode()).hexdigest() == self.TRACE_SHA1
+        assert hashlib.sha1("\n".join(rows).encode()).hexdigest() == self.TRACE_SHA1

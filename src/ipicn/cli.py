@@ -64,11 +64,14 @@ def cmd_run(args) -> int:
         return EXIT_BAD_INPUT
 
     mode = args.mode or scenario.mode
+    if mode == "compare" and args.trace is not None:
+        print("error: --trace needs a single mode (icn or ip), not compare", file=sys.stderr)
+        return EXIT_BAD_INPUT
     try:
         with ExitStack() as outputs:
             out = outputs.enter_context(_atomic_output(args.out))
             trace = None
-            if args.trace is not None and mode != "compare":
+            if args.trace is not None:
                 rows = outputs.enter_context(_atomic_output(args.trace))
                 trace = lambda row: rows.write(row + "\n")
             if mode == "icn":

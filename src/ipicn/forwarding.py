@@ -32,7 +32,7 @@ _FIXED_OVERHEAD = 32 + 4 + 2
 class PacketKind(enum.IntEnum):
     DATA = 0
     CTRL_PR = 1  # availability publication towards the rendezvous
-    CTRL_RT = 2  # rendezvous instructing the topology manager
+    CTRL_RT = 2  # RV instructing the TM: never sent, as the two share a node
     CTRL_TP = 3  # forwarding identifier delivery to a publisher
     CTRL_SR = 4  # subscription towards the rendezvous
 
@@ -57,8 +57,14 @@ class IcnPacket:
 
     @property
     def wire_size(self) -> int:
-        elems = len(self.name.scopes) + (1 if self.name.is_item else 0)
-        return _FIXED_OVERHEAD + 8 * elems + len(self.payload)
+        return wire_size(self.name, len(self.payload))
+
+
+def wire_size(name: IcnName, payload_len: int) -> int:
+    """Bytes on the wire of a packet under `name` with a `payload_len`-byte
+    payload; control messages are sized by this without being built."""
+    elems = len(name.scopes) + (1 if name.is_item else 0)
+    return _FIXED_OVERHEAD + 8 * elems + payload_len
 
 
 def gen_lid(rng: random.Random) -> int:

@@ -169,7 +169,9 @@ class _GetState:
 
 
 class _IcnClient:
-    """Shared publish-side machinery: fid cache, pending buffers, announce."""
+    """Shared publish-side machinery: fid cache, pending buffers, announce.
+    A name is published while it has a pending entry: an IP name from its first
+    packet on, a one-shot name until its fid arrives, it is flushed and withdrawn."""
 
     def __init__(self, env, client: ClientId, node: int) -> None:
         self.env = env
@@ -179,8 +181,6 @@ class _IcnClient:
         self._fid_cache: dict[IcnName, tuple[int, bool]] = {}
         self._pending_ip: dict[IcnName, deque[IpPacket]] = {}
         self._pending_raw: dict[IcnName, list[bytes]] = {}
-        self._announced: set[IcnName] = set()
-        self._unpublish_after_flush: set[IcnName] = set()
 
     @property
     def fid_cache(self) -> dict[IcnName, tuple[int, bool]]:
@@ -189,27 +189,28 @@ class _IcnClient:
     def pending_depth(self, name: IcnName) -> int:
         return len(self._pending_ip.get(name, ()))
 
-    def _announce(self, name: IcnName) -> None:
-        if name not in self._announced:
-            self._announced.add(name)
-            self.env.publish_availability(self.client, name)
-
     def _queue_ip(self, name: IcnName, pkt: IpPacket) -> None:
-        queue = self._pending_ip.setdefault(name, deque(maxlen=PENDING_CAPACITY))
+        queue = self._pending_ip.get(name)
+        if queue is None:
+            self._pending_ip[name] = deque([pkt], maxlen=PENDING_CAPACITY)
+            self.env.publish_availability(self.client, name)
+            return
         if len(queue) == PENDING_CAPACITY:
             # deque(maxlen) evicts the oldest entry on append
             self.env.note_ip_dropped(queue[0])
         queue.append(pkt)
-        self._announce(name)
 
     def _publish_once(self, name: IcnName, payloads: Iterable[bytes]) -> None:
         """Publish `payloads` under `name` and withdraw the name once they are
         flushed. Everything is queued before the announce: the availability
         publication can complete the whole fid round trip synchronously,
         flushing the queue on the spot."""
-        self._unpublish_after_flush.add(name)
-        self._pending_raw.setdefault(name, []).extend(payloads)
-        self._announce(name)
+        pending = self._pending_raw.get(name)
+        if pending is not None:
+            pending.extend(payloads)
+            return
+        self._pending_raw[name] = list(payloads)
+        self.env.publish_availability(self.client, name)
 
     def _send_encapsulated(self, name: IcnName, pkt: IpPacket) -> None:
         cached = self._fid_cache.get(name)
@@ -241,11 +242,10 @@ class _IcnClient:
         queue = self._pending_ip.get(d.name)
         while queue:
             self._emit(d.name, encode_ip_packet(queue.popleft()), cached)
-        for payload in self._pending_raw.pop(d.name, ()):
-            self._emit(d.name, payload, cached)
-        if d.name in self._unpublish_after_flush:
-            self._unpublish_after_flush.discard(d.name)
-            self._announced.discard(d.name)
+        payloads = self._pending_raw.pop(d.name, None)
+        if payloads is not None:
+            for payload in payloads:
+                self._emit(d.name, payload, cached)
             self.env.unpublish(self.client, d.name)
 
     def on_icn_data(self, pkt: IcnPacket, loopback: bool = False) -> None:

@@ -5,6 +5,9 @@ every item underneath); publications always target item names. Any state
 change that alters the subscriber set of a matched item emits a fresh
 MatchEvent so the topology manager can keep delivery trees current. An
 empty subscriber set in an event is the tear-down signal.
+
+No tree is recorded: one stands for (publisher, item) exactly when the
+publisher publishes the item and the item's match set is non-empty.
 """
 
 from __future__ import annotations
@@ -34,8 +37,6 @@ class Rendezvous:
     def __init__(self) -> None:
         self._subs: dict[IcnName, set[ClientId]] = {}
         self._pubs: dict[IcnName, set[ClientId]] = {}
-        # (publisher, item) pairs whose delivery tree is currently standing.
-        self._active: set[tuple[ClientId, IcnName]] = set()
 
     # -- queries ---------------------------------------------------------
 
@@ -48,9 +49,6 @@ class Rendezvous:
         for depth in range(1, len(name.scopes) + 1):
             matched |= self._subs.get(name.scope_prefix(depth), set())
         return frozenset(matched)
-
-    def publications(self) -> dict[IcnName, frozenset[ClientId]]:
-        return {n: frozenset(cs) for n, cs in self._pubs.items() if cs}
 
     # -- state changes ---------------------------------------------------
 
@@ -69,7 +67,6 @@ class Rendezvous:
             subs = self.match_set(pub_name)
             for publisher in sorted(self._pubs[pub_name]):
                 events.append(MatchEvent(pub_name, publisher, subs))
-                self._active.add((publisher, pub_name))
         return events
 
     def publish_availability(
@@ -82,7 +79,6 @@ class Rendezvous:
         subs = self.match_set(name)
         if not subs:
             return None
-        self._active.add((client, name))
         return MatchEvent(name, client, subs)
 
     def unsubscribe(self, client: ClientId, name: IcnName) -> list[MatchEvent]:
@@ -92,22 +88,21 @@ class Rendezvous:
             log.warning("unsubscribe without subscription: client=%s %s",
                         client, render_name(name))
             return []
-        affected = sorted(
-            (pn for pn in self._active if covers(name, pn[1])),
-            key=lambda pn: (pn[0], render_name(pn[1])),
-        )
-        before = {pub_name: self.match_set(pub_name) for _, pub_name in affected}
         holders.discard(client)
         if not holders:
             del self._subs[name]
+        # every publication `name` covers had `client` in its match set, so
+        # its trees stood; each changes where `client` is no longer matched
+        affected = sorted(
+            ((publisher, pub_name) for pub_name, publishers in self._pubs.items()
+             if covers(name, pub_name) for publisher in publishers),
+            key=lambda pn: (pn[0], render_name(pn[1])),
+        )
         events = []
         for publisher, pub_name in affected:
             after = self.match_set(pub_name)
-            if after == before[pub_name]:
-                continue
-            events.append(MatchEvent(pub_name, publisher, after))
-            if not after:
-                self._active.discard((publisher, pub_name))
+            if client not in after:
+                events.append(MatchEvent(pub_name, publisher, after))
         return events
 
     def unpublish(self, client: ClientId, name: IcnName) -> MatchEvent | None:
@@ -120,7 +115,6 @@ class Rendezvous:
         holders.discard(client)
         if not holders:
             del self._pubs[name]
-        if (client, name) in self._active:
-            self._active.discard((client, name))
+        if self.match_set(name):
             return MatchEvent(name, client, frozenset())
         return None

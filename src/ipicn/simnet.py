@@ -20,13 +20,12 @@ import heapq
 import ipaddress
 import json
 import math
-import struct
 from collections import Counter, deque
 from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable
 
-from .forwarding import IcnPacket, PacketKind, forward
+from .forwarding import IcnPacket, forward, wire_size
 from .gateways import (
     DEFAULT_WINDOW_US,
     IP_HEADER_SIZE,
@@ -58,8 +57,10 @@ from .topology import (
 DEFAULT_MAX_TIME_US = 60_000_000
 DEFAULT_EXT_SRC = "203.0.113.1"
 
-_CTRL_META = struct.Struct(">IB")  # client id | operation flag
-_CTRL_FID = struct.Struct(">I32sB")  # publisher | fid | local flag
+# control payloads are sized, never built: client id u32 | operation flag u8
+# towards the RV; publisher u32 | fid 32 bytes | local flag u8 back from the TM
+_REQUEST_PAYLOAD = 4 + 1
+_FID_PAYLOAD = 4 + 32 + 1
 
 # (field, JSON type, bound, default) per field of each workload op: an
 # integer with a bound must lie in 0..bound, a string with a bound must not
@@ -486,7 +487,6 @@ class IcnSimulation(_AccountingMixin):
 
         self.rv_node = min(self.graph.nodes)
         self.rv = Rendezvous()
-        self._rv_pred = dijkstra(self.graph, self.rv_node)
 
         plan = self.operator_plan  # shared by all gateways
         self.gateways: dict[ClientId, Nap | BorderGateway] = {
@@ -503,6 +503,13 @@ class IcnSimulation(_AccountingMixin):
             node = self.gateways[client].node
             self._clients_at[node] = self._clients_at.get(node, ()) + (client,)
 
+        # each gateway node's control paths from and to the RV; the graph is fixed
+        pred = dijkstra(self.graph, self.rv_node)
+        self._from_rv = {node: path_links(self.graph, pred, self.rv_node, node)
+                         for node in self._clients_at}
+        self._to_rv = {node: [self.graph.link(l.dst, l.src) for l in reversed(path)]
+                       for node, path in self._from_rv.items()}
+
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
 
     # -- environment interface used by the gateways ------------------------
@@ -514,19 +521,19 @@ class IcnSimulation(_AccountingMixin):
         self.queue.push(max(time_us, self.now), fn)
 
     def subscribe(self, client: ClientId, name: IcnName) -> None:
-        self._control_to_rv(PacketKind.CTRL_SR, client, name, 1,
+        self._control_to_rv(client, name,
                             lambda: self._to_tm(*self.rv.subscribe(client, name)))
 
     def unsubscribe(self, client: ClientId, name: IcnName) -> None:
-        self._control_to_rv(PacketKind.CTRL_SR, client, name, 0,
+        self._control_to_rv(client, name,
                             lambda: self._to_tm(*self.rv.unsubscribe(client, name)))
 
     def publish_availability(self, client: ClientId, name: IcnName) -> None:
-        self._control_to_rv(PacketKind.CTRL_PR, client, name, 1,
+        self._control_to_rv(client, name,
                             lambda: self._to_tm(self.rv.publish_availability(client, name)))
 
     def unpublish(self, client: ClientId, name: IcnName) -> None:
-        self._control_to_rv(PacketKind.CTRL_PR, client, name, 0,
+        self._control_to_rv(client, name,
                             lambda: self._to_tm(self.rv.unpublish(client, name)))
 
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
@@ -556,17 +563,10 @@ class IcnSimulation(_AccountingMixin):
     # -- control plane ------------------------------------------------------
 
     def _control_to_rv(
-        self,
-        kind: PacketKind,
-        client: ClientId,
-        name: IcnName,
-        flag: int,
-        handler: Callable[[], None],
+        self, client: ClientId, name: IcnName, handler: Callable[[], None]
     ) -> None:
-        pkt = IcnPacket(fid=0, kind=kind, name=name,
-                        payload=_CTRL_META.pack(client, flag))
-        path = self._path_to_rv(self.gateways[client].node)
-        self._route_control(pkt, path, handler)
+        path = self._to_rv[self.gateways[client].node]
+        self._route_control(path, name, _REQUEST_PAYLOAD, handler)
 
     def _to_tm(self, *events: MatchEvent | None) -> None:
         """Hand each match event to the TM as its own event. RV and TM share
@@ -584,26 +584,18 @@ class IcnSimulation(_AccountingMixin):
             tree = tree_for_match(self.graph, ev)
             self._tree_edges[key] = frozenset((e.src, e.dst) for e in tree.edges)
         gw = self.gateways[ev.publisher]
-        pkt = IcnPacket(
-            fid=0,
-            kind=PacketKind.CTRL_TP,
-            name=ev.name,
-            payload=_CTRL_FID.pack(ev.publisher, fd.fid.to_bytes(32, "big"), fd.local),
-        )
-        path = path_links(self.graph, self._rv_pred, self.rv_node, gw.node)
-        self._route_control(pkt, path, lambda: gw.on_fid(fd))
-
-    def _path_to_rv(self, node: int) -> list[Link]:
-        from_rv = path_links(self.graph, self._rv_pred, self.rv_node, node)
-        return [self.graph.link(l.dst, l.src) for l in reversed(from_rv)]
+        self._route_control(self._from_rv[gw.node], ev.name, _FID_PAYLOAD,
+                            lambda: gw.on_fid(fd))
 
     def _route_control(
-        self, pkt: IcnPacket, path: list[Link], handler: Callable[[], None]
+        self, path: list[Link], name: IcnName, payload_len: int,
+        handler: Callable[[], None],
     ) -> None:
+        """Carry a control message under `name` over `path`, then call `handler`."""
         if self.ideal_control or not path:
             self.queue.push(self.now, handler)
         else:
-            self._send_over(path, 0, pkt.wire_size, True, pkt.name, handler)
+            self._send_over(path, 0, wire_size(name, payload_len), True, name, handler)
 
     # -- data plane ----------------------------------------------------------
 

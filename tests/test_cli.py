@@ -197,6 +197,20 @@ class TestRun:
         rows = trace.read_text().strip().splitlines()
         assert rows and all(len(r.split(",")) == 6 for r in rows)
 
+    @pytest.mark.parametrize("selected_by", ["flag", "scenario"])
+    def test_trace_with_compare_exits_2_and_leaves_no_file(self, paths, capsys, selected_by):
+        trace = paths["dir"] / "t.csv"
+        args = run_args(paths, mode="compare", extra=("--trace", str(trace)))
+        if selected_by == "scenario":
+            paths["scenario"].write_text(json.dumps(dict(SCENARIO, mode="compare")))
+            del args[args.index("--mode") + 1]
+            args.remove("--mode")
+        before = sorted(paths["dir"].rglob("*"))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --trace ") and err.count("\n") == 1, err
+        assert sorted(paths["dir"].rglob("*")) == before  # no report, trace or temp file
+
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     @pytest.mark.parametrize("case", ["missing_directory", "existing_directory"])
     def test_unwritable_output_path_exits_2(self, paths, capsys, flag, case):

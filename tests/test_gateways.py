@@ -188,6 +188,23 @@ class TestOnFid:
         assert env.emissions == []
         assert nap1.pending_depth(dst_name) == 1
 
+    def test_ip_name_is_not_announced_again_when_its_tree_is_rebuilt(self, env, nap1, nap2):
+        nap1.attach_device("10.0.1.5")
+        nap2.attach_device("10.0.2.9")
+        dst_name = name_for_ip("10.0.2.9", Locality.INTERNAL)
+        first = ip_packet("10.0.1.5", "10.0.2.9", pid=1)
+        nap1.send_ip(first)
+        env.unsubscribe(2, dst_name)  # the tree is torn down
+        assert dst_name not in nap1.fid_cache
+        second = ip_packet("10.0.1.5", "10.0.2.9", pid=2)
+        nap1.send_ip(second)
+        assert nap1.pending_depth(dst_name) == 1
+        env.subscribe(2, dst_name)  # and rebuilt from the standing publication
+        assert env.ip_deliveries == [(2, first), (2, second)]
+        assert [c for c in env.control_log if c[0] in ("publish", "unpublish")] == [
+            ("publish", 1, dst_name)
+        ]
+
     def test_unknown_name_populates_cache_without_publications(self, env, nap1):
         strange = name_for_ip("10.0.2.77", Locality.INTERNAL)
         nap1.on_fid(FidDelivery(1, strange, fid=5, local=False))
@@ -412,6 +429,24 @@ class TestHttp:
         # only the well-formed request opens an exchange
         assert nap2.counters["corrupt"] == 1
         assert len(nap2._exchanges) == 1
+
+    def test_one_shot_name_published_twice_is_announced_and_withdrawn_once(
+            self, env, nap2):
+        nap2.http_serve("cdn.example")
+        req_name = name_for_http("cdn.example", HttpRole.REQUEST, "/v/1")
+        resp_name = name_for_http("cdn.example", HttpRole.RESPONSE, "/v/1")
+        for size in (10, 20):  # two windows close before anyone subscribes
+            nap2.on_icn_data(IcnPacket(0, PacketKind.DATA, req_name,
+                                       encode_http_request(1, "cdn.example", "/v/1", size)))
+            env.advance(env.now + nap2.window_us + 1)
+        assert env.emissions == []
+        env.subscribe(1, resp_name)
+        # each body in one segment behind its 16-byte frame
+        assert [len(p.payload) for _, p in env.emissions] == [16 + 10, 16 + 20]
+        assert [c for c in env.control_log if c[2] == resp_name] == [
+            ("publish", 2, resp_name), ("subscribe", 1, resp_name),
+            ("unpublish", 2, resp_name),
+        ]
 
     @pytest.mark.parametrize("total, count", [
         (0, 1), (1, 1), (SEGMENT_CHUNK, 1), (SEGMENT_CHUNK + 1, 2), (MAX_RESPONSE_BYTES, 257),

@@ -95,7 +95,6 @@ class TestIdempotence:
         assert first == [MatchEvent(item, 3, frozenset({1}))]
         assert rv1._subs == rv2._subs
         assert rv1._pubs == rv2._pubs
-        assert rv1._active == rv2._active
 
 
 class TestLifecycle:
@@ -220,8 +219,19 @@ class TestOracleEquivalence:
             assert internal is None
 
 
-class SortThenFilterRendezvous(Rendezvous):
-    """Reference: sorts every publication or standing tree, then filters."""
+class SortThenFilterRendezvous:
+    """Reference: keeps its standing trees in a set of its own, matches by a
+    scan of every subscription, and sorts every publication or standing
+    tree before filtering."""
+
+    def __init__(self):
+        self._subs = {}
+        self._pubs = {}
+        self._active = set()  # (publisher, item) pairs whose tree stands
+
+    def match_set(self, item):
+        return frozenset(c for sub, cs in self._subs.items() if covers(sub, item)
+                         for c in cs)
 
     def subscribe(self, client, name):
         self._subs.setdefault(name, set()).add(client)
@@ -259,6 +269,26 @@ class SortThenFilterRendezvous(Rendezvous):
             if not after:
                 self._active.discard((publisher, pub_name))
         return events
+
+    def publish_availability(self, client, name):
+        self._pubs.setdefault(name, set()).add(client)
+        subs = self.match_set(name)
+        if not subs:
+            return None
+        self._active.add((client, name))
+        return MatchEvent(name, client, subs)
+
+    def unpublish(self, client, name):
+        holders = self._pubs.get(name)
+        if holders is None or client not in holders:
+            return None
+        holders.discard(client)
+        if not holders:
+            del self._pubs[name]
+        if (client, name) in self._active:
+            self._active.discard((client, name))
+            return MatchEvent(name, client, frozenset())
+        return None
 
 
 class TestReferenceEquivalence:

@@ -4,6 +4,9 @@
   every arrival that reached the simulation's per-flow fold.
 - Per-link conservation: each link's `ctrl` and `data` trace rows add up
   to its report `control_bytes` and `data_bytes`.
+- Time-limit prefix: a run cut at `max_time_us = T` bills no link more
+  bytes than the full run, folds exactly the full run's arrivals up to T,
+  and counts one `time_limit_hits` exactly when the full run went past T.
 
 Workloads mix `send_ip`, `ext_in` (when there is a border), `http_serve`
 and `http_get`, so IP, border and HTTP flows all take part.
@@ -132,3 +135,22 @@ def test_trace_rows_add_up_to_each_links_bytes(case):
             if event in ("ctrl", "data"):
                 billed[link]["control_bytes" if event == "ctrl" else "data_bytes"] += int(size)
         assert billed == report.per_link, cls.__name__
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=runs(), data=st.data())
+def test_a_time_limited_run_is_a_prefix_of_the_full_run(case, data):
+    doc, scenario = case
+    for cls in (IcnSimulation, BaselineSimulation):
+        full = recording(cls)(doc, scenario)
+        full_report = full.run()
+        limit = data.draw(st.integers(0, full.now * 11 // 10), label=f"{cls.__name__} T")
+        cut = recording(cls)(doc, scenario)
+        report = cut.run(limit)
+        for key, billed in report.per_link.items():
+            whole = full_report.per_link[key]
+            assert billed["control_bytes"] <= whole["control_bytes"], (cls.__name__, key)
+            assert billed["data_bytes"] <= whole["data_bytes"], (cls.__name__, key)
+        assert cut.folded == [r for r in full.folded if r[1] <= limit], cls.__name__
+        hits = report.counters.get("time_limit_hits", 0)
+        assert hits == (1 if full.now > limit else 0), cls.__name__

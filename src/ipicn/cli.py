@@ -1,6 +1,6 @@
 """Command-line entry point: run scenarios and validate topologies.
 
-Exit codes: 0 success, 2 invalid input files or unwritable output paths,
+Exit codes: 0 success, 2 invalid input files, flags or output paths,
 3 scenario references undefined entities. The report and the trace are
 written to temporary files, opened before the run, and renamed into place
 only when the run succeeds, so a failure never leaves a partial file
@@ -66,6 +66,9 @@ def cmd_run(args) -> int:
     mode = args.mode or scenario.mode
     if mode == "compare" and args.trace is not None:
         print("error: --trace needs a single mode (icn or ip), not compare", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    if args.window_us < 0:
+        print(f"error: --window-us must not be negative, got {args.window_us}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
         with ExitStack() as outputs:

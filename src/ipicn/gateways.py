@@ -165,7 +165,7 @@ class _GetState:
     fqdn: str
     url: str
     count: int = 1
-    buf: dict[int, bytes] = field(default_factory=dict)
+    buf: dict[int, memoryview] = field(default_factory=dict)
 
 
 class _IcnClient:
@@ -264,6 +264,8 @@ class Nap(_IcnClient):
         operator_plan: AddressPlan,
         window_us: int = DEFAULT_WINDOW_US,
     ) -> None:
+        if window_us < 0:
+            raise ValueError(f"HTTP window must not be negative, got {window_us} us")
         super().__init__(env, client, node)
         self.prefixes = prefixes
         self.operator_plan = operator_plan
@@ -391,7 +393,7 @@ class Nap(_IcnClient):
         if offset in state.buf:
             self.counters["duplicates"] += 1
             return
-        state.buf[offset] = payload[_SEGMENT_FRAME.size :]
+        state.buf[offset] = memoryview(payload)[_SEGMENT_FRAME.size :]  # shared, not copied
         if sum(len(c) for c in state.buf.values()) < total:
             return
         body = b"".join(state.buf[o] for o in sorted(state.buf))[:total]

@@ -214,8 +214,26 @@ def _serialization_us(size_bytes: int, capacity_bps: int) -> int:
     return -(-8 * size_bytes * 1_000_000 // capacity_bps)
 
 
-def _link_key(link: Link) -> str:
-    return f"{link.src}->{link.dst}"
+class _Transfer:
+    """`size` wire bytes sent over `path` when made, one link per event, then
+    `on_arrive` called; `name` labels the trace rows. Only the queue holds the
+    bound `_hop`, so no cycle keeps a transfer, payload included, past its
+    last event."""
+
+    __slots__ = ("_sim", "_links", "_size", "_control", "_name", "_on_arrive")
+
+    def __init__(self, sim: _AccountingMixin, path: list[Link], size: int, control: bool,
+                 name: object, on_arrive: Callable[[], None]) -> None:
+        self._sim, self._links, self._size = sim, iter(path), size
+        self._control, self._name, self._on_arrive = control, name, on_arrive
+        self._hop()
+
+    def _hop(self) -> None:
+        link = next(self._links, None)
+        if link is None:
+            self._on_arrive()
+        else:
+            self._sim._cross(link, self._size, self._control, self._name, self._hop)
 
 
 def _flow_stats(count: int, latency_sum: int, _last: int, gap_sum: int,
@@ -245,8 +263,8 @@ class _AccountingMixin:
         self.operator_plan = AddressPlan(p for nap in topo.naps for p in nap.prefixes)
         self.now = 0
         self.queue = _EventQueue()
-        self.link_bytes: dict[str, list[int]] = {
-            _link_key(l): [0, 0] for l in self.graph.links  # [control, data]
+        self.link_bytes: dict[tuple[int, int], list[int]] = {
+            (l.src, l.dst): [0, 0] for l in self.graph.links  # [control, data]
         }
         self.counters: Counter[str] = Counter()
         # flow -> [count, latency sum, last arrival, gap sum, gap square sum]
@@ -266,7 +284,7 @@ class _AccountingMixin:
         """Pass one trace row to the sink; `name` is an `IcnName`, an address
         or "-". The row is formatted only when there is a sink."""
         if self._trace is not None:
-            link_text = "-" if link is None else _link_key(link)
+            link_text = "-" if link is None else f"{link.src}->{link.dst}"
             name_text = render_name(name) if isinstance(name, IcnName) else name
             self._trace(f"{self.now},{node},{event},{link_text},{size},{name_text}")
 
@@ -275,8 +293,9 @@ class _AccountingMixin:
     ) -> None:
         """Bill `size` wire bytes to `link`, trace the hop and call `on_arrive`
         when the bytes reach the far end."""
-        self.link_bytes[_link_key(link)][0 if control else 1] += size
-        self._trace_row(link.src, "ctrl" if control else "data", link, size, name)
+        self.link_bytes[link.src, link.dst][0 if control else 1] += size
+        if self._trace is not None:
+            self._trace_row(link.src, "ctrl" if control else "data", link, size, name)
         self.queue.push(self.now + link.delay_us + _serialization_us(size, link.capacity_bps),
                         on_arrive)
 
@@ -328,24 +347,6 @@ class _AccountingMixin:
         key = (action["client"], action["fqdn"], action["url"])
         self._http_issue.setdefault(key, deque()).append(self.now)
         return server
-
-    def _send_over(
-        self, path: list[Link], index: int, size: int, control: bool, name: object,
-        on_arrive: Callable[[], None],
-    ) -> None:
-        """Carry `size` wire bytes over `path[index:]`, one link per event,
-        then call `on_arrive`; `name` labels the trace rows.
-
-        Each hop schedules the next as a new call rather than through a
-        closure that refers to itself, so the scheduled state, payload
-        included, is freed when its last event has run instead of waiting
-        for the cycle collector.
-        """
-        if index == len(path):
-            on_arrive()
-            return
-        self._cross(path[index], size, control, name, lambda: self._send_over(
-            path, index + 1, size, control, name, on_arrive))
 
     def _make_ip_packet(self, action: dict) -> IpPacket:
         """The packet a `send_ip` or `ext_in` op sends."""
@@ -407,8 +408,8 @@ class _AccountingMixin:
         counters.update(extra_counters)
         return KpiReport(
             per_link={
-                k: {"control_bytes": v[0], "data_bytes": v[1]}
-                for k, v in self.link_bytes.items()
+                f"{src}->{dst}": {"control_bytes": v[0], "data_bytes": v[1]}
+                for (src, dst), v in self.link_bytes.items()
             },
             totals={
                 "control_bytes": control,
@@ -482,6 +483,8 @@ class IcnSimulation(_AccountingMixin):
         ideal_control: bool = False,
         trace: Callable[[str], None] | None = None,
     ) -> None:
+        if window_us < 0:
+            raise ValueError(f"HTTP window must not be negative, got {window_us} us")
         super().__init__(topo, scenario, trace)
         self.ideal_control = ideal_control
 
@@ -595,7 +598,7 @@ class IcnSimulation(_AccountingMixin):
         if self.ideal_control or not path:
             self.queue.push(self.now, handler)
         else:
-            self._send_over(path, 0, wire_size(name, payload_len), True, name, handler)
+            _Transfer(self, path, wire_size(name, payload_len), True, name, handler)
 
     # -- data plane ----------------------------------------------------------
 
@@ -678,7 +681,7 @@ class BaselineSimulation(_AccountingMixin):
         if path is None:
             path = path_links(self.graph, dijkstra(self.graph, src), src, dst)
             self._routes[(src, dst)] = path
-        self._send_over(path, 0, size, False, "-", on_arrive)
+        _Transfer(self, path, size, False, "-", on_arrive)
 
     def _inject(self, action: dict) -> None:
         op = action["op"]

@@ -211,6 +211,15 @@ class TestRun:
         assert err.startswith("error: --trace ") and err.count("\n") == 1, err
         assert sorted(paths["dir"].rglob("*")) == before  # no report, trace or temp file
 
+    @pytest.mark.parametrize("mode", ["icn", "ip", "compare"])
+    def test_negative_window_exits_2_and_leaves_no_file(self, paths, capsys, mode):
+        trace = () if mode == "compare" else ("--trace", str(paths["dir"] / "t.csv"))
+        before = sorted(paths["dir"].rglob("*"))
+        assert main(run_args(paths, mode=mode, extra=("--window-us", "-1", *trace))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --window-us ") and err.count("\n") == 1, err
+        assert sorted(paths["dir"].rglob("*")) == before  # no report, trace or temp file
+
     @pytest.mark.parametrize("flag", ["--out", "--trace"])
     @pytest.mark.parametrize("case", ["missing_directory", "existing_directory"])
     def test_unwritable_output_path_exits_2(self, paths, capsys, flag, case):

@@ -3,6 +3,7 @@
 import ipaddress
 import json
 import random
+import struct
 
 import pytest
 
@@ -378,6 +379,37 @@ class TestHttp:
         (_, first), (_, second) = env.http_completions
         assert first.body == second.body
         assert len(first.body) == 250_000
+
+    def test_negative_window_is_rejected(self, env):
+        with pytest.raises(ValueError, match="window must not be negative"):
+            Nap(env, 1, 3, net("10.0.1.0/24"), plan("10.0.1.0/24"), window_us=-1)
+        assert Nap(env, 1, 3, net("10.0.1.0/24"), plan("10.0.1.0/24"), window_us=0).window_us == 0
+
+    def test_every_requester_reassembles_the_exact_body(self, env):
+        """Segments handed to three requesters out of order, one of them
+        twice: each body is `bytes` and equals the served content exactly."""
+        fqdn, url, size = "cdn.example", "/v/1", 3 * SEGMENT_CHUNK + 123
+        all_nets = plan("10.0.1.0/24", "10.0.2.0/24", "10.0.3.0/24")
+        naps = [Nap(env, k, 3, net(f"10.0.{k}.0/24"), all_nets) for k in (1, 2, 3)]
+        for nap in naps:
+            env.add(nap)
+            nap.http_get(fqdn, url, size)
+        content = gateways.synth_bytes(f"{fqdn}{url}", size)
+        resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
+        segments = [
+            IcnPacket(0, PacketKind.DATA, resp_name, struct.pack(">QQ", offset, size)
+                      + content[offset : offset + length])
+            for offset, length in body_segments(size)
+        ]
+        handed = [segments[3], segments[1], segments[3], segments[0], segments[2]]
+        for pkt in handed:
+            for nap in naps:  # every requester is handed the same packet
+                nap.on_icn_data(pkt)
+        assert [client for client, _ in env.http_completions] == [1, 2, 3]
+        for _, response in env.http_completions:
+            assert type(response.body) is bytes
+            assert response.body == content
+        assert [nap.counters["duplicates"] for nap in naps] == [1, 1, 1]
 
     def test_requests_in_separate_windows_publish_twice(self, env, nap1, nap2):
         nap2.http_serve("cdn.example")

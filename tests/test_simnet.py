@@ -129,6 +129,12 @@ class TestEntryPoints:
         assert seeded.counters["off_tree_forwards"] > 0
         assert simnet.run(sc, load_topology_doc(text, 1)).counters["off_tree_forwards"] == 0
 
+    @pytest.mark.parametrize("entry", [simnet.run, simnet.compare])
+    def test_negative_window_is_rejected(self, entry):
+        doc = make_topology_doc(nodes=[1, 2], undirected_links=[(1, 2)])  # no NAP to check it
+        with pytest.raises(ValueError, match="window must not be negative"):
+            entry(Scenario(workload=[]), doc, window_us=-1)
+
 
 class TestEmptyWorkload:
     def test_all_zero_report(self):
@@ -810,6 +816,39 @@ class TestMemoryFlatInTraffic:
             k: 8 * n for k, n in delivered.items()}
         assert sum(delivered.values()) == 334  # 300 sends, 30 ext_in, 4 fetches
         assert eight <= 1.25 * once, (once, eight)
+
+
+class TestHttpPeakMemory:
+    """Requesters at one node are handed the same response segments; each
+    buffers views of them, so the run's peak grows by about one body for all
+    of them together, not by one body per requester."""
+
+    BODY = 400_000
+
+    def peak(self, n_requesters):
+        """The run's tracemalloc peak above what the built simulation holds."""
+        doc = line_doc(1, naps=[{"client": k, "node": 1 if k == 1 else 2,
+                                 "prefixes": [f"10.0.{k}.0/24"]}
+                                for k in range(1, n_requesters + 2)])
+        wl = [{"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "cdn.example"}]
+        wl += [{"t_us": 1000, "op": "http_get", "client": k, "fqdn": "cdn.example",
+                "url": "/v/1", "resp_bytes": self.BODY} for k in range(2, n_requesters + 2)]
+        tracemalloc.start()
+        try:
+            sim = IcnSimulation(doc, Scenario(workload=wl))
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = sim.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(f["delivered"] for f in report.flows.values()) == n_requesters
+        return peak - before
+
+    def test_sixteen_requesters_peak_within_one_body_of_two(self):
+        two, sixteen = self.peak(2), self.peak(16)
+        assert sixteen - two < self.BODY, (two / self.BODY, sixteen / self.BODY)
 
 
 class TestSaturatedFid:

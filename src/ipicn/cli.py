@@ -10,7 +10,6 @@ behind.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -49,10 +48,18 @@ def _atomic_output(path: str):
         raise
 
 
+def _read_text(path: str) -> str:
+    """A file's text; one that is not UTF-8 fails like one that cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def _load_inputs(args) -> tuple[TopologyDoc, Scenario]:
-    scenario = load_scenario(Path(args.scenario).read_text())
+    scenario = load_scenario(_read_text(args.scenario))
     seed = args.seed if args.seed is not None else scenario.seed
-    topo = load_topology_doc(Path(args.topology).read_text(), seed)
+    topo = load_topology_doc(_read_text(args.topology), seed)
     return topo, scenario
 
 
@@ -101,10 +108,8 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     try:
-        text = Path(args.topology).read_text()
-        doc = json.loads(text)
-        topo = load_topology_doc(doc, seed=1)
-    except (OSError, json.JSONDecodeError, TopologyError) as exc:
+        topo = load_topology_doc(_read_text(args.topology), seed=1)
+    except (OSError, TopologyError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     graph = topo.graph

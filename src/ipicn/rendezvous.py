@@ -50,6 +50,12 @@ class Rendezvous:
             matched |= self._subs.get(name.scope_prefix(depth), set())
         return frozenset(matched)
 
+    def _covered(self, name: IcnName) -> list[IcnName]:
+        """Live publications `name` covers; only a scope name scans them all."""
+        if name.is_item:
+            return [name] if name in self._pubs else []
+        return [pub_name for pub_name in self._pubs if covers(name, pub_name)]
+
     # -- state changes ---------------------------------------------------
 
     def subscribe(self, client: ClientId, name: IcnName) -> list[MatchEvent]:
@@ -58,10 +64,7 @@ class Rendezvous:
         Re-subscribing is idempotent: same state, same current matches.
         """
         self._subs.setdefault(name, set()).add(client)
-        matched = sorted(
-            (pub_name for pub_name in self._pubs if covers(name, pub_name)),
-            key=render_name,
-        )
+        matched = sorted(self._covered(name), key=render_name)
         events = []
         for pub_name in matched:
             subs = self.match_set(pub_name)
@@ -94,8 +97,8 @@ class Rendezvous:
         # every publication `name` covers had `client` in its match set, so
         # its trees stood; each changes where `client` is no longer matched
         affected = sorted(
-            ((publisher, pub_name) for pub_name, publishers in self._pubs.items()
-             if covers(name, pub_name) for publisher in publishers),
+            ((publisher, pub_name) for pub_name in self._covered(name)
+             for publisher in self._pubs[pub_name]),
             key=lambda pn: (pn[0], render_name(pn[1])),
         )
         events = []

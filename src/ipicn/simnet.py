@@ -104,7 +104,7 @@ def load_scenario(doc: dict | str) -> Scenario:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
@@ -579,12 +579,12 @@ class IcnSimulation(_AccountingMixin):
                 self.queue.push(self.now, lambda ev=ev: self._tm_handle(ev))
 
     def _tm_handle(self, ev: MatchEvent) -> None:
-        fd = handle_match(self.graph, ev)
+        tree = tree_for_match(self.graph, ev)
+        fd = handle_match(self.graph, ev, tree)
         key = (ev.publisher, ev.name)
         if fd.teardown:
             self._tree_edges.pop(key, None)
         else:
-            tree = tree_for_match(self.graph, ev)
             self._tree_edges[key] = frozenset((e.src, e.dst) for e in tree.edges)
         gw = self.gateways[ev.publisher]
         self._route_control(self._from_rv[gw.node], ev.name, _FID_PAYLOAD,

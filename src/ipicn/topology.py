@@ -170,7 +170,7 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise TopologyError(f"topology is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TopologyError("topology document must be a JSON object")
@@ -333,9 +333,11 @@ def fid_for_tree(g: NetworkGraph, tree: DeliveryTree) -> int:
     return fid
 
 
-def handle_match(g: NetworkGraph, ev: MatchEvent) -> FidDelivery:
-    """Turn a match event into the forwarding identifier for its publisher."""
-    tree = tree_for_match(g, ev)
+def handle_match(g: NetworkGraph, ev: MatchEvent,
+                 tree: DeliveryTree | None = None) -> FidDelivery:
+    """Turn a match event into its publisher's forwarding id (over `tree` if given)."""
+    if tree is None:
+        tree = tree_for_match(g, ev)
     return FidDelivery(
         publisher=ev.publisher,
         name=ev.name,
@@ -345,7 +347,7 @@ def handle_match(g: NetworkGraph, ev: MatchEvent) -> FidDelivery:
 
 
 def tree_for_match(g: NetworkGraph, ev: MatchEvent) -> DeliveryTree:
-    """The delivery tree handle_match encodes (exposed for accounting)."""
+    """The delivery tree handle_match encodes."""
     root = g.attach_node(ev.publisher)
     leaves = {g.attach_node(s) for s in ev.subscribers} - {root}
     return shortest_path_tree(g, root, leaves)

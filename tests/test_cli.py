@@ -11,6 +11,8 @@ import pytest
 
 from ipicn.cli import main
 from ipicn.gateways import MAX_RESPONSE_BYTES
+from ipicn.simnet import ScenarioError, load_scenario
+from ipicn.topology import TopologyError, load_topology_doc
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,6 +31,13 @@ SCENARIO = {
         {"t_us": 1000, "op": "send_ip", "client": 1, "src": "10.0.1.5",
          "dst": "8.8.8.8", "bytes": 100},
     ],
+}
+
+
+# Input files that no JSON document can be read from, by how they fail.
+UNREADABLE = {
+    "not_utf8": b"\xff\xfe{}",
+    "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
 }
 
 
@@ -270,6 +279,18 @@ class TestRun:
         assert "'cdn.example' is already served by client 1" in capsys.readouterr().err
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("content", sorted(UNREADABLE))
+    @pytest.mark.parametrize("which", ["topo", "scenario"])
+    def test_unreadable_input_exits_2_and_leaves_no_file(self, paths, capsys, which,
+                                                         content):
+        paths[which].write_bytes(UNREADABLE[content])
+        trace = paths["dir"] / "t.csv"
+        before = sorted(paths["dir"].rglob("*"))
+        assert main(run_args(paths, mode="icn", extra=("--trace", str(trace)))) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert sorted(paths["dir"].rglob("*")) == before  # no report, trace or temp file
+
     def test_ip_mode_has_no_control_traffic(self, paths):
         assert main(run_args(paths, mode="ip")) == 0
         report = json.loads(paths["out"].read_text())
@@ -310,6 +331,22 @@ class TestValidate:
 
     def test_missing_file_exits_2(self, paths):
         assert main(["validate", str(paths["dir"] / "absent.json")]) == 2
+
+    @pytest.mark.parametrize("content", sorted(UNREADABLE))
+    def test_unreadable_file_exits_2(self, paths, capsys, content):
+        paths["topo"].write_bytes(UNREADABLE[content])
+        assert main(["validate", str(paths["topo"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid: ") and captured.err.count("\n") == 1
+
+
+def test_loaders_reject_too_deeply_nested_text_with_their_own_error():
+    text = UNREADABLE["nested_too_deep"].decode()
+    with pytest.raises(ScenarioError):
+        load_scenario(text)
+    with pytest.raises(TopologyError):
+        load_topology_doc(text, seed=1)
 
 
 class TestHashSeed:

@@ -322,3 +322,56 @@ class TestReferenceEquivalence:
                 assert got == want
                 emitted += len(got) if isinstance(got, list) else got is not None
         assert emitted > 1000  # the streams really exercise matching
+
+
+class TestItemNameLookup:
+    """An item name covers only itself, so matching it scans no publication;
+    a scope name still scans every live one."""
+
+    @pytest.fixture
+    def published(self):
+        rv, ref = Rendezvous(), SortThenFilterRendezvous()
+        for i in range(1000):
+            item, client = name(0xA, i % 10, item=i), 1 + i % 7
+            assert rv.publish_availability(client, item) == ref.publish_availability(
+                client, item
+            )
+        return rv, ref
+
+    @pytest.fixture
+    def covers_calls(self, monkeypatch):
+        from ipicn import rendezvous
+
+        calls = []
+
+        def counting(sub, item):
+            calls.append((sub, item))
+            return covers(sub, item)
+
+        monkeypatch.setattr(rendezvous, "covers", counting)
+        return calls
+
+    def test_item_name_subscribe_and_unsubscribe_call_covers_zero_times(
+        self, published, covers_calls
+    ):
+        rv, ref = published
+        live, absent = name(0xA, 3, item=3), name(0xA, 3, item=4)
+        for item in (live, absent):
+            assert rv.subscribe(9, item) == ref.subscribe(9, item)
+            assert rv.subscribe(8, item) == ref.subscribe(8, item)
+        assert [ev.name for ev in rv.subscribe(9, live)] == [live]
+        for item in (live, absent):
+            assert rv.unsubscribe(9, item) == ref.unsubscribe(9, item)
+        assert rv.unsubscribe(8, live) == [MatchEvent(live, 4, frozenset())]
+        assert covers_calls == []
+
+    def test_scope_name_subscribe_scans_and_matches_reference(
+        self, published, covers_calls
+    ):
+        rv, ref = published
+        scope = name(0xA, 3)
+        got = rv.subscribe(9, scope)
+        assert len(covers_calls) == 1000
+        assert got == ref.subscribe(9, scope)
+        assert len(got) == 100 and {ev.name.scopes for ev in got} == {scope.scopes}
+        assert rv.unsubscribe(9, scope) == ref.unsubscribe(9, scope)

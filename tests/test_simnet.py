@@ -536,6 +536,28 @@ class TestTrace:
         assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
+class TestOneTreePerMatch:
+    def test_small_demo_builds_each_match_tree_once(self, monkeypatch):
+        from ipicn import topology
+
+        calls = {"handle_match": 0, "tree_for_match": 0}
+
+        def counting(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return wrapper
+
+        for module in (simnet, topology):
+            for name in calls:
+                monkeypatch.setattr(module, name, counting(getattr(topology, name)))
+        scenario = load_scenario((DEMO_DATA / "small_scenario.json").read_text())
+        topo = load_topology_doc((DEMO_DATA / "small.json").read_text(), scenario.seed)
+        IcnSimulation(topo, scenario).run()
+        assert calls["handle_match"] > 0
+        assert calls["tree_for_match"] == calls["handle_match"]
+
+
 class TestConservation:
     def test_per_link_data_bytes_match_hand_routed_paths(self):
         # square 1-2-3-4 plus chord 1-4; NAP1 at node 2, NAP2 at node 4,

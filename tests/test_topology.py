@@ -18,6 +18,7 @@ from ipicn.topology import (
     handle_match,
     load_topology_doc,
     shortest_path_tree,
+    tree_for_match,
 )
 
 
@@ -309,3 +310,21 @@ class TestHandleMatch:
         )
         with pytest.raises(TopologyError):
             handle_match(doc.graph, MatchEvent(item_name(), 1, frozenset({8})))
+
+    def test_given_tree_gives_the_same_delivery_as_building_it(self):
+        rng = random.Random(67)
+        teardowns = locals_ = 0
+        for trial in range(40):
+            nodes, pairs = random_connected_graph(rng, rng.randint(2, 20), 8)
+            clients = range(1, rng.randint(2, 8) + 1)
+            naps = [{"client": c, "node": rng.choice(nodes), "prefixes": []}
+                    for c in clients]
+            g = make_topology_doc(nodes, pairs, naps=naps, seed=trial).graph
+            for _ in range(10):
+                subscribers = frozenset(rng.sample(clients, rng.randint(0, len(clients))))
+                ev = MatchEvent(item_name(), rng.choice(clients), subscribers)
+                fd = handle_match(g, ev)
+                assert handle_match(g, ev, tree_for_match(g, ev)) == fd
+                teardowns += fd.teardown
+                locals_ += fd.local
+        assert teardowns and locals_  # both special cases are exercised

@@ -12,11 +12,13 @@ it holds a standing subscription to the external scope and encapsulates
 ingress traffic under internal names.
 
 Devices only ever see IpPacket and HttpResponse values; no ICN type
-crosses the device boundary. Gateways only report, keeping no copy: each
-decoded IP arrival for their own address or scope, duplicates included,
-goes to `note_ip_delivered` or `note_peer_emitted`, each dropped packet (a
-full pending queue, an ingress address outside the operator's plan) to
-`note_ip_dropped`, and each completed HTTP response to `note_http_complete`.
+crosses the device boundary. A gateway's `on_icn_data` says whether a data
+copy is its own; the environment counts the refusals. Gateways only report,
+keeping no copy: each decoded IP arrival for their own address or scope,
+duplicates included, goes to `note_ip_delivered` or `note_peer_emitted`,
+each dropped packet (a full pending queue, an ingress address outside the
+operator's plan) to `note_ip_dropped`, and each completed HTTP response to
+`note_http_complete`.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ class _IcnClient:
         )
         self.env.transmit(self.client, pkt)
         if local:
-            self.on_icn_data(pkt, loopback=True)
+            self.on_icn_data(pkt)  # the publisher's own copy: its verdict is not counted
 
     def on_fid(self, d: FidDelivery) -> None:
         """Cache a delivered forwarding id and flush everything buffered.
@@ -248,7 +250,8 @@ class _IcnClient:
                 self._emit(d.name, payload, cached)
             self.env.unpublish(self.client, d.name)
 
-    def on_icn_data(self, pkt: IcnPacket, loopback: bool = False) -> None:
+    def on_icn_data(self, pkt: IcnPacket) -> bool:
+        """Take a data copy; False if it is not this gateway's."""
         raise NotImplementedError
 
 
@@ -316,44 +319,38 @@ class Nap(_IcnClient):
 
     # -- ICN-facing handlers ----------------------------------------------
 
-    def on_icn_data(self, pkt: IcnPacket, loopback: bool = False) -> None:
+    def on_icn_data(self, pkt: IcnPacket) -> bool:
         if pkt.kind != PacketKind.DATA:
             self.counters["protocol_violations"] += 1
-            return
+            return True
         root = pkt.name.scopes[0].value
         if root == ROOT_IP:
-            self._recv_ip(pkt, loopback)
-        elif root == ROOT_HTTP:
-            self._recv_http(pkt, loopback)
-        elif not loopback:
-            self.counters["fp_deliveries"] += 1
+            return self._recv_ip(pkt)
+        return root == ROOT_HTTP and self._recv_http(pkt)
 
-    def _recv_ip(self, pkt: IcnPacket, loopback: bool) -> None:
+    def _recv_ip(self, pkt: IcnPacket) -> bool:
         addr = self._device_names.get(pkt.name)
-        if addr is not None:
-            try:
-                ip = decode_ip_packet(pkt.payload)
-            except ValueError:
-                self.counters["corrupt"] += 1
-                return
-            if ip.dst == addr:
-                self.env.note_ip_delivered(self.client, ip)
-                return
-        if not loopback:
-            self.counters["fp_deliveries"] += 1
+        if addr is None:
+            return False
+        try:
+            ip = decode_ip_packet(pkt.payload)
+        except ValueError:
+            self.counters["corrupt"] += 1
+            return True
+        if ip.dst != addr:
+            return False
+        self.env.note_ip_delivered(self.client, ip)
+        return True
 
-    def _recv_http(self, pkt: IcnPacket, loopback: bool) -> None:
+    def _recv_http(self, pkt: IcnPacket) -> bool:
         name = pkt.name
         if name in self._gets:
             self._recv_response_segment(name, pkt.payload)
-            return
-        if len(name.scopes) == 3 and name.is_item:
-            scope = name.scope_prefix(3)
-            if scope in self._served:
-                self._recv_request(pkt.payload)
-                return
-        if not loopback:
-            self.counters["fp_deliveries"] += 1
+            return True
+        if len(name.scopes) == 3 and name.is_item and name.scope_prefix(3) in self._served:
+            self._recv_request(pkt.payload)
+            return True
+        return False
 
     def _recv_request(self, payload: bytes) -> None:
         try:
@@ -440,11 +437,11 @@ class BorderGateway(_IcnClient):
             return
         self.env.note_peer_emitted(self.client, ip)
 
-    def on_icn_data(self, pkt: IcnPacket, loopback: bool = False) -> None:
+    def on_icn_data(self, pkt: IcnPacket) -> bool:
         if pkt.kind != PacketKind.DATA:
             self.counters["protocol_violations"] += 1
-            return
-        if pkt.name.scopes[: 2] == external_scope().scopes:
-            self.egress(pkt)
-        elif not loopback:
-            self.counters["fp_deliveries"] += 1
+            return True
+        if pkt.name.scopes[: 2] != external_scope().scopes:
+            return False
+        self.egress(pkt)
+        return True

@@ -47,6 +47,7 @@ from .rendezvous import ClientId, MatchEvent, Rendezvous
 from .topology import (
     Link,
     TopologyDoc,
+    brief,
     dijkstra,
     handle_match,
     load_topology_doc,
@@ -110,7 +111,7 @@ def load_scenario(doc: dict | str) -> Scenario:
         raise ScenarioError("scenario document must be a JSON object")
     mode = doc.get("mode", "icn")
     if mode not in ("icn", "ip", "compare"):
-        raise ScenarioError(f"unknown mode: {mode!r}")
+        raise ScenarioError(f"unknown mode: {brief(mode)}")
     workload = doc.get("workload", [])
     if not isinstance(workload, list):
         raise ScenarioError("workload must be a list")
@@ -120,7 +121,7 @@ def load_scenario(doc: dict | str) -> Scenario:
         op = action.get("op")
         fields = _OP_FIELDS.get(op) if isinstance(op, str) else None
         if fields is None:
-            raise ScenarioError(f"unknown workload op: {op!r}")
+            raise ScenarioError(f"unknown workload op: {brief(op)}")
         t_us = action.get("t_us", -1)
         if type(t_us) is not int:  # skips the int() call for the common case
             try:
@@ -135,7 +136,7 @@ def load_scenario(doc: dict | str) -> Scenario:
                     value if kind is str else 0 <= value <= bound):
                 if key not in action:
                     raise ScenarioError(f"workload op {op!r} needs {key!r}")
-                raise ScenarioError(f"workload op {op!r} has an invalid {key!r}: {value!r}")
+                raise ScenarioError(f"workload op {op!r} has an invalid {key!r}: {brief(value)}")
     try:
         seed = int(doc.get("seed", 1))
     except (TypeError, ValueError, OverflowError):
@@ -438,7 +439,7 @@ def _check_workload(
             try:
                 addresses[text] = ipaddress.IPv4Address(text)
             except ValueError:
-                raise ScenarioError(f"invalid IPv4 address {text!r}") from None
+                raise ScenarioError(f"invalid IPv4 address {brief(text)}") from None
         return addresses[text]
 
     run_order = sorted(((int(a["t_us"]), a) for a in ops), key=itemgetter(0))
@@ -454,7 +455,7 @@ def _check_workload(
         nap = naps.get(client)
         if nap is None:
             if topo.border is None or client != topo.border.client:
-                raise UnknownClientError(f"workload references unknown client {client}")
+                raise UnknownClientError(f"workload references unknown client {brief(client)}")
             raise ScenarioError(f"client {client} is not a NAP")
         if op == "attach":
             attached.add(assign_address(parse(action["addr"]), nap.prefixes, attached))
@@ -463,11 +464,11 @@ def _check_workload(
             src = action["src"]
             parse(action["dst"])
             if owner.get(src) != client:
-                raise ScenarioError(f"send_ip source {src!r} not attached at client {client}")
+                raise ScenarioError(f"send_ip source {brief(src)} not attached at client {client}")
         elif op == "http_serve":
             fqdn = action["fqdn"]
             if server.setdefault(fqdn, client) != client:
-                raise ScenarioError(f"{fqdn!r} is already served by client {server[fqdn]}")
+                raise ScenarioError(f"{brief(fqdn)} is already served by client {server[fqdn]}")
     return addresses, run_order
 
 
@@ -501,15 +502,15 @@ class IcnSimulation(_AccountingMixin):
             self.border = BorderGateway(self, topo.border.client, topo.border.node, plan)
             self.gateways[topo.border.client] = self.border
 
-        self._clients_at: dict[int, tuple[ClientId, ...]] = {}
+        self._gateways_at: dict[int, tuple[Nap | BorderGateway, ...]] = {}
         for client in sorted(self.gateways):
-            node = self.gateways[client].node
-            self._clients_at[node] = self._clients_at.get(node, ()) + (client,)
+            gw = self.gateways[client]
+            self._gateways_at[gw.node] = self._gateways_at.get(gw.node, ()) + (gw,)
 
         # each gateway node's control paths from and to the RV; the graph is fixed
         pred = dijkstra(self.graph, self.rv_node)
         self._from_rv = {node: path_links(self.graph, pred, self.rv_node, node)
-                         for node in self._clients_at}
+                         for node in self._gateways_at}
         self._to_rv = {node: [self.graph.link(l.dst, l.src) for l in reversed(path)]
                        for node, path in self._from_rv.items()}
 
@@ -554,14 +555,11 @@ class IcnSimulation(_AccountingMixin):
 
     def transmit(self, client: ClientId, pkt: IcnPacket) -> None:
         """A gateway emits a data packet at its attachment node."""
-        node = self.gateways[client].node
-        meta = self._tree_edges.get((client, pkt.name), frozenset())
+        gw = self.gateways[client]
         size = pkt.wire_size
-        self._trace_row(node, "emit", None, size, pkt.name)
-        for other in self._clients_at.get(node, ()):
-            if other != client:
-                self.gateways[other].on_icn_data(pkt)
-        self._forward_from(node, pkt, pkt.ttl, size, None, meta)
+        self._trace_row(gw.node, "emit", None, size, pkt.name)
+        self._visit(gw.node, pkt, pkt.ttl, size, None,
+                    self._tree_edges.get((client, pkt.name), frozenset()), gw)
 
     # -- control plane ------------------------------------------------------
 
@@ -602,11 +600,17 @@ class IcnSimulation(_AccountingMixin):
 
     # -- data plane ----------------------------------------------------------
 
-    def _forward_from(self, node: int, pkt: IcnPacket, ttl: int, size: int,
-                      in_link: Link | None, meta: frozenset[tuple[int, int]]) -> None:
-        """Send `pkt`, here with `ttl` left, on every matching link. The TTL
-        and wire size travel in the events; every copy is the emitted packet,
-        so only one emitted with TTL 1 needs a copy to pass forward()'s check."""
+    def _visit(self, node: int, pkt: IcnPacket, ttl: int, size: int, in_link: Link | None,
+               meta: frozenset[tuple[int, int]],
+               publisher: Nap | BorderGateway | None = None) -> None:
+        """A data copy at `node`, here with `ttl` left: hand it to every gateway
+        there but its `publisher`, counting each refusal in `fp_deliveries`,
+        then send it on every matching link. The TTL and wire size travel in
+        the events; every copy is the emitted packet, so only one emitted with
+        TTL 1 needs a copy to pass forward()'s check."""
+        for gw in self._gateways_at.get(node, ()):
+            if gw is not publisher and not gw.on_icn_data(pkt):
+                self.counters["fp_deliveries"] += 1
         links = forward(self.graph, node, pkt if pkt.ttl > 1 else replace(pkt, ttl=2),
                         in_link)
         if ttl <= 1:
@@ -619,14 +623,7 @@ class IcnSimulation(_AccountingMixin):
             if (link.src, link.dst) not in meta:
                 self.counters["off_tree_forwards"] += 1
             self._cross(link, size, False, pkt.name,
-                        lambda l=link: self._arrive(l, pkt, ttl, size, meta))
-
-    def _arrive(self, link: Link, pkt: IcnPacket, ttl: int, size: int,
-                meta: frozenset[tuple[int, int]]) -> None:
-        node = link.dst
-        for client in self._clients_at.get(node, ()):
-            self.gateways[client].on_icn_data(pkt)
-        self._forward_from(node, pkt, ttl, size, link, meta)
+                        lambda l=link: self._visit(l.dst, pkt, ttl, size, l, meta))
 
     # -- workload -------------------------------------------------------------
 

@@ -158,10 +158,17 @@ def _entries(doc: dict, key: str) -> list[dict]:
 _FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
+def brief(value: object) -> str:
+    """`value`'s repr for an error line, cut to 80 characters and "...", so
+    an input value of any size leaves the line short."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
 def _field_error(what: str, entry: dict, exc: Exception) -> TopologyError:
     if isinstance(exc, KeyError):
-        return TopologyError(f"{what} entry needs {exc}: {entry!r}")
-    return TopologyError(f"{what} entry has a non-integer field: {entry!r}")
+        return TopologyError(f"{what} entry needs {exc}: {brief(entry)}")
+    return TopologyError(f"{what} entry has a non-integer field: {brief(entry)}")
 
 
 def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
@@ -241,8 +248,8 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
         client, node = gateway("nap", entry)
         try:
             prefixes = tuple(ipaddress.IPv4Network(p) for p in entry.get("prefixes", []))
-        except (TypeError, ValueError) as exc:
-            raise TopologyError(f"bad prefix on nap {client}: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # its text quotes the prefix
+            raise TopologyError(f"bad prefix on nap {client}: {brief(str(exc))}") from exc
         naps.append(NapConfig(client, node, prefixes))
 
     border = None

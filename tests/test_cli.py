@@ -34,6 +34,11 @@ SCENARIO = {
 }
 
 
+# Two NAPs, so one FQDN can be served twice.
+TWO_NAPS = dict(TOPOLOGY, naps=[*TOPOLOGY["naps"],
+                                {"client": 2, "node": 1, "prefixes": ["10.0.2.0/24"]}])
+HUGE = "x" * 1_000_000  # an input value no error line should echo in full
+
 # Input files that no JSON document can be read from, by how they fail.
 UNREADABLE = {
     "not_utf8": b"\xff\xfe{}",
@@ -291,6 +296,30 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert sorted(paths["dir"].rglob("*")) == before  # no report, trace or temp file
 
+    @pytest.mark.parametrize("which, edit", [
+        ("scenario", lambda doc: doc["workload"][0].update(addr=HUGE)),
+        ("scenario", lambda doc: doc["workload"][0].update(addr=[HUGE])),
+        ("scenario", lambda doc: doc["workload"][0].update(op=HUGE)),
+        ("scenario", lambda doc: doc.update(mode=HUGE)),
+        ("scenario", lambda doc: doc["workload"][1].update(src=HUGE)),
+        ("scenario", lambda doc: doc["workload"][1].update(dst=HUGE)),
+        ("scenario", lambda doc: doc["workload"].extend(
+            {"t_us": 0, "op": "http_serve", "client": c, "fqdn": HUGE} for c in (1, 2))),
+        ("topo", lambda doc: doc["nodes"][0].update(id=HUGE)),
+        ("topo", lambda doc: doc["naps"][0].update(prefixes=[HUGE])),
+    ], ids=["attach-addr", "list-addr", "op", "mode", "send-src", "send-dst",
+            "served-fqdn", "node-id", "nap-prefix"])
+    def test_huge_input_value_gives_one_short_error_line(self, paths, capsys, which, edit):
+        doc = json.loads(json.dumps(SCENARIO if which == "scenario" else TWO_NAPS))
+        edit(doc)
+        paths["topo"].write_text(json.dumps(TWO_NAPS))
+        paths[which].write_text(json.dumps(doc))
+        before = sorted(paths["dir"].rglob("*"))
+        assert main(run_args(paths, mode="icn")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200, err[:300]
+        assert sorted(paths["dir"].rglob("*")) == before
+
     def test_ip_mode_has_no_control_traffic(self, paths):
         assert main(run_args(paths, mode="ip")) == 0
         report = json.loads(paths["out"].read_text())
@@ -331,6 +360,14 @@ class TestValidate:
 
     def test_missing_file_exits_2(self, paths):
         assert main(["validate", str(paths["dir"] / "absent.json")]) == 2
+
+    def test_huge_prefix_gives_one_short_line(self, paths, capsys):
+        paths["topo"].write_text(json.dumps(dict(TOPOLOGY, naps=[
+            {"client": 1, "node": 2, "prefixes": [HUGE]}])))
+        assert main(["validate", str(paths["topo"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: bad prefix on nap 1: ") and err.endswith("...\n")
+        assert len(err) < 200, err[:300]
 
     @pytest.mark.parametrize("content", sorted(UNREADABLE))
     def test_unreadable_file_exits_2(self, paths, capsys, content):

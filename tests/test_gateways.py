@@ -229,10 +229,9 @@ class TestOnIcnData:
         nap1.on_icn_data(icn)
         assert env.ip_deliveries == [(1, original)]
 
-    def test_unassigned_address_counts_false_positive(self, env, nap1):
+    def test_unassigned_address_is_refused(self, env, nap1):
         icn, _ = self.make_data(nap1, "10.0.2.9", "10.0.1.200")
-        nap1.on_icn_data(icn)
-        assert nap1.counters["fp_deliveries"] == 1
+        assert nap1.on_icn_data(icn) is False
         assert env.ip_deliveries == []
 
     def test_corrupt_payload_counted(self, nap1):
@@ -258,19 +257,42 @@ class TestOnIcnData:
             name=name_for_ip("10.0.1.200", Locality.INTERNAL),
             payload=b"\x00\x01",
         )
-        nap1.on_icn_data(foreign)
-        assert (nap1.counters["fp_deliveries"], nap1.counters["corrupt"]) == (1, 0)
-        nap1.on_icn_data(foreign, loopback=True)
-        assert (nap1.counters["fp_deliveries"], nap1.counters["corrupt"]) == (1, 0)
+        assert nap1.on_icn_data(foreign) is False
+        assert nap1.counters["corrupt"] == 0
 
-    def test_own_name_for_another_address_counts_false_positive(self, env, nap1):
+    def test_own_name_for_another_address_is_refused(self, env, nap1):
         nap1.attach_device("10.0.1.5")
         icn, _ = self.make_data(nap1, "10.0.2.9", "10.0.1.6")
         own = IcnPacket(icn.fid, icn.kind, name_for_ip("10.0.1.5", Locality.INTERNAL),
                         icn.payload)
-        nap1.on_icn_data(own)
-        assert nap1.counters["fp_deliveries"] == 1
+        assert nap1.on_icn_data(own) is False
         assert env.ip_deliveries == []
+
+    def test_verdict_is_false_only_for_a_copy_the_gateway_does_not_want(
+            self, env, nap1, nap2, border):
+        nap1.attach_device("10.0.1.5")
+        nap2.http_serve("cdn.example")
+        nap2.http_get("other.example", "/a", 10)
+        own, _ = self.make_data(nap1, "10.0.2.9", "10.0.1.5")
+        request = name_for_http("cdn.example", HttpRole.REQUEST, "/v/1")
+        response = name_for_http("other.example", HttpRole.RESPONSE, "/a")
+        outward = name_for_ip("8.8.8.8", Locality.EXTERNAL)
+        cases = [
+            (nap1, own, True),  # delivered
+            (nap1, IcnPacket(0, PacketKind.DATA, own.name, b"\x00"), True),  # corrupt
+            (nap1, IcnPacket(0, PacketKind.CTRL_SR, own.name, b""), True),  # violation
+            (nap2, IcnPacket(0, PacketKind.DATA, request,
+                             encode_http_request(1, "cdn.example", "/v/1", 10)), True),
+            (nap2, IcnPacket(0, PacketKind.DATA, response, struct.pack(">QQ", 0, 20)), True),
+            (nap1, IcnPacket(0, PacketKind.DATA, request, b""), False),
+            (nap1, IcnPacket(0, PacketKind.DATA, response, b""), False),
+            (border, IcnPacket(0, PacketKind.DATA, outward,
+                               encode_ip_packet(ip_packet("10.0.1.5", "8.8.8.8"))), True),
+            (border, own, False),
+        ]
+        assert [gw.on_icn_data(pkt) for gw, pkt, _ in cases] == [v for _, _, v in cases]
+        assert env.ip_deliveries and env.peer_emissions and nap2._exchanges
+        assert (nap1.counters["corrupt"], nap1.counters["protocol_violations"]) == (1, 1)
 
     def test_every_decoded_copy_is_reported(self, env, nap1):
         # the environment, not the NAP, tells a duplicate from a delivery

@@ -3,7 +3,10 @@
 - Flow statistics: the report's `flows` equal the two-pass formula over
   every arrival that reached the simulation's per-flow fold.
 - Per-link conservation: each link's `ctrl` and `data` trace rows add up
-  to its report `control_bytes` and `data_bytes`.
+  to its report `control_bytes` and `data_bytes`; and in ICN mode each
+  emission's bytes land once on each edge of its delivery tree, plus the
+  crossings counted in `off_tree_forwards` (over `test_mode_parity`'s IP and
+  border workloads).
 - Time-limit prefix: a run cut at `max_time_us = T` bills no link more
   bytes than the full run, folds exactly the full run's arrivals up to T,
   and counts one `time_limit_hits` exactly when the full run went past T.
@@ -14,10 +17,11 @@ and `http_get`, so IP, border and HTTP flows all take part.
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topology_doc
+from test_mode_parity import cases
 from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
 
 BORDER = 99
@@ -154,3 +158,50 @@ def test_a_time_limited_run_is_a_prefix_of_the_full_run(case, data):
         assert cut.folded == [r for r in full.folded if r[1] <= limit], cls.__name__
         hits = report.counters.get("time_limit_hits", 0)
         assert hits == (1 if full.now > limit else 0), cls.__name__
+
+
+class RecordingEmissions(IcnSimulation):
+    """Keeps each emission's wire size and the edges of the tree it was
+    emitted on."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.emissions: list[tuple[int, frozenset[tuple[int, int]]]] = []
+        super().__init__(*args, **kwargs)
+
+    def transmit(self, client, pkt) -> None:
+        self.emissions.append((pkt.wire_size,
+                               self._tree_edges.get((client, pkt.name), frozenset())))
+        super().transmit(client, pkt)
+
+
+def star_fetch():
+    """24 leaves around hub node 1, a NAP on each; half fetch one URL from
+    the first. With link-mask seed 14 the response fid matches one hub link
+    off the tree: a loop-free off-tree forward, which random cases rarely
+    make."""
+    leaves = range(2, 26)
+    doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=14,
+                            naps=[{"client": leaf - 1, "node": leaf,
+                                   "prefixes": [f"10.0.{leaf - 1}.0/24"]} for leaf in leaves])
+    wl = [{"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "a.example"}]
+    wl += [{"t_us": 10, "op": "http_get", "client": c, "fqdn": "a.example", "url": "/x",
+            "resp_bytes": 100} for c in range(2, 14)]
+    return doc, Scenario(workload=wl)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases())
+@example(case=star_fetch())
+def test_each_emission_lands_on_exactly_its_tree_edges(case):
+    doc, scenario = case
+    sim = RecordingEmissions(doc, scenario)
+    report = sim.run()
+    on_tree = {key: 0 for key in report.per_link}
+    for size, edges in sim.emissions:
+        for src, dst in edges:
+            on_tree[f"{src}->{dst}"] += size
+    billed = {key: v["data_bytes"] for key, v in report.per_link.items()}
+    if report.counters["off_tree_forwards"] == report.counters["ttl_drops"] == 0:
+        assert billed == on_tree
+    else:  # off-tree copies add crossings and take none away
+        assert all(billed[key] >= on_tree[key] for key in billed)

@@ -917,3 +917,62 @@ class TestSaturatedFid:
         assert report.flows["ip:10.0.1.5->10.0.2.5"]["delivered"] == 3
         assert hashlib.sha1(report.to_canonical_json().encode()).hexdigest() == self.REPORT_SHA1
         assert hashlib.sha1("\n".join(rows).encode()).hexdigest() == self.TRACE_SHA1
+
+
+class TestFpDeliveries:
+    """Gateways say whether a copy is theirs; the simulation alone counts
+    each refusal of a copy it hands out in `fp_deliveries`."""
+
+    # line 1 - 2 - 3: the publisher, a co-located subscriber and a bystander
+    # at node 1, a bystander at transit node 2, a subscriber at node 3
+    NAPS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3}  # client -> node
+
+    @classmethod
+    def inputs(cls, local_sends, far_sends):
+        doc = line_doc(2, naps=[{"client": c, "node": n, "prefixes": [f"10.0.{c}.0/24"]}
+                                for c, n in cls.NAPS.items()])
+        wl = [{"t_us": 0, "op": "attach", "client": c, "addr": f"10.0.{c}.9"}
+              for c in cls.NAPS]
+        wl += [{"t_us": 10_000 + 1000 * k, "op": "send_ip", "client": 1, "src": "10.0.1.9",
+                "dst": dst, "bytes": 100}
+               for k, dst in enumerate(["10.0.2.9"] * local_sends + ["10.0.5.9"] * far_sends)]
+        return doc, Scenario(workload=wl)
+
+    @staticmethod
+    def run_with_verdicts(monkeypatch, doc, scenario):
+        """The report and each gateway's (client, verdict) in call order."""
+        from ipicn.gateways import BorderGateway, Nap
+
+        verdicts = []
+        for cls in (Nap, BorderGateway):
+            def spy(self, pkt, on_icn_data=cls.on_icn_data):
+                verdict = on_icn_data(self, pkt)
+                verdicts.append((self.client, verdict))
+                return verdict
+            monkeypatch.setattr(cls, "on_icn_data", spy)
+        return IcnSimulation(doc, scenario).run(), verdicts
+
+    def test_bystanders_count_one_each_per_copy_and_the_publisher_none(self, monkeypatch):
+        local_sends, far_sends = 3, 2
+        report, verdicts = self.run_with_verdicts(monkeypatch,
+                                                  *self.inputs(local_sends, far_sends))
+        refused = {c: [v for client, v in verdicts if client == c].count(False)
+                   for c in self.NAPS}
+        # the publisher refuses its own local copy of each co-located send, uncounted;
+        # the co-located subscriber refuses each far copy
+        assert refused == {1: local_sends, 2: far_sends, 3: local_sends + far_sends,
+                           4: far_sends, 5: 0}
+        assert report.counters["off_tree_forwards"] == 0
+        assert report.counters["fp_deliveries"] == local_sends + 3 * far_sends
+        assert sum(f["delivered"] for f in report.flows.values()) == local_sends + far_sends
+
+    @pytest.mark.parametrize("demo", [True, False], ids=["small-demo", "transit-bystander"])
+    def test_report_counts_every_refused_copy(self, monkeypatch, demo):
+        if demo:
+            scenario = load_scenario((DEMO_DATA / "small_scenario.json").read_text())
+            doc = load_topology_doc((DEMO_DATA / "small.json").read_text(), scenario.seed)
+        else:  # no local copies: every call comes from the simulation
+            doc, scenario = self.inputs(0, 4)
+        report, verdicts = self.run_with_verdicts(monkeypatch, doc, scenario)
+        assert verdicts and all(type(v) is bool for _, v in verdicts)
+        assert report.counters["fp_deliveries"] == [v for _, v in verdicts].count(False)

@@ -8,10 +8,11 @@ compares it with the analytic estimate rho^5, where rho is the fraction
 of identifier bits set.
 """
 
+import dataclasses
 import json
 import random
 
-from ipicn import IcnPacket, PacketKind, fid_for_tree, forward, shortest_path_tree
+from ipicn import IcnPacket, fid_for_tree, forward, shortest_path_tree
 from ipicn.names import IcnName, NsId
 from ipicn.topology import load_topology_doc
 
@@ -33,7 +34,7 @@ def random_doc(rng, n_nodes, n_links, seed):
 
 
 def walk(g, root, fid, tree_pairs):
-    pkt = IcnPacket(fid=fid, kind=PacketKind.DATA, name=IcnName((NsId(1),)))
+    pkt = IcnPacket(fid=fid, name=IcnName((NsId(1),)))
     trials = hits = 0
     reached = set()
     frontier = [(root, pkt, None)]
@@ -43,8 +44,7 @@ def walk(g, root, fid, tree_pairs):
             if (link.src, link.dst) not in tree_pairs:
                 hits += 1
             reached.add(link.dst)
-            frontier.append((link.dst, IcnPacket(fid, copy.kind, copy.name,
-                                                 ttl=copy.ttl - 1), link))
+            frontier.append((link.dst, dataclasses.replace(copy, ttl=copy.ttl - 1), link))
         if copy.ttl > 1:
             for link in g.out_links(node):
                 if in_link is not None and link.dst == in_link.src:

@@ -11,7 +11,6 @@ result against a plain-IP unicast baseline.
 from .forwarding import (
     DEFAULT_TTL,
     IcnPacket,
-    PacketKind,
     decode_packet,
     encode_packet,
     forward,
@@ -88,7 +87,6 @@ __all__ = [
     "Nap",
     "NetworkGraph",
     "NsId",
-    "PacketKind",
     "Rendezvous",
     "Scenario",
     "TopologyDoc",

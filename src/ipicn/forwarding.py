@@ -9,7 +9,6 @@ mask false positives can otherwise produce.
 
 from __future__ import annotations
 
-import enum
 import random
 import struct
 from dataclasses import dataclass
@@ -25,24 +24,15 @@ LID_SET_BITS = 5
 DEFAULT_TTL = 32
 MAX_PAYLOAD = 65535
 
-# fid 32 | ttl 1 | kind 1 | depth 1 | item-flag 1 | elements 8 each | len 2
+# fid 32 | ttl 1 | reserved 1 (0) | depth 1 | item-flag 1 | elements 8 each | len 2
 _FIXED_OVERHEAD = 32 + 4 + 2
-
-
-class PacketKind(enum.IntEnum):
-    DATA = 0
-    CTRL_PR = 1  # availability publication towards the rendezvous
-    CTRL_RT = 2  # RV instructing the TM: never sent, as the two share a node
-    CTRL_TP = 3  # forwarding identifier delivery to a publisher
-    CTRL_SR = 4  # subscription towards the rendezvous
 
 
 @dataclass(frozen=True)
 class IcnPacket:
-    """On-wire unit: forwarding id, TTL, kind, name, opaque payload."""
+    """On-wire data unit: forwarding id, TTL, name, opaque payload."""
 
     fid: int
-    kind: PacketKind
     name: IcnName
     payload: bytes = b""
     ttl: int = DEFAULT_TTL
@@ -117,9 +107,7 @@ def encode_packet(pkt: IcnPacket) -> bytes:
     elems = list(name.scopes) + ([name.item] if name.item is not None else [])
     parts = [
         pkt.fid.to_bytes(32, "big"),
-        struct.pack(
-            ">BBBB", pkt.ttl, pkt.kind, len(name.scopes), 1 if name.is_item else 0
-        ),
+        struct.pack(">BBBB", pkt.ttl, 0, len(name.scopes), 1 if name.is_item else 0),
     ]
     parts.extend(e.value.to_bytes(8, "big") for e in elems)
     parts.append(struct.pack(">H", len(pkt.payload)))
@@ -128,19 +116,18 @@ def encode_packet(pkt: IcnPacket) -> bytes:
 
 
 def decode_packet(buf: bytes) -> IcnPacket:
-    """Parse the wire layout; rejects truncation, bad depth and bad length."""
+    """Parse the wire layout; rejects truncation, a non-zero reserved byte,
+    bad depth and bad length."""
     if len(buf) < _FIXED_OVERHEAD + 8:
         raise ValueError("buffer shorter than minimal packet")
     fid = int.from_bytes(buf[:32], "big")
-    ttl, kind_raw, depth, item_flag = struct.unpack(">BBBB", buf[32:36])
+    ttl, reserved, depth, item_flag = struct.unpack(">BBBB", buf[32:36])
     if not 1 <= depth <= MAX_DEPTH:
         raise ValueError(f"name depth out of range: {depth}")
     if item_flag not in (0, 1):
         raise ValueError(f"bad item flag: {item_flag}")
-    try:
-        kind = PacketKind(kind_raw)
-    except ValueError:
-        raise ValueError(f"unknown packet kind: {kind_raw}") from None
+    if reserved:
+        raise ValueError(f"unknown packet kind: {reserved}")
     n_elems = depth + item_flag
     pos = 36
     if len(buf) < pos + 8 * n_elems + 2:
@@ -157,4 +144,4 @@ def decode_packet(buf: bytes) -> IcnPacket:
     name = IcnName(
         scopes=tuple(elems[:depth]), item=elems[depth] if item_flag else None
     )
-    return IcnPacket(fid=fid, kind=kind, name=name, payload=buf[pos:], ttl=ttl)
+    return IcnPacket(fid=fid, name=name, payload=buf[pos:], ttl=ttl)

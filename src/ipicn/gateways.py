@@ -30,7 +30,7 @@ from collections import Counter, deque
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 
-from .forwarding import DEFAULT_TTL, IcnPacket, PacketKind
+from .forwarding import DEFAULT_TTL, IcnPacket
 from .names import (
     ROOT_HTTP,
     ROOT_IP,
@@ -39,7 +39,6 @@ from .names import (
     Locality,
     external_scope,
     http_request_scope,
-    is_ancestor,
     name_for_http,
     name_for_ip,
 )
@@ -154,15 +153,6 @@ def synth_bytes(tag: str, size: int) -> bytes:
 
 
 @dataclass
-class HttpExchange:
-    """Server-side aggregation of concurrent requests for one URL."""
-
-    fqdn: str
-    url: str
-    response_size: int
-
-
-@dataclass
 class _GetState:
     fqdn: str
     url: str
@@ -180,16 +170,9 @@ class _IcnClient:
         self.client = client
         self.node = node
         self.counters: Counter[str] = Counter()
-        self._fid_cache: dict[IcnName, tuple[int, bool]] = {}
+        self._fids: dict[IcnName, tuple[int, bool]] = {}
         self._pending_ip: dict[IcnName, deque[IpPacket]] = {}
         self._pending_raw: dict[IcnName, list[bytes]] = {}
-
-    @property
-    def fid_cache(self) -> dict[IcnName, tuple[int, bool]]:
-        return self._fid_cache
-
-    def pending_depth(self, name: IcnName) -> int:
-        return len(self._pending_ip.get(name, ()))
 
     def _queue_ip(self, name: IcnName, pkt: IpPacket) -> None:
         queue = self._pending_ip.get(name)
@@ -215,7 +198,7 @@ class _IcnClient:
         self.env.publish_availability(self.client, name)
 
     def _send_encapsulated(self, name: IcnName, pkt: IpPacket) -> None:
-        cached = self._fid_cache.get(name)
+        cached = self._fids.get(name)
         if cached is None:
             self._queue_ip(name, pkt)
         else:
@@ -223,9 +206,7 @@ class _IcnClient:
 
     def _emit(self, name: IcnName, payload: bytes, cached: tuple[int, bool]) -> None:
         fid, local = cached
-        pkt = IcnPacket(
-            fid=fid, kind=PacketKind.DATA, name=name, payload=payload, ttl=DEFAULT_TTL
-        )
+        pkt = IcnPacket(fid=fid, name=name, payload=payload, ttl=DEFAULT_TTL)
         self.env.transmit(self.client, pkt)
         if local:
             self.on_icn_data(pkt)  # the publisher's own copy: its verdict is not counted
@@ -237,10 +218,10 @@ class _IcnClient:
         cache entry goes away and later sends queue again.
         """
         if d.teardown:
-            self._fid_cache.pop(d.name, None)
+            self._fids.pop(d.name, None)
             return
         cached = (d.fid, d.local)
-        self._fid_cache[d.name] = cached
+        self._fids[d.name] = cached
         queue = self._pending_ip.get(d.name)
         while queue:
             self._emit(d.name, encode_ip_packet(queue.popleft()), cached)
@@ -278,7 +259,8 @@ class Nap(_IcnClient):
         # rejected without decoding its payload
         self._device_names: dict[IcnName, ipaddress.IPv4Address] = {}
         self._served: set[IcnName] = set()  # request scopes of the FQDNs served here
-        self._exchanges: dict[IcnName, HttpExchange] = {}
+        # response name -> largest body size asked for in its open window
+        self._exchanges: dict[IcnName, int] = {}
         self._gets: dict[IcnName, _GetState] = {}
 
     # -- device-facing API (IP and HTTP values only) -----------------------
@@ -320,9 +302,6 @@ class Nap(_IcnClient):
     # -- ICN-facing handlers ----------------------------------------------
 
     def on_icn_data(self, pkt: IcnPacket) -> bool:
-        if pkt.kind != PacketKind.DATA:
-            self.counters["protocol_violations"] += 1
-            return True
         root = pkt.name.scopes[0].value
         if root == ROOT_IP:
             return self._recv_ip(pkt)
@@ -362,19 +341,18 @@ class Nap(_IcnClient):
             self.counters["corrupt"] += 1
             return
         resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
-        ex = self._exchanges.get(resp_name)
-        if ex is None:
-            self._exchanges[resp_name] = HttpExchange(fqdn=fqdn, url=url, response_size=size)
+        open_size = self._exchanges.get(resp_name)
+        if open_size is None:
+            self._exchanges[resp_name] = size
             self.env.call_at(self.env.now_us() + self.window_us,
-                             lambda: self._close_exchange(resp_name))
+                             lambda: self._close_exchange(resp_name, fqdn, url))
         else:
-            ex.response_size = max(ex.response_size, size)
+            self._exchanges[resp_name] = max(open_size, size)
 
-    def _close_exchange(self, resp_name: IcnName) -> None:
+    def _close_exchange(self, resp_name: IcnName, fqdn: str, url: str) -> None:
         """Window expiry: publish the response once for every requester; a
         later request for the URL opens a new exchange."""
-        ex = self._exchanges.pop(resp_name)
-        body = synth_bytes(f"{ex.fqdn}{ex.url}", ex.response_size)
+        body = synth_bytes(f"{fqdn}{url}", self._exchanges.pop(resp_name))
         total = len(body)
         self._publish_once(resp_name, [
             _SEGMENT_FRAME.pack(offset, total) + body[offset : offset + length]
@@ -425,23 +403,14 @@ class BorderGateway(_IcnClient):
             return
         self._send_encapsulated(name_for_ip(pkt.dst, Locality.INTERNAL), pkt)
 
-    def egress(self, pkt: IcnPacket) -> None:
-        """Externally-destined data leaving over the peering link."""
-        if not is_ancestor(external_scope(), pkt.name):
-            self.counters["protocol_violations"] += 1
-            return
+    def on_icn_data(self, pkt: IcnPacket) -> bool:
+        """Externally-destined data leaves over the peering link."""
+        if pkt.name.scopes[: 2] != external_scope().scopes:
+            return False
         try:
             ip = decode_ip_packet(pkt.payload)
         except ValueError:
             self.counters["corrupt"] += 1
-            return
-        self.env.note_peer_emitted(self.client, ip)
-
-    def on_icn_data(self, pkt: IcnPacket) -> bool:
-        if pkt.kind != PacketKind.DATA:
-            self.counters["protocol_violations"] += 1
             return True
-        if pkt.name.scopes[: 2] != external_scope().scopes:
-            return False
-        self.egress(pkt)
+        self.env.note_peer_emitted(self.client, ip)
         return True

@@ -400,6 +400,8 @@ class _AccountingMixin:
                 "duplicates": 0,
                 "fp_deliveries": 0,
                 "off_tree_forwards": 0,
+                # reserved and always 0: no packet other than data exists, but
+                # every pinned report and benchmark digest hashes this key
                 "protocol_violations": 0,
                 "ttl_drops": 0,
                 "unroutable_http": 0,

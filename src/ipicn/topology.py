@@ -189,7 +189,7 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
         except _FIELD_ERRORS as exc:
             raise _field_error("node", entry, exc) from None
         if node_id in nodes:
-            raise TopologyError(f"duplicate node id {node_id}")
+            raise TopologyError(f"duplicate node id {brief(node_id)}")
         nodes.append(node_id)
     if not nodes:
         raise TopologyError("topology has no nodes")
@@ -215,14 +215,14 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
         except _FIELD_ERRORS as exc:
             raise _field_error("link", entry, exc) from None
         if a == b:
-            raise TopologyError(f"self-loop link at node {a}")
+            raise TopologyError(f"self-loop link at node {brief(a)}")
         if a not in node_set or b not in node_set:
-            raise TopologyError(f"link references unknown node: {a}-{b}")
+            raise TopologyError(f"link references unknown node: {brief(a)}-{brief(b)}")
         if (a, b) in seen_pairs or (b, a) in seen_pairs:
-            raise TopologyError(f"duplicate link entry {a}-{b}")
+            raise TopologyError(f"duplicate link entry {brief(a)}-{brief(b)}")
         seen_pairs.add((a, b))
         if delay < 0 or cap <= 0:
-            raise TopologyError(f"bad delay/capacity on link {a}-{b}")
+            raise TopologyError(f"bad delay/capacity on link {brief(a)}-{brief(b)}")
         links.append(Link(a, b, delay, cap, next_lid()))
         links.append(Link(b, a, delay, cap, next_lid()))
 
@@ -235,9 +235,9 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
         except _FIELD_ERRORS as exc:
             raise _field_error(what, entry, exc) from None
         if not 0 <= client <= MAX_CLIENT_ID:
-            raise TopologyError(f"{what} client id {client} outside 0..{MAX_CLIENT_ID}")
+            raise TopologyError(f"{what} client id {brief(client)} outside 0..{MAX_CLIENT_ID}")
         if node not in node_set:
-            raise TopologyError(f"{what} client {client} attached to unknown node {node}")
+            raise TopologyError(f"{what} client {client} attached to unknown node {brief(node)}")
         if client in attachments:
             raise TopologyError(f"duplicate client id {client}")
         attachments[client] = node

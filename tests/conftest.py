@@ -3,6 +3,7 @@ simulations that capture what their delivery hooks see."""
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
 import random
@@ -66,10 +67,7 @@ def flood(g: NetworkGraph, origin: int, pkt: IcnPacket):
         for link in forward(g, node, copy, in_link):
             traversals.append((link.src, link.dst))
             arrivals[link.dst] = arrivals.get(link.dst, 0) + 1
-            frontier.append(
-                (link.dst, IcnPacket(copy.fid, copy.kind, copy.name,
-                                     copy.payload, copy.ttl - 1), link)
-            )
+            frontier.append((link.dst, dataclasses.replace(copy, ttl=copy.ttl - 1), link))
     return arrivals, traversals
 
 

@@ -13,7 +13,7 @@ from collections import Counter
 
 from conftest import CapturingIcnSimulation, make_topology_doc, random_connected_graph
 from ipicn import simnet
-from ipicn.forwarding import FID_BITS, IcnPacket, PacketKind
+from ipicn.forwarding import FID_BITS, IcnPacket
 from ipicn.gateways import BorderGateway, HttpResponse, IpPacket, Nap
 from ipicn.names import IcnName, NsId
 from ipicn.rendezvous import Rendezvous
@@ -208,7 +208,7 @@ def test_c4_tree_correctness():
 def _propagate_counting(g, root, tree, fid):
     """Walk a packet through the graph; count non-tree link evaluations."""
     tree_pairs = {(e.src, e.dst) for e in tree.edges}
-    pkt = IcnPacket(fid=fid, kind=PacketKind.DATA, name=IcnName((NsId(1),)))
+    pkt = IcnPacket(fid=fid, name=IcnName((NsId(1),)))
     arrivals: dict[int, int] = {}
     trials = hits = 0
     frontier = [(root, pkt.ttl, None)]

@@ -38,6 +38,7 @@ SCENARIO = {
 TWO_NAPS = dict(TOPOLOGY, naps=[*TOPOLOGY["naps"],
                                 {"client": 2, "node": 1, "prefixes": ["10.0.2.0/24"]}])
 HUGE = "x" * 1_000_000  # an input value no error line should echo in full
+BIG = 10**4000 - 1  # a 4,000-digit integer, which JSON reads and int() accepts
 
 # Input files that no JSON document can be read from, by how they fail.
 UNREADABLE = {
@@ -367,6 +368,28 @@ class TestValidate:
         assert main(["validate", str(paths["topo"])]) == 2
         err = capsys.readouterr().err
         assert err.startswith("invalid: bad prefix on nap 1: ") and err.endswith("...\n")
+        assert len(err) < 200, err[:300]
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"nodes": [{"id": BIG}, {"id": BIG}]}, "duplicate node id 9999"),
+        ({"nodes": [{"id": BIG}, {"id": 1}], "links": [{"a": BIG, "b": BIG}]},
+         "self-loop link at node 9999"),
+        ({"nodes": [{"id": 1}], "links": [{"a": 1, "b": BIG}]},
+         "link references unknown node: 1-9999"),
+        ({"nodes": [{"id": BIG}, {"id": 1}], "links": [{"a": BIG, "b": 1}, {"a": 1, "b": BIG}]},
+         "duplicate link entry 1-9999"),
+        ({"nodes": [{"id": BIG}, {"id": 1}], "links": [{"a": BIG, "b": 1, "delay_us": -1}]},
+         "bad delay/capacity on link 9999"),
+        (dict(TOPOLOGY, naps=[{"client": BIG, "node": 2}]), "nap client id 9999"),
+        (dict(TOPOLOGY, naps=[{"client": 1, "node": BIG}]),
+         "nap client 1 attached to unknown node 9999"),
+    ], ids=["duplicate-node", "self-loop", "unknown-node", "duplicate-link", "bad-delay",
+            "client-id", "attachment-node"])
+    def test_huge_integer_gives_one_short_line(self, paths, capsys, doc, message):
+        paths["topo"].write_text(json.dumps(doc))
+        assert main(["validate", str(paths["topo"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid: {message}") and err.count("\n") == 1, err[:300]
         assert len(err) < 200, err[:300]
 
     @pytest.mark.parametrize("content", sorted(UNREADABLE))

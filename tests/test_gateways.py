@@ -9,7 +9,7 @@ import pytest
 
 from conftest import SyncEnv
 from ipicn import gateways
-from ipicn.forwarding import IcnPacket, PacketKind
+from ipicn.forwarding import IcnPacket
 from ipicn.gateways import (
     MAX_RESPONSE_BYTES,
     PENDING_CAPACITY,
@@ -143,8 +143,9 @@ class TestSendIp:
             nap1.send_ip(ip_packet("10.0.1.5", "10.0.2.9", pid=pid))
         publishes = [c for c in env.control_log if c == ("publish", 1, dst_name)]
         assert len(publishes) == 1
-        assert nap1.pending_depth(dst_name) == 3
         assert env.emissions == []
+        nap1.on_fid(FidDelivery(1, dst_name, fid=1, local=False))
+        assert [decode_ip_packet(p.payload).id for _, p in env.emissions] == [1, 2, 3]
 
     def test_external_destination_uses_external_name(self, env, nap1):
         nap1.attach_device("10.0.1.5")
@@ -157,8 +158,9 @@ class TestSendIp:
         dst_name = name_for_ip("10.0.2.9", Locality.INTERNAL)
         nap1.on_fid(FidDelivery(1, dst_name, fid=1, local=False))
         nap1.send_ip(ip_packet("10.0.1.5", "10.0.2.9", pid=4))
+        assert [decode_ip_packet(p.payload).id for _, p in env.emissions] == [4]
+        nap1.on_fid(FidDelivery(1, dst_name, fid=1, local=False))  # nothing was queued
         assert len(env.emissions) == 1
-        assert nap1.pending_depth(dst_name) == 0
 
     def test_overflow_drops_oldest(self, env, nap1):
         nap1.attach_device("10.0.1.5")
@@ -187,7 +189,8 @@ class TestOnFid:
         nap1.on_fid(FidDelivery(1, dst_name, fid=0, local=False))
         nap1.send_ip(ip_packet("10.0.1.5", "10.0.2.9", pid=20))
         assert env.emissions == []
-        assert nap1.pending_depth(dst_name) == 1
+        nap1.on_fid(FidDelivery(1, dst_name, fid=2, local=False))
+        assert [(p.fid, decode_ip_packet(p.payload).id) for _, p in env.emissions] == [(2, 20)]
 
     def test_ip_name_is_not_announced_again_when_its_tree_is_rebuilt(self, env, nap1, nap2):
         nap1.attach_device("10.0.1.5")
@@ -196,10 +199,10 @@ class TestOnFid:
         first = ip_packet("10.0.1.5", "10.0.2.9", pid=1)
         nap1.send_ip(first)
         env.unsubscribe(2, dst_name)  # the tree is torn down
-        assert dst_name not in nap1.fid_cache
         second = ip_packet("10.0.1.5", "10.0.2.9", pid=2)
+        emitted = len(env.emissions)
         nap1.send_ip(second)
-        assert nap1.pending_depth(dst_name) == 1
+        assert len(env.emissions) == emitted  # queued, not sent on the stale fid
         env.subscribe(2, dst_name)  # and rebuilt from the standing publication
         assert env.ip_deliveries == [(2, first), (2, second)]
         assert [c for c in env.control_log if c[0] in ("publish", "unpublish")] == [
@@ -209,8 +212,11 @@ class TestOnFid:
     def test_unknown_name_populates_cache_without_publications(self, env, nap1):
         strange = name_for_ip("10.0.2.77", Locality.INTERNAL)
         nap1.on_fid(FidDelivery(1, strange, fid=5, local=False))
-        assert nap1.fid_cache[strange] == (5, False)
         assert env.emissions == []
+        nap1.attach_device("10.0.1.5")
+        nap1.send_ip(ip_packet("10.0.1.5", "10.0.2.77", pid=30))
+        assert [(p.name, p.fid) for _, p in env.emissions] == [(strange, 5)]
+        assert [c for c in env.control_log if c[0] == "publish"] == []
 
 
 class TestOnIcnData:
@@ -218,7 +224,6 @@ class TestOnIcnData:
         pkt = ip_packet(src, dst, pid=pid, payload=payload)
         return IcnPacket(
             fid=0,
-            kind=PacketKind.DATA,
             name=name_for_ip(dst, Locality.INTERNAL),
             payload=encode_ip_packet(pkt),
         ), pkt
@@ -238,7 +243,6 @@ class TestOnIcnData:
         nap1.attach_device("10.0.1.5")
         bad = IcnPacket(
             fid=0,
-            kind=PacketKind.DATA,
             name=name_for_ip("10.0.1.5", Locality.INTERNAL),
             payload=b"\x00\x01",
         )
@@ -253,7 +257,6 @@ class TestOnIcnData:
         nap1.attach_device("10.0.1.5")
         foreign = IcnPacket(
             fid=0,
-            kind=PacketKind.DATA,
             name=name_for_ip("10.0.1.200", Locality.INTERNAL),
             payload=b"\x00\x01",
         )
@@ -263,8 +266,7 @@ class TestOnIcnData:
     def test_own_name_for_another_address_is_refused(self, env, nap1):
         nap1.attach_device("10.0.1.5")
         icn, _ = self.make_data(nap1, "10.0.2.9", "10.0.1.6")
-        own = IcnPacket(icn.fid, icn.kind, name_for_ip("10.0.1.5", Locality.INTERNAL),
-                        icn.payload)
+        own = IcnPacket(icn.fid, name_for_ip("10.0.1.5", Locality.INTERNAL), icn.payload)
         assert nap1.on_icn_data(own) is False
         assert env.ip_deliveries == []
 
@@ -279,20 +281,19 @@ class TestOnIcnData:
         outward = name_for_ip("8.8.8.8", Locality.EXTERNAL)
         cases = [
             (nap1, own, True),  # delivered
-            (nap1, IcnPacket(0, PacketKind.DATA, own.name, b"\x00"), True),  # corrupt
-            (nap1, IcnPacket(0, PacketKind.CTRL_SR, own.name, b""), True),  # violation
-            (nap2, IcnPacket(0, PacketKind.DATA, request,
+            (nap1, IcnPacket(0, own.name, b"\x00"), True),  # corrupt
+            (nap2, IcnPacket(0, request,
                              encode_http_request(1, "cdn.example", "/v/1", 10)), True),
-            (nap2, IcnPacket(0, PacketKind.DATA, response, struct.pack(">QQ", 0, 20)), True),
-            (nap1, IcnPacket(0, PacketKind.DATA, request, b""), False),
-            (nap1, IcnPacket(0, PacketKind.DATA, response, b""), False),
-            (border, IcnPacket(0, PacketKind.DATA, outward,
+            (nap2, IcnPacket(0, response, struct.pack(">QQ", 0, 20)), True),
+            (nap1, IcnPacket(0, request, b""), False),
+            (nap1, IcnPacket(0, response, b""), False),
+            (border, IcnPacket(0, outward,
                                encode_ip_packet(ip_packet("10.0.1.5", "8.8.8.8"))), True),
             (border, own, False),
         ]
         assert [gw.on_icn_data(pkt) for gw, pkt, _ in cases] == [v for _, _, v in cases]
         assert env.ip_deliveries and env.peer_emissions and nap2._exchanges
-        assert (nap1.counters["corrupt"], nap1.counters["protocol_violations"]) == (1, 1)
+        assert nap1.counters["corrupt"] == 1
 
     def test_every_decoded_copy_is_reported(self, env, nap1):
         # the environment, not the NAP, tells a duplicate from a delivery
@@ -332,26 +333,24 @@ class TestBorder:
         border.ingress(dropped)
         assert env.ip_drops == [dropped]
 
-    def test_egress_rejects_internal_scope(self, env, border):
-        pkt = IcnPacket(
-            fid=0,
-            kind=PacketKind.DATA,
-            name=name_for_ip("10.0.1.5", Locality.INTERNAL),
-            payload=b"",
-        )
-        border.egress(pkt)
-        assert border.counters["protocol_violations"] == 1
+    def test_internal_scope_is_refused(self, env, border):
+        pkt = IcnPacket(fid=0, name=name_for_ip("10.0.1.5", Locality.INTERNAL), payload=b"")
+        assert border.on_icn_data(pkt) is False
+        assert border.counters == {}
+        assert env.peer_emissions == []
 
-    def test_egress_reports_every_decoded_copy(self, env, border):
+    def test_truncated_external_copy_counts_corrupt(self, env, border):
+        pkt = IcnPacket(fid=0, name=name_for_ip("8.8.8.8", Locality.EXTERNAL), payload=b"\x00")
+        assert border.on_icn_data(pkt) is True
+        assert border.counters == {"corrupt": 1}
+        assert env.peer_emissions == []
+
+    def test_every_decoded_copy_is_reported(self, env, border):
         inner = ip_packet("10.0.1.5", "8.8.8.8", pid=55)
-        pkt = IcnPacket(
-            fid=0,
-            kind=PacketKind.DATA,
-            name=name_for_ip("8.8.8.8", Locality.EXTERNAL),
-            payload=encode_ip_packet(inner),
-        )
-        border.egress(pkt)
-        border.egress(pkt)
+        pkt = IcnPacket(fid=0, name=name_for_ip("8.8.8.8", Locality.EXTERNAL),
+                        payload=encode_ip_packet(inner))
+        assert border.on_icn_data(pkt) is True
+        assert border.on_icn_data(pkt) is True
         assert env.peer_emissions == [(99, inner), (99, inner)]
         assert border.counters["duplicates"] == 0
 
@@ -419,7 +418,7 @@ class TestHttp:
         content = gateways.synth_bytes(f"{fqdn}{url}", size)
         resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
         segments = [
-            IcnPacket(0, PacketKind.DATA, resp_name, struct.pack(">QQ", offset, size)
+            IcnPacket(0, resp_name, struct.pack(">QQ", offset, size)
                       + content[offset : offset + length])
             for offset, length in body_segments(size)
         ]
@@ -479,7 +478,7 @@ class TestHttp:
         req_name = name_for_http("cdn.example", HttpRole.REQUEST, "/v/1")
         for payload in (json.dumps(request_doc).encode(),
                         encode_http_request(1, "cdn.example", "/v/1", 10)):
-            nap2.on_icn_data(IcnPacket(0, PacketKind.DATA, req_name, payload))
+            nap2.on_icn_data(IcnPacket(0, req_name, payload))
         # only the well-formed request opens an exchange
         assert nap2.counters["corrupt"] == 1
         assert len(nap2._exchanges) == 1
@@ -490,7 +489,7 @@ class TestHttp:
         req_name = name_for_http("cdn.example", HttpRole.REQUEST, "/v/1")
         resp_name = name_for_http("cdn.example", HttpRole.RESPONSE, "/v/1")
         for size in (10, 20):  # two windows close before anyone subscribes
-            nap2.on_icn_data(IcnPacket(0, PacketKind.DATA, req_name,
+            nap2.on_icn_data(IcnPacket(0, req_name,
                                        encode_http_request(1, "cdn.example", "/v/1", size)))
             env.advance(env.now + nap2.window_us + 1)
         assert env.emissions == []

@@ -18,7 +18,7 @@ from conftest import (
     random_connected_graph,
 )
 from ipicn import simnet
-from ipicn.forwarding import IcnPacket, PacketKind
+from ipicn.forwarding import IcnPacket
 from ipicn.gateways import encode_ip_packet
 from ipicn.names import Locality, name_for_ip
 from ipicn.simnet import (
@@ -594,8 +594,7 @@ class TestDataPath:
     def test_transmitted_ttl_bounds_the_copies(self, ttl, ttl_drops, crossed):
         doc = line_doc(2, naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]}])
         sim = IcnSimulation(doc, Scenario(workload=[]))
-        pkt = IcnPacket(fid=(1 << 256) - 1, kind=PacketKind.DATA,
-                        name=name_for_ip("10.0.2.9", Locality.INTERNAL),
+        pkt = IcnPacket(fid=(1 << 256) - 1, name=name_for_ip("10.0.2.9", Locality.INTERNAL),
                         payload=b"x", ttl=ttl)
         sim.transmit(1, pkt)
         report = sim.run()
@@ -660,8 +659,7 @@ class TestIpPacketFate:
         for op in attach:
             sim._inject(op)
         ip = sim._make_ip_packet(send)
-        copy = IcnPacket(fid=0, kind=PacketKind.DATA, name=name_for_ip(dst, locality),
-                         payload=encode_ip_packet(ip))
+        copy = IcnPacket(fid=0, name=name_for_ip(dst, locality), payload=encode_ip_packet(ip))
         sim.gateways[client].on_icn_data(copy)
         sim.gateways[client].on_icn_data(copy)
         return sim, rows

@@ -54,6 +54,9 @@ MAX_RESPONSE_BYTES = 1 << 24  # largest HTTP body a fetch may ask for: 257 segme
 _SEGMENT_FRAME = struct.Struct(">QQ")
 SEGMENT_CHUNK = MAX_IP_PAYLOAD
 
+_REQUEST = HttpRole.REQUEST.value
+_EXTERNAL_SCOPES = external_scope().scopes  # the first two scopes of every external name
+
 _IP_HEADER = struct.Struct(">4s4sBQ")
 IP_HEADER_SIZE = _IP_HEADER.size  # encapsulation bytes added to each IP payload
 
@@ -158,6 +161,7 @@ class _GetState:
     url: str
     count: int = 1
     buf: dict[int, memoryview] = field(default_factory=dict)
+    received: int = 0  # bytes buffered so far
 
 
 class _IcnClient:
@@ -258,7 +262,7 @@ class Nap(_IcnClient):
         # internal name -> attached address, so data under any other name is
         # rejected without decoding its payload
         self._device_names: dict[IcnName, ipaddress.IPv4Address] = {}
-        self._served: set[IcnName] = set()  # request scopes of the FQDNs served here
+        self._served: set[int] = set()  # host ids (fqdn hashes) of the FQDNs served here
         # response name -> largest body size asked for in its open window
         self._exchanges: dict[IcnName, int] = {}
         self._gets: dict[IcnName, _GetState] = {}
@@ -296,7 +300,7 @@ class Nap(_IcnClient):
     def http_serve(self, fqdn: str) -> None:
         """Register as the server for a host: subscribe to its request scope."""
         scope = http_request_scope(fqdn)
-        self._served.add(scope)
+        self._served.add(scope.scopes[1].value)
         self.env.subscribe(self.client, scope)
 
     # -- ICN-facing handlers ----------------------------------------------
@@ -323,10 +327,13 @@ class Nap(_IcnClient):
 
     def _recv_http(self, pkt: IcnPacket) -> bool:
         name = pkt.name
-        if name in self._gets:
-            self._recv_response_segment(name, pkt.payload)
+        state = self._gets.get(name)
+        if state is not None:
+            self._recv_response_segment(name, state, pkt.payload)
             return True
-        if len(name.scopes) == 3 and name.is_item and name.scope_prefix(3) in self._served:
+        scopes = name.scopes  # a request is /http/<host id>/<request role>~<url id>
+        if (len(scopes) == 3 and name.item is not None and scopes[2].value == _REQUEST
+                and scopes[1].value in self._served):
             self._recv_request(pkt.payload)
             return True
         return False
@@ -359,8 +366,7 @@ class Nap(_IcnClient):
             for offset, length in body_segments(total)
         ])
 
-    def _recv_response_segment(self, name: IcnName, payload: bytes) -> None:
-        state = self._gets[name]
+    def _recv_response_segment(self, name: IcnName, state: _GetState, payload: bytes) -> None:
         if len(payload) < _SEGMENT_FRAME.size:
             self.counters["corrupt"] += 1
             return
@@ -368,8 +374,10 @@ class Nap(_IcnClient):
         if offset in state.buf:
             self.counters["duplicates"] += 1
             return
-        state.buf[offset] = memoryview(payload)[_SEGMENT_FRAME.size :]  # shared, not copied
-        if sum(len(c) for c in state.buf.values()) < total:
+        chunk = memoryview(payload)[_SEGMENT_FRAME.size :]  # shared, not copied
+        state.buf[offset] = chunk
+        state.received += len(chunk)
+        if state.received < total:
             return
         body = b"".join(state.buf[o] for o in sorted(state.buf))[:total]
         response = HttpResponse(fqdn=state.fqdn, url=state.url, body=body)
@@ -405,7 +413,7 @@ class BorderGateway(_IcnClient):
 
     def on_icn_data(self, pkt: IcnPacket) -> bool:
         """Externally-destined data leaves over the peering link."""
-        if pkt.name.scopes[: 2] != external_scope().scopes:
+        if pkt.name.scopes[: 2] != _EXTERNAL_SCOPES:
             return False
         try:
             ip = decode_ip_packet(pkt.payload)

@@ -59,12 +59,14 @@ class NsId:
         return cls(int(text, 16))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IcnName:
     """A scope path with an optional item identifier.
 
     A name without an item is scope-level and can cover whole subtrees;
     a name with an item designates one publishable information item.
+    `key` is the name's flat form, (scope values, item value or None):
+    names are equal exactly when their keys are, and compare by them.
     """
 
     scopes: tuple[NsId, ...]
@@ -78,17 +80,24 @@ class IcnName:
         # names key every table on the data path; hash once, with the value
         # the generated dataclass hash would give
         object.__setattr__(self, "_hash", hash((self.scopes, self.item)))
+        object.__setattr__(self, "key", (
+            tuple([s.value for s in self.scopes]),
+            None if self.item is None else self.item.value,
+        ))
 
     def __hash__(self) -> int:
         return self._hash
 
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
+
     @property
     def is_item(self) -> bool:
         return self.item is not None
-
-    def scope_prefix(self, depth: int) -> "IcnName":
-        """The scope-level name made of the first `depth` scopes."""
-        return IcnName(self.scopes[:depth])
 
 
 def fnv1a64(data: bytes) -> int:
@@ -134,7 +143,7 @@ def subnet_scope(prefix: ipaddress.IPv4Network | str, loc: Locality) -> IcnName:
 
 def external_scope() -> IcnName:
     """The scope every externally-destined address name falls under."""
-    return IcnName(scopes=(NsId(ROOT_IP), _loc_scope(Locality.EXTERNAL)))
+    return IcnName(scopes=_IP_PREFIX[Locality.EXTERNAL])
 
 
 def name_for_http(fqdn: str, role: HttpRole, url: str) -> IcnName:

@@ -35,7 +35,9 @@ class Rendezvous:
     """Single-instance matching state, mutated only by one event loop."""
 
     def __init__(self) -> None:
-        self._subs: dict[IcnName, set[ClientId]] = {}
+        # subscriptions by the subscribed name's `key`, so a scope prefix is
+        # looked up by slicing ints instead of building a name
+        self._subs: dict[tuple[tuple[int, ...], int | None], set[ClientId]] = {}
         self._pubs: dict[IcnName, set[ClientId]] = {}
 
     # -- queries ---------------------------------------------------------
@@ -44,10 +46,10 @@ class Rendezvous:
         """Clients whose subscription equals `name` or an ancestor scope."""
         if not name.is_item:
             raise ValueError("match_set takes an item name")
-        matched: set[ClientId] = set()
-        matched |= self._subs.get(name, set())
-        for depth in range(1, len(name.scopes) + 1):
-            matched |= self._subs.get(name.scope_prefix(depth), set())
+        matched = set(self._subs.get(name.key, ()))
+        scopes = name.key[0]
+        for depth in range(1, len(scopes) + 1):
+            matched |= self._subs.get((scopes[:depth], None), set())
         return frozenset(matched)
 
     def _covered(self, name: IcnName) -> list[IcnName]:
@@ -63,7 +65,7 @@ class Rendezvous:
 
         Re-subscribing is idempotent: same state, same current matches.
         """
-        self._subs.setdefault(name, set()).add(client)
+        self._subs.setdefault(name.key, set()).add(client)
         matched = sorted(self._covered(name), key=render_name)
         events = []
         for pub_name in matched:
@@ -86,14 +88,14 @@ class Rendezvous:
 
     def unsubscribe(self, client: ClientId, name: IcnName) -> list[MatchEvent]:
         """Drop a subscription; emit updates for every affected standing tree."""
-        holders = self._subs.get(name)
+        holders = self._subs.get(name.key)
         if holders is None or client not in holders:
             log.warning("unsubscribe without subscription: client=%s %s",
                         client, render_name(name))
             return []
         holders.discard(client)
         if not holders:
-            del self._subs[name]
+            del self._subs[name.key]
         # every publication `name` covers had `client` in its match set, so
         # its trees stood; each changes where `client` is no longer matched
         affected = sorted(

@@ -517,6 +517,8 @@ class IcnSimulation(_AccountingMixin):
                        for node, path in self._from_rv.items()}
 
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
+        # (node, fid, arrival node or -1 at emission) -> the links forward() matched
+        self._routes: dict[tuple[int, int, int], list[Link]] = {}
 
     # -- environment interface used by the gateways ------------------------
 
@@ -609,12 +611,21 @@ class IcnSimulation(_AccountingMixin):
         there but its `publisher`, counting each refusal in `fp_deliveries`,
         then send it on every matching link. The TTL and wire size travel in
         the events; every copy is the emitted packet, so only one emitted with
-        TTL 1 needs a copy to pass forward()'s check."""
+        TTL 1 needs a copy to pass forward()'s check.
+
+        The matching links depend only on the node, the fid and the arrival
+        link, never on the TTL, and the graph is fixed: so forward() runs once
+        per (node, fid, arrival node), with a TTL of at least 2, and
+        `_routes` keeps its answer for the rest of the run. Keys are ints
+        only, the arrival node being -1 for the emitting node's copy."""
         for gw in self._gateways_at.get(node, ()):
             if gw is not publisher and not gw.on_icn_data(pkt):
                 self.counters["fp_deliveries"] += 1
-        links = forward(self.graph, node, pkt if pkt.ttl > 1 else replace(pkt, ttl=2),
-                        in_link)
+        key = (node, pkt.fid, -1 if in_link is None else in_link.src)
+        links = self._routes.get(key)
+        if links is None:
+            links = self._routes[key] = forward(
+                self.graph, node, pkt if pkt.ttl > 1 else replace(pkt, ttl=2), in_link)
         if ttl <= 1:
             if links:
                 self.counters["ttl_drops"] += 1

@@ -182,7 +182,7 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     if not isinstance(doc, dict):
         raise TopologyError("topology document must be a JSON object")
 
-    nodes: list[int] = []
+    nodes: set[int] = set()  # link masks follow link order, so node order is not kept
     for entry in _entries(doc, "nodes"):
         try:
             node_id = int(entry["id"])
@@ -190,7 +190,7 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
             raise _field_error("node", entry, exc) from None
         if node_id in nodes:
             raise TopologyError(f"duplicate node id {brief(node_id)}")
-        nodes.append(node_id)
+        nodes.add(node_id)
     if not nodes:
         raise TopologyError("topology has no nodes")
     node_set = frozenset(nodes)

@@ -227,6 +227,50 @@ class TestHash:
             assert hash(name) == hash(IcnName(tuple(name.scopes), name.item))
 
 
+class TestEquality:
+    """Names compare by their identifier values, as the generated dataclass
+    equality did, whichever `NsId` objects they were built from."""
+
+    def test_separately_built_equal_names_are_equal(self):
+        rng = random.Random(12)
+        names = [random_name(rng) for _ in range(500)] + [
+            name_for_ip("10.0.1.5", Locality.INTERNAL),
+            name_for_http("cdn.example", HttpRole.RESPONSE, "/v/1"),
+            external_scope(),
+        ]
+        for name in names:
+            twin = parse_name(render_name(name))  # new NsId objects throughout
+            assert twin is not name and twin.scopes[0] is not name.scopes[0]
+            assert twin == name and name == twin and not twin != name
+            item = None if name.item is None else name.item.value
+            assert twin.key == name.key == (tuple(scope_values(name)), item)
+            assert {name: 1}[twin] == 1
+
+    def test_agrees_with_element_wise_equality(self):
+        # values drawn from 0..2 so that many pairs are equal or differ in one place
+        rng = random.Random(13)
+        pool = [IcnName(tuple(NsId(rng.randrange(3)) for _ in range(rng.randint(1, 3))),
+                        NsId(rng.randrange(3)) if rng.random() < 0.5 else None)
+                for _ in range(120)]
+        for a in pool:
+            for b in pool:
+                assert (a == b) == ((a.scopes, a.item) == (b.scopes, b.item))
+
+    def test_item_and_scope_names_differ(self):
+        ab = IcnName((NsId(0xA), NsId(0xB)))
+        a_b = IcnName((NsId(0xA),), item=NsId(0xB))
+        ab_c = IcnName((NsId(0xA), NsId(0xB)), item=NsId(0xC))
+        assert ab != a_b and a_b != ab
+        assert ab != ab_c and ab_c != ab
+        assert ab == IcnName((NsId(0xA), NsId(0xB)), item=None)
+
+    def test_other_types_are_not_implemented(self):
+        name = name_for_ip("10.0.1.5", Locality.INTERNAL)
+        for other in (name.scopes, name.key, render_name(name), None):
+            assert name.__eq__(other) is NotImplemented
+            assert name != other and not name == other
+
+
 class TestTextualForm:
     def test_round_trip_random(self):
         rng = random.Random(31)

@@ -7,6 +7,7 @@ import json
 import math
 import random
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -915,6 +916,81 @@ class TestSaturatedFid:
         assert report.flows["ip:10.0.1.5->10.0.2.5"]["delivered"] == 3
         assert hashlib.sha1(report.to_canonical_json().encode()).hexdigest() == self.REPORT_SHA1
         assert hashlib.sha1("\n".join(rows).encode()).hexdigest() == self.TRACE_SHA1
+
+
+class TestForwardingMemo:
+    """forward() runs once per (node, fid, arrival node) in a run; later copies
+    take its links from the simulation's memo, and the TTL and off-tree rules
+    still apply to each copy."""
+
+    @staticmethod
+    def count_forward_calls(monkeypatch):
+        calls = Counter()
+        forward = simnet.forward
+
+        def spy(g, node, pkt, in_link=None):
+            calls[node, pkt.fid, -1 if in_link is None else in_link.src] += 1
+            return forward(g, node, pkt, in_link)
+
+        monkeypatch.setattr(simnet, "forward", spy)
+        return calls
+
+    @staticmethod
+    def off_tree_inputs(rounds):
+        """The off-tree scenario of `TestEntryPoints`, its fetches repeated
+        once a second: each round builds the same trees, so the same fids."""
+        text, sc = TestEntryPoints.inputs()
+        gets = [op for op in sc.workload if op["op"] == "http_get"]
+        wl = sc.workload + [dict(op, t_us=op["t_us"] + 1_000_000 * r)
+                            for r in range(1, rounds) for op in gets]
+        return load_topology_doc(text, sc.seed), Scenario(workload=wl, seed=sc.seed)
+
+    def test_forward_runs_once_per_key_and_a_warm_memo_counts_alike(self, monkeypatch):
+        calls = self.count_forward_calls(monkeypatch)
+        once = IcnSimulation(*self.off_tree_inputs(1)).run()
+        first_round = dict(calls)
+        calls.clear()
+        thrice = IcnSimulation(*self.off_tree_inputs(3)).run()
+        assert calls == first_round and set(calls.values()) == {1}  # rounds 2-3 call none
+        assert all(f["delivered"] == 3 for f in thrice.flows.values())
+        assert once.counters["off_tree_forwards"] > 0
+        for counter in ("off_tree_forwards", "fp_deliveries"):
+            assert thrice.counters[counter] == 3 * once.counters[counter]
+
+    def test_a_warm_memo_still_counts_ttl_drops(self, monkeypatch):
+        calls = self.count_forward_calls(monkeypatch)
+        doc = line_doc(2, naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]}])
+        sim = IcnSimulation(doc, Scenario(workload=[]))
+        fid = (1 << 256) - 1
+        name = name_for_ip("10.0.2.9", Locality.INTERNAL)
+
+        def send(ttl):
+            sim.transmit(1, IcnPacket(fid=fid, name=name, payload=b"x", ttl=ttl))
+
+        send(3)  # reaches node 3 and fills the memo for all three nodes
+        sim.call_at(1000, lambda: send(1))  # spent at the emitting node
+        sim.call_at(2000, lambda: send(2))  # spent at node 2
+        report = sim.run()
+        assert calls == {(1, fid, -1): 1, (2, fid, 1): 1, (3, fid, 2): 1}
+        assert report.counters["ttl_drops"] == 2
+        assert report.per_link["1->2"]["data_bytes"] == 2 * report.per_link["2->3"]["data_bytes"]
+
+    def test_each_arrival_node_has_its_own_entry(self, monkeypatch):
+        # line 1 - 2 - 3 with a NAP at each end: node 2 sees one fid arrive
+        # from both sides and must send each copy on away from where it came
+        calls = self.count_forward_calls(monkeypatch)
+        doc = line_doc(2, naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                                {"client": 3, "node": 3, "prefixes": ["10.0.3.0/24"]}])
+        sim = IcnSimulation(doc, Scenario(workload=[]))
+        fid = (1 << 256) - 1
+        name = name_for_ip("10.0.2.9", Locality.INTERNAL)
+        for client in (1, 3):
+            sim.transmit(client, IcnPacket(fid=fid, name=name, payload=b"x", ttl=4))
+        report = sim.run()
+        assert {(2, fid, 1), (2, fid, 3)} <= set(calls) and set(calls.values()) == {1}
+        size = IcnPacket(fid=fid, name=name, payload=b"x").wire_size
+        assert {k: v["data_bytes"] for k, v in report.per_link.items()} == {
+            "1->2": size, "2->1": size, "2->3": size, "3->2": size}
 
 
 class TestFpDeliveries:

@@ -100,6 +100,12 @@ class TestLoading:
         with pytest.raises(TopologyError, match="duplicate node"):
             load_topology_doc({"nodes": [{"id": 1}, {"id": 1}], "links": []}, 1).graph
 
+    def test_duplicate_among_many_nodes_names_the_id(self):
+        ids = list(range(2000)) + [1234]
+        doc = {"nodes": [{"id": i} for i in ids], "links": []}
+        with pytest.raises(TopologyError, match=r"^duplicate node id 1234$"):
+            load_topology_doc(doc, 1)
+
     def test_attachment_to_unknown_node_rejected(self):
         doc = {
             "nodes": [{"id": 1}],

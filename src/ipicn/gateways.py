@@ -23,6 +23,7 @@ operator's plan) to `note_ip_dropped`, and each completed HTTP response to
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import struct
@@ -59,6 +60,10 @@ _EXTERNAL_SCOPES = external_scope().scopes  # the first two scopes of every exte
 
 _IP_HEADER = struct.Struct(">4s4sBQ")
 IP_HEADER_SIZE = _IP_HEADER.size  # encapsulation bytes added to each IP payload
+
+# decoded header address: 4 packed bytes -> one shared IPv4Address, for at
+# most this many distinct addresses
+_address = functools.lru_cache(maxsize=4096)(ipaddress.IPv4Address)
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,8 @@ def decode_ip_packet(buf: bytes) -> IpPacket:
         raise ValueError("truncated IP encapsulation")
     src, dst, proto, pkt_id = _IP_HEADER.unpack_from(buf)
     return IpPacket(
-        src=ipaddress.IPv4Address(src),
-        dst=ipaddress.IPv4Address(dst),
+        src=_address(src),
+        dst=_address(dst),
         proto=proto,
         id=pkt_id,
         payload=buf[_IP_HEADER.size :],
@@ -122,7 +127,10 @@ class AddressPlan:
 
     def __contains__(self, addr: ipaddress.IPv4Address) -> bool:
         value = int(addr)
-        return any(value & mask in nets for mask, nets in self._by_mask)
+        for mask, nets in self._by_mask:
+            if value & mask in nets:
+                return True
+        return False
 
 
 def assign_address(

@@ -9,6 +9,7 @@ an "http" root keyed by hashed host and URL.
 from __future__ import annotations
 
 import enum
+import functools
 import ipaddress
 import re
 from dataclasses import dataclass
@@ -24,6 +25,9 @@ _FNV_PRIME = 0x100000001B3
 _U64 = 1 << 64
 
 _HEX_ELEM = re.compile(r"^[0-9a-f]{1,16}$")
+
+# distinct arguments for which the IP and HTTP name mappings each keep their name
+_INTERN_SIZE = 4096
 
 
 class Locality(enum.Enum):
@@ -117,9 +121,13 @@ _OCTETS = tuple(NsId(o) for o in range(256))
 _IP_PREFIX = {loc: (NsId(ROOT_IP), _loc_scope(loc)) for loc in Locality}
 
 
+@functools.lru_cache(maxsize=_INTERN_SIZE)
 def name_for_ip(addr: ipaddress.IPv4Address | str, loc: Locality) -> IcnName:
     """Item name for one IPv4 address: one scope per leading octet, the
-    final octet as the item."""
+    final octet as the item.
+
+    Interned: a repeated (addr, loc) returns the one name built for it, so
+    tables keyed by it match on identity. A bad argument raises every time."""
     if isinstance(addr, str):
         addr = ipaddress.IPv4Address(addr)
     o1, o2, o3, o4 = addr.packed
@@ -146,8 +154,10 @@ def external_scope() -> IcnName:
     return IcnName(scopes=_IP_PREFIX[Locality.EXTERNAL])
 
 
+@functools.lru_cache(maxsize=_INTERN_SIZE)
 def name_for_http(fqdn: str, role: HttpRole, url: str) -> IcnName:
-    """Item name for an HTTP request or response about (fqdn, url)."""
+    """Item name for an HTTP request or response about (fqdn, url); interned
+    like `name_for_ip`."""
     if not fqdn or not url:
         raise ValueError("fqdn and url must be non-empty")
     return IcnName(

@@ -63,6 +63,9 @@ DEFAULT_EXT_SRC = "203.0.113.1"
 _REQUEST_PAYLOAD = 4 + 1
 _FID_PAYLOAD = 4 + 32 + 1
 
+_NO_EDGES: frozenset[tuple[int, int]] = frozenset()  # a copy emitted on no standing tree
+_LOOSE_FIDS = 64  # fids without a standing tree whose forward() answers are kept
+
 # (field, JSON type, bound, default) per field of each workload op: an
 # integer with a bound must lie in 0..bound, a string with a bound must not
 # be empty, and a field whose default is None is required
@@ -517,8 +520,16 @@ class IcnSimulation(_AccountingMixin):
                        for node, path in self._from_rv.items()}
 
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
-        # (node, fid, arrival node or -1 at emission) -> the links forward() matched
-        self._routes: dict[tuple[int, int, int], list[Link]] = {}
+        self._tree_fids: dict[tuple[ClientId, IcnName], int] = {}
+        self._fid_trees: Counter[int] = Counter()  # fid -> standing trees that have it
+        # forward()'s answers per fid, (node, arrival node or -1 at emission)
+        # -> the links it matched. `_routes` holds them for the fid of each
+        # standing tree, `_loose_routes` for at most _LOOSE_FIDS others, least
+        # recently emitted first: copies in flight after their tree went, and
+        # a tree rebuilt later over the same edges, so with the same fid,
+        # still find their answers
+        self._routes: dict[int, dict[tuple[int, int], list[Link]]] = {}
+        self._loose_routes: dict[int, dict[tuple[int, int], list[Link]]] = {}
 
     # -- environment interface used by the gateways ------------------------
 
@@ -545,12 +556,12 @@ class IcnSimulation(_AccountingMixin):
                             lambda: self._to_tm(self.rv.unpublish(client, name)))
 
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
-        if self._record_ip_flow(ip, client):
+        if self._record_ip_flow(ip, client) and self._trace is not None:
             self._trace_row(self.gateways[client].node, "deliver", None,
                             len(ip.payload), ip.dst)
 
     def note_peer_emitted(self, client: ClientId, ip: IpPacket) -> None:
-        if self._record_ip_flow(ip, client):
+        if self._record_ip_flow(ip, client) and self._trace is not None:
             self._trace_row(self.gateways[client].node, "peer-out", None,
                             len(ip.payload), ip.dst)
 
@@ -561,9 +572,14 @@ class IcnSimulation(_AccountingMixin):
         """A gateway emits a data packet at its attachment node."""
         gw = self.gateways[client]
         size = pkt.wire_size
-        self._trace_row(gw.node, "emit", None, size, pkt.name)
+        if self._trace is not None:
+            self._trace_row(gw.node, "emit", None, size, pkt.name)
+        routes = self._routes.get(pkt.fid)
+        if routes is None:
+            routes = self._loose_routes.get(pkt.fid, {})
+            self._park(pkt.fid, routes)
         self._visit(gw.node, pkt, pkt.ttl, size, None,
-                    self._tree_edges.get((client, pkt.name), frozenset()), gw)
+                    self._tree_edges.get((client, pkt.name), _NO_EDGES), routes, gw)
 
     # -- control plane ------------------------------------------------------
 
@@ -584,13 +600,33 @@ class IcnSimulation(_AccountingMixin):
         tree = tree_for_match(self.graph, ev)
         fd = handle_match(self.graph, ev, tree)
         key = (ev.publisher, ev.name)
+        old_fid = self._tree_fids.pop(key, None)
         if fd.teardown:
             self._tree_edges.pop(key, None)
         else:
             self._tree_edges[key] = frozenset((e.src, e.dst) for e in tree.edges)
+            self._tree_fids[key] = fd.fid
+            if not self._fid_trees[fd.fid]:
+                self._routes[fd.fid] = self._loose_routes.pop(fd.fid, {})
+            self._fid_trees[fd.fid] += 1
+        if old_fid is not None:
+            self._fid_trees[old_fid] -= 1
+            if not self._fid_trees[old_fid]:  # its last standing tree is gone
+                del self._fid_trees[old_fid]
+                self._park(old_fid, self._routes.pop(old_fid))
         gw = self.gateways[ev.publisher]
         self._route_control(self._from_rv[gw.node], ev.name, _FID_PAYLOAD,
                             lambda: gw.on_fid(fd))
+
+    def _park(self, fid: int, routes: dict[tuple[int, int], list[Link]]) -> None:
+        """Keep `routes` for `fid`, which no standing tree has, as the most
+        recently used of the loose answers, dropping the least recent beyond
+        _LOOSE_FIDS. Copies in flight keep the answers they carry."""
+        loose = self._loose_routes
+        loose.pop(fid, None)
+        if len(loose) == _LOOSE_FIDS:
+            del loose[next(iter(loose))]
+        loose[fid] = routes
 
     def _route_control(
         self, path: list[Link], name: IcnName, payload_len: int,
@@ -605,7 +641,7 @@ class IcnSimulation(_AccountingMixin):
     # -- data plane ----------------------------------------------------------
 
     def _visit(self, node: int, pkt: IcnPacket, ttl: int, size: int, in_link: Link | None,
-               meta: frozenset[tuple[int, int]],
+               meta: frozenset[tuple[int, int]], routes: dict[tuple[int, int], list[Link]],
                publisher: Nap | BorderGateway | None = None) -> None:
         """A data copy at `node`, here with `ttl` left: hand it to every gateway
         there but its `publisher`, counting each refusal in `fp_deliveries`,
@@ -615,28 +651,29 @@ class IcnSimulation(_AccountingMixin):
 
         The matching links depend only on the node, the fid and the arrival
         link, never on the TTL, and the graph is fixed: so forward() runs once
-        per (node, fid, arrival node), with a TTL of at least 2, and
-        `_routes` keeps its answer for the rest of the run. Keys are ints
-        only, the arrival node being -1 for the emitting node's copy."""
+        per (node, arrival node) in `routes`, the answers kept for the copy's
+        fid (see `_routes`), with a TTL of at least 2. The arrival node is -1
+        for the emitting node's copy."""
         for gw in self._gateways_at.get(node, ()):
             if gw is not publisher and not gw.on_icn_data(pkt):
                 self.counters["fp_deliveries"] += 1
-        key = (node, pkt.fid, -1 if in_link is None else in_link.src)
-        links = self._routes.get(key)
+        key = (node, -1 if in_link is None else in_link.src)
+        links = routes.get(key)
         if links is None:
-            links = self._routes[key] = forward(
+            links = routes[key] = forward(
                 self.graph, node, pkt if pkt.ttl > 1 else replace(pkt, ttl=2), in_link)
         if ttl <= 1:
             if links:
                 self.counters["ttl_drops"] += 1
-                self._trace_row(node, "ttl-drop", None, size, pkt.name)
+                if self._trace is not None:
+                    self._trace_row(node, "ttl-drop", None, size, pkt.name)
             return
         ttl -= 1
         for link in links:
             if (link.src, link.dst) not in meta:
                 self.counters["off_tree_forwards"] += 1
             self._cross(link, size, False, pkt.name,
-                        lambda l=link: self._visit(l.dst, pkt, ttl, size, l, meta))
+                        lambda l=link: self._visit(l.dst, pkt, ttl, size, l, meta, routes))
 
     # -- workload -------------------------------------------------------------
 

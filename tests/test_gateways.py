@@ -88,6 +88,18 @@ class TestIpCodec:
         with pytest.raises(ValueError):
             decode_ip_packet(b"\x01" * 10)
 
+    def test_decoded_packets_share_equal_address_objects(self):
+        a = decode_ip_packet(encode_ip_packet(ip_packet("10.0.1.5", "10.0.2.9", pid=1)))
+        b = decode_ip_packet(encode_ip_packet(ip_packet("10.0.2.9", "10.0.1.5", pid=2)))
+        assert a.src is b.dst and a.dst is b.src
+        assert a.src == ipaddress.IPv4Address("10.0.1.5")
+        assert a.dst == ipaddress.IPv4Address("10.0.2.9")
+        assert hash(a.dst) == hash(ipaddress.IPv4Address("10.0.2.9"))
+
+    def test_the_address_cache_is_bounded(self):
+        maxsize = gateways._address.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+
     def test_payload_cap(self):
         with pytest.raises(ValueError):
             ip_packet("10.0.1.5", "10.0.2.9", payload=b"x" * 65508)

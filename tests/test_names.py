@@ -162,6 +162,46 @@ class TestHttpNames:
             name_for_http("cdn.example", HttpRole.REQUEST, "")
 
 
+class TestInterning:
+    """The IP and HTTP mappings build each distinct name once and hand the
+    same object out again; a bad argument is never remembered."""
+
+    def test_a_repeated_call_returns_the_same_equal_name(self):
+        addr = ipaddress.IPv4Address("10.0.1.5")
+        ip = name_for_ip(addr, Locality.INTERNAL)
+        assert name_for_ip(addr, Locality.INTERNAL) is ip
+        assert name_for_ip(ipaddress.IPv4Address("10.0.1.5"), Locality.INTERNAL) is ip
+        assert ip == IcnName((NsId(ROOT_IP), NsId(1), NsId(10), NsId(0), NsId(1)), NsId(5))
+        http = name_for_http("cdn.example", HttpRole.RESPONSE, "/v/1")
+        assert name_for_http("cdn.example", HttpRole.RESPONSE, "/v/1") is http
+        assert http == IcnName(
+            (NsId(ROOT_HTTP), NsId(fnv1a64(b"cdn.example")), NsId(HttpRole.RESPONSE.value)),
+            NsId(fnv1a64(b"/v/1")))
+
+    @pytest.mark.parametrize("call", [
+        lambda: name_for_ip("10.0.1.256", Locality.INTERNAL),
+        lambda: name_for_ip("10.0.1.5", "internal"),
+        lambda: name_for_http("", HttpRole.REQUEST, "/v/1"),
+        lambda: name_for_http("cdn.example", HttpRole.REQUEST, ""),
+    ])
+    def test_a_bad_argument_raises_on_every_call(self, call):
+        for _ in range(3):
+            with pytest.raises((ValueError, KeyError)):
+                call()
+
+    def test_every_cache_is_bounded(self):
+        for mapping in (name_for_ip, name_for_http):
+            maxsize = mapping.cache_info().maxsize
+            assert maxsize is not None and 0 < maxsize <= 1 << 16
+
+    def test_a_full_cache_still_gives_equal_names(self):
+        first = name_for_ip("10.0.1.5", Locality.EXTERNAL)
+        for value in range(name_for_ip.cache_info().maxsize + 1):  # evicts `first`
+            name_for_ip(ipaddress.IPv4Address(value), Locality.EXTERNAL)
+        again = name_for_ip("10.0.1.5", Locality.EXTERNAL)
+        assert again is not first and again == first and hash(again) == hash(first)
+
+
 def random_name(rng: random.Random, max_depth: int = MAX_DEPTH) -> IcnName:
     depth = rng.randint(1, max_depth)
     scopes = tuple(NsId(rng.getrandbits(64)) for _ in range(depth))

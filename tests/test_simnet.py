@@ -18,10 +18,10 @@ from conftest import (
     make_topology_doc,
     random_connected_graph,
 )
-from ipicn import simnet
+from ipicn import gateways, simnet
 from ipicn.forwarding import IcnPacket
 from ipicn.gateways import encode_ip_packet
-from ipicn.names import Locality, name_for_ip
+from ipicn.names import Locality, name_for_http, name_for_ip
 from ipicn.simnet import (
     BaselineSimulation,
     IcnSimulation,
@@ -537,6 +537,30 @@ class TestTrace:
         assert hashlib.sha1(text.encode()).hexdigest() == digest
 
 
+class TestInternedStateAcrossRuns:
+    """Names and decoded addresses are interned for the process, so a run
+    must not depend on the runs before it."""
+
+    SMALL_TRACE_SHA1 = "e2ac0d2a82c00e2a2d27081893b53d2f783857ed"  # as pinned in TestTrace
+
+    @staticmethod
+    def traced_run(demo):
+        scenario = load_scenario((DEMO_DATA / f"{demo}_scenario.json").read_text())
+        topo = load_topology_doc((DEMO_DATA / f"{demo}.json").read_text(), scenario.seed)
+        rows = []
+        report = IcnSimulation(topo, scenario, trace=rows.append).run()
+        return report.to_canonical_json(), "\n".join(rows)
+
+    def test_a_run_after_another_scenario_and_after_itself_is_unchanged(self):
+        for cache in (name_for_ip, name_for_http, gateways._address):
+            cache.cache_clear()
+        self.traced_run("star")
+        first = self.traced_run("small")
+        second = self.traced_run("small")
+        assert first == second
+        assert hashlib.sha1(first[1].encode()).hexdigest() == self.SMALL_TRACE_SHA1
+
+
 class TestOneTreePerMatch:
     def test_small_demo_builds_each_match_tree_once(self, monkeypatch):
         from ipicn import topology
@@ -991,6 +1015,42 @@ class TestForwardingMemo:
         size = IcnPacket(fid=fid, name=name, payload=b"x").wire_size
         assert {k: v["data_bytes"] for k, v in report.per_link.items()} == {
             "1->2": size, "2->1": size, "2->3": size, "3->2": size}
+
+
+class TestForwardingMemoBound:
+    """The memo keeps forward()'s answers for the run only for the fids of
+    standing trees, and for at most `_LOOSE_FIDS` other fids."""
+
+    def test_one_shot_fetches_leave_answers_only_for_standing_trees(self):
+        # a star of NAPs: each URL is fetched once, in one window, by its own
+        # four leaves, so each response tree and its fid is new, and every
+        # fetch's trees are torn down when it completes; one IP flow stands
+        leaves = range(2, 14)
+        doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=3,
+                                naps=[{"client": leaf, "node": leaf,
+                                       "prefixes": [f"10.0.{leaf}.0/24"]} for leaf in leaves])
+        rng = random.Random(8)
+        wl = [{"t_us": 0, "op": "http_serve", "client": 2, "fqdn": "a.example"},
+              {"t_us": 0, "op": "attach", "client": 2, "addr": "10.0.2.5"},
+              {"t_us": 0, "op": "attach", "client": 3, "addr": "10.0.3.5"},
+              {"t_us": 1, "op": "send_ip", "client": 3, "src": "10.0.3.5", "dst": "10.0.2.5"}]
+        wl += [{"t_us": 200_000 * url, "op": "http_get", "client": client,
+                "fqdn": "a.example", "url": f"/{url}", "resp_bytes": 10}
+               for url in range(1, 121) for client in rng.sample(leaves[1:], 4)]
+        emitted = set()
+
+        class Recording(IcnSimulation):
+            def transmit(self, client, pkt):
+                emitted.add(pkt.fid)
+                super().transmit(client, pkt)
+
+        sim = Recording(doc, Scenario(workload=wl))
+        report = sim.run()
+        assert sum(f["delivered"] for f in report.flows.values()) == 1 + 4 * 120
+        standing = {fid for gw in sim.gateways.values() for fid, _ in gw._fids.values()}
+        assert len(standing) == 1 and len(emitted) > 1 + simnet._LOOSE_FIDS
+        assert set(sim._routes) == standing
+        assert len(sim._loose_routes) <= simnet._LOOSE_FIDS
 
 
 class TestFpDeliveries:

@@ -6,7 +6,11 @@ quiescence. Control messages travel hop-by-hop to and from the RV/TM node
 (the lowest node id); data travels by forwarding-identifier mask matching.
 The same scenario can run against a plain-IP unicast baseline that routes
 every packet and every HTTP response copy along shortest paths with no
-control plane at all.
+control plane at all. Links have no queues, so the baseline sends each
+message over its whole path in one step: it bills and traces every hop when
+the message is sent, each trace row stamped with that hop's start time, and
+schedules only the arrival at the path's end. Its trace rows therefore come
+in send order, not time order.
 
 Byte counters are per link traversal; a message whose source and
 destination share a node never touches a link and costs nothing. Reports
@@ -219,17 +223,17 @@ def _serialization_us(size_bytes: int, capacity_bps: int) -> int:
 
 
 class _Transfer:
-    """`size` wire bytes sent over `path` when made, one link per event, then
-    `on_arrive` called; `name` labels the trace rows. Only the queue holds the
-    bound `_hop`, so no cycle keeps a transfer, payload included, past its
-    last event."""
+    """An ICN control message of `size` wire bytes under `name`, sent over
+    `path` when made, one link per event, then `on_arrive` called. Only the
+    queue holds the bound `_hop`, so no cycle keeps a transfer past its last
+    event."""
 
-    __slots__ = ("_sim", "_links", "_size", "_control", "_name", "_on_arrive")
+    __slots__ = ("_sim", "_links", "_size", "_name", "_on_arrive")
 
-    def __init__(self, sim: _AccountingMixin, path: list[Link], size: int, control: bool,
-                 name: object, on_arrive: Callable[[], None]) -> None:
+    def __init__(self, sim: IcnSimulation, path: list[Link], size: int, name: IcnName,
+                 on_arrive: Callable[[], None]) -> None:
         self._sim, self._links, self._size = sim, iter(path), size
-        self._control, self._name, self._on_arrive = control, name, on_arrive
+        self._name, self._on_arrive = name, on_arrive
         self._hop()
 
     def _hop(self) -> None:
@@ -237,7 +241,7 @@ class _Transfer:
         if link is None:
             self._on_arrive()
         else:
-            self._sim._cross(link, self._size, self._control, self._name, self._hop)
+            self._sim._cross(link, self._size, True, self._name, self._hop)
 
 
 def _flow_stats(count: int, latency_sum: int, _last: int, gap_sum: int,
@@ -283,14 +287,17 @@ class _AccountingMixin:
         self._trace = trace
 
     def _trace_row(
-        self, node: int, event: str, link: Link | None, size: int, name: object
+        self, node: int, event: str, link: Link | None, size: int, name: object,
+        time_us: int | None = None,
     ) -> None:
-        """Pass one trace row to the sink; `name` is an `IcnName`, an address
-        or "-". The row is formatted only when there is a sink."""
+        """Pass one trace row, stamped `time_us` (default: now), to the sink;
+        `name` is an `IcnName`, an address or "-". The row is formatted only
+        when there is a sink."""
         if self._trace is not None:
             link_text = "-" if link is None else f"{link.src}->{link.dst}"
             name_text = render_name(name) if isinstance(name, IcnName) else name
-            self._trace(f"{self.now},{node},{event},{link_text},{size},{name_text}")
+            stamp = self.now if time_us is None else time_us
+            self._trace(f"{stamp},{node},{event},{link_text},{size},{name_text}")
 
     def _cross(
         self, link: Link, size: int, control: bool, name: object, on_arrive: Callable[[], None]
@@ -636,7 +643,7 @@ class IcnSimulation(_AccountingMixin):
         if self.ideal_control or not path:
             self.queue.push(self.now, handler)
         else:
-            _Transfer(self, path, wire_size(name, payload_len), True, name, handler)
+            _Transfer(self, path, wire_size(name, payload_len), name, handler)
 
     # -- data plane ----------------------------------------------------------
 
@@ -719,16 +726,37 @@ class BaselineSimulation(_AccountingMixin):
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
         self._routes: dict[tuple[int, int], list[Link]] = {}  # the graph never changes
+        self._max_time_us = DEFAULT_MAX_TIME_US  # the limit of the current run
 
-    def _route(
-        self, src: int, dst: int, size: int, on_arrive: Callable[[], None]
-    ) -> None:
-        """Send `size` wire bytes hop-by-hop from node src to node dst."""
+    def _route(self, src: int, dst: int, size: int) -> int:
+        """Send `size` wire bytes from node src to node dst in one step and
+        return when they arrive. Links have no queues, so each hop starts when
+        the one before it ends: every hop that starts by the run's time limit
+        is billed and traced now, its row stamped with its start. A walk cut
+        at the limit returns the first start past it, so the one event the
+        caller queues there ends the run and counts `time_limit_hits`."""
         path = self._routes.get((src, dst))
         if path is None:
             path = path_links(self.graph, dijkstra(self.graph, src), src, dst)
             self._routes[(src, dst)] = path
-        _Transfer(self, path, size, False, "-", on_arrive)
+        time_us, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
+        for link in path:
+            if time_us > limit:
+                break
+            link_bytes[link.src, link.dst][1] += size
+            if self._trace is not None:
+                self._trace_row(link.src, "data", link, size, "-", time_us)
+            time_us += link.delay_us + _serialization_us(size, link.capacity_bps)
+        return time_us
+
+    def _send(self, src: int, dst: int, sizes: list[int], on_arrive: Callable[[], None]) -> None:
+        """Send one packet of each of `sizes` wire bytes from node src to node
+        dst now and call `on_arrive`, once, when the last of them arrives: at
+        once when src is dst, since no link is crossed."""
+        if src == dst:
+            on_arrive()
+        else:
+            self.queue.push(max(self._route(src, dst, size) for size in sizes), on_arrive)
 
     def _inject(self, action: dict) -> None:
         op = action["op"]
@@ -756,14 +784,13 @@ class BaselineSimulation(_AccountingMixin):
                 self.note_ip_dropped(pkt)
                 return
             client, node = target
-            self._route(from_node, node, size,
-                        lambda: self.note_ip_delivered(client, pkt))
+            self._send(from_node, node, [size], lambda: self.note_ip_delivered(client, pkt))
         else:
             if self.border is None:
                 self.note_ip_dropped(pkt)
                 return
-            self._route(from_node, self.border.node, size,
-                        lambda: self.note_peer_emitted(self.border.client, pkt))
+            self._send(from_node, self.border.node, [size],
+                       lambda: self.note_peer_emitted(self.border.client, pkt))
 
     # the ICN gateways report arrivals through hooks of the same names
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
@@ -784,21 +811,15 @@ class BaselineSimulation(_AccountingMixin):
         req_size = len(encode_http_request(client, fqdn, url, resp_bytes)) + IP_HEADER_SIZE
 
         def respond() -> None:
-            segments = body_segments(resp_bytes)  # each in its own IP packet
-            remaining = len(segments)
+            # each segment in its own IP packet
+            self._send(server_node, client_node,
+                       [length + IP_HEADER_SIZE for _, length in body_segments(resp_bytes)],
+                       lambda: self._record_http_flow(client, fqdn, url))
 
-            def segment_arrived() -> None:
-                nonlocal remaining
-                remaining -= 1
-                if remaining == 0:
-                    self._record_http_flow(client, fqdn, url)
-
-            for _, length in segments:
-                self._route(server_node, client_node, length + IP_HEADER_SIZE, segment_arrived)
-
-        self._route(client_node, server_node, req_size, respond)
+        self._send(client_node, server_node, [req_size], respond)
 
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
+        self._max_time_us = max_time_us
         self._drain(max_time_us)
         return self._build_report(Counter())
 

@@ -7,9 +7,11 @@
   emission's bytes land once on each edge of its delivery tree, plus the
   crossings counted in `off_tree_forwards` (over `test_mode_parity`'s IP and
   border workloads).
-- Time-limit prefix: a run cut at `max_time_us = T` bills no link more
-  bytes than the full run, folds exactly the full run's arrivals up to T,
-  and counts one `time_limit_hits` exactly when the full run went past T.
+- Time-limit prefix: a run cut at `max_time_us = T` bills each link
+  exactly the `ctrl`/`data` bytes of the full run's trace rows stamped at
+  or before T (a hop is billed only if it starts by the limit), folds
+  exactly the full run's arrivals up to T, and counts one
+  `time_limit_hits` exactly when the full run went past T.
 
 Workloads mix `send_ip`, `ext_in` (when there is a border), `http_serve`
 and `http_get`, so IP, border and HTTP flows all take part.
@@ -126,6 +128,17 @@ def test_flows_equal_the_two_pass_formula_over_every_arrival(case):
         }, cls.__name__
 
 
+def billed_by_rows(rows: list[str], links, limit: float = math.inf) -> dict:
+    """Per link in `links`, the bytes of the `ctrl` and `data` trace rows
+    stamped at or before `limit`, keyed as in a report's `per_link`."""
+    billed = {key: {"control_bytes": 0, "data_bytes": 0} for key in links}
+    for row in rows:
+        time_us, _, event, link, size, _ = row.split(",")
+        if event in ("ctrl", "data") and int(time_us) <= limit:
+            billed[link]["control_bytes" if event == "ctrl" else "data_bytes"] += int(size)
+    return billed
+
+
 @settings(max_examples=120, deadline=None)
 @given(case=runs())
 def test_trace_rows_add_up_to_each_links_bytes(case):
@@ -133,12 +146,7 @@ def test_trace_rows_add_up_to_each_links_bytes(case):
     for cls in (IcnSimulation, BaselineSimulation):
         rows: list[str] = []
         report = cls(doc, scenario, trace=rows.append).run()
-        billed = {key: {"control_bytes": 0, "data_bytes": 0} for key in report.per_link}
-        for row in rows:
-            _, _, event, link, size, _ = row.split(",")
-            if event in ("ctrl", "data"):
-                billed[link]["control_bytes" if event == "ctrl" else "data_bytes"] += int(size)
-        assert billed == report.per_link, cls.__name__
+        assert billed_by_rows(rows, report.per_link) == report.per_link, cls.__name__
 
 
 @settings(max_examples=120, deadline=None)
@@ -146,15 +154,13 @@ def test_trace_rows_add_up_to_each_links_bytes(case):
 def test_a_time_limited_run_is_a_prefix_of_the_full_run(case, data):
     doc, scenario = case
     for cls in (IcnSimulation, BaselineSimulation):
-        full = recording(cls)(doc, scenario)
+        rows: list[str] = []
+        full = recording(cls)(doc, scenario, trace=rows.append)
         full_report = full.run()
         limit = data.draw(st.integers(0, full.now * 11 // 10), label=f"{cls.__name__} T")
         cut = recording(cls)(doc, scenario)
         report = cut.run(limit)
-        for key, billed in report.per_link.items():
-            whole = full_report.per_link[key]
-            assert billed["control_bytes"] <= whole["control_bytes"], (cls.__name__, key)
-            assert billed["data_bytes"] <= whole["data_bytes"], (cls.__name__, key)
+        assert report.per_link == billed_by_rows(rows, full_report.per_link, limit), cls.__name__
         assert cut.folded == [r for r in full.folded if r[1] <= limit], cls.__name__
         hits = report.counters.get("time_limit_hits", 0)
         assert hits == (1 if full.now > limit else 0), cls.__name__

@@ -351,6 +351,71 @@ class TestBaseline:
         with pytest.raises(ValueError, match=match):
             cls(two_node_doc(), sc).run()
 
+    @staticmethod
+    def pushes(doc, workload):
+        """How many events a baseline run of `workload` queues."""
+        sim = BaselineSimulation(doc, Scenario(workload=workload))
+        count = [0]
+        push = sim.queue.push
+
+        def counting_push(time_us, fn):
+            count[0] += 1
+            push(time_us, fn)
+
+        sim.queue.push = counting_push
+        sim.run()
+        return count[0]
+
+    @pytest.mark.parametrize("far_node, pushes", [(5, (1, 2)), (1, (0, 0))])
+    def test_each_message_is_one_event(self, far_node, pushes):
+        """A packet over a 4-hop line queues only its arrival, and a fetch
+        whose response has 3 segments only the request's arrival and one
+        completion; between two NAPs on one node nothing is queued."""
+        doc = line_doc(4, naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                                {"client": 2, "node": far_node, "prefixes": ["10.0.2.0/24"]}])
+        attach = [{"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.5"},
+                  {"t_us": 0, "op": "attach", "client": 2, "addr": "10.0.2.9"}]
+        send = {"t_us": 10, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+                "dst": "10.0.2.9", "bytes": 100}
+        fetch = [{"t_us": 0, "op": "http_serve", "client": 2, "fqdn": "a.example"},
+                 {"t_us": 10, "op": "http_get", "client": 1, "fqdn": "a.example", "url": "/x",
+                  "resp_bytes": 3 * gateways.SEGMENT_CHUNK}]
+        assert (self.pushes(doc, attach + [send]), self.pushes(doc, fetch)) == pushes
+
+    def test_a_message_traces_its_hops_together_at_their_start_times(self):
+        """Hand trace of two overlapping messages over a 4-hop line. Each
+        link carries 1 byte per us, so a hop's serialization in us is the
+        wire size (payload + 17), and each hop starts its link's delay plus
+        that after the one before. Both messages are billed when sent, so
+        each one's rows are contiguous, though in time order they interleave
+        (0, 50, 350, 600, ...)."""
+        delays = (100, 200, 300, 400)
+        doc = make_topology_doc(
+            [1, 2, 3, 4, 5],
+            [(i, i + 1, {"delay_us": d, "capacity_bps": 8_000_000})
+             for i, d in enumerate(delays, 1)],
+            naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                  {"client": 2, "node": 5, "prefixes": ["10.0.2.0/24"]}])
+        sc = Scenario(workload=[
+            {"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.5"},
+            {"t_us": 0, "op": "attach", "client": 2, "addr": "10.0.2.9"},
+            {"t_us": 0, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+             "dst": "10.0.2.9", "bytes": 483},
+            {"t_us": 50, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+             "dst": "10.0.2.9", "bytes": 183},
+        ])
+        rows = []
+        report = BaselineSimulation(doc, sc, trace=rows.append).run()
+        assert rows == [
+            "0,1,data,1->2,500,-", "600,2,data,2->3,500,-",
+            "1300,3,data,3->4,500,-", "2100,4,data,4->5,500,-",
+            "50,1,data,1->2,200,-", "350,2,data,2->3,200,-",
+            "750,3,data,3->4,200,-", "1250,4,data,4->5,200,-",
+        ]
+        # arrivals at 2100 + 400 + 500 = 3000 and 1250 + 400 + 200 = 1850
+        flow = report.flows["ip:10.0.1.5->10.0.2.9"]
+        assert flow == {"delivered": 2, "latency_us": (3000 + 1800) // 2, "jitter_us": 0}
+
 
 class TestHttpScenarios:
     @staticmethod
@@ -535,6 +600,21 @@ class TestTrace:
         cls(topo, scenario, trace=rows.append).run()
         text = "\n".join(rows)
         assert hashlib.sha1(text.encode()).hexdigest() == digest
+
+    def test_star_demo_baseline_trace_comes_in_send_order(self):
+        """The baseline bills and traces every hop of a message when it is
+        sent, each row stamped with that hop's start time, so its rows come
+        in send order, not time order. The sorted rows are pinned apart from
+        their order, so a change to which rows are written shows apart from a
+        change to the order they come in. (The small demo's rows happen to
+        come in time order, so its pin above holds both.)"""
+        scenario = load_scenario((DEMO_DATA / "star_scenario.json").read_text())
+        topo = load_topology_doc((DEMO_DATA / "star.json").read_text(), scenario.seed)
+        rows = []
+        BaselineSimulation(topo, scenario, trace=rows.append).run()
+        sha1 = lambda lines: hashlib.sha1("\n".join(lines).encode()).hexdigest()
+        assert sha1(sorted(rows)) == "98949bf6eb4892f5bd12a0307040195b76c3af1e"
+        assert sha1(rows) == "37bc0d41c1a6397d65a1e07a7a07a129b5f977b8"
 
 
 class TestInternedStateAcrossRuns:

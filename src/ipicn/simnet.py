@@ -6,11 +6,20 @@ quiescence. Control messages travel hop-by-hop to and from the RV/TM node
 (the lowest node id); data travels by forwarding-identifier mask matching.
 The same scenario can run against a plain-IP unicast baseline that routes
 every packet and every HTTP response copy along shortest paths with no
-control plane at all. Links have no queues, so the baseline sends each
-message over its whole path in one step: it bills and traces every hop when
-the message is sent, each trace row stamped with that hop's start time, and
-schedules only the arrival at the path's end. Its trace rows therefore come
-in send order, not time order.
+control plane at all.
+
+Links have no queues, so every hop of a data message is fixed when it is
+sent, and both modes send it over its whole path in one step: they bill and
+trace every hop that starts by the run's time limit, each trace row stamped
+with that hop's start time, and schedule only the arrivals where something
+acts. The baseline schedules the arrival at the path's end. An ICN copy
+replays its delivery plan, built once per (emitting node, fid, TTL, tree
+edges) from the forwarding answers: the crossings of every copy the emission
+makes, each with its parent crossing, whether it leaves the tree, whether
+its far node has gateways and whether the TTL runs out there. The replay
+schedules one hand-off per arrival at a gateway node, and counts a TTL drop
+only if it is reached by the limit. Trace rows therefore come in send
+(emission) order, not time order.
 
 Byte counters are per link traversal; a message whose source and
 destination share a node never touches a link and costs nothing. Reports
@@ -130,11 +139,8 @@ def load_scenario(doc: dict | str) -> Scenario:
         if fields is None:
             raise ScenarioError(f"unknown workload op: {brief(op)}")
         t_us = action.get("t_us", -1)
-        if type(t_us) is not int:  # skips the int() call for the common case
-            try:
-                t_us = int(t_us)
-            except (TypeError, ValueError, OverflowError):
-                raise ScenarioError(f"workload op {op!r} has a non-integer t_us") from None
+        if type(t_us) is not int:  # a JSON integer: not 1.9, "100", true or 1e3
+            raise ScenarioError(f"workload op {op!r} has a non-integer t_us")
         if t_us < 0:
             raise ScenarioError(f"workload op {op!r} needs a non-negative t_us")
         for key, kind, bound, default in fields:
@@ -241,7 +247,23 @@ class _Transfer:
         if link is None:
             self._on_arrive()
         else:
-            self._sim._cross(link, self._size, True, self._name, self._hop)
+            self._sim._cross(link, self._size, self._name, self._hop)
+
+
+# a crossing of a delivery plan: (link, index of the parent crossing or -1
+# at the emitting node, the link's [control, data] byte counter, off the
+# tree, far node has gateways, TTL spent at the far node with links matched)
+_Crossing = tuple[Link, int, list[int], bool, bool, bool]
+# (TTL spent at the emitting node with links matched, crossings in walk order)
+_Plan = tuple[bool, tuple[_Crossing, ...]]
+# what a simulation keeps for one fid, in one dict: forward()'s answers,
+# (node, arrival node or -1 at emission) -> the links it matched, and the
+# delivery plans built from them, (emitting node, TTL, tree edges) -> plan
+_FidRecord = dict[tuple, "list[Link] | _Plan"]
+
+
+def _noop() -> None:
+    pass
 
 
 def _flow_stats(count: int, latency_sum: int, _last: int, gap_sum: int,
@@ -285,6 +307,7 @@ class _AccountingMixin:
         self._http_issue: dict[tuple[ClientId, str, str], deque[int]] = {}
         self._next_packet_id = 1
         self._trace = trace
+        self._max_time_us = DEFAULT_MAX_TIME_US  # the limit of the current run
 
     def _trace_row(
         self, node: int, event: str, link: Link | None, size: int, name: object,
@@ -298,17 +321,6 @@ class _AccountingMixin:
             name_text = render_name(name) if isinstance(name, IcnName) else name
             stamp = self.now if time_us is None else time_us
             self._trace(f"{stamp},{node},{event},{link_text},{size},{name_text}")
-
-    def _cross(
-        self, link: Link, size: int, control: bool, name: object, on_arrive: Callable[[], None]
-    ) -> None:
-        """Bill `size` wire bytes to `link`, trace the hop and call `on_arrive`
-        when the bytes reach the far end."""
-        self.link_bytes[link.src, link.dst][0 if control else 1] += size
-        if self._trace is not None:
-            self._trace_row(link.src, "ctrl" if control else "data", link, size, name)
-        self.queue.push(self.now + link.delay_us + _serialization_us(size, link.capacity_bps),
-                        on_arrive)
 
     def _record_ip_flow(self, ip: IpPacket, client: ClientId) -> bool:
         """Record `ip`'s delivery, or count a duplicate and return False: an IP
@@ -378,6 +390,7 @@ class _AccountingMixin:
         `max_time_us`. At equal times an op runs after the events queued
         before the run and before those the run queues, as it did when every
         op was queued up front."""
+        self._max_time_us = max_time_us
         queue, heap = self.queue, self.queue._heap
         before_run = queue._seq
         for t_us, action in (*self._run_order, (math.inf, None)):
@@ -529,14 +542,13 @@ class IcnSimulation(_AccountingMixin):
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
         self._tree_fids: dict[tuple[ClientId, IcnName], int] = {}
         self._fid_trees: Counter[int] = Counter()  # fid -> standing trees that have it
-        # forward()'s answers per fid, (node, arrival node or -1 at emission)
-        # -> the links it matched. `_routes` holds them for the fid of each
-        # standing tree, `_loose_routes` for at most _LOOSE_FIDS others, least
-        # recently emitted first: copies in flight after their tree went, and
-        # a tree rebuilt later over the same edges, so with the same fid,
-        # still find their answers
-        self._routes: dict[int, dict[tuple[int, int], list[Link]]] = {}
-        self._loose_routes: dict[int, dict[tuple[int, int], list[Link]]] = {}
+        # forward()'s answers and delivery plans per fid. `_routes` holds them
+        # for the fid of each standing tree, `_loose_routes` for at most
+        # _LOOSE_FIDS others, least recently emitted first: copies emitted
+        # after their tree went, and a tree rebuilt later over the same edges,
+        # so with the same fid, still find them
+        self._routes: dict[int, _FidRecord] = {}
+        self._loose_routes: dict[int, _FidRecord] = {}
 
     # -- environment interface used by the gateways ------------------------
 
@@ -576,7 +588,9 @@ class IcnSimulation(_AccountingMixin):
         self._record_http_flow(client, response.fqdn, response.url)
 
     def transmit(self, client: ClientId, pkt: IcnPacket) -> None:
-        """A gateway emits a data packet at its attachment node."""
+        """A gateway emits a data packet at its attachment node: hand it to
+        the node's other gateways, then send its copies on by the fid's
+        delivery plan."""
         gw = self.gateways[client]
         size = pkt.wire_size
         if self._trace is not None:
@@ -585,8 +599,13 @@ class IcnSimulation(_AccountingMixin):
         if routes is None:
             routes = self._loose_routes.get(pkt.fid, {})
             self._park(pkt.fid, routes)
-        self._visit(gw.node, pkt, pkt.ttl, size, None,
-                    self._tree_edges.get((client, pkt.name), _NO_EDGES), routes, gw)
+        meta = self._tree_edges.get((client, pkt.name), _NO_EDGES)
+        self._hand_off(gw.node, pkt, gw)
+        key = (gw.node, pkt.ttl, meta)
+        plan = routes.get(key)
+        if plan is None:
+            plan = routes[key] = self._plan(gw.node, pkt, meta, routes)
+        self._replay(gw.node, plan, pkt, size)
 
     # -- control plane ------------------------------------------------------
 
@@ -625,10 +644,10 @@ class IcnSimulation(_AccountingMixin):
         self._route_control(self._from_rv[gw.node], ev.name, _FID_PAYLOAD,
                             lambda: gw.on_fid(fd))
 
-    def _park(self, fid: int, routes: dict[tuple[int, int], list[Link]]) -> None:
+    def _park(self, fid: int, routes: _FidRecord) -> None:
         """Keep `routes` for `fid`, which no standing tree has, as the most
-        recently used of the loose answers, dropping the least recent beyond
-        _LOOSE_FIDS. Copies in flight keep the answers they carry."""
+        recently used of the loose records, dropping the least recent beyond
+        _LOOSE_FIDS."""
         loose = self._loose_routes
         loose.pop(fid, None)
         if len(loose) == _LOOSE_FIDS:
@@ -645,42 +664,103 @@ class IcnSimulation(_AccountingMixin):
         else:
             _Transfer(self, path, wire_size(name, payload_len), name, handler)
 
+    def _cross(self, link: Link, size: int, name: IcnName, on_arrive: Callable[[], None]) -> None:
+        """Bill `size` control bytes to `link`, trace the hop and call
+        `on_arrive` when the bytes reach the far end."""
+        self.link_bytes[link.src, link.dst][0] += size
+        if self._trace is not None:
+            self._trace_row(link.src, "ctrl", link, size, name)
+        self.queue.push(self.now + link.delay_us + _serialization_us(size, link.capacity_bps),
+                        on_arrive)
+
     # -- data plane ----------------------------------------------------------
 
-    def _visit(self, node: int, pkt: IcnPacket, ttl: int, size: int, in_link: Link | None,
-               meta: frozenset[tuple[int, int]], routes: dict[tuple[int, int], list[Link]],
-               publisher: Nap | BorderGateway | None = None) -> None:
-        """A data copy at `node`, here with `ttl` left: hand it to every gateway
-        there but its `publisher`, counting each refusal in `fp_deliveries`,
-        then send it on every matching link. The TTL and wire size travel in
-        the events; every copy is the emitted packet, so only one emitted with
-        TTL 1 needs a copy to pass forward()'s check.
-
-        The matching links depend only on the node, the fid and the arrival
-        link, never on the TTL, and the graph is fixed: so forward() runs once
-        per (node, arrival node) in `routes`, the answers kept for the copy's
-        fid (see `_routes`), with a TTL of at least 2. The arrival node is -1
-        for the emitting node's copy."""
+    def _hand_off(self, node: int, pkt: IcnPacket,
+                  publisher: Nap | BorderGateway | None = None) -> None:
+        """Hand a data copy at `node` to every gateway there but its
+        `publisher`, counting each refusal in `fp_deliveries`."""
         for gw in self._gateways_at.get(node, ()):
             if gw is not publisher and not gw.on_icn_data(pkt):
                 self.counters["fp_deliveries"] += 1
-        key = (node, -1 if in_link is None else in_link.src)
-        links = routes.get(key)
-        if links is None:
-            links = routes[key] = forward(
-                self.graph, node, pkt if pkt.ttl > 1 else replace(pkt, ttl=2), in_link)
-        if ttl <= 1:
-            if links:
+
+    def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[tuple[int, int]],
+              answers: _FidRecord) -> _Plan:
+        """The delivery plan of `pkt` emitted at `node` on the tree with edges
+        `meta`: every crossing its copies make, breadth first, each after its
+        parent crossing. A copy arriving with its TTL spent crosses nothing
+        more, and the plan marks the TTL drop where forward() still matched
+        links. Every copy is the emitted packet, so only one emitted with TTL
+        1 needs a copy to pass forward()'s check.
+
+        The matching links depend only on the node, the fid and the arrival
+        link, never on the TTL, and the graph is fixed: so forward() runs once
+        per (node, arrival node) in `answers`, the fid's record (see
+        `_routes`), with a TTL of at least 2."""
+        probe = pkt if pkt.ttl > 1 else replace(pkt, ttl=2)
+
+        def links_at(node: int, in_link: Link | None) -> list[Link]:
+            key = (node, -1 if in_link is None else in_link.src)
+            links = answers.get(key)
+            if links is None:
+                links = answers[key] = forward(self.graph, node, probe, in_link)
+            return links
+
+        if pkt.ttl <= 1:
+            return bool(links_at(node, None)), ()
+        crossings: list[_Crossing] = []
+        frontier = deque([(node, None, pkt.ttl, -1)])
+        while frontier:
+            node, in_link, ttl, parent = frontier.popleft()
+            for link in links_at(node, in_link):
+                spent = ttl <= 2
+                crossings.append((
+                    link, parent, self.link_bytes[link.src, link.dst],
+                    (link.src, link.dst) not in meta, link.dst in self._gateways_at,
+                    spent and bool(links_at(link.dst, link))))
+                if not spent:
+                    frontier.append((link.dst, link, ttl - 1, len(crossings) - 1))
+        return False, tuple(crossings)
+
+    def _replay(self, node: int, plan: _Plan, pkt: IcnPacket, size: int) -> None:
+        """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`.
+        Each crossing starts when its parent crossing arrives; one that starts
+        by the run's time limit is billed, counted if off the tree and traced
+        now, its row stamped with its start. Each arrival at a gateway node is
+        queued as a hand-off, and a TTL drop is counted only if its copy
+        arrives by the limit. If the copy's last arrival is at no gateway, it
+        is queued too, so the run's clock reaches it and a run cut before it
+        counts `time_limit_hits`."""
+        spent_here, crossings = plan
+        if spent_here:
+            self.counters["ttl_drops"] += 1
+            if self._trace is not None:
+                self._trace_row(node, "ttl-drop", None, size, pkt.name)
+        now, limit, push = self.now, self._max_time_us, self.queue.push
+        arrivals: list[int] = []
+        handed = last = now  # the latest arrival at a gateway node, and elsewhere
+        for link, parent, billed, off_tree, hand_off, spent in crossings:
+            start = now if parent < 0 else arrivals[parent]
+            arrive = start + link.delay_us + _serialization_us(size, link.capacity_bps)
+            arrivals.append(arrive)
+            if start > limit:
+                continue
+            billed[1] += size
+            if off_tree:
+                self.counters["off_tree_forwards"] += 1
+            if self._trace is not None:
+                self._trace_row(link.src, "data", link, size, pkt.name, start)
+            if hand_off:
+                push(arrive, lambda node=link.dst: self._hand_off(node, pkt))
+                if arrive > handed:
+                    handed = arrive
+            elif arrive > last:
+                last = arrive
+            if spent and arrive <= limit:
                 self.counters["ttl_drops"] += 1
                 if self._trace is not None:
-                    self._trace_row(node, "ttl-drop", None, size, pkt.name)
-            return
-        ttl -= 1
-        for link in links:
-            if (link.src, link.dst) not in meta:
-                self.counters["off_tree_forwards"] += 1
-            self._cross(link, size, False, pkt.name,
-                        lambda l=link: self._visit(l.dst, pkt, ttl, size, l, meta, routes))
+                    self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
+        if last > handed:
+            push(last, _noop)
 
     # -- workload -------------------------------------------------------------
 
@@ -726,7 +806,6 @@ class BaselineSimulation(_AccountingMixin):
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
         self._routes: dict[tuple[int, int], list[Link]] = {}  # the graph never changes
-        self._max_time_us = DEFAULT_MAX_TIME_US  # the limit of the current run
 
     def _route(self, src: int, dst: int, size: int) -> int:
         """Send `size` wire bytes from node src to node dst in one step and
@@ -819,7 +898,6 @@ class BaselineSimulation(_AccountingMixin):
         self._send(client_node, server_node, [req_size], respond)
 
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
-        self._max_time_us = max_time_us
         self._drain(max_time_us)
         return self._build_report(Counter())
 

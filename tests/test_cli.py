@@ -105,6 +105,17 @@ class TestRun:
         assert "t_us" in capsys.readouterr().err
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("t_us", ["1.9", '"100"', "true", "1e3"])
+    def test_time_is_a_json_integer_like_every_integer_field(self, paths, capsys, t_us):
+        """A float, even a whole one, a numeric string and a boolean are all
+        refused, not truncated or converted."""
+        text = json.dumps(SCENARIO).replace('"t_us": 0,', f'"t_us": {t_us},', 1)
+        assert text != json.dumps(SCENARIO)
+        paths["scenario"].write_text(text)
+        assert main(run_args(paths, mode="icn")) == 2
+        assert "has a non-integer t_us" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
     @pytest.mark.parametrize(
         "op, field, value",
         [

@@ -21,7 +21,7 @@ from conftest import (
 from ipicn import gateways, simnet
 from ipicn.forwarding import IcnPacket
 from ipicn.gateways import encode_ip_packet
-from ipicn.names import Locality, name_for_http, name_for_ip
+from ipicn.names import Locality, name_for_http, name_for_ip, render_name
 from ipicn.simnet import (
     BaselineSimulation,
     IcnSimulation,
@@ -734,6 +734,115 @@ class TestDataPath:
         assert len(sim.send_time) == kept
 
 
+class TestDataPlan:
+    """A data copy replays its fid's delivery plan when it is emitted: every
+    hop is billed and traced then, and only arrivals at gateway nodes are
+    queued."""
+
+    NAME = name_for_ip("10.0.2.9", Locality.INTERNAL)
+
+    @staticmethod
+    def timed_line():
+        """Line 1 - 2 - 3 - 4 - 5 with NAPs at the ends. Each link carries 1
+        byte per us, so a hop's serialization in us is the wire size, and
+        each hop starts its link's delay plus that after the one before."""
+        return make_topology_doc(
+            [1, 2, 3, 4, 5],
+            [(i, i + 1, {"delay_us": d, "capacity_bps": 8_000_000})
+             for i, d in enumerate((100, 200, 300, 400), 1)],
+            naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                  {"client": 2, "node": 5, "prefixes": ["10.0.2.0/24"]}])
+
+    @classmethod
+    def packet(cls, wire_size, ttl=32):
+        """A packet of `wire_size` bytes whose fid matches every link."""
+        payload = bytes(wire_size - IcnPacket(fid=0, name=cls.NAME).wire_size)
+        return IcnPacket(fid=(1 << 256) - 1, name=cls.NAME, payload=payload, ttl=ttl)
+
+    @staticmethod
+    def counting_pushes(sim):
+        count = [0]
+        push = sim.queue.push
+
+        def counting_push(time_us, fn):
+            count[0] += 1
+            push(time_us, fn)
+
+        sim.queue.push = counting_push
+        return count
+
+    @pytest.mark.parametrize("bystander, pushes", [(False, 1), (True, 2)])
+    def test_an_emission_queues_only_its_gateway_arrivals(self, bystander, pushes):
+        """Over 4 hops with NAPs only at the ends, one emission queues only
+        the hand-off at the far end; a NAP at a transit node adds its own
+        hand-off."""
+        naps = [{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                {"client": 2, "node": 5, "prefixes": ["10.0.2.0/24"]}]
+        if bystander:
+            naps.append({"client": 3, "node": 3, "prefixes": ["10.0.3.0/24"]})
+        sim = IcnSimulation(line_doc(4, naps=naps), Scenario(workload=[]))
+        count = self.counting_pushes(sim)
+        sim.transmit(1, self.packet(100))
+        report = sim.run()
+        assert count[0] == pushes
+        assert report.counters["fp_deliveries"] == pushes  # no NAP subscribed
+        assert {k: v["data_bytes"] for k, v in report.per_link.items() if v["data_bytes"]} == {
+            f"{i}->{i + 1}": 100 for i in range(1, 5)}
+
+    def test_a_second_emission_reuses_the_plan(self, monkeypatch):
+        calls = TestForwardingMemo.count_forward_calls(monkeypatch)
+        sim = IcnSimulation(self.timed_line(), Scenario(workload=[]))
+        sim.transmit(1, self.packet(100))
+        first = {key: counter[1] for key, counter in sim.link_bytes.items()}
+        assert sum(calls.values()) == 5  # once at each node
+        calls.clear()
+        sim.transmit(1, self.packet(100))
+        assert calls == {}
+        assert {key: counter[1] for key, counter in sim.link_bytes.items()} == {
+            key: 2 * billed for key, billed in first.items()}
+        assert sum(first.values()) == 400
+
+    def test_an_emission_traces_its_hops_together_at_their_start_times(self):
+        """Hand trace of two overlapping emissions over the timed line: a
+        500-byte copy at 0 and a 200-byte one at 50. Each is billed when it
+        is emitted, so its rows are contiguous, though in time order they
+        interleave (0, 50, 350, 600, ...)."""
+        sim = IcnSimulation(self.timed_line(), Scenario(workload=[]), trace=(rows := []).append)
+        sim.transmit(1, self.packet(500))
+        sim.call_at(50, lambda: sim.transmit(1, self.packet(200)))
+        report = sim.run()
+        name = render_name(self.NAME)
+        assert rows == [f"{row},{name}" for row in (
+            "0,1,emit,-,500", "0,1,data,1->2,500", "600,2,data,2->3,500",
+            "1300,3,data,3->4,500", "2100,4,data,4->5,500",
+            "50,1,emit,-,200", "50,1,data,1->2,200", "350,2,data,2->3,200",
+            "750,3,data,3->4,200", "1250,4,data,4->5,200")]
+        # each copy is handed to the NAP at node 5 when it arrives there, at
+        # 2100 + 400 + 500 = 3000 and 1250 + 400 + 200 = 1850
+        assert sim.now == 3000 and report.counters["fp_deliveries"] == 2
+
+    @pytest.mark.parametrize("limit, crossed, ttl_drops, hits", [
+        (599, ["1->2"], 0, 1),
+        (1300, ["1->2", "2->3", "3->4"], 0, 1),  # the drop at 4 is reached at 2100
+        (2099, ["1->2", "2->3", "3->4"], 0, 1),
+        (2100, ["1->2", "2->3", "3->4"], 1, 0),
+    ])
+    def test_a_cut_run_bills_only_hops_started_by_the_limit(self, limit, crossed, ttl_drops,
+                                                             hits):
+        """A 500-byte copy with TTL 4 crosses 1->2 at 0, 2->3 at 600 and
+        3->4 at 1300, and arrives at node 4, TTL spent, at 2100. No gateway
+        acts on the way, yet the run's clock reaches that last arrival, so a
+        run cut before it counts `time_limit_hits`."""
+        sim = IcnSimulation(self.timed_line(), Scenario(workload=[]))
+        sim.call_at(0, lambda: sim.transmit(1, self.packet(500, ttl=4)))
+        report = sim.run(limit)
+        assert sorted(k for k, v in report.per_link.items() if v["data_bytes"]) == crossed
+        assert set(v["data_bytes"] for k, v in report.per_link.items() if k in crossed) == {500}
+        assert report.counters["ttl_drops"] == ttl_drops
+        assert report.counters.get("time_limit_hits", 0) == hits
+        assert hits or sim.now == 2100
+
+
 class TestIpPacketFate:
     """Gateways report every decoded copy and every drop; the simulation
     alone decides whether a packet was delivered, duplicated or dropped."""
@@ -979,11 +1088,19 @@ class TestHttpPeakMemory:
 class TestSaturatedFid:
     """A dense 50-node graph whose HTTP response tree reaches 49 nodes, plus
     unicast IP over it. The response fid sets so many bits that copies leave
-    the tree and loop until their TTL is spent. The pins come from the data
-    path that copied each forwarded packet to decrement its TTL."""
+    the tree and loop until their TTL is spent. The report pin comes from the
+    data path that copied each forwarded packet to decrement its TTL.
+
+    Each emission replays its delivery plan when it is sent, so its `data`
+    and `ttl-drop` rows come together, in the plan's breadth-first walk
+    order, each stamped with its own time: the rows come in emission order,
+    not time order. The sorted rows are pinned apart from their order; they
+    equal those of the data path that took one event per hop and wrote its
+    rows in time order."""
 
     REPORT_SHA1 = "15e6aa773493813c591cf2d1d4d7340a3e9c46ab"
-    TRACE_SHA1 = "6ef5627e3aa392ddc2e2772473dc1ef41cde209f"
+    TRACE_SHA1 = "6dafe103dc26373e3d6aea6452e8faa4135d5c03"
+    SORTED_TRACE_SHA1 = "4d21a3d980c76ab7eb29434dff22350e98b020a7"
 
     @staticmethod
     def inputs():
@@ -1020,6 +1137,7 @@ class TestSaturatedFid:
         assert report.flows["ip:10.0.1.5->10.0.2.5"]["delivered"] == 3
         assert hashlib.sha1(report.to_canonical_json().encode()).hexdigest() == self.REPORT_SHA1
         assert hashlib.sha1("\n".join(rows).encode()).hexdigest() == self.TRACE_SHA1
+        assert hashlib.sha1("\n".join(sorted(rows)).encode()).hexdigest() == self.SORTED_TRACE_SHA1
 
 
 class TestForwardingMemo:
@@ -1101,10 +1219,12 @@ class TestForwardingMemoBound:
     """The memo keeps forward()'s answers for the run only for the fids of
     standing trees, and for at most `_LOOSE_FIDS` other fids."""
 
-    def test_one_shot_fetches_leave_answers_only_for_standing_trees(self):
-        # a star of NAPs: each URL is fetched once, in one window, by its own
-        # four leaves, so each response tree and its fid is new, and every
-        # fetch's trees are torn down when it completes; one IP flow stands
+    @staticmethod
+    def one_shot_run():
+        """A star of NAPs: each URL is fetched once, in one window, by its own
+        four leaves, so each response tree and its fid is new, and every
+        fetch's trees are torn down when it completes; one IP flow stands.
+        Return the simulation after its run and the fids it emitted."""
         leaves = range(2, 14)
         doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=3,
                                 naps=[{"client": leaf, "node": leaf,
@@ -1127,10 +1247,37 @@ class TestForwardingMemoBound:
         sim = Recording(doc, Scenario(workload=wl))
         report = sim.run()
         assert sum(f["delivered"] for f in report.flows.values()) == 1 + 4 * 120
+        return sim, emitted
+
+    def test_one_shot_fetches_leave_answers_only_for_standing_trees(self):
+        sim, emitted = self.one_shot_run()
         standing = {fid for gw in sim.gateways.values() for fid, _ in gw._fids.values()}
         assert len(standing) == 1 and len(emitted) > 1 + simnet._LOOSE_FIDS
         assert set(sim._routes) == standing
         assert len(sim._loose_routes) <= simnet._LOOSE_FIDS
+
+    def test_plans_are_kept_only_with_the_answers(self, monkeypatch):
+        """Each fid's delivery plans live in the record that holds its
+        forward() answers, so the same bound drops them: plans were built
+        for every emitted fid, and once a fid's record is dropped nothing
+        but this test holds its plans."""
+        built = {}
+        plan = IcnSimulation._plan
+
+        def recording(self, node, pkt, meta, answers):
+            built.setdefault(pkt.fid, []).append(plan(self, node, pkt, meta, answers))
+            return built[pkt.fid][-1]
+
+        monkeypatch.setattr(IcnSimulation, "_plan", recording)
+        sim, emitted = self.one_shot_run()
+        kept = {**sim._routes, **sim._loose_routes}
+        assert set(built) == emitted and len(emitted) > 1 + simnet._LOOSE_FIDS
+        # the standing flow's fid: its record holds a plan, keyed (node, TTL, tree edges)
+        assert all(any(len(key) == 3 for key in kept[fid]) for fid in sim._routes)
+        dropped = [built[fid] for fid in emitted - set(kept)]
+        gc.collect()
+        holders = gc.get_referrers(*(p for plans in dropped for p in plans))
+        assert dropped and all(any(h is plans for plans in dropped) for h in holders)
 
 
 class TestFpDeliveries:

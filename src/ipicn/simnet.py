@@ -77,7 +77,7 @@ _REQUEST_PAYLOAD = 4 + 1
 _FID_PAYLOAD = 4 + 32 + 1
 
 _NO_EDGES: frozenset[tuple[int, int]] = frozenset()  # a copy emitted on no standing tree
-_LOOSE_FIDS = 64  # fids without a standing tree whose forward() answers are kept
+_LOOSE_FIDS = 64  # fid records kept beyond one per standing tree
 
 # (field, JSON type, bound, default) per field of each workload op: an
 # integer with a bound must lie in 0..bound, a string with a bound must not
@@ -150,10 +150,9 @@ def load_scenario(doc: dict | str) -> Scenario:
                 if key not in action:
                     raise ScenarioError(f"workload op {op!r} needs {key!r}")
                 raise ScenarioError(f"workload op {op!r} has an invalid {key!r}: {brief(value)}")
-    try:
-        seed = int(doc.get("seed", 1))
-    except (TypeError, ValueError, OverflowError):
-        raise ScenarioError("scenario seed is not an integer") from None
+    seed = doc.get("seed", 1)
+    if type(seed) is not int:  # a JSON integer, as t_us: not 1.9, "7", true or 1e3
+        raise ScenarioError("scenario seed is not an integer")
     return Scenario(
         workload=list(workload),
         mode=mode,
@@ -256,7 +255,7 @@ class _Transfer:
 _Crossing = tuple[Link, int, list[int], bool, bool, bool]
 # (TTL spent at the emitting node with links matched, crossings in walk order)
 _Plan = tuple[bool, tuple[_Crossing, ...]]
-# what a simulation keeps for one fid, in one dict: forward()'s answers,
+# one fid's record in `IcnSimulation._records`, one dict: forward()'s answers,
 # (node, arrival node or -1 at emission) -> the links it matched, and the
 # delivery plans built from them, (emitting node, TTL, tree edges) -> plan
 _FidRecord = dict[tuple, "list[Link] | _Plan"]
@@ -540,15 +539,12 @@ class IcnSimulation(_AccountingMixin):
                        for node, path in self._from_rv.items()}
 
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
-        self._tree_fids: dict[tuple[ClientId, IcnName], int] = {}
-        self._fid_trees: Counter[int] = Counter()  # fid -> standing trees that have it
-        # forward()'s answers and delivery plans per fid. `_routes` holds them
-        # for the fid of each standing tree, `_loose_routes` for at most
-        # _LOOSE_FIDS others, least recently emitted first: copies emitted
-        # after their tree went, and a tree rebuilt later over the same edges,
-        # so with the same fid, still find them
-        self._routes: dict[int, _FidRecord] = {}
-        self._loose_routes: dict[int, _FidRecord] = {}
+        # each fid's record, least recently emitted first. A new fid drops the
+        # oldest beyond one per standing tree plus _LOOSE_FIDS, so standing
+        # trees emitting in turn never drop each other's, while copies
+        # emitted after their tree went, and a tree rebuilt later over the
+        # same edges, so with the same fid, still find theirs
+        self._records: dict[int, _FidRecord] = {}
 
     # -- environment interface used by the gateways ------------------------
 
@@ -595,16 +591,19 @@ class IcnSimulation(_AccountingMixin):
         size = pkt.wire_size
         if self._trace is not None:
             self._trace_row(gw.node, "emit", None, size, pkt.name)
-        routes = self._routes.get(pkt.fid)
-        if routes is None:
-            routes = self._loose_routes.get(pkt.fid, {})
-            self._park(pkt.fid, routes)
+        records = self._records
+        record = records.pop(pkt.fid, None)
+        if record is None:
+            record = {}
+            while len(records) >= len(self._tree_edges) + _LOOSE_FIDS:
+                del records[next(iter(records))]
+        records[pkt.fid] = record
         meta = self._tree_edges.get((client, pkt.name), _NO_EDGES)
         self._hand_off(gw.node, pkt, gw)
         key = (gw.node, pkt.ttl, meta)
-        plan = routes.get(key)
+        plan = record.get(key)
         if plan is None:
-            plan = routes[key] = self._plan(gw.node, pkt, meta, routes)
+            plan = record[key] = self._plan(gw.node, pkt, meta, record)
         self._replay(gw.node, plan, pkt, size)
 
     # -- control plane ------------------------------------------------------
@@ -626,33 +625,13 @@ class IcnSimulation(_AccountingMixin):
         tree = tree_for_match(self.graph, ev)
         fd = handle_match(self.graph, ev, tree)
         key = (ev.publisher, ev.name)
-        old_fid = self._tree_fids.pop(key, None)
         if fd.teardown:
             self._tree_edges.pop(key, None)
         else:
             self._tree_edges[key] = frozenset((e.src, e.dst) for e in tree.edges)
-            self._tree_fids[key] = fd.fid
-            if not self._fid_trees[fd.fid]:
-                self._routes[fd.fid] = self._loose_routes.pop(fd.fid, {})
-            self._fid_trees[fd.fid] += 1
-        if old_fid is not None:
-            self._fid_trees[old_fid] -= 1
-            if not self._fid_trees[old_fid]:  # its last standing tree is gone
-                del self._fid_trees[old_fid]
-                self._park(old_fid, self._routes.pop(old_fid))
         gw = self.gateways[ev.publisher]
         self._route_control(self._from_rv[gw.node], ev.name, _FID_PAYLOAD,
                             lambda: gw.on_fid(fd))
-
-    def _park(self, fid: int, routes: _FidRecord) -> None:
-        """Keep `routes` for `fid`, which no standing tree has, as the most
-        recently used of the loose records, dropping the least recent beyond
-        _LOOSE_FIDS."""
-        loose = self._loose_routes
-        loose.pop(fid, None)
-        if len(loose) == _LOOSE_FIDS:
-            del loose[next(iter(loose))]
-        loose[fid] = routes
 
     def _route_control(
         self, path: list[Link], name: IcnName, payload_len: int,
@@ -695,7 +674,7 @@ class IcnSimulation(_AccountingMixin):
         The matching links depend only on the node, the fid and the arrival
         link, never on the TTL, and the graph is fixed: so forward() runs once
         per (node, arrival node) in `answers`, the fid's record (see
-        `_routes`), with a TTL of at least 2."""
+        `_records`), with a TTL of at least 2."""
         probe = pkt if pkt.ttl > 1 else replace(pkt, ttl=2)
 
         def links_at(node: int, in_link: Link | None) -> list[Link]:

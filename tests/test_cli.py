@@ -116,6 +116,17 @@ class TestRun:
         assert "has a non-integer t_us" in capsys.readouterr().err
         assert not paths["out"].exists()
 
+    @pytest.mark.parametrize("seed", ["1.9", "true", '"7"', "1e3"])
+    def test_seed_is_a_json_integer_like_t_us(self, paths, capsys, seed):
+        """The scenario's seed is refused, not truncated or converted, even
+        when `--seed` would override it."""
+        text = json.dumps(SCENARIO).replace('"seed": 1,', f'"seed": {seed},', 1)
+        assert text != json.dumps(SCENARIO)
+        paths["scenario"].write_text(text)
+        assert main(run_args(paths, mode="icn")) == 2
+        assert "scenario seed is not an integer" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
     @pytest.mark.parametrize(
         "op, field, value",
         [

@@ -7,6 +7,9 @@
   emission's bytes land once on each edge of its delivery tree, plus the
   crossings counted in `off_tree_forwards` (over `test_mode_parity`'s IP and
   border workloads).
+- The fid memo is only a cache: keeping one record beyond the standing
+  trees instead of `_LOOSE_FIDS`, or none at all, gives the same report
+  and trace.
 - Time-limit prefix: a run cut at `max_time_us = T` bills each link
   exactly the `ctrl`/`data` bytes of the full run's trace rows stamped at
   or before T (a hop is billed only if it starts by the limit), folds
@@ -18,12 +21,14 @@ and `http_get`, so IP, border and HTTP flows all take part.
 """
 
 import math
+from unittest import mock
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_topology_doc
 from test_mode_parity import cases
+from ipicn import simnet
 from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
 
 BORDER = 99
@@ -211,3 +216,33 @@ def test_each_emission_lands_on_exactly_its_tree_edges(case):
         assert billed == on_tree
     else:  # off-tree copies add crossings and take none away
         assert all(billed[key] >= on_tree[key] for key in billed)
+
+
+class Forgetful(IcnSimulation):
+    """Drops every fid record before each emission, so each copy's plan and
+    forward() answers are built anew."""
+
+    def transmit(self, client, pkt) -> None:
+        self._records.clear()
+        super().transmit(client, pkt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=cases())
+@example(case=star_fetch())
+def test_the_fid_memo_is_only_a_cache(case):
+    """With one loose fid record the memo drops and rebuilds more (the star
+    fetch drops some; small random cases rarely hold that many fids), and
+    with none kept at all it rebuilds every time: the report and the
+    unsorted trace stay those of the default."""
+    doc, scenario = case
+
+    def traced(cls):
+        rows: list[str] = []
+        report = cls(doc, scenario, trace=rows.append).run()
+        return report.to_canonical_json(), rows
+
+    default = traced(IcnSimulation)
+    assert traced(Forgetful) == default
+    with mock.patch.object(simnet, "_LOOSE_FIDS", 1):
+        assert traced(IcnSimulation) == default

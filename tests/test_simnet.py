@@ -1197,6 +1197,20 @@ class TestForwardingMemo:
         assert report.counters["ttl_drops"] == 2
         assert report.per_link["1->2"]["data_bytes"] == 2 * report.per_link["2->3"]["data_bytes"]
 
+    def test_a_fid_keeps_one_plan_per_tree(self):
+        """A copy emitted on its tree crosses no link off it; one emitted
+        with the same fid after the tree went crosses only links off a tree,
+        though the fid's record already holds the first plan."""
+        doc = line_doc(2, naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]}])
+        sim = IcnSimulation(doc, Scenario(workload=[]))
+        name = name_for_ip("10.0.2.9", Locality.INTERNAL)
+        pkt = IcnPacket(fid=(1 << 256) - 1, name=name, payload=b"x", ttl=4)
+        sim._tree_edges[1, name] = frozenset({(1, 2), (2, 3)})
+        sim.transmit(1, pkt)
+        del sim._tree_edges[1, name]
+        sim.transmit(1, pkt)
+        assert sim.run().counters["off_tree_forwards"] == 2
+
     def test_each_arrival_node_has_its_own_entry(self, monkeypatch):
         # line 1 - 2 - 3 with a NAP at each end: node 2 sees one fid arrive
         # from both sides and must send each copy on away from where it came
@@ -1216,15 +1230,19 @@ class TestForwardingMemo:
 
 
 class TestForwardingMemoBound:
-    """The memo keeps forward()'s answers for the run only for the fids of
-    standing trees, and for at most `_LOOSE_FIDS` other fids."""
+    """The memo keeps one record per fid, least recently emitted first: a
+    new fid drops the oldest records beyond one per standing tree plus
+    `_LOOSE_FIDS`, so fids emitted in turn on standing trees never drop
+    each other's."""
 
     @staticmethod
     def one_shot_run():
         """A star of NAPs: each URL is fetched once, in one window, by its own
         four leaves, so each response tree and its fid is new, and every
         fetch's trees are torn down when it completes; one IP flow stands.
-        Return the simulation after its run and the fids it emitted."""
+        Return the simulation after its run, the fids it emitted, and the
+        (records, standing trees) the memo held after each emission of a fid
+        it did not hold."""
         leaves = range(2, 14)
         doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=3,
                                 naps=[{"client": leaf, "node": leaf,
@@ -1237,24 +1255,28 @@ class TestForwardingMemoBound:
         wl += [{"t_us": 200_000 * url, "op": "http_get", "client": client,
                 "fqdn": "a.example", "url": f"/{url}", "resp_bytes": 10}
                for url in range(1, 121) for client in rng.sample(leaves[1:], 4)]
-        emitted = set()
+        emitted, misses = set(), []
 
         class Recording(IcnSimulation):
             def transmit(self, client, pkt):
                 emitted.add(pkt.fid)
+                held = pkt.fid in self._records
                 super().transmit(client, pkt)
+                if not held:
+                    misses.append((len(self._records), len(self._tree_edges)))
 
         sim = Recording(doc, Scenario(workload=wl))
         report = sim.run()
         assert sum(f["delivered"] for f in report.flows.values()) == 1 + 4 * 120
-        return sim, emitted
+        return sim, emitted, misses
 
-    def test_one_shot_fetches_leave_answers_only_for_standing_trees(self):
-        sim, emitted = self.one_shot_run()
-        standing = {fid for gw in sim.gateways.values() for fid, _ in gw._fids.values()}
-        assert len(standing) == 1 and len(emitted) > 1 + simnet._LOOSE_FIDS
-        assert set(sim._routes) == standing
-        assert len(sim._loose_routes) <= simnet._LOOSE_FIDS
+    def test_one_shot_fetches_keep_the_memo_within_its_bound(self):
+        """The bound is checked when a new fid is emitted; a tree torn down
+        after that may leave the memo above it until the next new fid."""
+        sim, emitted, misses = self.one_shot_run()
+        assert all(records <= trees + simnet._LOOSE_FIDS for records, trees in misses)
+        most_trees = max(trees for _, trees in misses)
+        assert len(sim._records) <= most_trees + simnet._LOOSE_FIDS < len(emitted)
 
     def test_plans_are_kept_only_with_the_answers(self, monkeypatch):
         """Each fid's delivery plans live in the record that holds its
@@ -1269,15 +1291,42 @@ class TestForwardingMemoBound:
             return built[pkt.fid][-1]
 
         monkeypatch.setattr(IcnSimulation, "_plan", recording)
-        sim, emitted = self.one_shot_run()
-        kept = {**sim._routes, **sim._loose_routes}
+        sim, emitted, _ = self.one_shot_run()
         assert set(built) == emitted and len(emitted) > 1 + simnet._LOOSE_FIDS
-        # the standing flow's fid: its record holds a plan, keyed (node, TTL, tree edges)
-        assert all(any(len(key) == 3 for key in kept[fid]) for fid in sim._routes)
-        dropped = [built[fid] for fid in emitted - set(kept)]
+        # a held record keeps its plans, keyed (node, TTL, tree edges)
+        assert all(any(len(key) == 3 for key in record) for record in sim._records.values())
+        dropped = [built[fid] for fid in emitted - set(sim._records)]
         gc.collect()
         holders = gc.get_referrers(*(p for plans in dropped for p in plans))
         assert dropped and all(any(h is plans for plans in dropped) for h in holders)
+
+    def test_standing_trees_emitting_in_turn_build_each_plan_once(self, monkeypatch):
+        """Hub 1 with six leaf NAPs; leaf 2 sends to each other leaf in turn,
+        so five standing trees emit in turn, more than the one loose record
+        left: still no record is dropped, and each plan is built once."""
+        monkeypatch.setattr(simnet, "_LOOSE_FIDS", 1)
+        built = Counter()
+        plan = IcnSimulation._plan
+
+        def counting(self, node, pkt, meta, answers):
+            built[pkt.fid, node, pkt.ttl, meta] += 1
+            return plan(self, node, pkt, meta, answers)
+
+        monkeypatch.setattr(IcnSimulation, "_plan", counting)
+        leaves = range(2, 8)
+        doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=3,
+                                naps=[{"client": leaf, "node": leaf,
+                                       "prefixes": [f"10.0.{leaf}.0/24"]} for leaf in leaves])
+        wl = [{"t_us": 0, "op": "attach", "client": leaf, "addr": f"10.0.{leaf}.5"}
+              for leaf in leaves]
+        wl += [{"t_us": 10_000 * (k + 1), "op": "send_ip", "client": 2, "src": "10.0.2.5",
+                "dst": f"10.0.{dst}.5", "bytes": 100}
+               for k in range(10) for dst in leaves[1:]]
+        sim = IcnSimulation(doc, Scenario(workload=wl))
+        report = sim.run()
+        assert sum(f["delivered"] for f in report.flows.values()) == 10 * 5
+        assert len({fid for fid, *_ in built}) == 5 > simnet._LOOSE_FIDS
+        assert set(built.values()) == {1}
 
 
 class TestFpDeliveries:

@@ -10,7 +10,7 @@ inclusion, so the tree travels inside the packet.
 import json
 
 from ipicn import MatchEvent, fid_for_tree, load_topology_doc, shortest_path_tree
-from ipicn.names import IcnName, NsId
+from ipicn.names import IcnName
 from ipicn.topology import handle_match
 
 TOPOLOGY = {
@@ -57,7 +57,7 @@ def main() -> None:
 
     print()
     print("== the manager end to end: match event in, fid out ==")
-    item = IcnName((NsId(0xA),), item=NsId(0xB))
+    item = IcnName((0xA,), item=0xB)
     fd = handle_match(g, MatchEvent(item, publisher=10, subscribers=frozenset({20, 30})))
     print(f"publisher {fd.publisher} gets fid with {fd.fid.bit_count()} bits set,"
           f" local={fd.local}")

@@ -13,7 +13,7 @@ import json
 import random
 
 from ipicn import IcnPacket, fid_for_tree, forward, shortest_path_tree
-from ipicn.names import IcnName, NsId
+from ipicn.names import IcnName
 from ipicn.topology import load_topology_doc
 
 
@@ -34,7 +34,7 @@ def random_doc(rng, n_nodes, n_links, seed):
 
 
 def walk(g, root, fid, tree_pairs):
-    pkt = IcnPacket(fid=fid, name=IcnName((NsId(1),)))
+    pkt = IcnPacket(fid=fid, name=IcnName((1,)))
     trials = hits = 0
     reached = set()
     frontier = [(root, pkt, None)]

@@ -29,7 +29,6 @@ from .names import (
     HttpRole,
     IcnName,
     Locality,
-    NsId,
     external_scope,
     fnv1a64,
     is_ancestor,
@@ -86,7 +85,6 @@ __all__ = [
     "MatchEvent",
     "Nap",
     "NetworkGraph",
-    "NsId",
     "Rendezvous",
     "Scenario",
     "TopologyDoc",

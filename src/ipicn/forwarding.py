@@ -14,7 +14,7 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .names import MAX_DEPTH, IcnName, NsId
+from .names import MAX_DEPTH, IcnName
 
 if TYPE_CHECKING:
     from .topology import Link, NetworkGraph
@@ -104,15 +104,14 @@ def forward(
 def encode_packet(pkt: IcnPacket) -> bytes:
     """Serialize to the big-endian wire layout."""
     name = pkt.name
-    elems = list(name.scopes) + ([name.item] if name.item is not None else [])
-    parts = [
+    elems = name.scopes if name.item is None else (*name.scopes, name.item)
+    return b"".join((
         pkt.fid.to_bytes(32, "big"),
         struct.pack(">BBBB", pkt.ttl, 0, len(name.scopes), 1 if name.is_item else 0),
-    ]
-    parts.extend(e.value.to_bytes(8, "big") for e in elems)
-    parts.append(struct.pack(">H", len(pkt.payload)))
-    parts.append(pkt.payload)
-    return b"".join(parts)
+        struct.pack(f">{len(elems)}Q", *elems),
+        struct.pack(">H", len(pkt.payload)),
+        pkt.payload,
+    ))
 
 
 def decode_packet(buf: bytes) -> IcnPacket:
@@ -132,16 +131,11 @@ def decode_packet(buf: bytes) -> IcnPacket:
     pos = 36
     if len(buf) < pos + 8 * n_elems + 2:
         raise ValueError("buffer truncated in name elements")
-    elems = [
-        NsId(int.from_bytes(buf[pos + 8 * i : pos + 8 * (i + 1)], "big"))
-        for i in range(n_elems)
-    ]
+    elems = struct.unpack_from(f">{n_elems}Q", buf, pos)
     pos += 8 * n_elems
     (plen,) = struct.unpack(">H", buf[pos : pos + 2])
     pos += 2
     if len(buf) != pos + plen:
         raise ValueError("payload length mismatch")
-    name = IcnName(
-        scopes=tuple(elems[:depth]), item=elems[depth] if item_flag else None
-    )
+    name = IcnName(elems[:depth], elems[depth] if item_flag else None)
     return IcnPacket(fid=fid, name=name, payload=buf[pos:], ttl=ttl)

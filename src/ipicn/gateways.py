@@ -308,13 +308,13 @@ class Nap(_IcnClient):
     def http_serve(self, fqdn: str) -> None:
         """Register as the server for a host: subscribe to its request scope."""
         scope = http_request_scope(fqdn)
-        self._served.add(scope.scopes[1].value)
+        self._served.add(scope.scopes[1])
         self.env.subscribe(self.client, scope)
 
     # -- ICN-facing handlers ----------------------------------------------
 
     def on_icn_data(self, pkt: IcnPacket) -> bool:
-        root = pkt.name.scopes[0].value
+        root = pkt.name.scopes[0]
         if root == ROOT_IP:
             return self._recv_ip(pkt)
         return root == ROOT_HTTP and self._recv_http(pkt)
@@ -340,8 +340,8 @@ class Nap(_IcnClient):
             self._recv_response_segment(name, state, pkt.payload)
             return True
         scopes = name.scopes  # a request is /http/<host id>/<request role>~<url id>
-        if (len(scopes) == 3 and name.item is not None and scopes[2].value == _REQUEST
-                and scopes[1].value in self._served):
+        if (len(scopes) == 3 and name.item is not None and scopes[2] == _REQUEST
+                and scopes[1] in self._served):
             self._recv_request(pkt.payload)
             return True
         return False

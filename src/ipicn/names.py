@@ -24,7 +24,7 @@ _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = 1 << 64
 
-_HEX_ELEM = re.compile(r"^[0-9a-f]{1,16}$")
+_HEX_ELEM = re.compile(r"[0-9a-f]{1,16}")
 
 # distinct arguments for which the IP and HTTP name mappings each keep their name
 _INTERN_SIZE = 4096
@@ -42,62 +42,31 @@ class HttpRole(enum.Enum):
     RESPONSE = 2
 
 
-@dataclass(frozen=True, order=True)
-class NsId:
-    """A single 64-bit scope or item identifier."""
-
-    value: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.value < _U64:
-            raise ValueError(f"identifier out of 64-bit range: {self.value}")
-
-    @property
-    def hex(self) -> str:
-        return f"{self.value:016x}"
-
-    @classmethod
-    def from_hex(cls, text: str) -> "NsId":
-        if not _HEX_ELEM.match(text):
-            raise ValueError(f"malformed identifier element: {text!r}")
-        return cls(int(text, 16))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class IcnName:
-    """A scope path with an optional item identifier.
+    """A scope path with an optional item identifier, each a 64-bit int.
 
     A name without an item is scope-level and can cover whole subtrees;
     a name with an item designates one publishable information item.
-    `key` is the name's flat form, (scope values, item value or None):
-    names are equal exactly when their keys are, and compare by them.
     """
 
-    scopes: tuple[NsId, ...]
-    item: NsId | None = None
+    scopes: tuple[int, ...]
+    item: int | None = None
 
     def __post_init__(self) -> None:
         if not self.scopes:
             raise ValueError("name needs at least one scope")
         if len(self.scopes) > MAX_DEPTH:
             raise ValueError(f"scope path deeper than {MAX_DEPTH}")
+        for ident in self.scopes if self.item is None else (*self.scopes, self.item):
+            if not 0 <= ident < _U64:
+                raise ValueError(f"identifier out of 64-bit range: {ident}")
         # names key every table on the data path; hash once, with the value
         # the generated dataclass hash would give
         object.__setattr__(self, "_hash", hash((self.scopes, self.item)))
-        object.__setattr__(self, "key", (
-            tuple([s.value for s in self.scopes]),
-            None if self.item is None else self.item.value,
-        ))
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.key == other.key
 
     @property
     def is_item(self) -> bool:
@@ -112,13 +81,7 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _loc_scope(loc: Locality) -> NsId:
-    return NsId(loc.value)
-
-
-# shared identifiers for address names, so equal names share their elements
-_OCTETS = tuple(NsId(o) for o in range(256))
-_IP_PREFIX = {loc: (NsId(ROOT_IP), _loc_scope(loc)) for loc in Locality}
+_IP_PREFIX = {loc: (ROOT_IP, loc.value) for loc in Locality}
 
 
 @functools.lru_cache(maxsize=_INTERN_SIZE)
@@ -131,10 +94,7 @@ def name_for_ip(addr: ipaddress.IPv4Address | str, loc: Locality) -> IcnName:
     if isinstance(addr, str):
         addr = ipaddress.IPv4Address(addr)
     o1, o2, o3, o4 = addr.packed
-    return IcnName(
-        scopes=(*_IP_PREFIX[loc], _OCTETS[o1], _OCTETS[o2], _OCTETS[o3]),
-        item=_OCTETS[o4],
-    )
+    return IcnName(scopes=(*_IP_PREFIX[loc], o1, o2, o3), item=o4)
 
 
 def subnet_scope(prefix: ipaddress.IPv4Network | str, loc: Locality) -> IcnName:
@@ -145,8 +105,7 @@ def subnet_scope(prefix: ipaddress.IPv4Network | str, loc: Locality) -> IcnName:
             f"unsupported subnet granularity /{net.prefixlen}; use /8, /16 or /24"
         )
     octets = net.network_address.packed[: net.prefixlen // 8]
-    scopes = (NsId(ROOT_IP), _loc_scope(loc)) + tuple(NsId(o) for o in octets)
-    return IcnName(scopes=scopes)
+    return IcnName(scopes=(ROOT_IP, loc.value, *octets))
 
 
 def external_scope() -> IcnName:
@@ -161,8 +120,8 @@ def name_for_http(fqdn: str, role: HttpRole, url: str) -> IcnName:
     if not fqdn or not url:
         raise ValueError("fqdn and url must be non-empty")
     return IcnName(
-        scopes=(NsId(ROOT_HTTP), NsId(fnv1a64(fqdn.encode())), NsId(role.value)),
-        item=NsId(fnv1a64(url.encode())),
+        scopes=(ROOT_HTTP, fnv1a64(fqdn.encode()), role.value),
+        item=fnv1a64(url.encode()),
     )
 
 
@@ -170,13 +129,7 @@ def http_request_scope(fqdn: str) -> IcnName:
     """Scope covering every request item name for one host."""
     if not fqdn:
         raise ValueError("fqdn must be non-empty")
-    return IcnName(
-        scopes=(
-            NsId(ROOT_HTTP),
-            NsId(fnv1a64(fqdn.encode())),
-            NsId(HttpRole.REQUEST.value),
-        )
-    )
+    return IcnName(scopes=(ROOT_HTTP, fnv1a64(fqdn.encode()), HttpRole.REQUEST.value))
 
 
 def is_ancestor(scope: IcnName, name: IcnName) -> bool:
@@ -199,9 +152,9 @@ def covers(sub: IcnName, item: IcnName) -> bool:
 
 def render_name(name: IcnName) -> str:
     """Canonical text form: 16-hex-digit path elements, item prefixed `~`."""
-    parts = [s.hex for s in name.scopes]
+    parts = [f"{s:016x}" for s in name.scopes]
     if name.item is not None:
-        parts.append("~" + name.item.hex)
+        parts.append(f"~{name.item:016x}")
     return "/" + "/".join(parts)
 
 
@@ -213,9 +166,9 @@ def parse_name(text: str) -> IcnName:
     parts = text[1:].split("/")
     if parts == [""]:
         raise ValueError("empty name path")
-    item: NsId | None = None
+    item: int | None = None
     if parts[-1].startswith("~"):
-        item = NsId.from_hex(parts[-1][1:])
+        item = _parse_element(parts[-1][1:])
         parts = parts[:-1]
     if not parts:
         raise ValueError("name needs at least one scope")
@@ -223,4 +176,10 @@ def parse_name(text: str) -> IcnName:
         raise ValueError("'~' only marks the final element")
     if len(parts) > MAX_DEPTH:
         raise ValueError(f"scope path deeper than {MAX_DEPTH}")
-    return IcnName(scopes=tuple(NsId.from_hex(p) for p in parts), item=item)
+    return IcnName(scopes=tuple(_parse_element(p) for p in parts), item=item)
+
+
+def _parse_element(text: str) -> int:
+    if not _HEX_ELEM.fullmatch(text):
+        raise ValueError(f"malformed identifier element: {text!r}")
+    return int(text, 16)

@@ -35,8 +35,8 @@ class Rendezvous:
     """Single-instance matching state, mutated only by one event loop."""
 
     def __init__(self) -> None:
-        # subscriptions by the subscribed name's `key`, so a scope prefix is
-        # looked up by slicing ints instead of building a name
+        # subscriptions by the subscribed name's (scopes, item), so a scope
+        # prefix is looked up by slicing its scopes instead of building a name
         self._subs: dict[tuple[tuple[int, ...], int | None], set[ClientId]] = {}
         self._pubs: dict[IcnName, set[ClientId]] = {}
 
@@ -46,8 +46,8 @@ class Rendezvous:
         """Clients whose subscription equals `name` or an ancestor scope."""
         if not name.is_item:
             raise ValueError("match_set takes an item name")
-        matched = set(self._subs.get(name.key, ()))
-        scopes = name.key[0]
+        scopes = name.scopes
+        matched = set(self._subs.get((scopes, name.item), ()))
         for depth in range(1, len(scopes) + 1):
             matched |= self._subs.get((scopes[:depth], None), set())
         return frozenset(matched)
@@ -65,7 +65,7 @@ class Rendezvous:
 
         Re-subscribing is idempotent: same state, same current matches.
         """
-        self._subs.setdefault(name.key, set()).add(client)
+        self._subs.setdefault((name.scopes, name.item), set()).add(client)
         matched = sorted(self._covered(name), key=render_name)
         events = []
         for pub_name in matched:
@@ -88,14 +88,15 @@ class Rendezvous:
 
     def unsubscribe(self, client: ClientId, name: IcnName) -> list[MatchEvent]:
         """Drop a subscription; emit updates for every affected standing tree."""
-        holders = self._subs.get(name.key)
+        key = (name.scopes, name.item)
+        holders = self._subs.get(key)
         if holders is None or client not in holders:
             log.warning("unsubscribe without subscription: client=%s %s",
                         client, render_name(name))
             return []
         holders.discard(client)
         if not holders:
-            del self._subs[name.key]
+            del self._subs[key]
         # every publication `name` covers had `client` in its match set, so
         # its trees stood; each changes where `client` is no longer matched
         affected = sorted(

@@ -155,7 +155,14 @@ def _entries(doc: dict, key: str) -> list[dict]:
 
 
 # What reading an entry's integer fields raises when one is missing or malformed.
-_FIELD_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
+_FIELD_ERRORS = (KeyError, TypeError)
+
+
+def _json_int(value: object) -> int:
+    """`value` if it is a JSON integer: not 1.9, "7", true or 1e3."""
+    if type(value) is not int:
+        raise TypeError(value)
+    return value
 
 
 def brief(value: object) -> str:
@@ -185,7 +192,7 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     nodes: set[int] = set()  # link masks follow link order, so node order is not kept
     for entry in _entries(doc, "nodes"):
         try:
-            node_id = int(entry["id"])
+            node_id = _json_int(entry["id"])
         except _FIELD_ERRORS as exc:
             raise _field_error("node", entry, exc) from None
         if node_id in nodes:
@@ -209,9 +216,9 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     seen_pairs: set[tuple[int, int]] = set()
     for entry in _entries(doc, "links"):
         try:
-            a, b = int(entry["a"]), int(entry["b"])
-            delay = int(entry.get("delay_us", DEFAULT_DELAY_US))
-            cap = int(entry.get("capacity_bps", DEFAULT_CAPACITY_BPS))
+            a, b = _json_int(entry["a"]), _json_int(entry["b"])
+            delay = _json_int(entry.get("delay_us", DEFAULT_DELAY_US))
+            cap = _json_int(entry.get("capacity_bps", DEFAULT_CAPACITY_BPS))
         except _FIELD_ERRORS as exc:
             raise _field_error("link", entry, exc) from None
         if a == b:
@@ -231,7 +238,7 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     def gateway(what: str, entry: dict) -> tuple[ClientId, int]:
         """The entry's client id and node, checked and recorded."""
         try:
-            client, node = int(entry["client"]), int(entry["node"])
+            client, node = _json_int(entry["client"]), _json_int(entry["node"])
         except _FIELD_ERRORS as exc:
             raise _field_error(what, entry, exc) from None
         if not 0 <= client <= MAX_CLIENT_ID:

@@ -15,7 +15,7 @@ from conftest import CapturingIcnSimulation, make_topology_doc, random_connected
 from ipicn import simnet
 from ipicn.forwarding import FID_BITS, IcnPacket
 from ipicn.gateways import BorderGateway, HttpResponse, IpPacket, Nap
-from ipicn.names import IcnName, NsId
+from ipicn.names import IcnName
 from ipicn.rendezvous import Rendezvous
 from ipicn.simnet import IcnSimulation, Scenario
 from ipicn.topology import fid_for_tree, shortest_path_tree
@@ -208,7 +208,7 @@ def test_c4_tree_correctness():
 def _propagate_counting(g, root, tree, fid):
     """Walk a packet through the graph; count non-tree link evaluations."""
     tree_pairs = {(e.src, e.dst) for e in tree.edges}
-    pkt = IcnPacket(fid=fid, name=IcnName((NsId(1),)))
+    pkt = IcnPacket(fid=fid, name=IcnName((1,)))
     arrivals: dict[int, int] = {}
     trials = hits = 0
     frontier = [(root, pkt.ttl, None)]
@@ -372,7 +372,7 @@ def test_c7_signalling_overhead_hand_trace():
 # -- 8: legacy device constraint --------------------------------------------------
 
 
-ICN_TYPE_NAMES = {"IcnName", "IcnPacket", "NsId", "FidDelivery", "MatchEvent",
+ICN_TYPE_NAMES = {"IcnName", "IcnPacket", "FidDelivery", "MatchEvent",
                   "ForwardingId", "LinkId", "DeliveryTree"}
 
 

@@ -1,13 +1,18 @@
 """Command-line behaviour: exit codes, atomic reports, flags."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ipicn.cli import main
 from ipicn.gateways import MAX_RESPONSE_BYTES
@@ -125,6 +130,30 @@ class TestRun:
         paths["scenario"].write_text(text)
         assert main(run_args(paths, mode="icn")) == 2
         assert "scenario seed is not an integer" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("value", ["1.9", '"7"', "true", "1e3"])
+    @pytest.mark.parametrize("what, entries, field", [
+        ("node", "nodes", "id"),
+        ("link", "links", "a"),
+        ("link", "links", "b"),
+        ("link", "links", "delay_us"),
+        ("link", "links", "capacity_bps"),
+        ("nap", "naps", "client"),
+        ("nap", "naps", "node"),
+        ("border", "border", "client"),
+        ("border", "border", "node"),
+    ])
+    def test_topology_integers_are_json_integers_like_t_us(
+            self, paths, capsys, what, entries, field, value):
+        """A topology's integer fields are refused, not truncated or
+        converted: link {"a": 1.9} does not become node 1."""
+        doc = json.loads(json.dumps(TOPOLOGY))
+        entry = doc[entries] if entries == "border" else doc[entries][0]
+        entry[field] = json.loads(value)
+        paths["topo"].write_text(json.dumps(doc))
+        assert main(run_args(paths, mode="icn")) == 2
+        assert f"{what} entry has a non-integer field" in capsys.readouterr().err
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize(
@@ -421,6 +450,56 @@ class TestValidate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("invalid: ") and captured.err.count("\n") == 1
+
+
+STAR = {kind: json.loads((ROOT / "demos" / "data" / f"star{suffix}.json").read_text())
+        for kind, suffix in (("topology", ""), ("scenario", "_scenario"))}
+BAD_VALUES = [1.9, "7", True, None, -1, 2**70, [], {}, "x"]
+DELETE = "<delete>"
+
+
+def value_paths(doc, prefix=()):
+    """The path (keys and indices) to every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from value_paths(value, prefix + (key,))
+
+
+STAR_PATHS = [(kind, path) for kind in STAR for path in value_paths(STAR[kind])]
+STAR_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(STAR_PATHS), st.sampled_from(BAD_VALUES)),
+    st.tuples(st.sampled_from([kp for kp in STAR_PATHS if isinstance(kp[1][-1], str)]),
+              st.just(DELETE)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=STAR_MUTATIONS)
+def test_any_single_field_change_exits_with_a_documented_code(mutation):
+    """One bad value or one missing key anywhere in the star demo's topology
+    or scenario gives exit 0, 2 or 3 and at most a short error, never an
+    exception."""
+    (kind, path), value = mutation
+    docs = json.loads(json.dumps(STAR))
+    parent = docs[kind]
+    for key in path[:-1]:
+        parent = parent[key]
+    if value == DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        files = {kind: Path(tmp) / f"{kind}.json" for kind in docs}
+        for kind, doc in docs.items():
+            files[kind].write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--mode", "compare", "--topology", str(files["topology"]),
+                         "--scenario", str(files["scenario"]),
+                         "--out", str(Path(tmp) / "report.json")])
+    assert code in (0, 2, 3)
+    assert len(err.getvalue()) <= 400, err.getvalue()[:500]
 
 
 def test_loaders_reject_too_deeply_nested_text_with_their_own_error():

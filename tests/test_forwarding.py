@@ -16,13 +16,7 @@ from ipicn.forwarding import (
     gen_lid,
     lid_matches,
 )
-from ipicn.names import IcnName, NsId
-
-
-def name(*scopes, item=None):
-    return IcnName(
-        tuple(NsId(s) for s in scopes), NsId(item) if item is not None else None
-    )
+from ipicn.names import IcnName
 
 
 class TestGenLid:
@@ -93,23 +87,23 @@ def line_graph():
 
 class TestForward:
     def test_zero_fid_forwards_nowhere(self, line_graph):
-        pkt = IcnPacket(fid=0, name=name(1))
+        pkt = IcnPacket(fid=0, name=IcnName((1,)))
         for node in line_graph.nodes:
             assert forward(line_graph, node, pkt) == []
 
     def test_line_path_never_reverses(self, line_graph):
         fid = line_graph.link(1, 2).lid | line_graph.link(2, 3).lid
-        pkt = IcnPacket(fid=fid, name=name(1))
+        pkt = IcnPacket(fid=fid, name=IcnName((1,)))
         at_b = forward(line_graph, 2, pkt, in_link=line_graph.link(1, 2))
         assert [(l.src, l.dst) for l in at_b] == [(2, 3)]
 
     def test_ttl_one_drops(self, line_graph):
         fid = line_graph.link(1, 2).lid
-        pkt = IcnPacket(fid=fid, name=name(1), ttl=1)
+        pkt = IcnPacket(fid=fid, name=IcnName((1,)), ttl=1)
         assert forward(line_graph, 1, pkt) == []
 
     def test_in_link_must_end_at_node(self, line_graph):
-        pkt = IcnPacket(fid=0, name=name(1))
+        pkt = IcnPacket(fid=0, name=IcnName((1,)))
         with pytest.raises(ValueError):
             forward(line_graph, 1, pkt, in_link=line_graph.link(1, 2))
 
@@ -120,7 +114,7 @@ class TestForward:
             [1, 2, 3, 4, 5], [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)], seed=8
         )
         g = doc.graph
-        pkt = IcnPacket(fid=(1 << FID_BITS) - 1, name=name(1), ttl=32)
+        pkt = IcnPacket(fid=(1 << FID_BITS) - 1, name=IcnName((1,)), ttl=32)
         arrivals, traversals = flood(g, 1, pkt)
         # two initial copies (one per direction), each chain <= 31 hops
         assert len(traversals) <= 2 * 32
@@ -138,7 +132,7 @@ class TestForward:
             root = rng.choice(nodes)
             leaves = set(rng.sample(nodes, 3)) - {root}
             tree = shortest_path_tree(g, root, leaves)
-            pkt = IcnPacket(fid=fid_for_tree(g, tree), name=name(1))
+            pkt = IcnPacket(fid=fid_for_tree(g, tree), name=IcnName((1,)))
             arrivals, _ = flood(g, root, pkt)
             for leaf in leaves:
                 assert arrivals.get(leaf, 0) >= 1
@@ -148,7 +142,7 @@ class TestCodec:
     def test_minimal_packet_is_46_bytes(self):
         # 32 fid + 1 ttl + 1 reserved + 1 depth + 1 flag + 2 length = 38,
         # plus one 8-byte path element
-        pkt = IcnPacket(fid=0, name=name(0xAB))
+        pkt = IcnPacket(fid=0, name=IcnName((0xAB,)))
         buf = encode_packet(pkt)
         assert len(buf) == 46
         assert pkt.wire_size == 46
@@ -158,8 +152,8 @@ class TestCodec:
         for _ in range(500):
             depth = rng.randint(1, 16)
             nm = IcnName(
-                tuple(NsId(rng.getrandbits(64)) for _ in range(depth)),
-                NsId(rng.getrandbits(64)) if rng.random() < 0.5 else None,
+                tuple(rng.getrandbits(64) for _ in range(depth)),
+                rng.getrandbits(64) if rng.random() < 0.5 else None,
             )
             pkt = IcnPacket(
                 fid=rng.getrandbits(256),
@@ -172,29 +166,29 @@ class TestCodec:
             assert decode_packet(buf) == pkt
 
     def test_truncated_buffers_rejected(self):
-        pkt = IcnPacket(fid=3, name=name(1, 2, item=3), payload=b"xyz")
+        pkt = IcnPacket(fid=3, name=IcnName((1, 2), 3), payload=b"xyz")
         buf = encode_packet(pkt)
         for cut in (0, 10, 36, len(buf) - 1):
             with pytest.raises(ValueError):
                 decode_packet(buf[:cut])
 
     def test_trailing_bytes_rejected(self):
-        buf = encode_packet(IcnPacket(fid=0, name=name(1)))
+        buf = encode_packet(IcnPacket(fid=0, name=IcnName((1,))))
         with pytest.raises(ValueError):
             decode_packet(buf + b"\x00")
 
     def test_reserved_byte_must_be_zero(self):
         # offset 33 once held a packet kind; only data packets exist now
-        buf = bytearray(encode_packet(IcnPacket(fid=0, name=name(1), payload=b"p")))
+        buf = bytearray(encode_packet(IcnPacket(fid=0, name=IcnName((1,)), payload=b"p")))
         assert buf[33] == 0
-        assert decode_packet(bytes(buf)) == IcnPacket(fid=0, name=name(1), payload=b"p")
+        assert decode_packet(bytes(buf)) == IcnPacket(fid=0, name=IcnName((1,)), payload=b"p")
         for value in range(1, 256):
             buf[33] = value
             with pytest.raises(ValueError, match="unknown packet kind"):
                 decode_packet(bytes(buf))
 
     def test_bad_depth_rejected(self):
-        buf = bytearray(encode_packet(IcnPacket(fid=0, name=name(1))))
+        buf = bytearray(encode_packet(IcnPacket(fid=0, name=IcnName((1,)))))
         buf[34] = 17  # depth field
         with pytest.raises(ValueError):
             decode_packet(bytes(buf))
@@ -204,4 +198,4 @@ class TestCodec:
 
     def test_payload_cap_enforced(self):
         with pytest.raises(ValueError):
-            IcnPacket(fid=0, name=name(1), payload=b"x" * 65536)
+            IcnPacket(fid=0, name=IcnName((1,)), payload=b"x" * 65536)

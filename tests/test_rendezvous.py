@@ -7,19 +7,12 @@ import pytest
 from ipicn.names import (
     IcnName,
     Locality,
-    NsId,
     covers,
     external_scope,
     name_for_ip,
     render_name,
 )
 from ipicn.rendezvous import MatchEvent, Rendezvous
-
-
-def name(*scopes, item=None):
-    return IcnName(
-        tuple(NsId(s) for s in scopes), NsId(item) if item is not None else None
-    )
 
 
 def oracle_match_set(subs, item_name):
@@ -37,8 +30,8 @@ def oracle_match_set(subs, item_name):
 def random_item_name(rng, max_depth=6):
     depth = rng.randint(1, max_depth)
     return IcnName(
-        tuple(NsId(rng.randint(0, 3)) for _ in range(depth)),
-        item=NsId(rng.randint(0, 3)),
+        tuple(rng.randint(0, 3) for _ in range(depth)),
+        item=rng.randint(0, 3),
     )
 
 
@@ -52,7 +45,7 @@ def random_sub_name(rng, max_depth=6):
 class TestBasics:
     def test_subscribe_with_no_publications(self):
         rv = Rendezvous()
-        assert rv.subscribe(1, name(0xA)) == []
+        assert rv.subscribe(1, IcnName((0xA,))) == []
 
     def test_scope_subscription_matches_live_publication(self):
         rv = Rendezvous()
@@ -63,35 +56,35 @@ class TestBasics:
 
     def test_publish_with_zero_subscribers(self):
         rv = Rendezvous()
-        assert rv.publish_availability(1, name(0xA, item=0xB)) is None
+        assert rv.publish_availability(1, IcnName((0xA,), 0xB)) is None
 
     def test_publish_reaches_all_current_subscribers(self):
         rv = Rendezvous()
-        item = name(0xA, 0xB, item=0xC)
+        item = IcnName((0xA, 0xB), 0xC)
         rv.subscribe(1, item)
-        rv.subscribe(2, name(0xA))
+        rv.subscribe(2, IcnName((0xA,)))
         ev = rv.publish_availability(9, item)
         assert ev == MatchEvent(item, 9, frozenset({1, 2}))
 
     def test_publish_to_scope_level_rejected(self):
         rv = Rendezvous()
         with pytest.raises(ValueError):
-            rv.publish_availability(1, name(0xA, 0xB))
+            rv.publish_availability(1, IcnName((0xA, 0xB)))
 
     def test_match_set_needs_item_name(self):
         rv = Rendezvous()
         with pytest.raises(ValueError):
-            rv.match_set(name(0xA))
+            rv.match_set(IcnName((0xA,)))
 
 
 class TestIdempotence:
     def test_double_subscribe_same_state_and_matches(self):
         rv1, rv2 = Rendezvous(), Rendezvous()
-        item = name(0xA, item=0xB)
+        item = IcnName((0xA,), 0xB)
         for rv in (rv1, rv2):
             rv.publish_availability(3, item)
-            rv.subscribe(1, name(0xA))
-        first = rv2.subscribe(1, name(0xA))  # second time on rv2 only
+            rv.subscribe(1, IcnName((0xA,)))
+        first = rv2.subscribe(1, IcnName((0xA,)))  # second time on rv2 only
         assert first == [MatchEvent(item, 3, frozenset({1}))]
         assert rv1._subs == rv2._subs
         assert rv1._pubs == rv2._pubs
@@ -100,38 +93,38 @@ class TestIdempotence:
 class TestLifecycle:
     def test_last_subscriber_leaving_emits_empty_set(self):
         rv = Rendezvous()
-        item = name(0xA, item=0xB)
+        item = IcnName((0xA,), 0xB)
         rv.publish_availability(3, item)
-        rv.subscribe(1, name(0xA))
-        events = rv.unsubscribe(1, name(0xA))
+        rv.subscribe(1, IcnName((0xA,)))
+        events = rv.unsubscribe(1, IcnName((0xA,)))
         assert events == [MatchEvent(item, 3, frozenset())]
 
     def test_one_of_two_leaving_emits_remaining(self):
         rv = Rendezvous()
-        item = name(0xA, item=0xB)
+        item = IcnName((0xA,), 0xB)
         rv.subscribe(1, item)
-        rv.subscribe(2, name(0xA))
+        rv.subscribe(2, IcnName((0xA,)))
         rv.publish_availability(3, item)
-        events = rv.unsubscribe(2, name(0xA))
+        events = rv.unsubscribe(2, IcnName((0xA,)))
         assert events == [MatchEvent(item, 3, frozenset({1}))]
 
     def test_unsubscribe_without_effect_on_sets_is_silent(self):
         rv = Rendezvous()
-        item = name(0xA, item=0xB)
+        item = IcnName((0xA,), 0xB)
         rv.subscribe(1, item)
-        rv.subscribe(1, name(0xA))  # second covering subscription
+        rv.subscribe(1, IcnName((0xA,)))  # second covering subscription
         rv.publish_availability(3, item)
-        assert rv.unsubscribe(1, name(0xA)) == []
+        assert rv.unsubscribe(1, IcnName((0xA,))) == []
 
     def test_unpublish_with_no_subscribers_is_silent(self):
         rv = Rendezvous()
-        item = name(0xA, item=0xB)
+        item = IcnName((0xA,), 0xB)
         rv.publish_availability(3, item)
         assert rv.unpublish(3, item) is None
 
     def test_unpublish_of_matched_item_tears_down(self):
         rv = Rendezvous()
-        item = name(0xA, item=0xB)
+        item = IcnName((0xA,), 0xB)
         rv.subscribe(1, item)
         rv.publish_availability(3, item)
         assert rv.unpublish(3, item) == MatchEvent(item, 3, frozenset())
@@ -139,18 +132,18 @@ class TestLifecycle:
     def test_removing_missing_records_warns_not_raises(self, caplog):
         rv = Rendezvous()
         with caplog.at_level("WARNING"):
-            assert rv.unsubscribe(1, name(0xA)) == []
-            assert rv.unpublish(1, name(0xA, item=1)) is None
+            assert rv.unsubscribe(1, IcnName((0xA,))) == []
+            assert rv.unpublish(1, IcnName((0xA,), 1)) is None
         assert len(caplog.records) == 2
 
     def test_scope_unsubscribe_updates_every_affected_tree(self):
         rv = Rendezvous()
-        items = [name(0xA, i, item=9) for i in range(3)]
+        items = [IcnName((0xA, i), 9) for i in range(3)]
         for item in items:
             rv.publish_availability(10 + items.index(item), item)
-        rv.subscribe(1, name(0xA))
+        rv.subscribe(1, IcnName((0xA,)))
         rv.subscribe(2, items[0])
-        events = rv.unsubscribe(1, name(0xA))
+        events = rv.unsubscribe(1, IcnName((0xA,)))
         assert len(events) == 3
         by_name = {ev.name: ev for ev in events}
         assert by_name[items[0]].subscribers == frozenset({2})
@@ -332,7 +325,7 @@ class TestItemNameLookup:
     def published(self):
         rv, ref = Rendezvous(), SortThenFilterRendezvous()
         for i in range(1000):
-            item, client = name(0xA, i % 10, item=i), 1 + i % 7
+            item, client = IcnName((0xA, i % 10), i), 1 + i % 7
             assert rv.publish_availability(client, item) == ref.publish_availability(
                 client, item
             )
@@ -355,7 +348,7 @@ class TestItemNameLookup:
         self, published, covers_calls
     ):
         rv, ref = published
-        live, absent = name(0xA, 3, item=3), name(0xA, 3, item=4)
+        live, absent = IcnName((0xA, 3), 3), IcnName((0xA, 3), 4)
         for item in (live, absent):
             assert rv.subscribe(9, item) == ref.subscribe(9, item)
             assert rv.subscribe(8, item) == ref.subscribe(8, item)
@@ -369,7 +362,7 @@ class TestItemNameLookup:
         self, published, covers_calls
     ):
         rv, ref = published
-        scope = name(0xA, 3)
+        scope = IcnName((0xA, 3))
         got = rv.subscribe(9, scope)
         assert len(covers_calls) == 1000
         assert got == ref.subscribe(9, scope)

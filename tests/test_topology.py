@@ -9,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
 from conftest import make_topology_doc, random_connected_graph
-from ipicn.names import IcnName, NsId
+from ipicn.names import IcnName
 from ipicn.rendezvous import MatchEvent
 from ipicn.topology import (
     TopologyError,
@@ -23,7 +23,7 @@ from ipicn.topology import (
 
 
 def item_name():
-    return IcnName((NsId(1),), item=NsId(2))
+    return IcnName((1,), item=2)
 
 
 def scipy_distances(g, root):

@@ -155,12 +155,14 @@ def body_segments(total: int) -> list[tuple[int, int]]:
     return [(o, min(SEGMENT_CHUNK, total - o)) for o in range(0, total, SEGMENT_CHUNK)] or [(0, 0)]
 
 
-def synth_bytes(tag: str, size: int) -> bytes:
-    """Deterministic filler content so payload identity is checkable."""
+def synth_bytes(tag: str, size: int, offset: int = 0) -> bytes:
+    """Deterministic filler content so payload identity is checkable: the
+    `size` bytes from `offset` on of `tag|` repeated without end."""
     if size == 0:
         return b""
     pattern = tag.encode() + b"|"
-    return (pattern * (size // len(pattern) + 1))[:size]
+    start = offset % len(pattern)
+    return (pattern * ((start + size) // len(pattern) + 1))[start : start + size]
 
 
 @dataclass
@@ -366,11 +368,12 @@ class Nap(_IcnClient):
 
     def _close_exchange(self, resp_name: IcnName, fqdn: str, url: str) -> None:
         """Window expiry: publish the response once for every requester; a
-        later request for the URL opens a new exchange."""
-        body = synth_bytes(f"{fqdn}{url}", self._exchanges.pop(resp_name))
-        total = len(body)
+        later request for the URL opens a new exchange. Each segment's bytes
+        are made on their own, so the whole body (up to 16 MiB) is never
+        built at the server."""
+        total = self._exchanges.pop(resp_name)
         self._publish_once(resp_name, [
-            _SEGMENT_FRAME.pack(offset, total) + body[offset : offset + length]
+            _SEGMENT_FRAME.pack(offset, total) + synth_bytes(f"{fqdn}{url}", length, offset)
             for offset, length in body_segments(total)
         ])
 

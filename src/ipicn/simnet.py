@@ -2,24 +2,28 @@
 
 One simulation instance wires NAPs, the border gateway, the rendezvous and
 the topology manager onto a loaded graph and drains a timed workload to
-quiescence. Control messages travel hop-by-hop to and from the RV/TM node
-(the lowest node id); data travels by forwarding-identifier mask matching.
-The same scenario can run against a plain-IP unicast baseline that routes
-every packet and every HTTP response copy along shortest paths with no
-control plane at all.
+quiescence. Control messages go to and from the RV/TM node (the lowest
+node id); data travels by forwarding-identifier mask matching. The same
+scenario can run against a plain-IP unicast baseline that routes every
+packet and every HTTP response copy along shortest paths with no control
+plane at all.
 
-Links have no queues, so every hop of a data message is fixed when it is
-sent, and both modes send it over its whole path in one step: they bill and
-trace every hop that starts by the run's time limit, each trace row stamped
-with that hop's start time, and schedule only the arrivals where something
-acts. The baseline schedules the arrival at the path's end. An ICN copy
-replays its delivery plan, built once per (emitting node, fid, TTL, tree
-edges) from the forwarding answers: the crossings of every copy the emission
-makes, each with its parent crossing, whether it leaves the tree, whether
-its far node has gateways and whether the TTL runs out there. The replay
-schedules one hand-off per arrival at a gateway node, and counts a TTL drop
-only if it is reached by the limit. Trace rows therefore come in send
-(emission) order, not time order.
+Links have no queues, so every hop of a message is fixed when it is sent,
+and every message is sent over its whole path in one step: each hop that
+starts by the run's time limit is billed and traced then, its row stamped
+with that hop's start time, and only the arrivals where something acts are
+queued. Trace rows therefore come in send order, not time order.
+- An ICN control message queues its handler at the arrival from the start
+  of its last hop: when it is sent for a one-hop path, else by one event
+  queued there. So the arrival ties with other events as it would if each
+  hop took its own event.
+- The baseline queues the arrival at the path's end.
+- An ICN copy replays its delivery plan, built once per (emitting node,
+  fid, TTL, tree edges) from the forwarding answers: the crossings of every
+  copy the emission makes, each with its parent crossing, whether it leaves
+  the tree, whether its far node has gateways and whether the TTL runs out
+  there. The replay queues one hand-off per arrival at a gateway node, and
+  counts a TTL drop only if it is reached by the limit.
 
 Byte counters are per link traversal; a message whose source and
 destination share a node never touches a link and costs nothing. Reports
@@ -225,28 +229,6 @@ class _EventQueue:
 
 def _serialization_us(size_bytes: int, capacity_bps: int) -> int:
     return -(-8 * size_bytes * 1_000_000 // capacity_bps)
-
-
-class _Transfer:
-    """An ICN control message of `size` wire bytes under `name`, sent over
-    `path` when made, one link per event, then `on_arrive` called. Only the
-    queue holds the bound `_hop`, so no cycle keeps a transfer past its last
-    event."""
-
-    __slots__ = ("_sim", "_links", "_size", "_name", "_on_arrive")
-
-    def __init__(self, sim: IcnSimulation, path: list[Link], size: int, name: IcnName,
-                 on_arrive: Callable[[], None]) -> None:
-        self._sim, self._links, self._size = sim, iter(path), size
-        self._name, self._on_arrive = name, on_arrive
-        self._hop()
-
-    def _hop(self) -> None:
-        link = next(self._links, None)
-        if link is None:
-            self._on_arrive()
-        else:
-            self._sim._cross(link, self._size, self._name, self._hop)
 
 
 # a crossing of a delivery plan: (link, index of the parent crossing or -1
@@ -637,20 +619,33 @@ class IcnSimulation(_AccountingMixin):
         self, path: list[Link], name: IcnName, payload_len: int,
         handler: Callable[[], None],
     ) -> None:
-        """Carry a control message under `name` over `path`, then call `handler`."""
+        """Carry a control message under `name` over `path`, then call
+        `handler`. Each hop starts when the one before it ends; every hop
+        that starts by the run's time limit is billed and traced now, its row
+        stamped with its start. The handler is queued at the arrival from the
+        start of the last hop (by an event queued there, unless that is now),
+        so the arrival ties with other events as when each hop took its own
+        event. A walk cut at the limit queues an event at the first start
+        past it instead, so the run ends there and counts `time_limit_hits`."""
+        push = self.queue.push
         if self.ideal_control or not path:
-            self.queue.push(self.now, handler)
+            push(self.now, handler)
+            return
+        size = wire_size(name, payload_len)
+        time_us, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
+        for link in path:
+            if time_us > limit:
+                push(time_us, _noop)
+                return
+            link_bytes[link.src, link.dst][0] += size
+            if self._trace is not None:
+                self._trace_row(link.src, "ctrl", link, size, name, time_us)
+            start = time_us
+            time_us += link.delay_us + _serialization_us(size, link.capacity_bps)
+        if len(path) == 1:
+            push(time_us, handler)
         else:
-            _Transfer(self, path, wire_size(name, payload_len), name, handler)
-
-    def _cross(self, link: Link, size: int, name: IcnName, on_arrive: Callable[[], None]) -> None:
-        """Bill `size` control bytes to `link`, trace the hop and call
-        `on_arrive` when the bytes reach the far end."""
-        self.link_bytes[link.src, link.dst][0] += size
-        if self._trace is not None:
-            self._trace_row(link.src, "ctrl", link, size, name)
-        self.queue.push(self.now + link.delay_us + _serialization_us(size, link.capacity_bps),
-                        on_arrive)
+            push(start, lambda: push(time_us, handler))
 
     # -- data plane ----------------------------------------------------------
 

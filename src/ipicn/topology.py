@@ -253,9 +253,13 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     naps = []
     for entry in _entries(doc, "naps"):
         client, node = gateway("nap", entry)
+        texts = entry.get("prefixes", [])
+        # IPv4Network would also take a JSON number or boolean as an address
+        if not isinstance(texts, list) or not all(isinstance(p, str) for p in texts):
+            raise TopologyError(f"nap {client} 'prefixes' must be a list of strings")
         try:
-            prefixes = tuple(ipaddress.IPv4Network(p) for p in entry.get("prefixes", []))
-        except (TypeError, ValueError) as exc:  # its text quotes the prefix
+            prefixes = tuple(ipaddress.IPv4Network(p) for p in texts)
+        except ValueError as exc:  # its text quotes the prefix
             raise TopologyError(f"bad prefix on nap {client}: {brief(str(exc))}") from exc
         naps.append(NapConfig(client, node, prefixes))
 

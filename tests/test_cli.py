@@ -413,6 +413,19 @@ class TestValidate:
     def test_missing_file_exits_2(self, paths):
         assert main(["validate", str(paths["dir"] / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("prefixes", [[True], [167772160], {"10.0.0.0/8": 1}],
+                             ids=["bool", "int", "object"])
+    def test_prefixes_other_than_a_list_of_strings_exit_2(self, paths, capsys, prefixes):
+        paths["topo"].write_text(json.dumps(dict(TOPOLOGY, naps=[
+            {"client": 1, "node": 2, "prefixes": prefixes}])))
+        assert main(["validate", str(paths["topo"])]) == 2
+        assert capsys.readouterr().err == \
+            "invalid: nap 1 'prefixes' must be a list of strings\n"
+        assert main(run_args(paths, mode="compare")) == 2
+        assert capsys.readouterr().err == \
+            "error: nap 1 'prefixes' must be a list of strings\n"
+        assert not paths["out"].exists()
+
     def test_huge_prefix_gives_one_short_line(self, paths, capsys):
         paths["topo"].write_text(json.dumps(dict(TOPOLOGY, naps=[
             {"client": 1, "node": 2, "prefixes": [HUGE]}])))

@@ -410,8 +410,16 @@ class TestHttp:
         assert len(segments) == 4  # ceil(250000 / 65507) published exactly once
         assert sorted(client for client, _ in env.http_completions) == [1, 2]
         (_, first), (_, second) = env.http_completions
-        assert first.body == second.body
-        assert len(first.body) == 250_000
+        assert first.body == second.body == gateways.synth_bytes("cdn.example/v/1", 250_000)
+
+    @pytest.mark.parametrize("tag", ["a", "cdn.example/v/1"])
+    def test_filler_from_an_offset_is_that_slice_of_the_whole(self, tag):
+        """The server makes each segment's bytes from its offset, never the
+        whole body: each equals that slice of the whole filler."""
+        size = 3 * SEGMENT_CHUNK + 123
+        whole = gateways.synth_bytes(tag, size)
+        for offset, length in body_segments(size) + [(1, 0), (5, 7), (size - 1, 1)]:
+            assert gateways.synth_bytes(tag, length, offset) == whole[offset : offset + length]
 
     def test_negative_window_is_rejected(self, env):
         with pytest.raises(ValueError, match="window must not be negative"):

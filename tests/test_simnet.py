@@ -590,10 +590,16 @@ class TestTrace:
 
 
     @pytest.mark.parametrize("cls, digest", [
-        (IcnSimulation, "e2ac0d2a82c00e2a2d27081893b53d2f783857ed"),
+        (IcnSimulation, "7ab8cc1afbd2275967b106ddf63eb17b2fe6b215"),
         (BaselineSimulation, "f745e7b2cddf96af7054e2ec891a6caa78e46a1a"),
     ])
     def test_small_demo_trace_is_pinned(self, cls, digest):
+        """The unsorted rows, pinned. An ICN control message bills and traces
+        every hop when it is sent, each row stamped with that hop's start,
+        so its `ctrl` rows come in send order, as data rows do: a two-hop
+        request's second row comes before other messages' rows stamped
+        earlier. The ICN pin moved with that change; the small demo's report
+        and sorted rows did not."""
         scenario = load_scenario((DEMO_DATA / "small_scenario.json").read_text())
         topo = load_topology_doc((DEMO_DATA / "small.json").read_text(), scenario.seed)
         rows = []
@@ -619,9 +625,10 @@ class TestTrace:
 
 class TestInternedStateAcrossRuns:
     """Names and decoded addresses are interned for the process, so a run
-    must not depend on the runs before it."""
+    must not depend on the runs before it. The small demo's trace is
+    TestTrace's pin, `ctrl` rows in send order."""
 
-    SMALL_TRACE_SHA1 = "e2ac0d2a82c00e2a2d27081893b53d2f783857ed"  # as pinned in TestTrace
+    SMALL_TRACE_SHA1 = "7ab8cc1afbd2275967b106ddf63eb17b2fe6b215"  # as pinned in TestTrace
 
     @staticmethod
     def traced_run(demo):
@@ -1093,13 +1100,14 @@ class TestSaturatedFid:
 
     Each emission replays its delivery plan when it is sent, so its `data`
     and `ttl-drop` rows come together, in the plan's breadth-first walk
-    order, each stamped with its own time: the rows come in emission order,
-    not time order. The sorted rows are pinned apart from their order; they
-    equal those of the data path that took one event per hop and wrote its
-    rows in time order."""
+    order, each stamped with its own time; each control message's `ctrl`
+    rows likewise come together when it is sent. So the rows come in send
+    order, not time order. The sorted rows are pinned apart from their
+    order; they equal those of the engine that took one event per data or
+    control hop and wrote its rows in time order."""
 
     REPORT_SHA1 = "15e6aa773493813c591cf2d1d4d7340a3e9c46ab"
-    TRACE_SHA1 = "6dafe103dc26373e3d6aea6452e8faa4135d5c03"
+    TRACE_SHA1 = "7d7148b7c2aba8c8ce879b20f2dd4a175435ae32"
     SORTED_TRACE_SHA1 = "4d21a3d980c76ab7eb29434dff22350e98b020a7"
 
     @staticmethod

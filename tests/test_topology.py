@@ -124,6 +124,22 @@ class TestLoading:
         with pytest.raises(TopologyError, match="prefix"):
             load_topology_doc(doc, 1)
 
+    @pytest.mark.parametrize("prefixes", [
+        [True], [167772160], {"10.0.0.0/8": 1}, "10.0.0.0/8", [None], [["10.0.0.0/8"]],
+    ], ids=["bool", "int", "object", "string", "null", "nested"])
+    def test_prefixes_other_than_a_list_of_strings_rejected(self, prefixes):
+        """IPv4Network takes an int or bool as an address, so [true] would
+        load as 0.0.0.1/32 and [167772160] as 10.0.0.0/32; iterating an
+        object would load its keys."""
+        doc = {
+            "nodes": [{"id": 1}],
+            "links": [],
+            "naps": [{"client": 1, "node": 1, "prefixes": prefixes}],
+        }
+        with pytest.raises(TopologyError,
+                           match=r"^nap 1 'prefixes' must be a list of strings$"):
+            load_topology_doc(doc, 1)
+
     def test_duplicate_link_rejected(self):
         doc = {
             "nodes": [{"id": 1}, {"id": 2}],

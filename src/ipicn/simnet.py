@@ -13,15 +13,16 @@ and every message is sent over its whole path in one step: each hop that
 starts by the run's time limit is billed and traced then, its row stamped
 with that hop's start time, and only the arrivals where something acts are
 queued. Trace rows therefore come in send order, not time order.
-- An ICN control message queues its handler at the arrival from the start
-  of its last hop: when it is sent for a one-hop path, else by one event
-  queued there. So the arrival ties with other events as it would if each
-  hop took its own event.
-- The baseline queues the arrival at the path's end.
-- An ICN copy replays its delivery plan, built once per (emitting node,
-  fid, TTL, tree edges) from the forwarding answers: the crossings of every
-  copy the emission makes, each with its parent crossing, whether it leaves
-  the tree, whether its far node has gateways and whether the TTL runs out
+- A baseline message and an ICN control message take one walk, `_walk`.
+  The baseline queues the arrival at the path's end. A control message
+  queues its handler at the arrival from the start of its last hop: when
+  it is sent for a one-hop path, else by one event queued there. So, up to
+  two hops, the arrival ties with other events as if each hop took its own.
+- An ICN copy replays its delivery plan, built once per (fid, emitting
+  node, TTL, tree edges) from the forwarding answers and kept in one
+  least-recently-emitted table, `_plans`: the crossings of every copy the
+  emission makes, each with its parent crossing, whether it leaves the
+  tree, whether its far node has gateways and whether the TTL runs out
   there. The replay queues one hand-off per arrival at a gateway node, and
   counts a TTL drop only if it is reached by the limit.
 
@@ -81,7 +82,7 @@ _REQUEST_PAYLOAD = 4 + 1
 _FID_PAYLOAD = 4 + 32 + 1
 
 _NO_EDGES: frozenset[tuple[int, int]] = frozenset()  # a copy emitted on no standing tree
-_LOOSE_FIDS = 64  # fid records kept beyond one per standing tree
+_LOOSE_FIDS = 64  # delivery plans kept beyond one per standing tree
 
 # (field, JSON type, bound, default) per field of each workload op: an
 # integer with a bound must lie in 0..bound, a string with a bound must not
@@ -157,6 +158,8 @@ def load_scenario(doc: dict | str) -> Scenario:
     seed = doc.get("seed", 1)
     if type(seed) is not int:  # a JSON integer, as t_us: not 1.9, "7", true or 1e3
         raise ScenarioError("scenario seed is not an integer")
+    if seed < 0:  # it would give the link masks of its absolute value
+        raise ScenarioError(f"scenario seed must not be negative, got {brief(seed)}")
     return Scenario(
         workload=list(workload),
         mode=mode,
@@ -237,10 +240,6 @@ def _serialization_us(size_bytes: int, capacity_bps: int) -> int:
 _Crossing = tuple[Link, int, list[int], bool, bool, bool]
 # (TTL spent at the emitting node with links matched, crossings in walk order)
 _Plan = tuple[bool, tuple[_Crossing, ...]]
-# one fid's record in `IcnSimulation._records`, one dict: forward()'s answers,
-# (node, arrival node or -1 at emission) -> the links it matched, and the
-# delivery plans built from them, (emitting node, TTL, tree edges) -> plan
-_FidRecord = dict[tuple, "list[Link] | _Plan"]
 
 
 def _noop() -> None:
@@ -302,6 +301,24 @@ class _AccountingMixin:
             name_text = render_name(name) if isinstance(name, IcnName) else name
             stamp = self.now if time_us is None else time_us
             self._trace(f"{stamp},{node},{event},{link_text},{size},{name_text}")
+
+    def _walk(self, path: list[Link], size: int, slot: int, name: object) -> int:
+        """Send `size` wire bytes under `name` over `path` now and return when
+        they arrive. Links have no queues, so each hop starts when the one
+        before it ends: every hop that starts by the run's time limit is billed
+        to byte slot `slot` (0 control, 1 data) and traced now, its row stamped
+        with its start. A walk cut at the limit returns the first start past
+        it, so an event the caller queues there ends the run and counts
+        `time_limit_hits`."""
+        time_us, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
+        for link in path:
+            if time_us > limit:
+                break
+            link_bytes[link.src, link.dst][slot] += size
+            if self._trace is not None:
+                self._trace_row(link.src, "data" if slot else "ctrl", link, size, name, time_us)
+            time_us += link.delay_us + _serialization_us(size, link.capacity_bps)
+        return time_us
 
     def _record_ip_flow(self, ip: IpPacket, client: ClientId) -> bool:
         """Record `ip`'s delivery, or count a duplicate and return False: an IP
@@ -521,12 +538,13 @@ class IcnSimulation(_AccountingMixin):
                        for node, path in self._from_rv.items()}
 
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
-        # each fid's record, least recently emitted first. A new fid drops the
-        # oldest beyond one per standing tree plus _LOOSE_FIDS, so standing
-        # trees emitting in turn never drop each other's, while copies
-        # emitted after their tree went, and a tree rebuilt later over the
-        # same edges, so with the same fid, still find theirs
-        self._records: dict[int, _FidRecord] = {}
+        # delivery plans by (fid, emitting node, TTL, tree edges), least
+        # recently emitted first. A new plan drops the oldest beyond one per
+        # standing tree plus _LOOSE_FIDS, so standing trees emitting in turn
+        # never drop each other's, while copies emitted after their tree
+        # went, and a tree rebuilt later over the same edges, so with the
+        # same fid, still find theirs
+        self._plans: dict[tuple[int, int, int, frozenset[tuple[int, int]]], _Plan] = {}
 
     # -- environment interface used by the gateways ------------------------
 
@@ -573,19 +591,15 @@ class IcnSimulation(_AccountingMixin):
         size = pkt.wire_size
         if self._trace is not None:
             self._trace_row(gw.node, "emit", None, size, pkt.name)
-        records = self._records
-        record = records.pop(pkt.fid, None)
-        if record is None:
-            record = {}
-            while len(records) >= len(self._tree_edges) + _LOOSE_FIDS:
-                del records[next(iter(records))]
-        records[pkt.fid] = record
         meta = self._tree_edges.get((client, pkt.name), _NO_EDGES)
-        self._hand_off(gw.node, pkt, gw)
-        key = (gw.node, pkt.ttl, meta)
-        plan = record.get(key)
+        key, plans = (pkt.fid, gw.node, pkt.ttl, meta), self._plans
+        plan = plans.pop(key, None)
         if plan is None:
-            plan = record[key] = self._plan(gw.node, pkt, meta, record)
+            while len(plans) >= len(self._tree_edges) + _LOOSE_FIDS:
+                del plans[next(iter(plans))]
+            plan = self._plan(gw.node, pkt, meta)
+        plans[key] = plan
+        self._hand_off(gw.node, pkt, gw)
         self._replay(gw.node, plan, pkt, size)
 
     # -- control plane ------------------------------------------------------
@@ -619,33 +633,25 @@ class IcnSimulation(_AccountingMixin):
         self, path: list[Link], name: IcnName, payload_len: int,
         handler: Callable[[], None],
     ) -> None:
-        """Carry a control message under `name` over `path`, then call
-        `handler`. Each hop starts when the one before it ends; every hop
-        that starts by the run's time limit is billed and traced now, its row
-        stamped with its start. The handler is queued at the arrival from the
-        start of the last hop (by an event queued there, unless that is now),
-        so the arrival ties with other events as when each hop took its own
-        event. A walk cut at the limit queues an event at the first start
-        past it instead, so the run ends there and counts `time_limit_hits`."""
+        """Carry a control message under `name` over `path` by `_walk`, then
+        call `handler`. The handler is queued at the arrival from the start of
+        the last hop (by an event queued there, unless that is now), so the
+        arrival takes its tie-break number at the moment it would if each hop
+        took its own event; on paths of up to two hops, in the same order. An
+        end past the run's time limit is queued as it is: there the run ends,
+        and the handler never runs."""
         push = self.queue.push
         if self.ideal_control or not path:
             push(self.now, handler)
             return
         size = wire_size(name, payload_len)
-        time_us, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
-        for link in path:
-            if time_us > limit:
-                push(time_us, _noop)
-                return
-            link_bytes[link.src, link.dst][0] += size
-            if self._trace is not None:
-                self._trace_row(link.src, "ctrl", link, size, name, time_us)
-            start = time_us
-            time_us += link.delay_us + _serialization_us(size, link.capacity_bps)
-        if len(path) == 1:
-            push(time_us, handler)
+        end = self._walk(path, size, 0, name)
+        if len(path) == 1 or end > self._max_time_us:
+            push(end, handler)
         else:
-            push(start, lambda: push(time_us, handler))
+            last = path[-1]
+            push(end - last.delay_us - _serialization_us(size, last.capacity_bps),
+                 lambda: push(end, handler))
 
     # -- data plane ----------------------------------------------------------
 
@@ -657,8 +663,7 @@ class IcnSimulation(_AccountingMixin):
             if gw is not publisher and not gw.on_icn_data(pkt):
                 self.counters["fp_deliveries"] += 1
 
-    def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[tuple[int, int]],
-              answers: _FidRecord) -> _Plan:
+    def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[tuple[int, int]]) -> _Plan:
         """The delivery plan of `pkt` emitted at `node` on the tree with edges
         `meta`: every crossing its copies make, breadth first, each after its
         parent crossing. A copy arriving with its TTL spent crosses nothing
@@ -668,9 +673,9 @@ class IcnSimulation(_AccountingMixin):
 
         The matching links depend only on the node, the fid and the arrival
         link, never on the TTL, and the graph is fixed: so forward() runs once
-        per (node, arrival node) in `answers`, the fid's record (see
-        `_records`), with a TTL of at least 2."""
+        per (node, arrival node) of the plan, with a TTL of at least 2."""
         probe = pkt if pkt.ttl > 1 else replace(pkt, ttl=2)
+        answers: dict[tuple[int, int], list[Link]] = {}
 
         def links_at(node: int, in_link: Link | None) -> list[Link]:
             key = (node, -1 if in_link is None else in_link.src)
@@ -781,35 +786,18 @@ class BaselineSimulation(_AccountingMixin):
         self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
         self._routes: dict[tuple[int, int], list[Link]] = {}  # the graph never changes
 
-    def _route(self, src: int, dst: int, size: int) -> int:
-        """Send `size` wire bytes from node src to node dst in one step and
-        return when they arrive. Links have no queues, so each hop starts when
-        the one before it ends: every hop that starts by the run's time limit
-        is billed and traced now, its row stamped with its start. A walk cut
-        at the limit returns the first start past it, so the one event the
-        caller queues there ends the run and counts `time_limit_hits`."""
-        path = self._routes.get((src, dst))
-        if path is None:
-            path = path_links(self.graph, dijkstra(self.graph, src), src, dst)
-            self._routes[(src, dst)] = path
-        time_us, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
-        for link in path:
-            if time_us > limit:
-                break
-            link_bytes[link.src, link.dst][1] += size
-            if self._trace is not None:
-                self._trace_row(link.src, "data", link, size, "-", time_us)
-            time_us += link.delay_us + _serialization_us(size, link.capacity_bps)
-        return time_us
-
     def _send(self, src: int, dst: int, sizes: list[int], on_arrive: Callable[[], None]) -> None:
         """Send one packet of each of `sizes` wire bytes from node src to node
-        dst now and call `on_arrive`, once, when the last of them arrives: at
-        once when src is dst, since no link is crossed."""
+        dst now by `_walk` and call `on_arrive`, once, when the last of them
+        arrives: at once when src is dst, since no link is crossed."""
         if src == dst:
             on_arrive()
-        else:
-            self.queue.push(max(self._route(src, dst, size) for size in sizes), on_arrive)
+            return
+        path = self._routes.get((src, dst))
+        if path is None:
+            path = self._routes[src, dst] = path_links(
+                self.graph, dijkstra(self.graph, src), src, dst)
+        self.queue.push(max(self._walk(path, size, 1, "-") for size in sizes), on_arrive)
 
     def _inject(self, action: dict) -> None:
         op = action["op"]

@@ -180,7 +180,11 @@ def _field_error(what: str, entry: dict, exc: Exception) -> TopologyError:
 
 def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     """Build the graph from a document (dict or JSON text), assigning link
-    masks deterministically from `seed` in document order."""
+    masks deterministically from `seed` in document order. A negative seed
+    is refused: `random.Random` seeds with its absolute value, so it would
+    alias a positive one."""
+    if seed < 0:
+        raise TopologyError(f"link-mask seed must not be negative, got {brief(seed)}")
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)

@@ -304,6 +304,22 @@ class TestRun:
         report = json.loads(paths["out"].read_text())
         assert report["totals"]["control_bytes"] == 0
 
+    def test_negative_seed_flag_exits_2(self, paths, capsys):
+        """`--seed -5` would alias seed 5's link masks."""
+        args = run_args(paths, mode="icn")
+        args[args.index("--seed") + 1] = "-5"
+        assert main(args) == 2
+        assert "link-mask seed must not be negative, got -5" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
+    def test_negative_scenario_seed_exits_2(self, paths, capsys):
+        """Refused even when `--seed` would override it, as a non-integer
+        scenario seed is."""
+        paths["scenario"].write_text(json.dumps(dict(SCENARIO, seed=-5)))
+        assert main(run_args(paths, mode="icn")) == 2
+        assert "scenario seed must not be negative, got -5" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
     def test_seed_defaults_to_scenario_then_one(self, paths):
         args = run_args(paths, mode="icn")
         del args[args.index("--seed") + 1]

@@ -7,7 +7,7 @@
   emission's bytes land once on each edge of its delivery tree, plus the
   crossings counted in `off_tree_forwards` (over `test_mode_parity`'s IP and
   border workloads).
-- The fid memo is only a cache: keeping one record beyond the standing
+- The plan memo is only a cache: keeping one plan beyond the standing
   trees instead of `_LOOSE_FIDS`, or none at all, gives the same report
   and trace.
 - Time-limit prefix: a run cut at `max_time_us = T` bills each link
@@ -219,11 +219,11 @@ def test_each_emission_lands_on_exactly_its_tree_edges(case):
 
 
 class Forgetful(IcnSimulation):
-    """Drops every fid record before each emission, so each copy's plan and
-    forward() answers are built anew."""
+    """Drops every delivery plan before each emission, so each copy's plan
+    and forward() answers are built anew."""
 
     def transmit(self, client, pkt) -> None:
-        self._records.clear()
+        self._plans.clear()
         super().transmit(client, pkt)
 
 
@@ -231,7 +231,7 @@ class Forgetful(IcnSimulation):
 @given(case=cases())
 @example(case=star_fetch())
 def test_the_fid_memo_is_only_a_cache(case):
-    """With one loose fid record the memo drops and rebuilds more (the star
+    """With one loose plan the memo drops and rebuilds more (the star
     fetch drops some; small random cases rarely hold that many fids), and
     with none kept at all it rebuilds every time: the report and the
     unsorted trace stay those of the default."""

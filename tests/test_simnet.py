@@ -86,6 +86,11 @@ class TestScenarioLoading:
             with pytest.raises(ScenarioError, match="invalid"):
                 load_scenario('{"workload":[%s]}' % (op % bad))
 
+    def test_negative_seed_rejected(self):
+        assert load_scenario('{"seed":0,"workload":[]}').seed == 0
+        with pytest.raises(ScenarioError, match="seed must not be negative, got -5"):
+            load_scenario('{"seed":-5,"workload":[]}')
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ScenarioError, match="mode"):
             load_scenario('{"mode":"magic","workload":[]}')
@@ -589,11 +594,15 @@ class TestTrace:
         assert "ctrl" in events and "data" in events and "peer-out" in events
 
 
-    @pytest.mark.parametrize("cls, digest", [
-        (IcnSimulation, "7ab8cc1afbd2275967b106ddf63eb17b2fe6b215"),
-        (BaselineSimulation, "f745e7b2cddf96af7054e2ec891a6caa78e46a1a"),
-    ])
-    def test_small_demo_trace_is_pinned(self, cls, digest):
+    # the small demo's unsorted trace per simulation class; the test ids are
+    # the class names, so a deliberate re-pin does not rename a test
+    SMALL_TRACE_SHA1 = {
+        IcnSimulation: "7ab8cc1afbd2275967b106ddf63eb17b2fe6b215",
+        BaselineSimulation: "f745e7b2cddf96af7054e2ec891a6caa78e46a1a",
+    }
+
+    @pytest.mark.parametrize("cls", list(SMALL_TRACE_SHA1), ids=lambda cls: cls.__name__)
+    def test_small_demo_trace_is_pinned(self, cls):
         """The unsorted rows, pinned. An ICN control message bills and traces
         every hop when it is sent, each row stamped with that hop's start,
         so its `ctrl` rows come in send order, as data rows do: a two-hop
@@ -605,7 +614,7 @@ class TestTrace:
         rows = []
         cls(topo, scenario, trace=rows.append).run()
         text = "\n".join(rows)
-        assert hashlib.sha1(text.encode()).hexdigest() == digest
+        assert hashlib.sha1(text.encode()).hexdigest() == self.SMALL_TRACE_SHA1[cls]
 
     def test_star_demo_baseline_trace_comes_in_send_order(self):
         """The baseline bills and traces every hop of a message when it is
@@ -628,8 +637,6 @@ class TestInternedStateAcrossRuns:
     must not depend on the runs before it. The small demo's trace is
     TestTrace's pin, `ctrl` rows in send order."""
 
-    SMALL_TRACE_SHA1 = "7ab8cc1afbd2275967b106ddf63eb17b2fe6b215"  # as pinned in TestTrace
-
     @staticmethod
     def traced_run(demo):
         scenario = load_scenario((DEMO_DATA / f"{demo}_scenario.json").read_text())
@@ -645,7 +652,8 @@ class TestInternedStateAcrossRuns:
         first = self.traced_run("small")
         second = self.traced_run("small")
         assert first == second
-        assert hashlib.sha1(first[1].encode()).hexdigest() == self.SMALL_TRACE_SHA1
+        assert (hashlib.sha1(first[1].encode()).hexdigest()
+                == TestTrace.SMALL_TRACE_SHA1[IcnSimulation])
 
 
 class TestOneTreePerMatch:
@@ -1149,9 +1157,10 @@ class TestSaturatedFid:
 
 
 class TestForwardingMemo:
-    """forward() runs once per (node, fid, arrival node) in a run; later copies
-    take its links from the simulation's memo, and the TTL and off-tree rules
-    still apply to each copy."""
+    """forward() runs once per (node, fid, arrival node) of each delivery
+    plan, and a plan is built once per (fid, emitting node, TTL, tree edges)
+    in a run; later copies replay it from the simulation's memo, and the TTL
+    and off-tree rules still apply to each copy."""
 
     @staticmethod
     def count_forward_calls(monkeypatch):
@@ -1188,6 +1197,9 @@ class TestForwardingMemo:
             assert thrice.counters[counter] == 3 * once.counters[counter]
 
     def test_a_warm_memo_still_counts_ttl_drops(self, monkeypatch):
+        """Each TTL has its own plan, and forward() runs once per (node,
+        arrival node) per plan. A second copy of each TTL replays its warm
+        plan, and its TTL drop still counts."""
         calls = self.count_forward_calls(monkeypatch)
         doc = line_doc(2, naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]}])
         sim = IcnSimulation(doc, Scenario(workload=[]))
@@ -1197,18 +1209,22 @@ class TestForwardingMemo:
         def send(ttl):
             sim.transmit(1, IcnPacket(fid=fid, name=name, payload=b"x", ttl=ttl))
 
-        send(3)  # reaches node 3 and fills the memo for all three nodes
-        sim.call_at(1000, lambda: send(1))  # spent at the emitting node
-        sim.call_at(2000, lambda: send(2))  # spent at node 2
+        send(3)  # reaches node 3
+        for t_us in (1000, 3000):
+            sim.call_at(t_us, lambda: send(1))  # spent at the emitting node
+            sim.call_at(t_us + 1000, lambda: send(2))  # spent at node 2
         report = sim.run()
-        assert calls == {(1, fid, -1): 1, (2, fid, 1): 1, (3, fid, 2): 1}
-        assert report.counters["ttl_drops"] == 2
-        assert report.per_link["1->2"]["data_bytes"] == 2 * report.per_link["2->3"]["data_bytes"]
+        # the TTL 3 plan asks at nodes 1-3, the TTL 1 plan at node 1 and the
+        # TTL 2 plan at nodes 1-2
+        assert calls == {(1, fid, -1): 3, (2, fid, 1): 2, (3, fid, 2): 1}
+        assert len(sim._plans) == 3
+        assert report.counters["ttl_drops"] == 4
+        assert report.per_link["1->2"]["data_bytes"] == 3 * report.per_link["2->3"]["data_bytes"]
 
     def test_a_fid_keeps_one_plan_per_tree(self):
         """A copy emitted on its tree crosses no link off it; one emitted
         with the same fid after the tree went crosses only links off a tree,
-        though the fid's record already holds the first plan."""
+        though the table already holds the fid's first plan."""
         doc = line_doc(2, naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]}])
         sim = IcnSimulation(doc, Scenario(workload=[]))
         name = name_for_ip("10.0.2.9", Locality.INTERNAL)
@@ -1238,10 +1254,10 @@ class TestForwardingMemo:
 
 
 class TestForwardingMemoBound:
-    """The memo keeps one record per fid, least recently emitted first: a
-    new fid drops the oldest records beyond one per standing tree plus
-    `_LOOSE_FIDS`, so fids emitted in turn on standing trees never drop
-    each other's."""
+    """The memo keeps delivery plans in one table, least recently emitted
+    first: a new plan drops the oldest beyond one per standing tree plus
+    `_LOOSE_FIDS`, so standing trees emitting in turn never drop each
+    other's."""
 
     @staticmethod
     def one_shot_run():
@@ -1249,7 +1265,7 @@ class TestForwardingMemoBound:
         four leaves, so each response tree and its fid is new, and every
         fetch's trees are torn down when it completes; one IP flow stands.
         Return the simulation after its run, the fids it emitted, and the
-        (records, standing trees) the memo held after each emission of a fid
+        (plans, standing trees) the memo held after each emission of a plan
         it did not hold."""
         leaves = range(2, 14)
         doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=3,
@@ -1268,10 +1284,10 @@ class TestForwardingMemoBound:
         class Recording(IcnSimulation):
             def transmit(self, client, pkt):
                 emitted.add(pkt.fid)
-                held = pkt.fid in self._records
+                held = set(self._plans)
                 super().transmit(client, pkt)
-                if not held:
-                    misses.append((len(self._records), len(self._tree_edges)))
+                if not held.issuperset(self._plans):
+                    misses.append((len(self._plans), len(self._tree_edges)))
 
         sim = Recording(doc, Scenario(workload=wl))
         report = sim.run()
@@ -1279,46 +1295,46 @@ class TestForwardingMemoBound:
         return sim, emitted, misses
 
     def test_one_shot_fetches_keep_the_memo_within_its_bound(self):
-        """The bound is checked when a new fid is emitted; a tree torn down
-        after that may leave the memo above it until the next new fid."""
+        """The bound is checked when a new plan is emitted; a tree torn down
+        after that may leave the memo above it until the next new plan."""
         sim, emitted, misses = self.one_shot_run()
-        assert all(records <= trees + simnet._LOOSE_FIDS for records, trees in misses)
+        assert all(plans <= trees + simnet._LOOSE_FIDS for plans, trees in misses)
         most_trees = max(trees for _, trees in misses)
-        assert len(sim._records) <= most_trees + simnet._LOOSE_FIDS < len(emitted)
+        assert len(sim._plans) <= most_trees + simnet._LOOSE_FIDS < len(emitted)
 
-    def test_plans_are_kept_only_with_the_answers(self, monkeypatch):
-        """Each fid's delivery plans live in the record that holds its
-        forward() answers, so the same bound drops them: plans were built
-        for every emitted fid, and once a fid's record is dropped nothing
-        but this test holds its plans."""
-        built = {}
+    def test_dropped_plans_are_held_by_nothing(self, monkeypatch):
+        """Plans were built for every emitted fid, each with its forward()
+        answers kept only while it is built, and once the table drops a plan
+        nothing but this test holds it."""
+        built, fids = [], set()
         plan = IcnSimulation._plan
 
-        def recording(self, node, pkt, meta, answers):
-            built.setdefault(pkt.fid, []).append(plan(self, node, pkt, meta, answers))
-            return built[pkt.fid][-1]
+        def recording(self, node, pkt, meta):
+            fids.add(pkt.fid)
+            built.append(plan(self, node, pkt, meta))
+            return built[-1]
 
         monkeypatch.setattr(IcnSimulation, "_plan", recording)
         sim, emitted, _ = self.one_shot_run()
-        assert set(built) == emitted and len(emitted) > 1 + simnet._LOOSE_FIDS
-        # a held record keeps its plans, keyed (node, TTL, tree edges)
-        assert all(any(len(key) == 3 for key in record) for record in sim._records.values())
-        dropped = [built[fid] for fid in emitted - set(sim._records)]
+        assert fids == emitted and len(emitted) > 1 + simnet._LOOSE_FIDS
+        assert all(key[0] in emitted for key in sim._plans)  # (fid, node, TTL, tree edges)
+        held = {id(p) for p in sim._plans.values()}
+        dropped = [p for p in built if id(p) not in held]
         gc.collect()
-        holders = gc.get_referrers(*(p for plans in dropped for p in plans))
-        assert dropped and all(any(h is plans for plans in dropped) for h in holders)
+        holders = gc.get_referrers(*dropped)
+        assert dropped and all(h is built or h is dropped for h in holders)
 
     def test_standing_trees_emitting_in_turn_build_each_plan_once(self, monkeypatch):
         """Hub 1 with six leaf NAPs; leaf 2 sends to each other leaf in turn,
-        so five standing trees emit in turn, more than the one loose record
-        left: still no record is dropped, and each plan is built once."""
+        so five standing trees emit in turn, more than the one loose plan
+        left: still no plan is dropped, and each is built once."""
         monkeypatch.setattr(simnet, "_LOOSE_FIDS", 1)
         built = Counter()
         plan = IcnSimulation._plan
 
-        def counting(self, node, pkt, meta, answers):
+        def counting(self, node, pkt, meta):
             built[pkt.fid, node, pkt.ttl, meta] += 1
-            return plan(self, node, pkt, meta, answers)
+            return plan(self, node, pkt, meta)
 
         monkeypatch.setattr(IcnSimulation, "_plan", counting)
         leaves = range(2, 8)

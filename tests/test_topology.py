@@ -80,6 +80,15 @@ class TestLoading:
         assert g1.links == g2.links
         assert g1.nodes == g2.nodes
 
+    def test_negative_seed_rejected(self):
+        """`random.Random(-5)` seeds as `random.Random(5)` does, so a negative
+        seed would give a positive one's link masks; 0 is a seed like any."""
+        doc = {"nodes": [{"id": 1}, {"id": 2}], "links": [{"a": 1, "b": 2}]}
+        assert load_topology_doc(doc, 0).graph.links
+        for seed in (-5, -1):
+            with pytest.raises(TopologyError, match="seed must not be negative, got -"):
+                load_topology_doc(doc, seed)
+
     def test_two_node_document_yields_two_distinct_directed_links(self):
         doc = {"nodes": [{"id": 1}, {"id": 2}], "links": [{"a": 1, "b": 2}]}
         g = load_topology_doc(doc, 7).graph

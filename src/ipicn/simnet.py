@@ -126,7 +126,9 @@ def load_scenario(doc: dict | str) -> Scenario:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or an integer literal longer than
+        # the interpreter's int-string limit (sys.get_int_max_str_digits)
+        except (ValueError, RecursionError) as exc:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")

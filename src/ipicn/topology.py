@@ -6,15 +6,25 @@ shortest-path tree over link delay (deterministic tie-breaking by lowest
 predecessor id), ORs the tree's link masks into a forwarding identifier and
 hands that back to the publisher. Shortest-path predecessors are computed
 once per root and kept on the graph.
+
+Dijkstra runs over an integer index of the graph, built by its first run
+and kept on the graph: the node ids sorted ascending, numbered 0..n-1, and
+per number a tuple of (neighbour number, delay) pairs. Numbering in id
+order lets a heap key pack (distance, number) into one int that pops in
+(distance, id) order, and lets the tie rule compare numbers for ids. The
+first run builds it, not the load, so a graph that is never searched does
+not pay for it.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import ipaddress
 import json
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .forwarding import gen_lid
 from .names import IcnName
@@ -66,6 +76,8 @@ class NetworkGraph:
     _pred_by_root: dict[int, dict[int, int]] = field(
         init=False, repr=False, compare=False
     )
+    # `dijkstra`'s integer index, built by its first run
+    _search_index: _SearchIndex | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         adjacency: dict[int, list[Link]] = {n: [] for n in self.nodes}
@@ -76,6 +88,7 @@ class NetworkGraph:
         self._adjacency = {n: tuple(ls) for n, ls in adjacency.items()}
         self._by_pair = by_pair
         self._pred_by_root = {}
+        self._search_index = None
 
     def out_links(self, node: int) -> tuple[Link, ...]:
         return self._adjacency[node]
@@ -188,7 +201,9 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     if isinstance(doc, str):
         try:
             doc = json.loads(doc)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        # ValueError: a JSONDecodeError, or an integer literal longer than
+        # the interpreter's int-string limit (sys.get_int_max_str_digits)
+        except (ValueError, RecursionError) as exc:
             raise TopologyError(f"topology is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise TopologyError("topology document must be a JSON object")
@@ -279,6 +294,32 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     return TopologyDoc(graph=graph, naps=tuple(naps), border=border)
 
 
+class _SearchIndex(NamedTuple):
+    """`dijkstra`'s view of a graph: node ids sorted ascending, so a node's
+    number is its place in `ids`, and per number its out-links as
+    (neighbour number, delay_us) pairs."""
+
+    ids: tuple[int, ...]
+    adjacency: tuple[tuple[tuple[int, int], ...], ...]
+    bits: int  # a heap key is (distance << bits) | number
+    unreached: int  # above every distance: the sum of all delays, plus one
+
+
+def _search_index_of(g: NetworkGraph) -> _SearchIndex:
+    index = g._search_index
+    if index is None:
+        ids = tuple(sorted(g.nodes))
+        number = {node: i for i, node in enumerate(ids)}
+        adjacency = tuple(
+            tuple((number[link.dst], link.delay_us) for link in g.out_links(node))
+            for node in ids
+        )
+        unreached = sum(link.delay_us for link in g.links) + 1
+        index = g._search_index = _SearchIndex(
+            ids, adjacency, (len(ids) - 1).bit_length(), unreached)
+    return index
+
+
 def dijkstra(g: NetworkGraph, root: int) -> dict[int, int]:
     """Deterministic least-delay predecessors of every node reached from `root`.
 
@@ -288,33 +329,45 @@ def dijkstra(g: NetworkGraph, root: int) -> dict[int, int]:
     cycle. Each root's map is computed once and stored on the graph, which
     must not change after load; the map is shared, so callers must not
     mutate it.
+
+    The search runs over the graph's `_SearchIndex`, on lists indexed by
+    node number. Numbers follow ids, so the packed heap keys pop in
+    (distance, id) order and `u < pred[v]` compares ids.
     """
-    pred = g._pred_by_root.get(root)
-    if pred is not None:
-        return pred
-    pred = {}
-    dist: dict[int, int] = {root: 0}
-    settled: set[int] = set()
-    heap: list[tuple[int, int]] = [(0, root)]
+    pred_map = g._pred_by_root.get(root)
+    if pred_map is not None:
+        return pred_map
+    ids, adjacency, bits, unreached = _search_index_of(g)
+    r = bisect.bisect_left(ids, root)
+    if r == len(ids) or ids[r] != root:
+        raise KeyError(root)
+    mask = (1 << bits) - 1
+    dist = [unreached] * len(ids)
+    dist[r] = 0
+    settled = bytearray(len(ids))
+    pred = [-1] * len(ids)
+    heap = [r]
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, node = heapq.heappop(heap)
-        if node in settled:
+        key = pop(heap)
+        u = key & mask
+        if settled[u]:
             continue
-        settled.add(node)
-        for link in g.out_links(node):
-            dst = link.dst
-            if dst in settled:
-                continue
-            nd = d + link.delay_us
-            old = dist.get(dst)
-            if old is None or nd < old:
-                dist[dst] = nd
-                pred[dst] = node
-                heapq.heappush(heap, (nd, dst))
-            elif nd == old and node < pred[dst]:
-                pred[dst] = node
-    g._pred_by_root[root] = pred
-    return pred
+        settled[u] = 1
+        d = key >> bits
+        for v, delay in adjacency[u]:
+            # a settled v has dist[v] <= d <= nd: only the tie branch sees it
+            nd = d + delay
+            old = dist[v]
+            if nd < old:
+                dist[v] = nd
+                pred[v] = u
+                push(heap, (nd << bits) | v)
+            elif nd == old and u < pred[v] and not settled[v]:
+                pred[v] = u
+    pred_map = {ids[v]: ids[u] for v, u in enumerate(pred) if u >= 0}
+    g._pred_by_root[root] = pred_map
+    return pred_map
 
 
 def path_links(g: NetworkGraph, pred: dict[int, int], root: int, node: int) -> list[Link]:
@@ -334,9 +387,9 @@ def shortest_path_tree(
     """Union of least-delay root-to-leaf paths."""
     if root not in g.nodes:
         raise TopologyError(f"root {root} not in graph")
-    unknown = set(leaves) - set(g.nodes)
-    if unknown:
-        raise TopologyError(f"leaves not in graph: {sorted(unknown)}")
+    if not g.nodes.issuperset(leaves):
+        unknown = sorted(leaf for leaf in leaves if leaf not in g.nodes)
+        raise TopologyError(f"leaves not in graph: {unknown}")
     pred = dijkstra(g, root)
     unreachable = [leaf for leaf in leaves if leaf != root and leaf not in pred]
     if unreachable:

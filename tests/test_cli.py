@@ -45,6 +45,13 @@ TWO_NAPS = dict(TOPOLOGY, naps=[*TOPOLOGY["naps"],
 HUGE = "x" * 1_000_000  # an input value no error line should echo in full
 BIG = 10**4000 - 1  # a 4,000-digit integer, which JSON reads and int() accepts
 
+# An integer literal one digit longer than the interpreter reads from text;
+# None where the interpreter has no such limit or it is switched off.
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+TOO_LONG = "9" * (INT_LIMIT + 1) if INT_LIMIT else None
+needs_int_limit = pytest.mark.skipif(TOO_LONG is None,
+                                     reason="no int-string digit limit")
+
 # Input files that no JSON document can be read from, by how they fail.
 UNREADABLE = {
     "not_utf8": b"\xff\xfe{}",
@@ -119,6 +126,23 @@ class TestRun:
         paths["scenario"].write_text(text)
         assert main(run_args(paths, mode="icn")) == 2
         assert "has a non-integer t_us" in capsys.readouterr().err
+        assert not paths["out"].exists()
+
+    @needs_int_limit
+    @pytest.mark.parametrize("which", ["topo", "scenario"])
+    def test_integer_too_long_to_read_exits_2(self, paths, capsys, which):
+        """A link delay or an op time past the int-string limit is refused
+        with one short error line, not a traceback."""
+        if which == "topo":
+            text = json.dumps(TOPOLOGY).replace('"delay_us": 1000,', f'"delay_us": {TOO_LONG},')
+        else:
+            text = json.dumps(SCENARIO).replace('"t_us": 0,', f'"t_us": {TOO_LONG},', 1)
+        paths[which].write_text(text)
+        assert main(run_args(paths, mode="icn")) == 2
+        err = capsys.readouterr().err
+        kind = "topology" if which == "topo" else "scenario"
+        assert err.startswith(f"error: {kind} is not valid JSON: ") and err.count("\n") == 1
+        assert len(err) < 200, err[:300]
         assert not paths["out"].exists()
 
     @pytest.mark.parametrize("seed", ["1.9", "true", '"7"', "1e3"])
@@ -471,6 +495,16 @@ class TestValidate:
         err = capsys.readouterr().err
         assert err.startswith(f"invalid: {message}") and err.count("\n") == 1, err[:300]
         assert len(err) < 200, err[:300]
+
+    @needs_int_limit
+    def test_delay_too_long_to_read_exits_2(self, paths, capsys):
+        paths["topo"].write_text(
+            json.dumps(TOPOLOGY).replace('"delay_us": 1000,', f'"delay_us": {TOO_LONG},'))
+        assert main(["validate", str(paths["topo"])]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid: topology is not valid JSON: ")
+        assert captured.err.count("\n") == 1 and len(captured.err) < 200, captured.err[:300]
 
     @pytest.mark.parametrize("content", sorted(UNREADABLE))
     def test_unreadable_file_exits_2(self, paths, capsys, content):

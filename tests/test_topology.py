@@ -5,6 +5,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra as scipy_dijkstra
 
@@ -67,6 +69,51 @@ def reference_predecessors(g, root):
             and dist[out.dst] + g.link(out.dst, node).delay_us == dist[node]
         )
     return pred
+
+
+def heap_predecessors(g, root):
+    """Dijkstra over ids with a (distance, id) tuple heap, the rule `dijkstra`
+    keeps: a node's predecessor is the lowest-id neighbour that attains its
+    distance among those settled before it."""
+    pred = {}
+    dist = {root: 0}
+    settled = set()
+    heap = [(0, root)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if node in settled:
+            continue
+        settled.add(node)
+        for link in g.out_links(node):
+            dst = link.dst
+            if dst in settled:
+                continue
+            nd = d + link.delay_us
+            old = dist.get(dst)
+            if old is None or nd < old:
+                dist[dst] = nd
+                pred[dst] = node
+                heapq.heappush(heap, (nd, dst))
+            elif nd == old and node < pred[dst]:
+                pred[dst] = node
+    return pred
+
+
+@st.composite
+def tie_prone_graphs(draw):
+    """Connected graphs whose delays are 0, 1 or 2, so equal-cost paths and
+    zero-delay links are common, over dense, sparse or negative node ids,
+    whose set iteration order need not be sorted."""
+    ids = st.one_of(st.integers(-5, 40), st.integers(-10**9, 10**9))
+    nodes = draw(st.lists(ids, min_size=1, max_size=12, unique=True))
+    pairs = {frozenset((node, draw(st.sampled_from(nodes[:i]))))
+             for i, node in enumerate(nodes) if i}
+    pairs |= {frozenset(pair) for pair in draw(st.lists(
+        st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+        max_size=2 * len(nodes))) if pair[0] != pair[1]}
+    delay = st.sampled_from((0, 1, 2))
+    return make_topology_doc(
+        nodes, [(*sorted(pair), {"delay_us": draw(delay)}) for pair in pairs]).graph
 
 
 class TestLoading:
@@ -177,8 +224,8 @@ class TestShortestPathTree:
 
     def test_unknown_leaf_rejected(self):
         g = make_topology_doc([1, 2], [(1, 2)]).graph
-        with pytest.raises(TopologyError):
-            shortest_path_tree(g, 1, {5})
+        with pytest.raises(TopologyError, match=r"^leaves not in graph: \[5, 9\]$"):
+            shortest_path_tree(g, 1, {9, 2, 5})
 
     def test_distances_match_scipy_oracle(self):
         rng = random.Random(51)
@@ -237,6 +284,13 @@ class TestShortestPathTree:
             g = make_topology_doc(nodes, links, seed=trial).graph
             for root in nodes:
                 assert dijkstra(g, root) == reference_predecessors(g, root)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=tie_prone_graphs())
+    @example(g=make_topology_doc([-7], []).graph)
+    def test_predecessors_equal_the_tuple_heap_reference(self, g):
+        for root in g.nodes:
+            assert dijkstra(g, root) == heap_predecessors(g, root)
 
     def test_predecessor_map_is_computed_once_per_root(self):
         g = make_topology_doc([1, 2, 3], [(1, 2), (2, 3)]).graph

@@ -2,6 +2,7 @@
 to clients and addresses are resolved once, in run order, by one set of
 rules, so the two modes accept and reject the same workloads."""
 
+import copy
 import io
 import json
 import tempfile
@@ -200,11 +201,13 @@ PLACES = {
     for demo, docs in DEMOS.items()
 }
 # any JSON value, with integers and the documents' own values drawn often, so
-# that many replaced documents still load and run
+# that many replaced documents still load and run. A document's value is
+# drawn as a copy: placed by reference, a later replacement inside it would
+# write into DEMOS, and could make a document contain itself.
 JSON_VALUES = st.integers() | st.sampled_from([
     reduce(getitem, path, DEMOS[demo][which])
     for demo, places in PLACES.items() for which, path in places
-]) | st.recursive(
+]).map(copy.deepcopy) | st.recursive(
     st.none() | st.booleans() | st.integers() | st.text()
     | st.floats(allow_nan=False, allow_infinity=False),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),

@@ -10,10 +10,6 @@ from ipicn import Locality, Rendezvous, external_scope, name_for_ip, render_name
 
 
 def show(label, events):
-    if events is None:
-        events = []
-    elif not isinstance(events, list):
-        events = [events]
     if not events:
         print(f"{label}: (no match)")
     for ev in events:

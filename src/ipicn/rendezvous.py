@@ -4,7 +4,8 @@ Subscriptions may target item names (exact match) or scope names (covering
 every item underneath); publications always target item names. Any state
 change that alters the subscriber set of a matched item emits a fresh
 MatchEvent so the topology manager can keep delivery trees current. An
-empty subscriber set in an event is the tear-down signal.
+empty subscriber set in an event is the tear-down signal. Every operation
+returns its events as a list, empty when nothing changed.
 
 No tree is recorded: one stands for (publisher, item) exactly when the
 publisher publishes the item and the item's match set is non-empty.
@@ -74,17 +75,14 @@ class Rendezvous:
                 events.append(MatchEvent(pub_name, publisher, subs))
         return events
 
-    def publish_availability(
-        self, client: ClientId, name: IcnName
-    ) -> MatchEvent | None:
-        """Record an availability publication; match it if subscribers exist."""
+    def publish_availability(self, client: ClientId, name: IcnName) -> list[MatchEvent]:
+        """Record an availability publication; report its match, if it has
+        subscribers, as the one event of the list."""
         if not name.is_item:
             raise ValueError("publications target item names only")
         self._pubs.setdefault(name, set()).add(client)
         subs = self.match_set(name)
-        if not subs:
-            return None
-        return MatchEvent(name, client, subs)
+        return [MatchEvent(name, client, subs)] if subs else []
 
     def unsubscribe(self, client: ClientId, name: IcnName) -> list[MatchEvent]:
         """Drop a subscription; emit updates for every affected standing tree."""
@@ -111,16 +109,15 @@ class Rendezvous:
                 events.append(MatchEvent(pub_name, publisher, after))
         return events
 
-    def unpublish(self, client: ClientId, name: IcnName) -> MatchEvent | None:
-        """Drop a publication; tear down its tree if one is standing."""
+    def unpublish(self, client: ClientId, name: IcnName) -> list[MatchEvent]:
+        """Drop a publication; if its tree was standing, report the tear-down
+        as the one event of the list."""
         holders = self._pubs.get(name)
         if holders is None or client not in holders:
             log.warning("unpublish without publication: client=%s %s",
                         client, render_name(name))
-            return None
+            return []
         holders.discard(client)
         if not holders:
             del self._pubs[name]
-        if self.match_set(name):
-            return MatchEvent(name, client, frozenset())
-        return None
+        return [MatchEvent(name, client, frozenset())] if self.match_set(name) else []

@@ -18,6 +18,9 @@ queued. Trace rows therefore come in send order, not time order.
   queues its handler at the arrival from the start of its last hop: when
   it is sent for a one-hop path, else by one event queued there. So, up to
   two hops, the arrival ties with other events as if each hop took its own.
+  RV and TM share a node, so the TM handles each match event of an RV
+  operation in the event where the RV takes it: an event due at the same
+  time that runs after it, an emission say, already sees the new tree.
 - An ICN copy replays its delivery plan, built once per (fid, emitting
   node, TTL, tree edges) from the forwarding answers and kept in one
   least-recently-emitted table, `_plans`: the crossings of every copy the
@@ -81,7 +84,7 @@ DEFAULT_EXT_SRC = "203.0.113.1"
 _REQUEST_PAYLOAD = 4 + 1
 _FID_PAYLOAD = 4 + 32 + 1
 
-_NO_EDGES: frozenset[tuple[int, int]] = frozenset()  # a copy emitted on no standing tree
+_NO_EDGES: frozenset[Link] = frozenset()  # a copy emitted on no standing tree
 _LOOSE_FIDS = 64  # delivery plans kept beyond one per standing tree
 
 # (field, JSON type, bound, default) per field of each workload op: an
@@ -322,7 +325,7 @@ class _AccountingMixin:
             time_us += link.delay_us + _serialization_us(size, link.capacity_bps)
         return time_us
 
-    def _record_ip_flow(self, ip: IpPacket, client: ClientId) -> bool:
+    def _record_ip_flow(self, ip: IpPacket) -> bool:
         """Record `ip`'s delivery, or count a duplicate and return False: an IP
         id has one destination, and drop sites free only unemitted packets."""
         entry = self.send_time.pop(ip.id, None)
@@ -539,14 +542,14 @@ class IcnSimulation(_AccountingMixin):
         self._to_rv = {node: [self.graph.link(l.dst, l.src) for l in reversed(path)]
                        for node, path in self._from_rv.items()}
 
-        self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[tuple[int, int]]] = {}
+        self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[Link]] = {}
         # delivery plans by (fid, emitting node, TTL, tree edges), least
         # recently emitted first. A new plan drops the oldest beyond one per
         # standing tree plus _LOOSE_FIDS, so standing trees emitting in turn
         # never drop each other's, while copies emitted after their tree
         # went, and a tree rebuilt later over the same edges, so with the
         # same fid, still find theirs
-        self._plans: dict[tuple[int, int, int, frozenset[tuple[int, int]]], _Plan] = {}
+        self._plans: dict[tuple[int, int, int, frozenset[Link]], _Plan] = {}
 
     # -- environment interface used by the gateways ------------------------
 
@@ -557,28 +560,24 @@ class IcnSimulation(_AccountingMixin):
         self.queue.push(max(time_us, self.now), fn)
 
     def subscribe(self, client: ClientId, name: IcnName) -> None:
-        self._control_to_rv(client, name,
-                            lambda: self._to_tm(*self.rv.subscribe(client, name)))
+        self._control_to_rv(self.rv.subscribe, client, name)
 
     def unsubscribe(self, client: ClientId, name: IcnName) -> None:
-        self._control_to_rv(client, name,
-                            lambda: self._to_tm(*self.rv.unsubscribe(client, name)))
+        self._control_to_rv(self.rv.unsubscribe, client, name)
 
     def publish_availability(self, client: ClientId, name: IcnName) -> None:
-        self._control_to_rv(client, name,
-                            lambda: self._to_tm(self.rv.publish_availability(client, name)))
+        self._control_to_rv(self.rv.publish_availability, client, name)
 
     def unpublish(self, client: ClientId, name: IcnName) -> None:
-        self._control_to_rv(client, name,
-                            lambda: self._to_tm(self.rv.unpublish(client, name)))
+        self._control_to_rv(self.rv.unpublish, client, name)
 
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
-        if self._record_ip_flow(ip, client) and self._trace is not None:
+        if self._record_ip_flow(ip) and self._trace is not None:
             self._trace_row(self.gateways[client].node, "deliver", None,
                             len(ip.payload), ip.dst)
 
     def note_peer_emitted(self, client: ClientId, ip: IpPacket) -> None:
-        if self._record_ip_flow(ip, client) and self._trace is not None:
+        if self._record_ip_flow(ip) and self._trace is not None:
             self._trace_row(self.gateways[client].node, "peer-out", None,
                             len(ip.payload), ip.dst)
 
@@ -606,18 +605,18 @@ class IcnSimulation(_AccountingMixin):
 
     # -- control plane ------------------------------------------------------
 
-    def _control_to_rv(
-        self, client: ClientId, name: IcnName, handler: Callable[[], None]
-    ) -> None:
-        path = self._to_rv[self.gateways[client].node]
-        self._route_control(path, name, _REQUEST_PAYLOAD, handler)
+    def _control_to_rv(self, operation: Callable[[ClientId, IcnName], list[MatchEvent]],
+                       client: ClientId, name: IcnName) -> None:
+        """Carry `client`'s request for `name` to the RV, which takes
+        `operation` when it arrives. The TM shares the RV's node, so it
+        handles each match event returned in that same event."""
 
-    def _to_tm(self, *events: MatchEvent | None) -> None:
-        """Hand each match event to the TM as its own event. RV and TM share
-        a node, so the hand-off crosses no link and costs no bytes."""
-        for ev in events:
-            if ev is not None:
-                self.queue.push(self.now, lambda ev=ev: self._tm_handle(ev))
+        def arrive() -> None:
+            for ev in operation(client, name):
+                self._tm_handle(ev)
+
+        path = self._to_rv[self.gateways[client].node]
+        self._route_control(path, name, _REQUEST_PAYLOAD, arrive)
 
     def _tm_handle(self, ev: MatchEvent) -> None:
         tree = tree_for_match(self.graph, ev)
@@ -626,7 +625,7 @@ class IcnSimulation(_AccountingMixin):
         if fd.teardown:
             self._tree_edges.pop(key, None)
         else:
-            self._tree_edges[key] = frozenset((e.src, e.dst) for e in tree.edges)
+            self._tree_edges[key] = tree.edges
         gw = self.gateways[ev.publisher]
         self._route_control(self._from_rv[gw.node], ev.name, _FID_PAYLOAD,
                             lambda: gw.on_fid(fd))
@@ -665,7 +664,7 @@ class IcnSimulation(_AccountingMixin):
             if gw is not publisher and not gw.on_icn_data(pkt):
                 self.counters["fp_deliveries"] += 1
 
-    def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[tuple[int, int]]) -> _Plan:
+    def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[Link]) -> _Plan:
         """The delivery plan of `pkt` emitted at `node` on the tree with edges
         `meta`: every crossing its copies make, breadth first, each after its
         parent crossing. A copy arriving with its TTL spent crosses nothing
@@ -696,7 +695,7 @@ class IcnSimulation(_AccountingMixin):
                 spent = ttl <= 2
                 crossings.append((
                     link, parent, self.link_bytes[link.src, link.dst],
-                    (link.src, link.dst) not in meta, link.dst in self._gateways_at,
+                    link not in meta, link.dst in self._gateways_at,
                     spent and bool(links_at(link.dst, link))))
                 if not spent:
                     frontier.append((link.dst, link, ttl - 1, len(crossings) - 1))
@@ -837,10 +836,9 @@ class BaselineSimulation(_AccountingMixin):
 
     # the ICN gateways report arrivals through hooks of the same names
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
-        self._record_ip_flow(ip, client)
+        self._record_ip_flow(ip)
 
-    def note_peer_emitted(self, client: ClientId, ip: IpPacket) -> None:
-        self._record_ip_flow(ip, client)
+    note_peer_emitted = note_ip_delivered
 
     def _http_get(self, action: dict) -> None:
         server = self._issue_http(action)

@@ -131,13 +131,11 @@ class SyncEnv:
 
     def publish_availability(self, client, name) -> None:
         self.control_log.append(("publish", client, name))
-        ev = self.rv.publish_availability(client, name)
-        self._dispatch([ev] if ev else [])
+        self._dispatch(self.rv.publish_availability(client, name))
 
     def unpublish(self, client, name) -> None:
         self.control_log.append(("unpublish", client, name))
-        ev = self.rv.unpublish(client, name)
-        self._dispatch([ev] if ev else [])
+        self._dispatch(self.rv.unpublish(client, name))
 
     # -- data plane ------------------------------------------------------------
 

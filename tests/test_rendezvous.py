@@ -50,21 +50,21 @@ class TestBasics:
     def test_scope_subscription_matches_live_publication(self):
         rv = Rendezvous()
         pub_name = name_for_ip("8.8.8.8", Locality.EXTERNAL)
-        assert rv.publish_availability(5, pub_name) is None
+        assert rv.publish_availability(5, pub_name) == []
         events = rv.subscribe(7, external_scope())
         assert events == [MatchEvent(pub_name, 5, frozenset({7}))]
 
     def test_publish_with_zero_subscribers(self):
         rv = Rendezvous()
-        assert rv.publish_availability(1, IcnName((0xA,), 0xB)) is None
+        assert rv.publish_availability(1, IcnName((0xA,), 0xB)) == []
 
     def test_publish_reaches_all_current_subscribers(self):
         rv = Rendezvous()
         item = IcnName((0xA, 0xB), 0xC)
         rv.subscribe(1, item)
         rv.subscribe(2, IcnName((0xA,)))
-        ev = rv.publish_availability(9, item)
-        assert ev == MatchEvent(item, 9, frozenset({1, 2}))
+        events = rv.publish_availability(9, item)
+        assert events == [MatchEvent(item, 9, frozenset({1, 2}))]
 
     def test_publish_to_scope_level_rejected(self):
         rv = Rendezvous()
@@ -120,20 +120,20 @@ class TestLifecycle:
         rv = Rendezvous()
         item = IcnName((0xA,), 0xB)
         rv.publish_availability(3, item)
-        assert rv.unpublish(3, item) is None
+        assert rv.unpublish(3, item) == []
 
     def test_unpublish_of_matched_item_tears_down(self):
         rv = Rendezvous()
         item = IcnName((0xA,), 0xB)
         rv.subscribe(1, item)
         rv.publish_availability(3, item)
-        assert rv.unpublish(3, item) == MatchEvent(item, 3, frozenset())
+        assert rv.unpublish(3, item) == [MatchEvent(item, 3, frozenset())]
 
     def test_removing_missing_records_warns_not_raises(self, caplog):
         rv = Rendezvous()
         with caplog.at_level("WARNING"):
             assert rv.unsubscribe(1, IcnName((0xA,))) == []
-            assert rv.unpublish(1, IcnName((0xA,), 1)) is None
+            assert rv.unpublish(1, IcnName((0xA,), 1)) == []
         assert len(caplog.records) == 2
 
     def test_scope_unsubscribe_updates_every_affected_tree(self):
@@ -184,15 +184,14 @@ class TestOracleEquivalence:
                     live_subs.add((client, sub))
                 elif roll < 0.7:
                     client, item = rng.randint(1, 8), random_item_name(rng, 4)
-                    ev = rv.publish_availability(client, item)
-                    events = [ev] if ev else []
+                    events = rv.publish_availability(client, item)
                 elif roll < 0.85 and live_subs:
                     client, sub = rng.choice(sorted(live_subs, key=str))
                     events = rv.unsubscribe(client, sub)
                     live_subs.discard((client, sub))
                 else:
                     client, item = rng.randint(1, 8), random_item_name(rng, 4)
-                    ev = rv.unpublish(client, item)
+                    rv.unpublish(client, item)
                     # tear-down events carry the empty set by design
                     events = []
                 for ev in events:
@@ -204,12 +203,9 @@ class TestOracleEquivalence:
         rv.subscribe(1, external_scope())
         for _ in range(200):
             addr = f"{rng.randint(1, 255)}.{rng.randint(0, 255)}.0.{rng.randint(0, 255)}"
-            ext = rv.publish_availability(5, name_for_ip(addr, Locality.EXTERNAL))
-            assert ext is not None and ext.subscribers == frozenset({1})
-            internal = rv.publish_availability(
-                6, name_for_ip(addr, Locality.INTERNAL)
-            )
-            assert internal is None
+            ext = name_for_ip(addr, Locality.EXTERNAL)
+            assert rv.publish_availability(5, ext) == [MatchEvent(ext, 5, frozenset({1}))]
+            assert rv.publish_availability(6, name_for_ip(addr, Locality.INTERNAL)) == []
 
 
 class SortThenFilterRendezvous:
@@ -267,21 +263,21 @@ class SortThenFilterRendezvous:
         self._pubs.setdefault(name, set()).add(client)
         subs = self.match_set(name)
         if not subs:
-            return None
+            return []
         self._active.add((client, name))
-        return MatchEvent(name, client, subs)
+        return [MatchEvent(name, client, subs)]
 
     def unpublish(self, client, name):
         holders = self._pubs.get(name)
         if holders is None or client not in holders:
-            return None
+            return []
         holders.discard(client)
         if not holders:
             del self._pubs[name]
         if (client, name) in self._active:
             self._active.discard((client, name))
-            return MatchEvent(name, client, frozenset())
-        return None
+            return [MatchEvent(name, client, frozenset())]
+        return []
 
 
 class TestReferenceEquivalence:
@@ -313,7 +309,7 @@ class TestReferenceEquivalence:
                 else:
                     continue
                 assert got == want
-                emitted += len(got) if isinstance(got, list) else got is not None
+                emitted += len(got)
         assert emitted > 1000  # the streams really exercise matching
 
 

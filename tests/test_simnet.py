@@ -1229,7 +1229,7 @@ class TestForwardingMemo:
         sim = IcnSimulation(doc, Scenario(workload=[]))
         name = name_for_ip("10.0.2.9", Locality.INTERNAL)
         pkt = IcnPacket(fid=(1 << 256) - 1, name=name, payload=b"x", ttl=4)
-        sim._tree_edges[1, name] = frozenset({(1, 2), (2, 3)})
+        sim._tree_edges[1, name] = frozenset({sim.graph.link(1, 2), sim.graph.link(2, 3)})
         sim.transmit(1, pkt)
         del sim._tree_edges[1, name]
         sim.transmit(1, pkt)

@@ -44,7 +44,7 @@ from .names import (
     name_for_ip,
 )
 from .rendezvous import ClientId
-from .topology import FidDelivery
+from .topology import MAX_CLIENT_ID, FidDelivery
 
 MAX_IP_PAYLOAD = 65507
 PENDING_CAPACITY = 64
@@ -100,6 +100,27 @@ def encode_http_request(client: ClientId, fqdn: str, url: str, resp_bytes: int) 
         {"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
         sort_keys=True,
     ).encode()
+
+
+def _decode_http_request(payload: bytes) -> tuple[str, str, int] | None:
+    """(fqdn, url, resp_bytes) of a well-formed request, else None: a JSON
+    object whose fqdn and url are non-empty strings and whose client and
+    resp_bytes are JSON integers (not 1.9, "7", true or 1e3) in range. The
+    client is checked only: the response goes to every subscriber."""
+    try:
+        req = json.loads(payload)
+    # ValueError: a JSONDecodeError, bad UTF-8, or an over-long integer literal
+    except (ValueError, RecursionError):
+        return None
+    if not isinstance(req, dict):
+        return None
+    fqdn, url = req.get("fqdn"), req.get("url")
+    client, size = req.get("client"), req.get("resp_bytes")
+    if (type(fqdn) is str and fqdn and type(url) is str and url
+            and type(client) is int and 0 <= client <= MAX_CLIENT_ID
+            and type(size) is int and 0 <= size <= MAX_RESPONSE_BYTES):
+        return fqdn, url, size
+    return None
 
 
 def decode_ip_packet(buf: bytes) -> IpPacket:
@@ -172,6 +193,7 @@ class _GetState:
     count: int = 1
     buf: dict[int, memoryview] = field(default_factory=dict)
     received: int = 0  # bytes buffered so far
+    total: int | None = None  # body size in the first buffered segment's frame
 
 
 class _IcnClient:
@@ -349,14 +371,11 @@ class Nap(_IcnClient):
         return False
 
     def _recv_request(self, payload: bytes) -> None:
-        try:
-            req = json.loads(payload)
-            fqdn, url = req["fqdn"], req["url"]
-            int(req["client"])  # checked only: the response goes to every subscriber
-            size = int(req["resp_bytes"])
-        except (ValueError, KeyError, TypeError):
+        request = _decode_http_request(payload)
+        if request is None:
             self.counters["corrupt"] += 1
             return
+        fqdn, url, size = request
         resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
         open_size = self._exchanges.get(resp_name)
         if open_size is None:
@@ -382,15 +401,23 @@ class Nap(_IcnClient):
             self.counters["corrupt"] += 1
             return
         offset, total = _SEGMENT_FRAME.unpack_from(payload)
+        chunk = memoryview(payload)[_SEGMENT_FRAME.size :]  # shared, not copied
+        # a chunk fills its place in body_segments(total), under the fetch's
+        # one total: it starts at a multiple of SEGMENT_CHUNK and runs to the
+        # next one or to the total, so a fetch's chunks add up to its body
+        if (offset % SEGMENT_CHUNK or len(chunk) != min(SEGMENT_CHUNK, total - offset)
+                or state.total is not None and total != state.total):
+            self.counters["corrupt"] += 1
+            return
         if offset in state.buf:
             self.counters["duplicates"] += 1
             return
-        chunk = memoryview(payload)[_SEGMENT_FRAME.size :]  # shared, not copied
+        state.total = total
         state.buf[offset] = chunk
         state.received += len(chunk)
         if state.received < total:
             return
-        body = b"".join(state.buf[o] for o in sorted(state.buf))[:total]
+        body = b"".join(state.buf[o] for o in sorted(state.buf))
         response = HttpResponse(fqdn=state.fqdn, url=state.url, body=body)
         for _ in range(state.count):
             self.env.note_http_complete(self.client, response)

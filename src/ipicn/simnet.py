@@ -181,16 +181,8 @@ class KpiReport:
     flows: dict[str, dict[str, int]]
     counters: dict[str, int]
 
-    def to_dict(self) -> dict:
-        return {
-            "counters": dict(sorted(self.counters.items())),
-            "flows": {k: self.flows[k] for k in sorted(self.flows)},
-            "per_link": {k: self.per_link[k] for k in sorted(self.per_link)},
-            "totals": dict(sorted(self.totals.items())),
-        }
-
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self)
 
 
 @dataclass
@@ -203,17 +195,15 @@ class ComparisonReport:
     bottleneck: dict
     overhead: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "baseline": self.baseline.to_dict(),
-            "bottleneck": self.bottleneck,
-            "icn": self.icn.to_dict(),
-            "links": {k: self.links[k] for k in sorted(self.links)},
-            "overhead": self.overhead,
-        }
-
     def to_canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical_json(self)
+
+
+def _canonical_json(report: KpiReport | ComparisonReport) -> str:
+    """A report as compact JSON with every object's keys sorted; a nested
+    report is written as its fields. A report is a tree, so no cycle check."""
+    return json.dumps(report, default=vars, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)
 
 
 class _EventQueue:
@@ -889,6 +879,13 @@ def run_ip_baseline(scenario: Scenario, topology: TopologyDoc | dict | str) -> K
     return BaselineSimulation(_load_topology(scenario, topology), scenario).run()
 
 
+def _ratio(num: int, den: int) -> float | None:
+    """num / den to 6 places; 1.0 when both are 0, None when only den is."""
+    if den == 0:
+        return 1.0 if num == 0 else None
+    return round(num / den, 6)
+
+
 def compare(
     scenario: Scenario,
     topology: TopologyDoc | dict | str,
@@ -906,44 +903,27 @@ def compare(
     for key in icn.per_link:
         icn_d = icn.per_link[key]["data_bytes"]
         base_d = baseline.per_link[key]["data_bytes"]
-        if base_d == 0:
-            ratio = 1.0 if icn_d == 0 else None
-        else:
-            ratio = round(icn_d / base_d, 6)
         links[key] = {
             "baseline_data_bytes": base_d,
-            "data_ratio": ratio,
+            "data_ratio": _ratio(icn_d, base_d),
             "icn_data_bytes": icn_d,
         }
 
-    bottleneck_key = max(
-        sorted(links), key=lambda k: links[k]["baseline_data_bytes"]
-    ) if links else None
-    if bottleneck_key is None:
-        bottleneck = {"link": None, "savings_factor": 1.0}
-    else:
-        base_d = links[bottleneck_key]["baseline_data_bytes"]
-        icn_d = links[bottleneck_key]["icn_data_bytes"]
-        if icn_d == 0:
-            savings = 1.0 if base_d == 0 else None
-        else:
-            savings = round(base_d / icn_d, 6)
+    bottleneck = {"link": None, "savings_factor": 1.0}
+    if links:  # the link the baseline loads most; on a tie, the first in key order
+        key = max(sorted(links), key=lambda k: links[k]["baseline_data_bytes"])
+        base_d, icn_d = links[key]["baseline_data_bytes"], links[key]["icn_data_bytes"]
         bottleneck = {
             "baseline_data_bytes": base_d,
             "icn_data_bytes": icn_d,
-            "link": bottleneck_key,
-            "savings_factor": savings,
+            "link": key,
+            "savings_factor": _ratio(base_d, icn_d),
         }
 
-    overhead = {
-        "baseline_pct": baseline.totals["signalling_overhead_pct"],
-        "delta_pct": round(
-            icn.totals["signalling_overhead_pct"]
-            - baseline.totals["signalling_overhead_pct"],
-            4,
-        ),
-        "icn_pct": icn.totals["signalling_overhead_pct"],
-    }
+    icn_pct = icn.totals["signalling_overhead_pct"]
+    base_pct = baseline.totals["signalling_overhead_pct"]
+    overhead = {"baseline_pct": base_pct, "delta_pct": round(icn_pct - base_pct, 4),
+                "icn_pct": icn_pct}
     return ComparisonReport(
         icn=icn, baseline=baseline, links=links, bottleneck=bottleneck,
         overhead=overhead,

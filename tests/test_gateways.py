@@ -30,7 +30,7 @@ from ipicn.names import (
     name_for_http,
     name_for_ip,
 )
-from ipicn.topology import FidDelivery
+from ipicn.topology import MAX_CLIENT_ID, FidDelivery
 
 
 def net(*cidrs):
@@ -487,21 +487,91 @@ class TestHttp:
         assert len(env.http_completions) == 500
         assert nap2._exchanges == {}
 
+    GOOD_REQUEST = {"client": 1, "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": 10}
+
     @pytest.mark.parametrize("request_doc", [
         {"fqdn": "cdn.example", "url": "/v/1", "resp_bytes": 10},
-        {"client": 1, "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": "lots"},
-        {"client": 1, "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": None},
-        {"client": "one", "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": 10},
-    ], ids=["client-missing", "resp_bytes-text", "resp_bytes-null", "client-text"])
+        dict(GOOD_REQUEST, resp_bytes="lots"),
+        dict(GOOD_REQUEST, resp_bytes=None),
+        dict(GOOD_REQUEST, client="one"),
+        b'{"client": 1e400, "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": 10}',
+        dict(GOOD_REQUEST, client=-1),
+        dict(GOOD_REQUEST, client=MAX_CLIENT_ID + 1),
+        dict(GOOD_REQUEST, client=True),
+        dict(GOOD_REQUEST, fqdn=""),
+        dict(GOOD_REQUEST, fqdn=5),
+        dict(GOOD_REQUEST, url=""),
+        dict(GOOD_REQUEST, url=None),
+        b"[" * 60_000,
+        b"[1]",
+        b"\xff",
+        dict(GOOD_REQUEST, resp_bytes=-5),
+        dict(GOOD_REQUEST, resp_bytes=10**9),
+        dict(GOOD_REQUEST, resp_bytes=MAX_RESPONSE_BYTES + 1),
+        b'{"client": 1, "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": 1e9}',
+        b'{"client": 1, "fqdn": "cdn.example", "url": "/v/1", "resp_bytes": 1e3}',
+        dict(GOOD_REQUEST, resp_bytes="7"),
+        dict(GOOD_REQUEST, resp_bytes=True),
+        dict(GOOD_REQUEST, resp_bytes=1.5),
+    ], ids=["client-missing", "resp_bytes-text", "resp_bytes-null", "client-text",
+            "client-overflow", "client-negative", "client-too-large", "client-true",
+            "fqdn-empty", "fqdn-number", "url-empty", "url-null", "nested-too-deep",
+            "not-an-object", "not-utf8", "resp_bytes-negative", "resp_bytes-1GB",
+            "resp_bytes-too-large", "resp_bytes-float-1e9", "resp_bytes-1e3",
+            "resp_bytes-string-digits", "resp_bytes-true", "resp_bytes-fraction"])
     def test_malformed_request_counts_corrupt(self, env, nap2, request_doc):
         nap2.http_serve("cdn.example")
         req_name = name_for_http("cdn.example", HttpRole.REQUEST, "/v/1")
-        for payload in (json.dumps(request_doc).encode(),
-                        encode_http_request(1, "cdn.example", "/v/1", 10)):
-            nap2.on_icn_data(IcnPacket(0, req_name, payload))
+        bad = request_doc if type(request_doc) is bytes else json.dumps(request_doc).encode()
+        for payload in (bad, encode_http_request(1, "cdn.example", "/v/1", 10)):
+            assert nap2.on_icn_data(IcnPacket(0, req_name, payload))
         # only the well-formed request opens an exchange
         assert nap2.counters["corrupt"] == 1
-        assert len(nap2._exchanges) == 1
+        assert nap2._exchanges == {name_for_http("cdn.example", HttpRole.RESPONSE, "/v/1"): 10}
+
+    def test_request_bounds_are_inclusive(self, env, nap2):
+        nap2.http_serve("cdn.example")
+        req_name = name_for_http("cdn.example", HttpRole.REQUEST, "/v/1")
+        for client, size in ((0, 0), (MAX_CLIENT_ID, MAX_RESPONSE_BYTES)):
+            nap2.on_icn_data(IcnPacket(0, req_name,
+                                       encode_http_request(client, "cdn.example", "/v/1", size)))
+        assert nap2.counters["corrupt"] == 0
+        assert list(nap2._exchanges.values()) == [MAX_RESPONSE_BYTES]
+
+    def test_segments_past_their_total_complete_no_fetch(self, env, nap1):
+        """Two 5-byte chunks at offsets 0 and 100 under total 10 would add
+        up to 10 bytes; neither is a segment of a 10-byte body."""
+        nap1.http_get("b", "/y", 10)
+        resp_name = name_for_http("b", HttpRole.RESPONSE, "/y")
+        for offset, chunk in ((0, b"AAAAA"), (100, b"ZZZZZ")):
+            assert nap1.on_icn_data(IcnPacket(0, resp_name,
+                                              struct.pack(">QQ", offset, 10) + chunk))
+        assert env.http_completions == []
+        assert nap1.counters["corrupt"] == 2
+        assert nap1._gets[resp_name].buf == {}
+        nap1.on_icn_data(IcnPacket(0, resp_name, struct.pack(">QQ", 0, 10) + b"B" * 10))
+        assert env.http_completions == [(1, HttpResponse("b", "/y", b"B" * 10))]
+
+    @pytest.mark.parametrize("offset, total, length", [
+        (SEGMENT_CHUNK, SEGMENT_CHUNK + 5, 5),  # a total other than the first segment's
+        (SEGMENT_CHUNK + 5, SEGMENT_CHUNK + 10, 5),  # an offset no segment starts at
+        (SEGMENT_CHUNK, SEGMENT_CHUNK + 10, 9),  # a chunk short of its segment
+    ])
+    def test_an_inconsistent_segment_is_corrupt_and_not_buffered(
+            self, env, nap1, offset, total, length):
+        size = SEGMENT_CHUNK + 10
+        nap1.http_get("b", "/y", size)
+        resp_name = name_for_http("b", HttpRole.RESPONSE, "/y")
+        content = gateways.synth_bytes("b/y", size)
+        first = struct.pack(">QQ", 0, size) + content[:SEGMENT_CHUNK]
+        bad = struct.pack(">QQ", offset, total) + b"Z" * length
+        for payload in (first, bad):
+            nap1.on_icn_data(IcnPacket(0, resp_name, payload))
+        assert nap1.counters["corrupt"] == 1
+        assert list(nap1._gets[resp_name].buf) == [0]
+        nap1.on_icn_data(IcnPacket(0, resp_name, struct.pack(">QQ", SEGMENT_CHUNK, size)
+                                   + content[SEGMENT_CHUNK:]))
+        assert env.http_completions == [(1, HttpResponse("b", "/y", content))]
 
     def test_one_shot_name_published_twice_is_announced_and_withdrawn_once(
             self, env, nap2):

@@ -188,6 +188,47 @@ class TestCompareSingleFlow:
         assert cmp.overhead["delta_pct"] > 0
 
 
+class TestCompareReport:
+    """A byte ratio is rounded to 6 places, 1.0 when neither run carries a
+    byte and None when only its denominator's run carries none."""
+
+    STAR_SHA1 = "e1c78ace814ff378a1893c690e3f1f9cacd194d0"
+
+    def test_a_link_only_icn_carries_data_on_reads_null(self):
+        # seed 4's link masks forward the response off its tree on two links
+        text, sc = TestEntryPoints.inputs()
+        cmp = simnet.compare(sc, text)
+        assert len(cmp.links) == 138
+        off_tree = {k: l for k, l in cmp.links.items() if l["data_ratio"] is None}
+        assert sorted(off_tree) == ["12->15", "4->8"]
+        for link in off_tree.values():
+            assert link["baseline_data_bytes"] == 0 < link["icn_data_bytes"]
+        for link in cmp.links.values():
+            icn_d, base_d = link["icn_data_bytes"], link["baseline_data_bytes"]
+            if base_d:
+                assert link["data_ratio"] == round(icn_d / base_d, 6)
+        assert cmp.bottleneck == {"baseline_data_bytes": 6102, "icn_data_bytes": 1086,
+                                  "link": "1->2", "savings_factor": 5.618785}
+
+    def test_a_one_node_topology_has_no_links_and_no_bottleneck(self):
+        cmp = simnet.compare(Scenario(workload=[]),
+                             make_topology_doc(nodes=[1], undirected_links=[]))
+        assert cmp.links == {}
+        assert cmp.bottleneck == {"link": None, "savings_factor": 1.0}
+
+    def test_star_demo_report_is_pinned_and_nests_both_mode_reports(self):
+        scenario = load_scenario((DEMO_DATA / "star_scenario.json").read_text())
+        topo = load_topology_doc((DEMO_DATA / "star.json").read_text(), scenario.seed)
+        cmp = simnet.compare(scenario, topo)
+        text = cmp.to_canonical_json()
+        assert hashlib.sha1(text.encode()).hexdigest() == self.STAR_SHA1
+        doc = json.loads(text)
+        for key, report in (("icn", simnet.run(scenario, topo)),
+                            ("baseline", simnet.run_ip_baseline(scenario, topo))):
+            assert report.to_canonical_json() == json.dumps(
+                doc[key], sort_keys=True, separators=(",", ":"))
+
+
 class TestSinglePacketHandTrace:
     """One internal device sends one packet to an external address.
 

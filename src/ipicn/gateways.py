@@ -18,7 +18,8 @@ keeping no copy: each decoded IP arrival for their own address or scope,
 duplicates included, goes to `note_ip_delivered` or `note_peer_emitted`,
 each dropped packet (a full pending queue, an ingress address outside the
 operator's plan) to `note_ip_dropped`, and each completed HTTP response to
-`note_http_complete`.
+`note_http_complete`. A response holds the fetch's segments as they
+arrived; its body is joined only when a device first reads it.
 """
 
 from __future__ import annotations
@@ -81,13 +82,48 @@ class IpPacket:
             raise ValueError(f"IP payload longer than {MAX_IP_PAYLOAD}")
 
 
-@dataclass(frozen=True)
 class HttpResponse:
-    """A completed HTTP exchange as seen by the requesting device."""
+    """A completed HTTP exchange as seen by the requesting device, equal to
+    another by (fqdn, url, body).
 
+    A NAP hands over the fetch's segments as they arrived, uncopied; `body`
+    joins them into one `bytes` on its first read and keeps that, so a run
+    that reads no body joins none.
+    """
+
+    __slots__ = ("fqdn", "url", "_body")
     fqdn: str
     url: str
-    body: bytes
+
+    def __init__(self, fqdn: str, url: str, body: bytes) -> None:
+        self.fqdn = fqdn
+        self.url = url
+        self._body: bytes | dict[int, memoryview] = body
+
+    @classmethod
+    def _of_segments(cls, fqdn: str, url: str, segments: dict[int, memoryview]) -> HttpResponse:
+        """A response whose body is `segments` (offset -> chunk) joined."""
+        response = cls(fqdn, url, b"")
+        response._body = segments
+        return response
+
+    @property
+    def body(self) -> bytes:
+        body = self._body
+        if type(body) is dict:
+            body = self._body = b"".join([body[offset] for offset in sorted(body)])
+        return body
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not HttpResponse:
+            return NotImplemented
+        return (self.fqdn, self.url, self.body) == (other.fqdn, other.url, other.body)
+
+    def __hash__(self) -> int:
+        return hash((self.fqdn, self.url, self.body))
+
+    def __repr__(self) -> str:
+        return f"HttpResponse(fqdn={self.fqdn!r}, url={self.url!r}, body={self.body!r})"
 
 
 def encode_ip_packet(pkt: IpPacket) -> bytes:
@@ -417,8 +453,7 @@ class Nap(_IcnClient):
         state.received += len(chunk)
         if state.received < total:
             return
-        body = b"".join(state.buf[o] for o in sorted(state.buf))
-        response = HttpResponse(fqdn=state.fqdn, url=state.url, body=body)
+        response = HttpResponse._of_segments(state.fqdn, state.url, state.buf)
         for _ in range(state.count):
             self.env.note_http_complete(self.client, response)
         del self._gets[name]

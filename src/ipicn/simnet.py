@@ -60,7 +60,7 @@ from .gateways import (
     assign_address,
     body_segments,
     encode_http_request,
-    encode_ip_packet,
+    encode_ip_packet,  # unused here; perfbench's tracer expects this module to bind it
     synth_bytes,
 )
 from .names import IcnName, render_name
@@ -116,13 +116,45 @@ class Scenario:
     """A timed workload plus run parameters; `seed` sets the link masks of
     a topology loaded from a dict or JSON text for it.
 
-    `load_scenario` checks every op's fields (a Scenario built directly is
-    taken as given); the simulations check what the ops refer to.
+    Building one checks every op's fields, the mode and the seed, whether
+    `load_scenario` builds it or a caller does; the simulations check what
+    the ops refer to.
     """
 
     workload: list[dict]
     mode: str = "icn"
     seed: int = 1
+
+    def __post_init__(self) -> None:
+        if self.mode not in ("icn", "ip", "compare"):
+            raise ScenarioError(f"unknown mode: {brief(self.mode)}")
+        if not isinstance(self.workload, list):
+            raise ScenarioError("workload must be a list")
+        self.workload = list(self.workload)  # the checked ops, whatever the caller's list becomes
+        for action in self.workload:
+            if not isinstance(action, dict):
+                raise ScenarioError("workload entries must be objects")
+            op = action.get("op")
+            fields = _OP_FIELDS.get(op) if isinstance(op, str) else None
+            if fields is None:
+                raise ScenarioError(f"unknown workload op: {brief(op)}")
+            t_us = action.get("t_us", -1)
+            if type(t_us) is not int:  # a JSON integer: not 1.9, "100", true or 1e3
+                raise ScenarioError(f"workload op {op!r} has a non-integer t_us")
+            if t_us < 0:
+                raise ScenarioError(f"workload op {op!r} needs a non-negative t_us")
+            for key, kind, bound, default in fields:
+                value = action.get(key, default)
+                if type(value) is not kind or bound is not None and not (
+                        value if kind is str else 0 <= value <= bound):
+                    if key not in action:
+                        raise ScenarioError(f"workload op {op!r} needs {key!r}")
+                    raise ScenarioError(
+                        f"workload op {op!r} has an invalid {key!r}: {brief(value)}")
+        if type(self.seed) is not int:  # a JSON integer, as t_us: not 1.9, "7", true or 1e3
+            raise ScenarioError("scenario seed is not an integer")
+        if self.seed < 0:  # it would give the link masks of its absolute value
+            raise ScenarioError(f"scenario seed must not be negative, got {brief(self.seed)}")
 
 
 def load_scenario(doc: dict | str) -> Scenario:
@@ -135,41 +167,8 @@ def load_scenario(doc: dict | str) -> Scenario:
             raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError("scenario document must be a JSON object")
-    mode = doc.get("mode", "icn")
-    if mode not in ("icn", "ip", "compare"):
-        raise ScenarioError(f"unknown mode: {brief(mode)}")
-    workload = doc.get("workload", [])
-    if not isinstance(workload, list):
-        raise ScenarioError("workload must be a list")
-    for action in workload:
-        if not isinstance(action, dict):
-            raise ScenarioError("workload entries must be objects")
-        op = action.get("op")
-        fields = _OP_FIELDS.get(op) if isinstance(op, str) else None
-        if fields is None:
-            raise ScenarioError(f"unknown workload op: {brief(op)}")
-        t_us = action.get("t_us", -1)
-        if type(t_us) is not int:  # a JSON integer: not 1.9, "100", true or 1e3
-            raise ScenarioError(f"workload op {op!r} has a non-integer t_us")
-        if t_us < 0:
-            raise ScenarioError(f"workload op {op!r} needs a non-negative t_us")
-        for key, kind, bound, default in fields:
-            value = action.get(key, default)
-            if type(value) is not kind or bound is not None and not (
-                    value if kind is str else 0 <= value <= bound):
-                if key not in action:
-                    raise ScenarioError(f"workload op {op!r} needs {key!r}")
-                raise ScenarioError(f"workload op {op!r} has an invalid {key!r}: {brief(value)}")
-    seed = doc.get("seed", 1)
-    if type(seed) is not int:  # a JSON integer, as t_us: not 1.9, "7", true or 1e3
-        raise ScenarioError("scenario seed is not an integer")
-    if seed < 0:  # it would give the link masks of its absolute value
-        raise ScenarioError(f"scenario seed must not be negative, got {brief(seed)}")
     return Scenario(
-        workload=list(workload),
-        mode=mode,
-        seed=seed,
-    )
+        workload=doc.get("workload", []), mode=doc.get("mode", "icn"), seed=doc.get("seed", 1))
 
 
 @dataclass
@@ -809,7 +808,7 @@ class BaselineSimulation(_AccountingMixin):
             self._http_get(action)
 
     def _route_ip(self, from_node: int, pkt: IpPacket) -> None:
-        size = len(encode_ip_packet(pkt))
+        size = IP_HEADER_SIZE + len(pkt.payload)  # the encapsulated packet's length, unbuilt
         if pkt.dst in self.operator_plan:
             target = self._addr_at.get(pkt.dst)
             if target is None:

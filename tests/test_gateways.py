@@ -452,6 +452,22 @@ class TestHttp:
             assert response.body == content
         assert [nap.counters["duplicates"] for nap in naps] == [1, 1, 1]
 
+    def test_response_of_segments_equals_the_joined_body(self):
+        """A response over segments handed in any order equals the one
+        built from their joined bytes; its body is that exact `bytes`,
+        joined once and kept."""
+        content = gateways.synth_bytes("cdn.example/v/1", 2 * SEGMENT_CHUNK + 5)
+        offsets = [SEGMENT_CHUNK, 2 * SEGMENT_CHUNK, 0]
+        lazy = HttpResponse._of_segments("cdn.example", "/v/1", {
+            o: memoryview(content)[o : o + SEGMENT_CHUNK] for o in offsets})
+        eager = HttpResponse("cdn.example", "/v/1", content)
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert type(lazy.body) is bytes and lazy.body == content
+        assert lazy.body is lazy.body
+        assert HttpResponse._of_segments("a", "/e", {0: memoryview(b"")}) == HttpResponse(
+            "a", "/e", b"")
+        assert lazy != HttpResponse("cdn.example", "/v/2", content)
+
     def test_requests_in_separate_windows_publish_twice(self, env, nap1, nap2):
         nap2.http_serve("cdn.example")
         nap1.http_get("cdn.example", "/v/1", 100)

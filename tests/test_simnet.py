@@ -1115,14 +1115,14 @@ class TestHttpPeakMemory:
 
     BODY = 400_000
 
-    def peak(self, n_requesters):
+    def peak(self, n_requesters, body=BODY):
         """The run's tracemalloc peak above what the built simulation holds."""
         doc = line_doc(1, naps=[{"client": k, "node": 1 if k == 1 else 2,
                                  "prefixes": [f"10.0.{k}.0/24"]}
                                 for k in range(1, n_requesters + 2)])
         wl = [{"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "cdn.example"}]
         wl += [{"t_us": 1000, "op": "http_get", "client": k, "fqdn": "cdn.example",
-                "url": "/v/1", "resp_bytes": self.BODY} for k in range(2, n_requesters + 2)]
+                "url": "/v/1", "resp_bytes": body} for k in range(2, n_requesters + 2)]
         tracemalloc.start()
         try:
             sim = IcnSimulation(doc, Scenario(workload=wl))
@@ -1139,6 +1139,13 @@ class TestHttpPeakMemory:
     def test_sixteen_requesters_peak_within_one_body_of_two(self):
         two, sixteen = self.peak(2), self.peak(16)
         assert sixteen - two < self.BODY, (two / self.BODY, sixteen / self.BODY)
+
+    def test_no_requester_joins_the_body(self):
+        """The server holds all its segments at once, about one body; a
+        requester that joined its segments into one `bytes` on completion
+        would add a second body to the peak, but a run reads no body."""
+        body = 1 << 20
+        assert self.peak(4, body) < 1.5 * body
 
 
 class TestSaturatedFid:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import make_topology_doc
 from ipicn.cli import main
+from ipicn.gateways import MAX_RESPONSE_BYTES
 from ipicn.simnet import (
     BaselineSimulation,
     IcnSimulation,
@@ -112,6 +113,19 @@ def test_repeat_serve_by_the_same_client_is_allowed(cls):
     sim = cls(load_topology_doc(topology(False), 7),
               Scenario(workload=[serve(0, 1), serve(5, 1), get]))
     assert sim.run().flows["http:2:a.example/x"]["delivered"] == 1
+
+
+@pytest.mark.parametrize("cls", MODES)
+@pytest.mark.parametrize("resp_bytes", [MAX_RESPONSE_BYTES + 1, -1, 1.5],
+                         ids=["over-bound", "negative", "float"])
+def test_scenario_built_directly_gets_the_field_checks(cls, resp_bytes):
+    """A Scenario built without load_scenario checks each op's fields too: a
+    resp_bytes out of range or not an integer is refused before either run,
+    rather than counted corrupt by the ICN server or raised mid-run."""
+    get = {"t_us": 10, "op": "http_get", "client": 2, "fqdn": "a.example", "url": "/u",
+           "resp_bytes": resp_bytes}
+    with pytest.raises(ScenarioError, match="invalid 'resp_bytes'"):
+        cls(load_topology_doc(topology(False), 7), Scenario(workload=[serve(0, 1), get]))
 
 
 # -- both modes accept and reject alike -------------------------------------

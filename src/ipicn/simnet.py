@@ -43,6 +43,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass, replace
+from itertools import chain
 from operator import itemgetter
 from typing import Callable
 
@@ -85,6 +86,7 @@ _REQUEST_PAYLOAD = 4 + 1
 _FID_PAYLOAD = 4 + 32 + 1
 
 _NO_EDGES: frozenset[Link] = frozenset()  # a copy emitted on no standing tree
+_END_OF_OPS = {"t_us": math.inf}  # `_drain`'s sentinel after the last op
 _LOOSE_FIDS = 64  # delivery plans kept beyond one per standing tree
 
 # (field, JSON type, bound, default) per field of each workload op: an
@@ -377,15 +379,16 @@ class _AccountingMixin:
                         synth_bytes(f"{src}>{dst}#{pid}", action.get("bytes", 0)))
 
     def _drain(self, max_time_us: int) -> None:
-        """Run the workload ops, fed from their run-order list, and the queued
-        events in time order, until both run out or the next is due after
-        `max_time_us`. At equal times an op runs after the events queued
-        before the run and before those the run queues, as it did when every
-        op was queued up front."""
+        """Run the workload ops, read in place from their run-order list, and
+        the queued events in time order, until both run out or the next is
+        due after `max_time_us`. At equal times an op runs after the events
+        queued before the run and before those the run queues, as it did
+        when every op was queued up front."""
         self._max_time_us = max_time_us
         queue, heap = self.queue, self.queue._heap
         before_run = queue._seq
-        for t_us, action in (*self._run_order, (math.inf, None)):
+        for action in chain(self._run_order, (_END_OF_OPS,)):
+            t_us = action["t_us"]
             # heap entries are (time, seq, fn): this holds for an entry due
             # before the op, or due with it and queued before the run
             while heap and heap[0] < (t_us, before_run):
@@ -395,7 +398,7 @@ class _AccountingMixin:
                     return
                 self.now = time_us
                 fn()
-            if action is None:
+            if action is _END_OF_OPS:
                 return
             if t_us > max_time_us:
                 self.counters["time_limit_hits"] += 1
@@ -441,10 +444,10 @@ class _AccountingMixin:
 
 def _check_workload(
     topo: TopologyDoc, ops: list[dict]
-) -> tuple[dict[str, ipaddress.IPv4Address], list[tuple[int, dict]]]:
+) -> tuple[dict[str, ipaddress.IPv4Address], list[dict]]:
     """Check what each op refers to, in run order, so that no run meets a bad
     reference. Return each address string the ops name, parsed once, and the
-    ops as (time, op) in run order: stably sorted by time."""
+    ops themselves in run order: stably sorted by `t_us`."""
     naps = {cfg.client: cfg for cfg in topo.naps}
     attached: set[ipaddress.IPv4Address] = set()
     owner: dict[str, ClientId] = {}  # by text: IPv4Address hashing is slow
@@ -459,8 +462,8 @@ def _check_workload(
                 raise ScenarioError(f"invalid IPv4 address {brief(text)}") from None
         return addresses[text]
 
-    run_order = sorted(((int(a["t_us"]), a) for a in ops), key=itemgetter(0))
-    for _, action in run_order:
+    run_order = sorted(ops, key=itemgetter("t_us"))
+    for action in run_order:
         op = action["op"]
         if op == "ext_in":
             if topo.border is None:

@@ -5,24 +5,24 @@ For every publication match the manager computes a publisher-rooted
 shortest-path tree over link delay (deterministic tie-breaking by lowest
 predecessor id), ORs the tree's link masks into a forwarding identifier and
 hands that back to the publisher. Shortest-path predecessors are computed
-once per root and kept on the graph.
+once per root and kept on the graph, one flat array of node numbers each.
 
 Dijkstra runs over an integer index of the graph, built by its first run
-and kept on the graph: the node ids sorted ascending, numbered 0..n-1, and
-per number a tuple of (neighbour number, delay) pairs. Numbering in id
-order lets a heap key pack (distance, number) into one int that pops in
-(distance, id) order, and lets the tie rule compare numbers for ids. The
-first run builds it, not the load, so a graph that is never searched does
-not pay for it.
+and kept on the graph: the node ids sorted ascending, numbered 0..n-1, the
+id -> number map, and per number a tuple of (neighbour number, delay)
+pairs. Numbering in id order lets a heap key pack (distance, number) into
+one int that pops in (distance, id) order, and lets the tie rule compare
+numbers for ids. The first run builds it, not the load, so a graph that is
+never searched does not pay for it.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import ipaddress
 import json
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -72,8 +72,8 @@ class NetworkGraph:
     attachments: dict[ClientId, int]
     _adjacency: dict[int, tuple[Link, ...]] = field(init=False, repr=False)
     _by_pair: dict[tuple[int, int], Link] = field(init=False, repr=False)
-    # root -> predecessor map, filled by `dijkstra`
-    _pred_by_root: dict[int, dict[int, int]] = field(
+    # root -> predecessor numbers, filled by `dijkstra`
+    _pred_by_root: dict[int, array] = field(
         init=False, repr=False, compare=False
     )
     # `dijkstra`'s integer index, built by its first run
@@ -296,10 +296,11 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
 
 class _SearchIndex(NamedTuple):
     """`dijkstra`'s view of a graph: node ids sorted ascending, so a node's
-    number is its place in `ids`, and per number its out-links as
-    (neighbour number, delay_us) pairs."""
+    number is its place in `ids`, the id -> number map, and per number its
+    out-links as (neighbour number, delay_us) pairs."""
 
     ids: tuple[int, ...]
+    number: dict[int, int]
     adjacency: tuple[tuple[tuple[int, int], ...], ...]
     bits: int  # a heap key is (distance << bits) | number
     unreached: int  # above every distance: the sum of all delays, plus one
@@ -316,36 +317,38 @@ def _search_index_of(g: NetworkGraph) -> _SearchIndex:
         )
         unreached = sum(link.delay_us for link in g.links) + 1
         index = g._search_index = _SearchIndex(
-            ids, adjacency, (len(ids) - 1).bit_length(), unreached)
+            ids, number, adjacency, (len(ids) - 1).bit_length(), unreached)
     return index
 
 
-def dijkstra(g: NetworkGraph, root: int) -> dict[int, int]:
-    """Deterministic least-delay predecessors of every node reached from `root`.
+def dijkstra(g: NetworkGraph, root: int) -> array:
+    """Deterministic least-delay predecessors of every node reached from `root`:
+    an `array('i')` that holds, at each node's number, its predecessor's
+    number, or -1 at `root` and at a node not reached. Numbers index the
+    graph's `_SearchIndex` (`ids` maps them back to node ids), and
+    `path_links` walks the array.
 
     The predecessor of a node is the lowest-id neighbour that attains its
     shortest distance, among neighbours settled before it, so equal-cost
     ties always break the same way and zero-delay links cannot form a
-    cycle. Each root's map is computed once and stored on the graph, which
-    must not change after load; the map is shared, so callers must not
-    mutate it.
+    cycle. Each root's array is computed once and stored on the graph,
+    which must not change after load; the array is shared, so callers must
+    not mutate it.
 
-    The search runs over the graph's `_SearchIndex`, on lists indexed by
-    node number. Numbers follow ids, so the packed heap keys pop in
-    (distance, id) order and `u < pred[v]` compares ids.
+    The search runs over lists indexed by node number. Numbers follow ids,
+    so the packed heap keys pop in (distance, id) order and `u < pred[v]`
+    compares ids.
     """
-    pred_map = g._pred_by_root.get(root)
-    if pred_map is not None:
-        return pred_map
-    ids, adjacency, bits, unreached = _search_index_of(g)
-    r = bisect.bisect_left(ids, root)
-    if r == len(ids) or ids[r] != root:
-        raise KeyError(root)
+    pred = g._pred_by_root.get(root)
+    if pred is not None:
+        return pred
+    _, number, adjacency, bits, unreached = _search_index_of(g)
+    r = number[root]
     mask = (1 << bits) - 1
-    dist = [unreached] * len(ids)
+    dist = [unreached] * len(adjacency)
     dist[r] = 0
-    settled = bytearray(len(ids))
-    pred = [-1] * len(ids)
+    settled = bytearray(len(adjacency))
+    pred = array("i", [-1]) * len(adjacency)
     heap = [r]
     pop, push = heapq.heappop, heapq.heappush
     while heap:
@@ -365,17 +368,24 @@ def dijkstra(g: NetworkGraph, root: int) -> dict[int, int]:
                 push(heap, (nd << bits) | v)
             elif nd == old and u < pred[v] and not settled[v]:
                 pred[v] = u
-    pred_map = {ids[v]: ids[u] for v, u in enumerate(pred) if u >= 0}
-    g._pred_by_root[root] = pred_map
-    return pred_map
+    g._pred_by_root[root] = pred
+    return pred
 
 
-def path_links(g: NetworkGraph, pred: dict[int, int], root: int, node: int) -> list[Link]:
-    """Links from `root` to `node` along `root`'s predecessor map."""
+def path_links(g: NetworkGraph, pred: array, root: int, node: int) -> list[Link]:
+    """Links from `root` to `node` along `root`'s predecessor array, as
+    `dijkstra` returns it; a node it does not reach raises `TopologyError`.
+    Each hop reads one predecessor number, its id and the link."""
+    ids, number = g._search_index.ids, g._search_index.number
+    by_pair = g._by_pair
     links: list[Link] = []
+    v = number[node]
     while node != root:
-        parent = pred[node]
-        links.append(g.link(parent, node))
+        v = pred[v]
+        if v < 0:
+            raise TopologyError(f"node {node} is not reachable from {root}")
+        parent = ids[v]
+        links.append(by_pair[parent, node])
         node = parent
     links.reverse()
     return links
@@ -391,7 +401,8 @@ def shortest_path_tree(
         unknown = sorted(leaf for leaf in leaves if leaf not in g.nodes)
         raise TopologyError(f"leaves not in graph: {unknown}")
     pred = dijkstra(g, root)
-    unreachable = [leaf for leaf in leaves if leaf != root and leaf not in pred]
+    number = g._search_index.number
+    unreachable = [leaf for leaf in leaves if leaf != root and pred[number[leaf]] < 0]
     if unreachable:
         raise TopologyError(f"unreachable leaves: {sorted(unreachable)}")
     edges = {link for leaf in leaves for link in path_links(g, pred, root, leaf)}

@@ -991,8 +991,9 @@ class TestEventOrder:
             def push(t, label):
                 sim.queue.push(t, lambda: self.fire(label, sim.now, push, log))
 
-            sim._inject = lambda label: self.fire(label, sim.now, push, log)
-            sim._run_order = sorted(ops, key=lambda op: op[0])
+            sim._inject = lambda op: self.fire(op["label"], sim.now, push, log)
+            sim._run_order = sorted(({"t_us": t, "label": label} for t, label in ops),
+                                    key=lambda op: op["t_us"])
             for t, label in before:
                 push(t, label)
             report = sim.run(max_time_us)
@@ -1043,6 +1044,30 @@ class TestMemory:
         # 20 bodies of 300 kB were delivered (6 MB); keeping any of them
         # would exceed this bound by more than the body's own size
         assert retained < 256 * 1024, retained
+
+
+class TestRunOrderMemory:
+    """A built simulation keeps its ops in run order as one list of the op
+    dicts themselves: no per-op record beside them."""
+
+    OPS = 5000
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
+    def test_construction_holds_under_16_bytes_per_op(self, cls):
+        topo = two_node_doc()
+        wl = [{"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.5"}]
+        wl += [{"t_us": 1000 + (k * 7919) % self.OPS, "op": "send_ip", "client": 1,
+                "src": "10.0.1.5", "dst": "10.0.1.6"} for k in range(self.OPS - 1)]
+        scenario = Scenario(workload=wl)
+        tracemalloc.start()
+        try:
+            sim = cls(topo, scenario)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 16 * self.OPS, held / self.OPS
+        assert [op["t_us"] for op in sim._run_order] == sorted(op["t_us"] for op in wl)
 
 
 class TestMemoryFlatInTraffic:

@@ -3,6 +3,7 @@
 import heapq
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,11 +15,14 @@ from conftest import make_topology_doc, random_connected_graph
 from ipicn.names import IcnName
 from ipicn.rendezvous import MatchEvent
 from ipicn.topology import (
+    Link,
+    NetworkGraph,
     TopologyError,
     dijkstra,
     fid_for_tree,
     handle_match,
     load_topology_doc,
+    path_links,
     shortest_path_tree,
     tree_for_match,
 )
@@ -42,6 +46,14 @@ def scipy_distances(g, root):
     )
     dist = scipy_dijkstra(matrix, directed=True, indices=index[root])
     return {n: dist[index[n]] for n in nodes}
+
+
+def predecessor_ids(g, root):
+    """`dijkstra`'s predecessors from `root` as {node id: predecessor id},
+    one entry per node reached other than `root`."""
+    pred = dijkstra(g, root)
+    ids = g._search_index.ids
+    return {ids[v]: ids[u] for v, u in enumerate(pred) if u >= 0}
 
 
 def reference_predecessors(g, root):
@@ -283,19 +295,50 @@ class TestShortestPathTree:
             links = [(a, b, {"delay_us": rng.choice((1, 2, 3))}) for a, b in pairs]
             g = make_topology_doc(nodes, links, seed=trial).graph
             for root in nodes:
-                assert dijkstra(g, root) == reference_predecessors(g, root)
+                assert predecessor_ids(g, root) == reference_predecessors(g, root)
 
     @settings(max_examples=300, deadline=None)
     @given(g=tie_prone_graphs())
     @example(g=make_topology_doc([-7], []).graph)
     def test_predecessors_equal_the_tuple_heap_reference(self, g):
         for root in g.nodes:
-            assert dijkstra(g, root) == heap_predecessors(g, root)
+            assert predecessor_ids(g, root) == heap_predecessors(g, root)
 
     def test_predecessor_map_is_computed_once_per_root(self):
         g = make_topology_doc([1, 2, 3], [(1, 2), (2, 3)]).graph
         assert dijkstra(g, 1) is dijkstra(g, 1)
-        assert dijkstra(g, 3) == {2: 3, 1: 2}
+        assert predecessor_ids(g, 3) == {2: 3, 1: 2}
+
+    def test_a_stored_root_takes_at_most_8_bytes_per_node(self):
+        rng = random.Random(67)
+        nodes, pairs = random_connected_graph(rng, 150, 150)
+        g = make_topology_doc(nodes, pairs).graph
+        dijkstra(g, nodes[0])  # builds the graph's search index
+        tracemalloc.start()
+        try:
+            dijkstra(g, nodes[-1])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held <= 8 * len(nodes), held / len(nodes)
+
+    @pytest.mark.parametrize("nodes, links", [
+        ([1, 2, 9], [(1, 2), (2, 1)]),  # ids[-1] is the unreached node itself
+        ([1, 2, 5], [(1, 5), (5, 1)]),  # ids[-1] is a reached node
+    ])
+    def test_a_node_not_reached_raises_instead_of_walking_ids_minus_one(self, nodes, links):
+        # built directly, so `validate` does not refuse the disconnected graph
+        g = NetworkGraph(frozenset(nodes),
+                         tuple(Link(a, b, 1000, 10**9, 1 << k) for k, (a, b) in enumerate(links)),
+                         {})
+        reached = {b for _, b in links}
+        (alone,) = set(nodes) - reached
+        with pytest.raises(TopologyError, match=rf"^unreachable leaves: \[{alone}\]$"):
+            shortest_path_tree(g, 1, reached | {alone})
+        with pytest.raises(TopologyError, match="not reachable"):
+            path_links(g, dijkstra(g, 1), 1, alone)
+        assert [(l.src, l.dst) for l in path_links(g, dijkstra(g, 1), 1, max(reached))] == [
+            (1, max(reached))]
 
     def test_zero_delay_link_does_not_make_a_predecessor_cycle(self):
         # 5 and 6 are both 2 away from 1 and 0 apart: each attains the
@@ -306,7 +349,7 @@ class TestShortestPathTree:
             [(1, 7, unit), (1, 8, unit), (7, 5, unit), (8, 6, unit),
              (5, 6, {"delay_us": 0})],
         ).graph
-        pred = dijkstra(g, 1)
+        pred = predecessor_ids(g, 1)
         for start in pred:
             node, hops = start, 0
             while node != 1:

@@ -45,7 +45,7 @@ from .names import (
     name_for_ip,
 )
 from .rendezvous import ClientId
-from .topology import MAX_CLIENT_ID, FidDelivery
+from .topology import MAX_CLIENT_ID, FidDelivery, brief
 
 MAX_IP_PAYLOAD = 65507
 PENDING_CAPACITY = 64
@@ -65,6 +65,13 @@ IP_HEADER_SIZE = _IP_HEADER.size  # encapsulation bytes added to each IP payload
 # decoded header address: 4 packed bytes -> one shared IPv4Address, for at
 # most this many distinct addresses
 _address = functools.lru_cache(maxsize=4096)(ipaddress.IPv4Address)
+
+
+def check_window(window_us: object) -> int:
+    """`window_us` if it is an HTTP coalescing window, a non-negative int; else ValueError."""
+    if type(window_us) is not int or window_us < 0:
+        raise ValueError(f"HTTP window must not be negative or a non-int, got {brief(window_us)}")
+    return window_us
 
 
 @dataclass(frozen=True)
@@ -320,12 +327,10 @@ class Nap(_IcnClient):
         operator_plan: AddressPlan,
         window_us: int = DEFAULT_WINDOW_US,
     ) -> None:
-        if window_us < 0:
-            raise ValueError(f"HTTP window must not be negative, got {window_us} us")
+        self.window_us = check_window(window_us)
         super().__init__(env, client, node)
         self.prefixes = prefixes
         self.operator_plan = operator_plan
-        self.window_us = window_us
         self.addresses: set[ipaddress.IPv4Address] = set()
         # internal name -> attached address, so data under any other name is
         # rejected without decoding its payload

@@ -60,6 +60,7 @@ from .gateways import (
     Nap,
     assign_address,
     body_segments,
+    check_window,
     encode_http_request,
     encode_ip_packet,  # unused here; perfbench's tracer expects this module to bind it
     synth_bytes,
@@ -72,6 +73,7 @@ from .topology import (
     brief,
     dijkstra,
     handle_match,
+    load_json_object,
     load_topology_doc,
     path_links,
     tree_for_match,
@@ -113,26 +115,25 @@ class UnknownClientError(ScenarioError):
     """Scenario references a client with no gateway in the topology."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A timed workload plus run parameters; `seed` sets the link masks of
     a topology loaded from a dict or JSON text for it.
 
-    Building one checks every op's fields, the mode and the seed, whether
-    `load_scenario` builds it or a caller does; the simulations check what
-    the ops refer to.
+    Building one checks every op's fields, the mode and the seed, and keeps
+    `workload` (a list or a tuple) as one tuple of the op dicts stably sorted
+    by `t_us`, the run order of every simulation; those check what the ops name.
     """
 
-    workload: list[dict]
+    workload: tuple[dict, ...]
     mode: str = "icn"
     seed: int = 1
 
     def __post_init__(self) -> None:
         if self.mode not in ("icn", "ip", "compare"):
             raise ScenarioError(f"unknown mode: {brief(self.mode)}")
-        if not isinstance(self.workload, list):
+        if not isinstance(self.workload, (list, tuple)):
             raise ScenarioError("workload must be a list")
-        self.workload = list(self.workload)  # the checked ops, whatever the caller's list becomes
         for action in self.workload:
             if not isinstance(action, dict):
                 raise ScenarioError("workload entries must be objects")
@@ -157,18 +158,11 @@ class Scenario:
             raise ScenarioError("scenario seed is not an integer")
         if self.seed < 0:  # it would give the link masks of its absolute value
             raise ScenarioError(f"scenario seed must not be negative, got {brief(self.seed)}")
+        object.__setattr__(self, "workload", tuple(sorted(self.workload, key=itemgetter("t_us"))))
 
 
 def load_scenario(doc: dict | str) -> Scenario:
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        # ValueError: a JSONDecodeError, or an integer literal longer than
-        # the interpreter's int-string limit (sys.get_int_max_str_digits)
-        except (ValueError, RecursionError) as exc:
-            raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario document must be a JSON object")
+    doc = load_json_object(doc, "scenario", ScenarioError)
     return Scenario(
         workload=doc.get("workload", []), mode=doc.get("mode", "icn"), seed=doc.get("seed", 1))
 
@@ -265,7 +259,7 @@ class _AccountingMixin:
     ) -> None:
         self.graph = topo.graph
         self.scenario = scenario
-        self._addresses, self._run_order = _check_workload(topo, scenario.workload)
+        self._addresses = _check_workload(topo, scenario.workload)
         self.operator_plan = AddressPlan(p for nap in topo.naps for p in nap.prefixes)
         self.now = 0
         self.queue = _EventQueue()
@@ -379,7 +373,7 @@ class _AccountingMixin:
                         synth_bytes(f"{src}>{dst}#{pid}", action.get("bytes", 0)))
 
     def _drain(self, max_time_us: int) -> None:
-        """Run the workload ops, read in place from their run-order list, and
+        """Run the scenario's ops, read in place from its run-order tuple, and
         the queued events in time order, until both run out or the next is
         due after `max_time_us`. At equal times an op runs after the events
         queued before the run and before those the run queues, as it did
@@ -387,7 +381,7 @@ class _AccountingMixin:
         self._max_time_us = max_time_us
         queue, heap = self.queue, self.queue._heap
         before_run = queue._seq
-        for action in chain(self._run_order, (_END_OF_OPS,)):
+        for action in chain(self.scenario.workload, (_END_OF_OPS,)):
             t_us = action["t_us"]
             # heap entries are (time, seq, fn): this holds for an entry due
             # before the op, or due with it and queued before the run
@@ -442,12 +436,11 @@ class _AccountingMixin:
         )
 
 
-def _check_workload(
-    topo: TopologyDoc, ops: list[dict]
-) -> tuple[dict[str, ipaddress.IPv4Address], list[dict]]:
-    """Check what each op refers to, in run order, so that no run meets a bad
-    reference. Return each address string the ops name, parsed once, and the
-    ops themselves in run order: stably sorted by `t_us`."""
+def _check_workload(topo: TopologyDoc,
+                    ops: tuple[dict, ...]) -> dict[str, ipaddress.IPv4Address]:
+    """Check what each op of a scenario's run order refers to, so that no run
+    meets a bad reference. Return each address string the ops name, parsed
+    once."""
     naps = {cfg.client: cfg for cfg in topo.naps}
     attached: set[ipaddress.IPv4Address] = set()
     owner: dict[str, ClientId] = {}  # by text: IPv4Address hashing is slow
@@ -462,8 +455,7 @@ def _check_workload(
                 raise ScenarioError(f"invalid IPv4 address {brief(text)}") from None
         return addresses[text]
 
-    run_order = sorted(ops, key=itemgetter("t_us"))
-    for action in run_order:
+    for action in ops:
         op = action["op"]
         if op == "ext_in":
             if topo.border is None:
@@ -489,7 +481,7 @@ def _check_workload(
             fqdn = action["fqdn"]
             if server.setdefault(fqdn, client) != client:
                 raise ScenarioError(f"{brief(fqdn)} is already served by client {server[fqdn]}")
-    return addresses, run_order
+    return addresses
 
 
 class IcnSimulation(_AccountingMixin):
@@ -504,8 +496,7 @@ class IcnSimulation(_AccountingMixin):
         ideal_control: bool = False,
         trace: Callable[[str], None] | None = None,
     ) -> None:
-        if window_us < 0:
-            raise ValueError(f"HTTP window must not be negative, got {window_us} us")
+        check_window(window_us)
         super().__init__(topo, scenario, trace)
         self.ideal_control = ideal_control
 
@@ -774,9 +765,8 @@ class BaselineSimulation(_AccountingMixin):
         trace: Callable[[str], None] | None = None,
     ) -> None:
         super().__init__(topo, scenario, trace)
-        self.nap_nodes = {cfg.client: cfg.node for cfg in topo.naps}
         self.border = topo.border
-        self._addr_at: dict[ipaddress.IPv4Address, tuple[ClientId, int]] = {}
+        self._addr_at: dict[ipaddress.IPv4Address, ClientId] = {}  # device -> its NAP
         self._routes: dict[tuple[int, int], list[Link]] = {}  # the graph never changes
 
     def _send(self, src: int, dst: int, sizes: list[int], on_arrive: Callable[[], None]) -> None:
@@ -795,10 +785,9 @@ class BaselineSimulation(_AccountingMixin):
     def _inject(self, action: dict) -> None:
         op = action["op"]
         if op == "attach":
-            client = action["client"]
-            self._addr_at[self._addresses[action["addr"]]] = (client, self.nap_nodes[client])
+            self._addr_at[self._addresses[action["addr"]]] = action["client"]
         elif op == "send_ip":
-            self._route_ip(self.nap_nodes[action["client"]], self._make_ip_packet(action))
+            self._route_ip(self.graph.attachments[action["client"]], self._make_ip_packet(action))
         elif op == "ext_in":
             pkt = self._make_ip_packet(action)
             if pkt.dst not in self.operator_plan:
@@ -813,12 +802,12 @@ class BaselineSimulation(_AccountingMixin):
     def _route_ip(self, from_node: int, pkt: IpPacket) -> None:
         size = IP_HEADER_SIZE + len(pkt.payload)  # the encapsulated packet's length, unbuilt
         if pkt.dst in self.operator_plan:
-            target = self._addr_at.get(pkt.dst)
-            if target is None:
+            client = self._addr_at.get(pkt.dst)
+            if client is None:
                 self.note_ip_dropped(pkt)
                 return
-            client, node = target
-            self._send(from_node, node, [size], lambda: self.note_ip_delivered(client, pkt))
+            self._send(from_node, self.graph.attachments[client], [size],
+                       lambda: self.note_ip_delivered(client, pkt))
         else:
             if self.border is None:
                 self.note_ip_dropped(pkt)
@@ -839,7 +828,7 @@ class BaselineSimulation(_AccountingMixin):
         client = action["client"]
         fqdn, url = action["fqdn"], action["url"]
         resp_bytes = action.get("resp_bytes", 0)
-        server_node, client_node = self.nap_nodes[server], self.nap_nodes[client]
+        server_node, client_node = self.graph.attachments[server], self.graph.attachments[client]
         # the request a NAP publishes, in the same encapsulation as send_ip
         req_size = len(encode_http_request(client, fqdn, url, resp_bytes)) + IP_HEADER_SIZE
 

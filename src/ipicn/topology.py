@@ -185,6 +185,20 @@ def brief(value: object) -> str:
     return text if len(text) <= 80 else text[:80] + "..."
 
 
+def load_json_object(doc: dict | str, what: str, error: type[ValueError]) -> dict:
+    """`doc`, parsed if it is JSON text, if it is an object; else `error` naming `what`."""
+    if isinstance(doc, str):
+        try:
+            doc = json.loads(doc)
+        # ValueError: a JSONDecodeError, or an integer literal longer than
+        # the interpreter's int-string limit (sys.get_int_max_str_digits)
+        except (ValueError, RecursionError) as exc:
+            raise error(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise error(f"{what} document must be a JSON object")
+    return doc
+
+
 def _field_error(what: str, entry: dict, exc: Exception) -> TopologyError:
     if isinstance(exc, KeyError):
         return TopologyError(f"{what} entry needs {exc}: {brief(entry)}")
@@ -198,15 +212,7 @@ def load_topology_doc(doc: dict | str, seed: int) -> TopologyDoc:
     alias a positive one."""
     if seed < 0:
         raise TopologyError(f"link-mask seed must not be negative, got {brief(seed)}")
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        # ValueError: a JSONDecodeError, or an integer literal longer than
-        # the interpreter's int-string limit (sys.get_int_max_str_digits)
-        except (ValueError, RecursionError) as exc:
-            raise TopologyError(f"topology is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise TopologyError("topology document must be a JSON object")
+    doc = load_json_object(doc, "topology", TopologyError)
 
     nodes: set[int] = set()  # link masks follow link order, so node order is not kept
     for entry in _entries(doc, "nodes"):

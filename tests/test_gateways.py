@@ -426,6 +426,11 @@ class TestHttp:
             Nap(env, 1, 3, net("10.0.1.0/24"), plan("10.0.1.0/24"), window_us=-1)
         assert Nap(env, 1, 3, net("10.0.1.0/24"), plan("10.0.1.0/24"), window_us=0).window_us == 0
 
+    @pytest.mark.parametrize("window_us", [1.5, "5", None, True])
+    def test_non_integer_window_is_rejected(self, env, window_us):
+        with pytest.raises(ValueError, match="must not be negative or a non-int, got "):
+            Nap(env, 1, 3, net("10.0.1.0/24"), plan("10.0.1.0/24"), window_us=window_us)
+
     def test_every_requester_reassembles_the_exact_body(self, env):
         """Segments handed to three requesters out of order, one of them
         twice: each body is `bytes` and equals the served content exactly."""

@@ -1,6 +1,7 @@
 """Simulation harness: accounting, determinism, baseline parity."""
 
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import json
@@ -59,7 +60,7 @@ def line_doc(n_links, naps, border=None, seed=7):
 class TestScenarioLoading:
     def test_minimal_document(self):
         sc = load_scenario('{"mode":"icn","seed":3,"workload":[]}')
-        assert sc.mode == "icn" and sc.seed == 3 and sc.workload == []
+        assert sc.mode == "icn" and sc.seed == 3 and sc.workload == ()
 
     def test_bad_json_rejected(self):
         with pytest.raises(ScenarioError):
@@ -94,6 +95,40 @@ class TestScenarioLoading:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ScenarioError, match="mode"):
             load_scenario('{"mode":"magic","workload":[]}')
+
+    def test_workload_is_one_tuple_in_stable_t_us_order(self):
+        ops = [{"t_us": t, "op": "http_serve", "client": 1, "fqdn": f"s{k}.example"}
+               for k, t in enumerate((5, 0, 5, 3, 0))]
+        sc = Scenario(workload=ops)
+        assert type(sc.workload) is tuple
+        assert sc.workload == tuple(sorted(ops, key=lambda op: op["t_us"]))
+        assert all(kept is op for kept, op in zip(sc.workload, [ops[i] for i in (1, 4, 3, 0, 2)]))
+
+    def test_a_built_scenario_takes_no_unchecked_op(self):
+        """Neither an op appended to the workload nor a new workload skips
+        the checks: a Scenario is frozen and its workload a tuple."""
+        sc = load_scenario('{"workload":[{"t_us":0,"op":"attach","client":1,"addr":"10.0.1.5"}]}')
+        with pytest.raises(AttributeError):
+            sc.workload.append({"op": "bogus", "t_us": 0})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.workload = [{"op": "bogus", "t_us": 0}]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sc.seed = -5
+        assert len(sc.workload) == 1 and sc.seed == 1
+
+    def test_a_copy_is_checked_again(self):
+        sc = Scenario(workload=[{"t_us": 9, "op": "http_serve", "client": 1, "fqdn": "b"},
+                                {"t_us": 2, "op": "http_serve", "client": 1, "fqdn": "a"}])
+        again = dataclasses.replace(sc, seed=2)
+        assert again.seed == 2 and again.workload == sc.workload
+        assert Scenario(workload=sc.workload) == sc
+        with pytest.raises(ScenarioError, match="seed must not be negative"):
+            dataclasses.replace(sc, seed=-1)
+        with pytest.raises(ScenarioError, match="unknown workload op"):
+            Scenario(workload=(*sc.workload, {"op": "bogus", "t_us": 0}))
+        with pytest.raises(ScenarioError, match="non-integer t_us"):
+            Scenario(workload=[*sc.workload, {"t_us": "5", "op": "http_serve",
+                                              "client": 1, "fqdn": "c"}])
 
     def test_unknown_client_detected_at_wiring(self):
         sc = Scenario(workload=[{"t_us": 0, "op": "attach", "client": 42,
@@ -140,6 +175,20 @@ class TestEntryPoints:
         doc = make_topology_doc(nodes=[1, 2], undirected_links=[(1, 2)])  # no NAP to check it
         with pytest.raises(ValueError, match="window must not be negative"):
             entry(Scenario(workload=[]), doc, window_us=-1)
+
+    @pytest.mark.parametrize("window_us", [1.5, "5", None, True])
+    @pytest.mark.parametrize("entry", [simnet.run, simnet.compare])
+    def test_non_integer_window_is_rejected_before_the_run(self, entry, window_us, monkeypatch):
+        """Refused when the simulation is built, not by the report after a
+        whole run: a run that started would call `_drain`."""
+        doc = make_topology_doc(nodes=[1, 2], undirected_links=[(1, 2)])  # no NAP to check it
+
+        def no_run(*_):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(simnet._AccountingMixin, "_drain", no_run)
+        with pytest.raises(ValueError, match="must not be negative or a non-int, got "):
+            entry(Scenario(workload=[]), doc, window_us=window_us)
 
 
 class TestEmptyWorkload:
@@ -947,10 +996,10 @@ class TestIpPacketFate:
 
 
 class TestEventOrder:
-    """The ops, fed from their run-order list, interleave with queued events
-    exactly as when every op was queued up front, after the events queued
-    before the run (the border's start): the same order and the same
-    time-limit count."""
+    """The ops, fed from the scenario's run-order tuple, interleave with
+    queued events exactly as when every op was queued up front, after the
+    events queued before the run (the border's start): the same order and
+    the same time-limit count."""
 
     @staticmethod
     def fire(label, now, push, log):
@@ -985,15 +1034,16 @@ class TestEventOrder:
             ops = [(rng.randint(0, 6), f"op{i}") for i in range(rng.randint(0, 8))]
             before = [(rng.randint(0, 6), f"pre{i}") for i in range(rng.randint(0, 2))]
             max_time_us = rng.randint(0, 9)
-            sim = BaselineSimulation(two_node_doc(), Scenario(workload=[]))
+            # the Scenario puts the ops in run order itself; each op's fqdn is its label
+            sc = Scenario(workload=[{"t_us": t, "op": "http_serve", "client": 1, "fqdn": label}
+                                    for t, label in ops])
+            sim = BaselineSimulation(two_node_doc(), sc)
             log = []
 
             def push(t, label):
                 sim.queue.push(t, lambda: self.fire(label, sim.now, push, log))
 
-            sim._inject = lambda op: self.fire(op["label"], sim.now, push, log)
-            sim._run_order = sorted(({"t_us": t, "label": label} for t, label in ops),
-                                    key=lambda op: op["t_us"])
+            sim._inject = lambda op: self.fire(op["fqdn"], sim.now, push, log)
             for t, label in before:
                 push(t, label)
             report = sim.run(max_time_us)
@@ -1047,27 +1097,28 @@ class TestMemory:
 
 
 class TestRunOrderMemory:
-    """A built simulation keeps its ops in run order as one list of the op
-    dicts themselves: no per-op record beside them."""
+    """A Scenario keeps its ops in run order as one tuple of the op dicts
+    themselves, and a simulation built from it runs from that tuple: no
+    second list of the ops and no per-op record beside them. The Scenario
+    is built inside the trace, so a copy it makes counts."""
 
     OPS = 5000
 
     @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
-    def test_construction_holds_under_16_bytes_per_op(self, cls):
+    def test_holds_under_12_bytes_per_op(self, cls):
         topo = two_node_doc()
         wl = [{"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.5"}]
         wl += [{"t_us": 1000 + (k * 7919) % self.OPS, "op": "send_ip", "client": 1,
                 "src": "10.0.1.5", "dst": "10.0.1.6"} for k in range(self.OPS - 1)]
-        scenario = Scenario(workload=wl)
         tracemalloc.start()
         try:
-            sim = cls(topo, scenario)
+            sim = cls(topo, Scenario(workload=wl))
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert held < 16 * self.OPS, held / self.OPS
-        assert [op["t_us"] for op in sim._run_order] == sorted(op["t_us"] for op in wl)
+        assert held < 12 * self.OPS, held / self.OPS
+        assert [op["t_us"] for op in sim.scenario.workload] == sorted(op["t_us"] for op in wl)
 
 
 class TestMemoryFlatInTraffic:
@@ -1253,8 +1304,8 @@ class TestForwardingMemo:
         once a second: each round builds the same trees, so the same fids."""
         text, sc = TestEntryPoints.inputs()
         gets = [op for op in sc.workload if op["op"] == "http_get"]
-        wl = sc.workload + [dict(op, t_us=op["t_us"] + 1_000_000 * r)
-                            for r in range(1, rounds) for op in gets]
+        wl = [*sc.workload, *(dict(op, t_us=op["t_us"] + 1_000_000 * r)
+                              for r in range(1, rounds) for op in gets)]
         return load_topology_doc(text, sc.seed), Scenario(workload=wl, seed=sc.seed)
 
     def test_forward_runs_once_per_key_and_a_warm_memo_counts_alike(self, monkeypatch):

@@ -31,6 +31,7 @@ import struct
 from collections import Counter, deque
 from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .forwarding import DEFAULT_TTL, IcnPacket
 from .names import (
@@ -143,6 +144,17 @@ def encode_http_request(client: ClientId, fqdn: str, url: str, resp_bytes: int) 
         {"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
         sort_keys=True,
     ).encode()
+
+
+# the request of two zeros and two empty strings, less those four fields
+_HTTP_REQUEST_FRAME = len(encode_http_request(0, "", "", 0)) - 6
+
+
+def http_request_size(client: ClientId, fqdn: str, url: str, resp_bytes: int) -> int:
+    """`len(encode_http_request(...))` without building the request: the
+    fixed JSON frame plus each field as `json` writes it."""
+    return (_HTTP_REQUEST_FRAME + len(str(client)) + len(str(resp_bytes))
+            + len(encode_basestring_ascii(fqdn)) + len(encode_basestring_ascii(url)))
 
 
 def _decode_http_request(payload: bytes) -> tuple[str, str, int] | None:

@@ -9,10 +9,12 @@ packet and every HTTP response copy along shortest paths with no control
 plane at all.
 
 Links have no queues, so every hop of a message is fixed when it is sent,
-and every message is sent over its whole path in one step: each hop that
-starts by the run's time limit is billed and traced then, its row stamped
-with that hop's start time, and only the arrivals where something acts are
-queued. Trace rows therefore come in send order, not time order.
+and every message is sent over its whole path in one step; only the
+arrivals where something acts are queued. Untraced, a route or plan that
+has timed the message bills it once, to its own total (see `routes`), and
+link counters take the totals when a report is built. Else, as in every
+traced run, each hop that starts by the run's time limit is billed and
+traced then, its row stamped with its start: rows come in send order.
 - A baseline message and an ICN control message take one walk, `_walk`.
   The baseline queues the arrival at the path's end. A control message
   queues its handler at the arrival from the start of its last hop: when
@@ -45,7 +47,7 @@ from collections import Counter, deque
 from dataclasses import dataclass, replace
 from itertools import chain
 from operator import itemgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from .forwarding import IcnPacket, forward, wire_size
 from .gateways import (
@@ -61,12 +63,13 @@ from .gateways import (
     assign_address,
     body_segments,
     check_window,
-    encode_http_request,
     encode_ip_packet,  # unused here; perfbench's tracer expects this module to bind it
+    http_request_size,
     synth_bytes,
 )
 from .names import IcnName, render_name
 from .rendezvous import ClientId, MatchEvent, Rendezvous
+from .routes import Plan, Route, serialization_us
 from .topology import (
     Link,
     TopologyDoc,
@@ -220,18 +223,6 @@ class _EventQueue:
         return bool(self._heap)
 
 
-def _serialization_us(size_bytes: int, capacity_bps: int) -> int:
-    return -(-8 * size_bytes * 1_000_000 // capacity_bps)
-
-
-# a crossing of a delivery plan: (link, index of the parent crossing or -1
-# at the emitting node, the link's [control, data] byte counter, off the
-# tree, far node has gateways, TTL spent at the far node with links matched)
-_Crossing = tuple[Link, int, list[int], bool, bool, bool]
-# (TTL spent at the emitting node with links matched, crossings in walk order)
-_Plan = tuple[bool, tuple[_Crossing, ...]]
-
-
 def _noop() -> None:
     pass
 
@@ -292,23 +283,32 @@ class _AccountingMixin:
             stamp = self.now if time_us is None else time_us
             self._trace(f"{stamp},{node},{event},{link_text},{size},{name_text}")
 
-    def _walk(self, path: list[Link], size: int, slot: int, name: object) -> int:
-        """Send `size` wire bytes under `name` over `path` now and return when
-        they arrive. Links have no queues, so each hop starts when the one
-        before it ends: every hop that starts by the run's time limit is billed
-        to byte slot `slot` (0 control, 1 data) and traced now, its row stamped
-        with its start. A walk cut at the limit returns the first start past
-        it, so an event the caller queues there ends the run and counts
-        `time_limit_hits`."""
-        time_us, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
-        for link in path:
-            if time_us > limit:
-                break
-            link_bytes[link.src, link.dst][slot] += size
-            if self._trace is not None:
-                self._trace_row(link.src, "data" if slot else "ctrl", link, size, name, time_us)
-            time_us += link.delay_us + _serialization_us(size, link.capacity_bps)
-        return time_us
+    def _walk(self, route: Route, sizes: Sequence[int], slot: int, name: object) -> int:
+        """Send a packet of each of `sizes` wire bytes under `name` over
+        `route` now and return when the last arrives: billed to the route if
+        untraced and it can time them, else walked. Each hop starts when the
+        one before it ends: every hop that starts by the run's time limit is
+        billed to byte slot `slot` (0 control, 1 data) and traced now, its
+        row stamped with its start. A walk cut at the limit returns the first
+        start past it, so an event queued there ends the run."""
+        now, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
+        if self._trace is None:
+            end = route.carry(now, max(sizes), sum(sizes), limit)
+            if end is not None:
+                return end
+        end = now
+        for size in sizes:
+            time_us = now
+            for link in route:
+                if time_us > limit:
+                    break
+                link_bytes[link.src, link.dst][slot] += size
+                if self._trace is not None:
+                    self._trace_row(link.src, "data" if slot else "ctrl", link, size, name,
+                                    time_us)
+                time_us += link.delay_us - (-8 * size * 1_000_000 // link.capacity_bps)
+            end = max(end, time_us)
+        return end
 
     def _record_ip_flow(self, ip: IpPacket) -> bool:
         """Record `ip`'s delivery, or count a duplicate and return False: an IP
@@ -401,6 +401,9 @@ class _AccountingMixin:
             self._inject(action)
 
     def _build_report(self, extra_counters: Counter[str]) -> KpiReport:
+        for slot, routes in self._billers:  # each route's and plan's bytes onto its links
+            for route in routes.values():
+                route.fold(self.link_bytes, slot)
         control = sum(v[0] for v in self.link_bytes.values())
         data = sum(v[1] for v in self.link_bytes.values())
         total = control + data
@@ -520,10 +523,10 @@ class IcnSimulation(_AccountingMixin):
 
         # each gateway node's control paths from and to the RV; the graph is fixed
         pred = dijkstra(self.graph, self.rv_node)
-        self._from_rv = {node: path_links(self.graph, pred, self.rv_node, node)
-                         for node in self._gateways_at}
-        self._to_rv = {node: [self.graph.link(l.dst, l.src) for l in reversed(path)]
-                       for node, path in self._from_rv.items()}
+        self._from_rv = {node: Route(path_links(self.graph, pred, self.rv_node, node),
+                                     timed=True) for node in self._gateways_at}
+        self._to_rv = {node: Route([self.graph.link(l.dst, l.src) for l in reversed(path)],
+                                   timed=True) for node, path in self._from_rv.items()}
 
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[Link]] = {}
         # delivery plans by (fid, emitting node, TTL, tree edges), least
@@ -532,7 +535,8 @@ class IcnSimulation(_AccountingMixin):
         # never drop each other's, while copies emitted after their tree
         # went, and a tree rebuilt later over the same edges, so with the
         # same fid, still find theirs
-        self._plans: dict[tuple[int, int, int, frozenset[Link]], _Plan] = {}
+        self._plans: dict[tuple[int, int, int, frozenset[Link]], Plan] = {}
+        self._billers = ((0, self._to_rv), (0, self._from_rv), (1, self._plans))
 
     # -- environment interface used by the gateways ------------------------
 
@@ -580,7 +584,7 @@ class IcnSimulation(_AccountingMixin):
         plan = plans.pop(key, None)
         if plan is None:
             while len(plans) >= len(self._tree_edges) + _LOOSE_FIDS:
-                del plans[next(iter(plans))]
+                plans.pop(next(iter(plans))).fold(self.link_bytes, 1)
             plan = self._plan(gw.node, pkt, meta)
         plans[key] = plan
         self._hand_off(gw.node, pkt, gw)
@@ -614,7 +618,7 @@ class IcnSimulation(_AccountingMixin):
                             lambda: gw.on_fid(fd))
 
     def _route_control(
-        self, path: list[Link], name: IcnName, payload_len: int,
+        self, path: Route, name: IcnName, payload_len: int,
         handler: Callable[[], None],
     ) -> None:
         """Carry a control message under `name` over `path` by `_walk`, then
@@ -629,12 +633,12 @@ class IcnSimulation(_AccountingMixin):
             push(self.now, handler)
             return
         size = wire_size(name, payload_len)
-        end = self._walk(path, size, 0, name)
+        end = self._walk(path, (size,), 0, name)
         if len(path) == 1 or end > self._max_time_us:
             push(end, handler)
         else:
             last = path[-1]
-            push(end - last.delay_us - _serialization_us(size, last.capacity_bps),
+            push(end - last.delay_us - serialization_us(size, last.capacity_bps),
                  lambda: push(end, handler))
 
     # -- data plane ----------------------------------------------------------
@@ -647,13 +651,10 @@ class IcnSimulation(_AccountingMixin):
             if gw is not publisher and not gw.on_icn_data(pkt):
                 self.counters["fp_deliveries"] += 1
 
-    def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[Link]) -> _Plan:
+    def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[Link]) -> Plan:
         """The delivery plan of `pkt` emitted at `node` on the tree with edges
-        `meta`: every crossing its copies make, breadth first, each after its
-        parent crossing. A copy arriving with its TTL spent crosses nothing
-        more, and the plan marks the TTL drop where forward() still matched
-        links. Every copy is the emitted packet, so only one emitted with TTL
-        1 needs a copy to pass forward()'s check.
+        `meta` (see `Plan.build`). Every copy is the emitted packet, so only
+        one emitted with TTL 1 needs a copy to pass forward()'s check.
 
         The matching links depend only on the node, the fid and the arrival
         link, never on the TTL, and the graph is fixed: so forward() runs once
@@ -668,42 +669,37 @@ class IcnSimulation(_AccountingMixin):
                 links = answers[key] = forward(self.graph, node, probe, in_link)
             return links
 
-        if pkt.ttl <= 1:
-            return bool(links_at(node, None)), ()
-        crossings: list[_Crossing] = []
-        frontier = deque([(node, None, pkt.ttl, -1)])
-        while frontier:
-            node, in_link, ttl, parent = frontier.popleft()
-            for link in links_at(node, in_link):
-                spent = ttl <= 2
-                crossings.append((
-                    link, parent, self.link_bytes[link.src, link.dst],
-                    link not in meta, link.dst in self._gateways_at,
-                    spent and bool(links_at(link.dst, link))))
-                if not spent:
-                    frontier.append((link.dst, link, ttl - 1, len(crossings) - 1))
-        return False, tuple(crossings)
+        return Plan.build(node, pkt.ttl, links_at, meta, self._gateways_at, self.link_bytes)
 
-    def _replay(self, node: int, plan: _Plan, pkt: IcnPacket, size: int) -> None:
-        """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`.
-        Each crossing starts when its parent crossing arrives; one that starts
-        by the run's time limit is billed, counted if off the tree and traced
-        now, its row stamped with its start. Each arrival at a gateway node is
-        queued as a hand-off, and a TTL drop is counted only if its copy
-        arrives by the limit. If the copy's last arrival is at no gateway, it
-        is queued too, so the run's clock reaches it and a run cut before it
-        counts `time_limit_hits`."""
-        spent_here, crossings = plan
-        if spent_here:
+    def _replay(self, node: int, plan: Plan, pkt: IcnPacket, size: int) -> None:
+        """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`:
+        by its timing of `size` if untraced and the copy arrives everywhere by
+        the run's time limit, else crossing by crossing. Each crossing starts
+        when its parent crossing arrives; one that starts by the limit is
+        billed, counted if off the tree and traced now, its row stamped with
+        its start. Each arrival at a gateway node is queued as a hand-off, and
+        a TTL drop is counted only if its copy arrives by the limit. If the
+        copy's last arrival is at no gateway, it is queued too, so the run's
+        clock reaches it and a run cut before it counts `time_limit_hits`."""
+        if plan.spent_here:
             self.counters["ttl_drops"] += 1
             if self._trace is not None:
                 self._trace_row(node, "ttl-drop", None, size, pkt.name)
         now, limit, push = self.now, self._max_time_us, self.queue.push
+        timing = plan.carry(now, size, limit, self.counters) if self._trace is None else None
+        if timing is not None:
+            _, _, _, _, noop, handoffs = timing
+            pairs = iter(handoffs)
+            for at, far_node in zip(pairs, pairs):
+                push(now + at, lambda node=far_node: self._hand_off(node, pkt))
+            if noop is not None:
+                push(now + noop, _noop)
+            return
         arrivals: list[int] = []
         handed = last = now  # the latest arrival at a gateway node, and elsewhere
-        for link, parent, billed, off_tree, hand_off, spent in crossings:
+        for link, parent, billed, off_tree, hand_off, spent in plan.crossings:
             start = now if parent < 0 else arrivals[parent]
-            arrive = start + link.delay_us + _serialization_us(size, link.capacity_bps)
+            arrive = start + link.delay_us - (-8 * size * 1_000_000 // link.capacity_bps)
             arrivals.append(arrive)
             if start > limit:
                 continue
@@ -724,6 +720,7 @@ class IcnSimulation(_AccountingMixin):
                     self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
         if last > handed:
             push(last, _noop)
+        plan.note(size, arrivals, now)
 
     # -- workload -------------------------------------------------------------
 
@@ -767,7 +764,8 @@ class BaselineSimulation(_AccountingMixin):
         super().__init__(topo, scenario, trace)
         self.border = topo.border
         self._addr_at: dict[ipaddress.IPv4Address, ClientId] = {}  # device -> its NAP
-        self._routes: dict[tuple[int, int], list[Link]] = {}  # the graph never changes
+        self._routes: dict[tuple[int, int], Route] = {}  # the graph never changes
+        self._billers = ((1, self._routes),)
 
     def _send(self, src: int, dst: int, sizes: list[int], on_arrive: Callable[[], None]) -> None:
         """Send one packet of each of `sizes` wire bytes from node src to node
@@ -776,11 +774,13 @@ class BaselineSimulation(_AccountingMixin):
         if src == dst:
             on_arrive()
             return
-        path = self._routes.get((src, dst))
-        if path is None:
-            path = self._routes[src, dst] = path_links(
-                self.graph, dijkstra(self.graph, src), src, dst)
-        self.queue.push(max(self._walk(path, size, 1, "-") for size in sizes), on_arrive)
+        route = self._routes.get((src, dst))
+        if route is None:  # untimed: most routes carry one message
+            route = self._routes[src, dst] = Route(path_links(
+                self.graph, dijkstra(self.graph, src), src, dst))
+        elif route.delay_us is None:
+            route.time()
+        self.queue.push(self._walk(route, sizes, 1, "-"), on_arrive)
 
     def _inject(self, action: dict) -> None:
         op = action["op"]
@@ -830,7 +830,7 @@ class BaselineSimulation(_AccountingMixin):
         resp_bytes = action.get("resp_bytes", 0)
         server_node, client_node = self.graph.attachments[server], self.graph.attachments[client]
         # the request a NAP publishes, in the same encapsulation as send_ip
-        req_size = len(encode_http_request(client, fqdn, url, resp_bytes)) + IP_HEADER_SIZE
+        req_size = http_request_size(client, fqdn, url, resp_bytes) + IP_HEADER_SIZE
 
         def respond() -> None:
             # each segment in its own IP packet

@@ -54,6 +54,11 @@ def random_connected_graph(rng: random.Random, n_nodes: int, n_extra: int):
     return nodes, sorted(pairs)
 
 
+def drop_row(row: str) -> None:
+    """A trace sink that keeps nothing: a run with it walks every message
+    hop by hop, billing each link, as a traced run does."""
+
+
 def flood(g: NetworkGraph, origin: int, pkt: IcnPacket):
     """Untimed propagation of one packet: arrival counts and traversals.
 

@@ -31,7 +31,8 @@ from hypothesis import strategies as st
 from conftest import make_topology_doc
 from test_run_invariants import runs
 from ipicn.forwarding import wire_size
-from ipicn.simnet import IcnSimulation, Scenario, _serialization_us
+from ipicn.routes import serialization_us
+from ipicn.simnet import IcnSimulation, Scenario
 from ipicn.topology import load_topology_doc
 
 MINI_TOPOLOGY = {
@@ -104,7 +105,7 @@ class HopByHop(IcnSimulation):
                 return
             self.link_bytes[link.src, link.dst][0] += size
             self._trace_row(link.src, "ctrl", link, size, name)
-            self.queue.push(self.now + link.delay_us + _serialization_us(size, link.capacity_bps),
+            self.queue.push(self.now + link.delay_us + serialization_us(size, link.capacity_bps),
                             hop)
 
         hop()

@@ -6,6 +6,8 @@ import random
 import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import SyncEnv
 from ipicn import gateways
@@ -23,6 +25,7 @@ from ipicn.gateways import (
     decode_ip_packet,
     encode_http_request,
     encode_ip_packet,
+    http_request_size,
 )
 from ipicn.names import (
     HttpRole,
@@ -365,6 +368,21 @@ class TestBorder:
         assert border.on_icn_data(pkt) is True
         assert env.peer_emissions == [(99, inner), (99, inner)]
         assert border.counters["duplicates"] == 0
+
+
+ANY_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates too
+
+
+@given(client=st.integers(0, MAX_CLIENT_ID), fqdn=ANY_TEXT, url=ANY_TEXT,
+       resp_bytes=st.integers(0, MAX_RESPONSE_BYTES))
+@example(client=0, fqdn="", url="", resp_bytes=0)
+@example(client=MAX_CLIENT_ID, fqdn='\x00"\\\u00e9\u2028', url="\ud800/\U0001f600",
+         resp_bytes=MAX_RESPONSE_BYTES)
+def test_http_request_size_is_the_encoded_length(client, fqdn, url, resp_bytes):
+    """Control characters, quotes, non-ASCII text, characters outside the
+    BMP and lone surrogates are each escaped as `json` escapes them."""
+    assert http_request_size(client, fqdn, url, resp_bytes) == len(
+        encode_http_request(client, fqdn, url, resp_bytes))
 
 
 class TestHttp:

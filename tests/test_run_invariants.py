@@ -10,6 +10,9 @@
 - The plan memo is only a cache: keeping one plan beyond the standing
   trees instead of `_LOOSE_FIDS`, or none at all, gives the same report
   and trace.
+- Billing once is only a cache: an untraced run, whose timed routes and
+  plans bill a message once, reports and queues exactly what a run whose
+  trace sink drops every row does, walking every message hop by hop.
 - Time-limit prefix: a run cut at `max_time_us = T` bills each link
   exactly the `ctrl`/`data` bytes of the full run's trace rows stamped at
   or before T (a hop is billed only if it starts by the limit), folds
@@ -29,9 +32,10 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_topology_doc
+from conftest import drop_row, make_topology_doc
 from test_mode_parity import cases
 from ipicn import simnet
+from ipicn.gateways import SEGMENT_CHUNK
 from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
 
 BORDER = 99
@@ -177,6 +181,54 @@ def test_a_time_limited_run_is_a_prefix_of_the_full_run(case, data):
         assert cut.folded == [r for r in full.folded if r[1] <= limit], cls.__name__
         hits = report.counters.get("time_limit_hits", 0)
         assert hits == (1 if full.now > limit else 0), cls.__name__
+
+
+def repeated_sizes(mixed=False):
+    """Line 1 - 2 - 3 - 4 with a NAP at each end: one flow of equal packets,
+    and a fetch of three full segments and a short one. Every route and
+    plan carries a size again and again, so each is timed and then bills
+    most copies once, untraced. `mixed`: the middle link carries 8 Mbit/s,
+    so no route is timed and each message walks hop by hop."""
+    middle = {"capacity_bps": 8_000_000} if mixed else {}
+    doc = make_topology_doc([1, 2, 3, 4], [(1, 2), (2, 3, middle), (3, 4)], seed=3,
+                            naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                                  {"client": 2, "node": 4, "prefixes": ["10.0.2.0/24"]}])
+    wl = [{"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.1"},
+          {"t_us": 0, "op": "attach", "client": 2, "addr": "10.0.2.1"},
+          {"t_us": 0, "op": "http_serve", "client": 2, "fqdn": "a.example"},
+          {"t_us": 30_000, "op": "http_get", "client": 1, "fqdn": "a.example", "url": "/x",
+           "resp_bytes": 3 * SEGMENT_CHUNK + 7}]
+    wl += [{"t_us": 1000 * k, "op": "send_ip", "client": 1, "src": "10.0.1.1",
+            "dst": "10.0.2.1", "bytes": 300} for k in range(1, 20)]
+    return doc, Scenario(workload=wl)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=st.one_of(runs(), runs(tie_prone=True)), cut=st.integers(0, 25_000))
+@example(case=repeated_sizes(), cut=12_345)
+@example(case=repeated_sizes(), cut=40_000)
+@example(case=repeated_sizes(mixed=True), cut=40_000)
+def test_billing_a_timed_message_once_is_only_a_cache(case, cut):
+    """Untraced, a route or plan that has timed a message bills it once, to
+    its own total, and the link counters take it when the report is built.
+    Every report of a run, and the events it queued, equal those of the run
+    whose sink drops every row: a full run, runs cut at 50 ms and at `cut`
+    us, and, in IP mode, whose ops can run again, a second run() after a
+    cut one."""
+    doc, scenario = case
+    for cls in (IcnSimulation, BaselineSimulation):
+        runs_of = [(None,), (50_000,), (cut,)]
+        if cls is BaselineSimulation:
+            runs_of.append((cut, None))
+
+        def reports(limits, **kwargs):
+            sim = cls(doc, scenario, **kwargs)
+            texts = [(sim.run() if t is None else sim.run(t)).to_canonical_json()
+                     for t in limits]
+            return texts, sim.queue._seq
+
+        for limits in runs_of:
+            assert reports(limits) == reports(limits, trace=drop_row), (cls.__name__, limits)
 
 
 class RecordingEmissions(IcnSimulation):

@@ -16,10 +16,11 @@ import pytest
 from conftest import (
     CapturingBaselineSimulation,
     CapturingIcnSimulation,
+    drop_row,
     make_topology_doc,
     random_connected_graph,
 )
-from ipicn import gateways, simnet
+from ipicn import gateways, routes, simnet
 from ipicn.forwarding import IcnPacket
 from ipicn.gateways import encode_ip_packet
 from ipicn.names import Locality, name_for_http, name_for_ip, render_name
@@ -895,17 +896,26 @@ class TestDataPlan:
             f"{i}->{i + 1}": 100 for i in range(1, 5)}
 
     def test_a_second_emission_reuses_the_plan(self, monkeypatch):
+        """Link bytes are read from reports: a copy of a size its plan has
+        timed, as the third is, is billed to the plan, and reaches the link
+        counters when a report is built."""
         calls = TestForwardingMemo.count_forward_calls(monkeypatch)
         sim = IcnSimulation(self.timed_line(), Scenario(workload=[]))
+
+        def data_bytes():
+            return {key: v["data_bytes"] for key, v in sim.run().per_link.items()}
+
         sim.transmit(1, self.packet(100))
-        first = {key: counter[1] for key, counter in sim.link_bytes.items()}
+        first = data_bytes()
         assert sum(calls.values()) == 5  # once at each node
         calls.clear()
         sim.transmit(1, self.packet(100))
         assert calls == {}
-        assert {key: counter[1] for key, counter in sim.link_bytes.items()} == {
-            key: 2 * billed for key, billed in first.items()}
+        assert data_bytes() == {key: 2 * billed for key, billed in first.items()}
         assert sum(first.values()) == 400
+        sim.transmit(1, self.packet(100))
+        assert calls == {}
+        assert data_bytes() == {key: 3 * billed for key, billed in first.items()}
 
     def test_an_emission_traces_its_hops_together_at_their_start_times(self):
         """Hand trace of two overlapping emissions over the timed line: a
@@ -1475,6 +1485,78 @@ class TestForwardingMemoBound:
         assert sum(f["delivered"] for f in report.flows.values()) == 10 * 5
         assert len({fid for fid, *_ in built}) == 5 > simnet._LOOSE_FIDS
         assert set(built.values()) == {1}
+
+
+class TestBillingOnce:
+    """Untraced, a timed route or plan bills each message once, to its own
+    total. The link counters take every total when a report is built, and a
+    plan's also when the memo drops it."""
+
+    @staticmethod
+    def churn(cls=IcnSimulation, trace=None):
+        """`TestForwardingMemoBound.one_shot_run`'s fetches, each response
+        three full segments and a short one: its plan times the full size
+        on the second segment and bills the third once, before the memo
+        drops it. Return the simulation after its run, its report and the
+        bytes each plan the memo dropped held then."""
+        leaves = range(2, 14)
+        doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=3,
+                                naps=[{"client": leaf, "node": leaf,
+                                       "prefixes": [f"10.0.{leaf}.0/24"]} for leaf in leaves])
+        rng = random.Random(8)
+        wl = [{"t_us": 0, "op": "http_serve", "client": 2, "fqdn": "a.example"}]
+        wl += [{"t_us": 200_000 * url, "op": "http_get", "client": client,
+                "fqdn": "a.example", "url": f"/{url}",
+                "resp_bytes": 3 * gateways.SEGMENT_CHUNK + 10}
+               for url in range(1, 101) for client in rng.sample(leaves[1:], 4)]
+        dropped = []
+
+        class Recording(cls):
+            def transmit(self, client, pkt):
+                billed = {key: plan.billed for key, plan in self._plans.items()}
+                super().transmit(client, pkt)
+                dropped.extend(billed[key] for key in billed.keys() - self._plans.keys())
+
+        sim = (Recording if cls is IcnSimulation else cls)(doc, Scenario(workload=wl),
+                                                           trace=trace)
+        return sim, sim.run(), dropped
+
+    def test_a_dropped_plan_takes_its_bytes_to_the_links(self):
+        _, untraced, dropped = self.churn()
+        _, walked, _ = self.churn(trace=drop_row)
+        assert sum(dropped) > 0
+        assert untraced.to_canonical_json() == walked.to_canonical_json()
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
+    def test_every_total_is_zero_after_a_report(self, cls):
+        sim, report, _ = self.churn(cls)
+        tables = (sim._plans, sim._to_rv, sim._from_rv) if cls is IcnSimulation else (
+            sim._routes,)
+        totals = [route.billed for table in tables for route in table.values()]
+        assert len(totals) > 12 and set(totals) == {0}
+        assert sim._build_report(Counter()).per_link == report.per_link  # folds nothing twice
+
+    def test_a_second_run_after_a_cut_one_counts_each_byte_once(self):
+        def reports(trace=None):
+            sim = IcnSimulation(TestDataPlan.timed_line(), Scenario(workload=[]), trace=trace)
+            for k in range(12):
+                sim.call_at(1000 * k, lambda: sim.transmit(1, TestDataPlan.packet(300)))
+            return sim.run(5_500).to_canonical_json(), sim.run().to_canonical_json()
+
+        assert reports() == reports(trace=drop_row)
+
+    def test_a_plan_times_four_sizes_and_a_route_none(self):
+        """A plan keeps the timings of the last `TIMED_SIZES` sizes it timed;
+        a route times every size by the sum of its link delays."""
+        assert routes.TIMED_SIZES == 4
+        sim = IcnSimulation(TestDataPlan.timed_line(), Scenario(workload=[]))
+        for size in range(100, 110):
+            for _ in range(3):
+                sim.transmit(1, TestDataPlan.packet(size))
+        (plan,) = sim._plans.values()
+        assert [timing[0] for timing in plan.timed] == [106, 107, 108, 109]
+        assert routes.Route.__slots__ == ("billed", "delay_us")
+        assert sim._to_rv[5].delay_us == sim._from_rv[5].delay_us == 100 + 200 + 300 + 400
 
 
 class TestFpDeliveries:

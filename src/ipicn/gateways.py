@@ -139,11 +139,14 @@ def encode_ip_packet(pkt: IpPacket) -> bytes:
 
 
 def encode_http_request(client: ClientId, fqdn: str, url: str, resp_bytes: int) -> bytes:
-    """The request a NAP publishes to fetch `url` from `fqdn`."""
-    return json.dumps(
-        {"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
-        sort_keys=True,
-    ).encode()
+    """The request a NAP publishes to fetch `url` from `fqdn`, as `json.dumps(
+    request, sort_keys=True)` writes it: ints by their repr, strings by
+    `encode_basestring_ascii`. TypeError if `client` or `resp_bytes` is not
+    an int (a bool neither), where `json` would write `true` or `1.5`."""
+    if type(client) is not int or type(resp_bytes) is not int:
+        raise TypeError(f"HTTP request fields must be ints: {brief(client)}, {brief(resp_bytes)}")
+    return ('{"client": %d, "fqdn": %s, "resp_bytes": %d, "url": %s}' % (
+        client, encode_basestring_ascii(fqdn), resp_bytes, encode_basestring_ascii(url))).encode()
 
 
 # the request of two zeros and two empty strings, less those four fields

@@ -20,9 +20,11 @@ traced then, its row stamped with its start: rows come in send order.
   queues its handler at the arrival from the start of its last hop: when
   it is sent for a one-hop path, else by one event queued there. So, up to
   two hops, the arrival ties with other events as if each hop took its own.
-  RV and TM share a node, so the TM handles each match event of an RV
-  operation in the event where the RV takes it: an event due at the same
-  time that runs after it, an emission say, already sees the new tree.
+  Untraced, the path carries a control message in one call. RV and TM
+  share a node, so the TM handles each match event of an RV operation in
+  the event where the RV takes it: an event due at the same time that runs
+  after it, an emission say, already sees the new tree. A teardown builds
+  no tree: `handle_match` would answer the zero fid.
 - An ICN copy replays its delivery plan, built once per (fid, emitting
   node, TTL, tree edges) from the forwarding answers and kept in one
   least-recently-emitted table, `_plans`: the crossings of every copy the
@@ -71,6 +73,7 @@ from .names import IcnName, render_name
 from .rendezvous import ClientId, MatchEvent, Rendezvous
 from .routes import Plan, Route, serialization_us
 from .topology import (
+    FidDelivery,
     Link,
     TopologyDoc,
     brief,
@@ -269,6 +272,7 @@ class _AccountingMixin:
         self._next_packet_id = 1
         self._trace = trace
         self._max_time_us = DEFAULT_MAX_TIME_US  # the limit of the current run
+        self._ran = False  # a simulation runs its ops once: see `_start_run`
 
     def _trace_row(
         self, node: int, event: str, link: Link | None, size: int, name: object,
@@ -371,6 +375,12 @@ class _AccountingMixin:
         self.send_time[pid] = (self.now, flow)
         return IpPacket(src_addr, dst_addr, action.get("proto", 17), pid,
                         synth_bytes(f"{src}>{dst}#{pid}", action.get("bytes", 0)))
+
+    def _start_run(self) -> None:
+        """Begin the one run a simulation makes: a second would inject every op again."""
+        if self._ran:
+            raise RuntimeError("a simulation runs once: build a new one to run again")
+        self._ran = True
 
     def _drain(self, max_time_us: int) -> None:
         """Run the scenario's ops, read in place from its run-order tuple, and
@@ -606,8 +616,11 @@ class IcnSimulation(_AccountingMixin):
         self._route_control(path, name, _REQUEST_PAYLOAD, arrive)
 
     def _tm_handle(self, ev: MatchEvent) -> None:
-        tree = tree_for_match(self.graph, ev)
-        fd = handle_match(self.graph, ev, tree)
+        if ev.subscribers:
+            tree = tree_for_match(self.graph, ev)
+            fd = handle_match(self.graph, ev, tree)
+        else:  # a teardown of a tree that stood: handle_match's answer, built directly
+            fd = FidDelivery(ev.publisher, ev.name, 0)
         key = (ev.publisher, ev.name)
         if fd.teardown:
             self._tree_edges.pop(key, None)
@@ -621,8 +634,10 @@ class IcnSimulation(_AccountingMixin):
         self, path: Route, name: IcnName, payload_len: int,
         handler: Callable[[], None],
     ) -> None:
-        """Carry a control message under `name` over `path` by `_walk`, then
-        call `handler`. The handler is queued at the arrival from the start of
+        """Carry a control message under `name` over `path`, then call
+        `handler`. Untraced, the path bills and times it in one call; a traced
+        run, and a message whose last hop starts past the run's time limit,
+        takes `_walk`. The handler is queued at the arrival from the start of
         the last hop (by an event queued there, unless that is now), so the
         arrival takes its tie-break number at the moment it would if each hop
         took its own event; on paths of up to two hops, in the same order. An
@@ -633,7 +648,9 @@ class IcnSimulation(_AccountingMixin):
             push(self.now, handler)
             return
         size = wire_size(name, payload_len)
-        end = self._walk(path, (size,), 0, name)
+        end = path.carry(self.now, size, size, self._max_time_us) if self._trace is None else None
+        if end is None:
+            end = self._walk(path, (size,), 0, name)
         if len(path) == 1 or end > self._max_time_us:
             push(end, handler)
         else:
@@ -742,6 +759,7 @@ class IcnSimulation(_AccountingMixin):
                 nap.http_get(action["fqdn"], action["url"], action.get("resp_bytes", 0))
 
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
+        self._start_run()
         if self.border is not None:
             self.queue.push(0, self.border.start)
         self._drain(max_time_us)
@@ -841,6 +859,7 @@ class BaselineSimulation(_AccountingMixin):
         self._send(client_node, server_node, [req_size], respond)
 
     def run(self, max_time_us: int = DEFAULT_MAX_TIME_US) -> KpiReport:
+        self._start_run()
         self._drain(max_time_us)
         return self._build_report(Counter())
 

@@ -3,6 +3,7 @@
 import ipaddress
 import json
 import random
+import re
 import struct
 
 import pytest
@@ -370,7 +371,14 @@ class TestBorder:
         assert border.counters["duplicates"] == 0
 
 
-ANY_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates too
+# text weighted towards what `json` escapes: control characters, quotes and
+# backslashes, non-ASCII text, characters outside the BMP, lone surrogates
+ANY_TEXT = st.text(st.one_of(
+    st.characters(max_codepoint=0x7f),
+    st.characters(categories=("Cc", "Cs")),
+    st.characters(min_codepoint=0x80, max_codepoint=0xffff, exclude_categories=()),
+    st.characters(min_codepoint=0x10000),
+))
 
 
 @given(client=st.integers(0, MAX_CLIENT_ID), fqdn=ANY_TEXT, url=ANY_TEXT,
@@ -383,6 +391,41 @@ def test_http_request_size_is_the_encoded_length(client, fqdn, url, resp_bytes):
     BMP and lone surrogates are each escaped as `json` escapes them."""
     assert http_request_size(client, fqdn, url, resp_bytes) == len(
         encode_http_request(client, fqdn, url, resp_bytes))
+
+
+@given(client=st.integers(0, MAX_CLIENT_ID), fqdn=ANY_TEXT, url=ANY_TEXT,
+       resp_bytes=st.integers(0, MAX_RESPONSE_BYTES))
+@example(client=MAX_CLIENT_ID, fqdn='\x00"\\\u00e9\u2028\x7f', url="\ud800/\U0001f600\udfff",
+         resp_bytes=MAX_RESPONSE_BYTES)
+@example(client=0, fqdn="0", url="\ud800\udc00", resp_bytes=0)
+def test_http_request_is_framed_as_json_writes_it(client, fqdn, url, resp_bytes):
+    """The request's bytes are `json.dumps`'s of the sorted object, and a
+    server reads back what the requester asked for. JSON escapes each lone
+    surrogate alone, so a high one followed by a low one reads back as the
+    one character the pair encodes."""
+    encoded = encode_http_request(client, fqdn, url, resp_bytes)
+    assert encoded == json.dumps(
+        {"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes, "url": url},
+        sort_keys=True).encode()
+    if fqdn and url:
+        assert gateways._decode_http_request(encoded) == (paired(fqdn), paired(url), resp_bytes)
+
+
+def paired(text):
+    """`text` with each high surrogate that a low one follows joined with it."""
+    return re.sub("[\ud800-\udbff][\udc00-\udfff]",
+                  lambda pair: pair[0].encode("utf-16-le", "surrogatepass").decode("utf-16-le"),
+                  text)
+
+
+@pytest.mark.parametrize("client, fqdn, resp_bytes", [
+    (True, "cdn.example", 10), (1, "cdn.example", False),  # json writes true, false
+    (1.5, "cdn.example", 10), (1, "cdn.example", 1e3),  # and 1.5, 1000.0
+    ("1", "cdn.example", 10), (None, "cdn.example", 10), (1, 7, 10),
+])
+def test_a_request_field_of_another_type_raises(client, fqdn, resp_bytes):
+    with pytest.raises(TypeError):
+        encode_http_request(client, fqdn, "/v/1", resp_bytes)
 
 
 class TestHttp:

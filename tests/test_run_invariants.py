@@ -10,6 +10,10 @@
 - The plan memo is only a cache: keeping one plan beyond the standing
   trees instead of `_LOOSE_FIDS`, or none at all, gives the same report
   and trace.
+- A teardown is answered without a tree, and that is only a shortcut:
+  the fid message equals `handle_match` over `tree_for_match`'s tree,
+  the publisher's node already has its Dijkstra run, and the tree's
+  edges go (also over the three benchmark workloads at seed 1).
 - Billing once is only a cache: an untraced run, whose timed routes and
   plans bill a message once, reports and queues exactly what a run whose
   trace sink drops every row does, walking every message hop by hop.
@@ -29,14 +33,17 @@ depends on how ties break shows.
 import math
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden_cases
 from conftest import drop_row, make_topology_doc
 from test_mode_parity import cases
 from ipicn import simnet
 from ipicn.gateways import SEGMENT_CHUNK
 from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
+from ipicn.topology import handle_match, load_topology_doc, tree_for_match
 
 BORDER = 99
 FQDNS = ("a.example", "b.example")
@@ -212,23 +219,23 @@ def test_billing_a_timed_message_once_is_only_a_cache(case, cut):
     """Untraced, a route or plan that has timed a message bills it once, to
     its own total, and the link counters take it when the report is built.
     Every report of a run, and the events it queued, equal those of the run
-    whose sink drops every row: a full run, runs cut at 50 ms and at `cut`
-    us, and, in IP mode, whose ops can run again, a second run() after a
-    cut one."""
+    whose sink drops every row: a full run, and runs cut at 50 ms and at
+    `cut` us. A second run() after a cut one raises: a simulation runs its
+    ops once."""
     doc, scenario = case
     for cls in (IcnSimulation, BaselineSimulation):
-        runs_of = [(None,), (50_000,), (cut,)]
-        if cls is BaselineSimulation:
-            runs_of.append((cut, None))
 
-        def reports(limits, **kwargs):
+        def reports(limit, **kwargs):
             sim = cls(doc, scenario, **kwargs)
-            texts = [(sim.run() if t is None else sim.run(t)).to_canonical_json()
-                     for t in limits]
-            return texts, sim.queue._seq
+            text = (sim.run() if limit is None else sim.run(limit)).to_canonical_json()
+            return text, sim.queue._seq
 
-        for limits in runs_of:
-            assert reports(limits) == reports(limits, trace=drop_row), (cls.__name__, limits)
+        for limit in (None, 50_000, cut):
+            assert reports(limit) == reports(limit, trace=drop_row), (cls.__name__, limit)
+        sim = cls(doc, scenario)
+        sim.run(cut)
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run()
 
 
 class RecordingEmissions(IcnSimulation):
@@ -306,3 +313,60 @@ def test_the_fid_memo_is_only_a_cache(case):
     assert traced(Forgetful) == default
     with mock.patch.object(simnet, "_LOOSE_FIDS", 1):
         assert traced(IcnSimulation) == default
+
+
+class RecordingTeardowns(IcnSimulation):
+    """Checks each match event with no subscribers, which the TM answers
+    without building a tree: the fid message it sends is what
+    `handle_match` answers over `tree_for_match`'s tree, the publisher's
+    node had its Dijkstra run before (so the shortcut skips none), and the
+    tree's edges are gone after. Counts the teardowns it checked."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        self.teardowns = 0
+        self._sent = None
+        super().__init__(*args, **kwargs)
+
+    def _route_control(self, path, name, payload_len, handler) -> None:
+        self._sent = handler
+        super()._route_control(path, name, payload_len, handler)
+
+    def _tm_handle(self, ev) -> None:
+        if ev.subscribers:
+            super()._tm_handle(ev)
+            return
+        graph, gw = self.graph, self.gateways[ev.publisher]
+        assert graph.attach_node(ev.publisher) in graph._pred_by_root
+        runs = len(graph._pred_by_root)
+        super()._tm_handle(ev)
+        assert len(graph._pred_by_root) == runs
+        assert (ev.publisher, ev.name) not in self._tree_edges
+        # call the handler of the fid message just sent with the gateway's
+        # on_fid caught; the queued call still delivers it when it arrives
+        caught = []
+        gw.on_fid = caught.append
+        self._sent()
+        del gw.on_fid
+        assert caught == [handle_match(graph, ev, tree_for_match(graph, ev))]
+        assert len(graph._pred_by_root) == runs
+        self.teardowns += 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(runs(), runs(tie_prone=True)), ideal_control=st.booleans())
+@example(case=star_fetch(), ideal_control=False)
+def test_a_teardown_is_answered_as_its_tree_would_be(case, ideal_control):
+    doc, scenario = case
+    sim = RecordingTeardowns(doc, scenario, ideal_control=ideal_control)
+    report = sim.run()
+    assert report.to_canonical_json() == IcnSimulation(
+        doc, scenario, ideal_control=ideal_control).run().to_canonical_json()
+
+
+@pytest.mark.parametrize("workload", golden_cases.WORKLOADS)
+def test_a_benchmark_teardown_is_answered_as_its_tree_would_be(workload):
+    topology_text, scenario = golden_cases.inputs(workload, 1)
+    sim = RecordingTeardowns(load_topology_doc(topology_text, scenario.seed), scenario)
+    sim.run()
+    # unicast_mesh fetches nothing and withdraws nothing, so tears no tree down
+    assert (sim.teardowns > 0) is (workload != "unicast_mesh")

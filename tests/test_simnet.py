@@ -898,12 +898,15 @@ class TestDataPlan:
     def test_a_second_emission_reuses_the_plan(self, monkeypatch):
         """Link bytes are read from reports: a copy of a size its plan has
         timed, as the third is, is billed to the plan, and reaches the link
-        counters when a report is built."""
+        counters when a report is built. A simulation runs once, so the
+        reports are built without a run: each copy is billed when it is
+        emitted."""
         calls = TestForwardingMemo.count_forward_calls(monkeypatch)
         sim = IcnSimulation(self.timed_line(), Scenario(workload=[]))
 
         def data_bytes():
-            return {key: v["data_bytes"] for key, v in sim.run().per_link.items()}
+            report = sim._build_report(Counter())
+            return {key: v["data_bytes"] for key, v in report.per_link.items()}
 
         sim.transmit(1, self.packet(100))
         first = data_bytes()
@@ -1536,14 +1539,28 @@ class TestBillingOnce:
         assert len(totals) > 12 and set(totals) == {0}
         assert sim._build_report(Counter()).per_link == report.per_link  # folds nothing twice
 
-    def test_a_second_run_after_a_cut_one_counts_each_byte_once(self):
-        def reports(trace=None):
-            sim = IcnSimulation(TestDataPlan.timed_line(), Scenario(workload=[]), trace=trace)
-            for k in range(12):
-                sim.call_at(1000 * k, lambda: sim.transmit(1, TestDataPlan.packet(300)))
-            return sim.run(5_500).to_canonical_json(), sim.run().to_canonical_json()
+    def test_a_second_run_after_a_cut_one_raises_and_changes_nothing(self):
+        """A simulation runs its ops once, in either mode. A second run()
+        would inject them again: in ICN mode an attach would assign its
+        address twice, in IP mode the ops would run at past times. It raises
+        before it changes anything, so no byte is counted twice either."""
+        wl = [{"t_us": 0, "op": "attach", "client": client, "addr": addr}
+              for client, addr in ((1, "10.0.1.5"), (2, "10.0.2.9"))]
+        wl += [{"t_us": 1000 * k, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+                "dst": "10.0.2.9", "bytes": 300} for k in range(1, 12)]
+        for cls in (IcnSimulation, BaselineSimulation):
+            sim = cls(TestDataPlan.timed_line(), Scenario(workload=wl))
+            sim.run(5_500)
 
-        assert reports() == reports(trace=drop_row)
+            def state():
+                return (sim.now, sim.queue._seq, list(sim.queue._heap), dict(sim.counters),
+                        {link: list(slots) for link, slots in sim.link_bytes.items()})
+
+            before = state()
+            assert before[3]["time_limit_hits"] == 1
+            with pytest.raises(RuntimeError, match="runs once"):
+                sim.run()
+            assert state() == before
 
     def test_a_plan_times_four_sizes_and_a_route_none(self):
         """A plan keeps the timings of the last `TIMED_SIZES` sizes it timed;

@@ -10,27 +10,28 @@ plane at all.
 
 Links have no queues, so every hop of a message is fixed when it is sent,
 and every message is sent over its whole path in one step; only the
-arrivals where something acts are queued. Untraced, a route or plan that
-has timed the message bills it once, to its own total (see `routes`), and
-link counters take the totals when a report is built. Else, as in every
-traced run, each hop that starts by the run's time limit is billed and
-traced then, its row stamped with its start: rows come in send order.
-- A baseline message and an ICN control message take one walk, `_walk`.
-  The baseline queues the arrival at the path's end. A control message
-  queues its handler at the arrival from the start of its last hop: when
-  it is sent for a one-hop path, else by one event queued there. So, up to
-  two hops, the arrival ties with other events as if each hop took its own.
-  Untraced, the path carries a control message in one call. RV and TM
-  share a node, so the TM handles each match event of an RV operation in
-  the event where the RV takes it: an event due at the same time that runs
-  after it, an emission say, already sees the new tree. A teardown builds
-  no tree: `handle_match` would answer the zero fid.
+arrivals where something acts are queued. Untraced, a route or plan whose
+links share one capacity carries a message of any size in one step and
+bills it once, to its own total (see `routes`); link counters take the
+totals when a report is built. A traced run, mixed capacities and a
+message that does not arrive everywhere by the run's time limit walk hop
+by hop: each hop that starts by the limit is billed and traced then, its
+row stamped with its start, so rows come in send order.
+- Baseline and ICN control messages share one hop walk, `_walk`. The
+  baseline queues the arrival at the path's end. A control message queues
+  its handler at the arrival from the start of its last hop: when it is
+  sent for a one-hop path, else by one event queued there. So, up to two
+  hops, the arrival ties with other events as if each hop took its own.
+  RV and TM share a node, so the TM handles each match event of an RV
+  operation in the event where the RV takes it: an event due at the same
+  time that runs after it, an emission say, already sees the new tree. A
+  teardown builds no tree: `handle_match` would answer the zero fid.
 - An ICN copy replays its delivery plan, built once per (fid, emitting
   node, TTL, tree edges) from the forwarding answers and kept in one
   least-recently-emitted table, `_plans`: the crossings of every copy the
   emission makes, each with its parent crossing, whether it leaves the
-  tree, whether its far node has gateways and whether the TTL runs out
-  there. The replay queues one hand-off per arrival at a gateway node, and
+  tree and whether the TTL runs out there, and the arrivals at gateway
+  nodes. The replay queues one hand-off per arrival at a gateway node, and
   counts a TTL drop only if it is reached by the limit.
 
 Byte counters are per link traversal; a message whose source and
@@ -99,7 +100,7 @@ _LOOSE_FIDS = 64  # delivery plans kept beyond one per standing tree
 
 # (field, JSON type, bound, default) per field of each workload op: an
 # integer with a bound must lie in 0..bound, a string with a bound must not
-# be empty, and a field whose default is None is required
+# be empty and must encode as UTF-8, and a field whose default is None is required
 _CLIENT, _FQDN = ("client", int, None, None), ("fqdn", str, True, None)
 _SRC, _DST = ("src", str, None, None), ("dst", str, None, None)
 _SIZES = (("bytes", int, MAX_IP_PAYLOAD, 0), ("proto", int, 255, 17))
@@ -111,6 +112,14 @@ _OP_FIELDS = {
                  ("resp_bytes", int, MAX_RESPONSE_BYTES, 0)),
     "ext_in": (("src", str, None, ""), _DST, *_SIZES),
 }
+
+
+def _utf8(text: str) -> bool:
+    """Whether `text` is not empty and encodes as UTF-8, as no lone surrogate does."""
+    try:
+        return text.encode() != b""
+    except UnicodeEncodeError:
+        return False
 
 
 class ScenarioError(ValueError):
@@ -155,7 +164,8 @@ class Scenario:
             for key, kind, bound, default in fields:
                 value = action.get(key, default)
                 if type(value) is not kind or bound is not None and not (
-                        value if kind is str else 0 <= value <= bound):
+                        value.isascii() and value or _utf8(value) if kind is str
+                        else 0 <= value <= bound):
                     if key not in action:
                         raise ScenarioError(f"workload op {op!r} needs {key!r}")
                     raise ScenarioError(
@@ -289,17 +299,14 @@ class _AccountingMixin:
 
     def _walk(self, route: Route, sizes: Sequence[int], slot: int, name: object) -> int:
         """Send a packet of each of `sizes` wire bytes under `name` over
-        `route` now and return when the last arrives: billed to the route if
-        untraced and it can time them, else walked. Each hop starts when the
-        one before it ends: every hop that starts by the run's time limit is
-        billed to byte slot `slot` (0 control, 1 data) and traced now, its
-        row stamped with its start. A walk cut at the limit returns the first
+        `route` now, hop by hop, and return when the last arrives: the walk
+        of a traced run, a route over mixed capacities, or a message the
+        route does not carry by the run's time limit. Each hop starts when
+        the one before it ends: every hop that starts by the limit is billed
+        to byte slot `slot` (0 control, 1 data) and traced now, its row
+        stamped with its start. A walk cut at the limit returns the first
         start past it, so an event queued there ends the run."""
         now, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
-        if self._trace is None:
-            end = route.carry(now, max(sizes), sum(sizes), limit)
-            if end is not None:
-                return end
         end = now
         for size in sizes:
             time_us = now
@@ -533,10 +540,10 @@ class IcnSimulation(_AccountingMixin):
 
         # each gateway node's control paths from and to the RV; the graph is fixed
         pred = dijkstra(self.graph, self.rv_node)
-        self._from_rv = {node: Route(path_links(self.graph, pred, self.rv_node, node),
-                                     timed=True) for node in self._gateways_at}
-        self._to_rv = {node: Route([self.graph.link(l.dst, l.src) for l in reversed(path)],
-                                   timed=True) for node, path in self._from_rv.items()}
+        self._from_rv = {node: Route(path_links(self.graph, pred, self.rv_node, node))
+                         for node in self._gateways_at}
+        self._to_rv = {node: Route([self.graph.link(l.dst, l.src) for l in reversed(path)])
+                       for node, path in self._from_rv.items()}
 
         self._tree_edges: dict[tuple[ClientId, IcnName], frozenset[Link]] = {}
         # delivery plans by (fid, emitting node, TTL, tree edges), least
@@ -635,10 +642,9 @@ class IcnSimulation(_AccountingMixin):
         handler: Callable[[], None],
     ) -> None:
         """Carry a control message under `name` over `path`, then call
-        `handler`. Untraced, the path bills and times it in one call; a traced
-        run, and a message whose last hop starts past the run's time limit,
-        takes `_walk`. The handler is queued at the arrival from the start of
-        the last hop (by an event queued there, unless that is now), so the
+        `handler`: in one step if untraced and `path.carry` can, else by
+        `_walk`. The handler is queued at the arrival from the start of the
+        last hop (by an event queued there, unless that is now), so the
         arrival takes its tie-break number at the moment it would if each hop
         took its own event; on paths of up to two hops, in the same order. An
         end past the run's time limit is queued as it is: there the run ends,
@@ -690,54 +696,56 @@ class IcnSimulation(_AccountingMixin):
 
     def _replay(self, node: int, plan: Plan, pkt: IcnPacket, size: int) -> None:
         """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`:
-        by its timing of `size` if untraced and the copy arrives everywhere by
-        the run's time limit, else crossing by crossing. Each crossing starts
-        when its parent crossing arrives; one that starts by the limit is
-        billed, counted if off the tree and traced now, its row stamped with
-        its start. Each arrival at a gateway node is queued as a hand-off, and
-        a TTL drop is counted only if its copy arrives by the limit. If the
-        copy's last arrival is at no gateway, it is queued too, so the run's
-        clock reaches it and a run cut before it counts `time_limit_hits`."""
+        in one step if untraced and `plan.carry` can, each arrival then being
+        the delay sum plus hops times one hop's serialization; else crossing
+        by crossing, each starting when its parent crossing arrives, and one
+        that starts by the run's time limit billed, counted if off the tree
+        and traced now, its row stamped with its start, and a TTL drop
+        counted only if its copy arrives by the limit. Each arrival at a
+        gateway node is queued as a hand-off. If the copy's last arrival is
+        at no gateway, it is queued too, so the run's clock reaches it and a
+        run cut before it counts `time_limit_hits`."""
         if plan.spent_here:
             self.counters["ttl_drops"] += 1
             if self._trace is not None:
                 self._trace_row(node, "ttl-drop", None, size, pkt.name)
         now, limit, push = self.now, self._max_time_us, self.queue.push
-        timing = plan.carry(now, size, limit, self.counters) if self._trace is None else None
-        if timing is not None:
-            _, _, _, _, noop, handoffs = timing
-            pairs = iter(handoffs)
-            for at, far_node in zip(pairs, pairs):
-                push(now + at, lambda node=far_node: self._hand_off(node, pkt))
-            if noop is not None:
-                push(now + noop, _noop)
-            return
-        arrivals: list[int] = []
         handed = last = now  # the latest arrival at a gateway node, and elsewhere
-        for link, parent, billed, off_tree, hand_off, spent in plan.crossings:
-            start = now if parent < 0 else arrivals[parent]
-            arrive = start + link.delay_us - (-8 * size * 1_000_000 // link.capacity_bps)
-            arrivals.append(arrive)
-            if start > limit:
-                continue
-            billed[1] += size
-            if off_tree:
-                self.counters["off_tree_forwards"] += 1
-            if self._trace is not None:
-                self._trace_row(link.src, "data", link, size, pkt.name, start)
-            if hand_off:
-                push(arrive, lambda node=link.dst: self._hand_off(node, pkt))
+        hop_us = plan.carry(now, size, limit, self.counters) if self._trace is None else None
+        if hop_us is not None:
+            fields = iter(plan.handoffs)
+            for delay_us, hops, far_node in zip(fields, fields, fields):
+                arrive = now + delay_us + hops * hop_us
+                push(arrive, lambda node=far_node: self._hand_off(node, pkt))
                 if arrive > handed:
                     handed = arrive
-            elif arrive > last:
-                last = arrive
-            if spent and arrive <= limit:
-                self.counters["ttl_drops"] += 1
+            for delay_us, hops in plan.tails:
+                last = max(last, now + delay_us + hops * hop_us)
+        else:
+            arrivals: list[int] = []
+            for link, parent, billed, off_tree, spent in plan.crossings:
+                start = now if parent < 0 else arrivals[parent]
+                arrive = start + link.delay_us - (-8 * size * 1_000_000 // link.capacity_bps)
+                arrivals.append(arrive)
+                if start > limit:
+                    continue
+                billed[1] += size
+                if off_tree:
+                    self.counters["off_tree_forwards"] += 1
                 if self._trace is not None:
-                    self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
+                    self._trace_row(link.src, "data", link, size, pkt.name, start)
+                if link.dst in self._gateways_at:
+                    push(arrive, lambda node=link.dst: self._hand_off(node, pkt))
+                    if arrive > handed:
+                        handed = arrive
+                elif arrive > last:
+                    last = arrive
+                if spent and arrive <= limit:
+                    self.counters["ttl_drops"] += 1
+                    if self._trace is not None:
+                        self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
         if last > handed:
             push(last, _noop)
-        plan.note(size, arrivals, now)
 
     # -- workload -------------------------------------------------------------
 
@@ -787,18 +795,18 @@ class BaselineSimulation(_AccountingMixin):
 
     def _send(self, src: int, dst: int, sizes: list[int], on_arrive: Callable[[], None]) -> None:
         """Send one packet of each of `sizes` wire bytes from node src to node
-        dst now by `_walk` and call `on_arrive`, once, when the last of them
-        arrives: at once when src is dst, since no link is crossed."""
+        dst now by `Route.carry` or `_walk` and call `on_arrive`, once, when
+        the last of them arrives: at once when src is dst, as no link is crossed."""
         if src == dst:
             on_arrive()
             return
         route = self._routes.get((src, dst))
-        if route is None:  # untimed: most routes carry one message
+        if route is None:
             route = self._routes[src, dst] = Route(path_links(
                 self.graph, dijkstra(self.graph, src), src, dst))
-        elif route.delay_us is None:
-            route.time()
-        self.queue.push(self._walk(route, sizes, 1, "-"), on_arrive)
+        end = (route.carry(self.now, max(sizes), sum(sizes), self._max_time_us)
+               if self._trace is None else None)
+        self.queue.push(self._walk(route, sizes, 1, "-") if end is None else end, on_arrive)
 
     def _inject(self, action: dict) -> None:
         op = action["op"]

@@ -195,13 +195,19 @@ class TestRun:
             ("http_get", "fqdn", ""),
             ("http_get", "url", ""),
             ("http_serve", "fqdn", ""),
+            # a lone surrogate, which JSON text can carry but UTF-8 cannot encode
+            ("http_get", "url", "/\ud800"),
+            ("http_get", "fqdn", "cdn\udfff.example"),
+            ("http_serve", "fqdn", "\ud800"),
         ],
         ids=["bytes-null", "bytes-list", "bytes-negative", "proto-null",
              "proto-300", "client-list", "resp_bytes-null", "resp_bytes-over-bound",
-             "fqdn-null", "fqdn-empty", "url-empty", "serve-fqdn-empty"],
+             "fqdn-null", "fqdn-empty", "url-empty", "serve-fqdn-empty",
+             "url-surrogate", "fqdn-surrogate", "serve-fqdn-surrogate"],
     )
     @pytest.mark.parametrize("mode", ["icn", "ip"])
     def test_malformed_op_field_exits_2(self, paths, capsys, mode, op, field, value):
+        """Each mode refuses the scenario before any run, and writes no report."""
         bad = json.loads(json.dumps(SCENARIO))
         bad["workload"] += [
             {"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "cdn.example"},
@@ -214,6 +220,19 @@ class TestRun:
         assert main(run_args(paths, mode=mode)) == 2
         assert repr(field) in capsys.readouterr().err
         assert not paths["out"].exists()
+
+    @pytest.mark.parametrize("mode", ["icn", "ip"])
+    def test_non_ascii_names_that_encode_as_utf8_run(self, paths, mode):
+        ok = json.loads(json.dumps(SCENARIO))
+        ok["workload"] += [
+            {"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "caf\u00e9.example"},
+            {"t_us": 2000, "op": "http_get", "client": 1, "fqdn": "caf\u00e9.example",
+             "url": "/\u00fc/\U0001f600", "resp_bytes": 100},
+        ]
+        paths["scenario"].write_text(json.dumps(ok))
+        assert main(run_args(paths, mode=mode)) == 0
+        flows = json.loads(paths["out"].read_text())["flows"]
+        assert any("\u00fc" in key for key in flows)
 
     @pytest.mark.parametrize("mode", ["icn", "ip"])
     def test_client_id_outside_32_bits_exits_2(self, paths, capsys, mode):

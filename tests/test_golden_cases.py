@@ -1,7 +1,7 @@
 """The seed-1 third of the pinned benchmark cases (see `golden_cases.py`).
 
-Each case runs traced and untraced: an untraced run bills a timed message
-once and carries a control message by its route's timing, a traced one
+Each case runs traced and untraced: an untraced run carries each message
+over a path of one capacity in one step and bills it once, a traced one
 walks every hop, and both must give the pinned report and events. CI
 checks all 81 cases the same way.
 """

@@ -14,9 +14,11 @@
   the fid message equals `handle_match` over `tree_for_match`'s tree,
   the publisher's node already has its Dijkstra run, and the tree's
   edges go (also over the three benchmark workloads at seed 1).
-- Billing once is only a cache: an untraced run, whose timed routes and
-  plans bill a message once, reports and queues exactly what a run whose
-  trace sink drops every row does, walking every message hop by hop.
+- Billing once is only a cache: an untraced run, whose routes and plans
+  over links of one capacity carry a message in one step and bill it once,
+  reports and queues exactly what a run whose trace sink drops every row
+  does, walking every message hop by hop (also over links of two
+  capacities, where paths of mixed capacity walk).
 - Time-limit prefix: a run cut at `max_time_us = T` bills each link
   exactly the `ctrl`/`data` bytes of the full run's trace rows stamped at
   or before T (a hop is billed only if it starts by the limit), folds
@@ -40,6 +42,7 @@ from hypothesis import strategies as st
 import golden_cases
 from conftest import drop_row, make_topology_doc
 from test_mode_parity import cases
+from test_simnet import TestSaturatedFid
 from ipicn import simnet
 from ipicn.gateways import SEGMENT_CHUNK
 from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
@@ -50,12 +53,13 @@ FQDNS = ("a.example", "b.example")
 
 
 @st.composite
-def runs(draw, tie_prone=False):
+def runs(draw, tie_prone=False, two_capacities=False):
     """(topology doc, scenario): a connected graph of 2-7 nodes, 1-3 NAPs
     with 1-2 devices each, an optional border, and up to 30 ops. Link delays
     are 0-3000 us and ops come at 0-20,000 us (`http_serve` by 5000), or,
     `tie_prone`, delays are 0, 1 or 1000 us and ops come at 0-20 us
-    (`http_serve` by 5)."""
+    (`http_serve` by 5). Links carry 1 Gbit/s, or, `two_capacities`, each
+    1 Gbit/s or 100 Mbit/s."""
     delay_us = st.sampled_from((0, 1, 1000)) if tie_prone else st.integers(0, 3000)
     n = draw(st.integers(2, 7))
     nodes = list(range(1, n + 1))
@@ -65,6 +69,9 @@ def runs(draw, tie_prone=False):
         if a != b:
             pairs.add((min(a, b), max(a, b)))
     links = [(a, b, {"delay_us": draw(delay_us)}) for a, b in sorted(pairs)]
+    if two_capacities:
+        for _, _, extra in links:
+            extra["capacity_bps"] = draw(st.sampled_from((10**9, 10**8)))
     clients = list(range(1, draw(st.integers(1, 3)) + 1))
     naps = [{"client": c, "node": draw(st.sampled_from(nodes)), "prefixes": [f"10.0.{c}.0/24"]}
             for c in clients]
@@ -190,12 +197,27 @@ def test_a_time_limited_run_is_a_prefix_of_the_full_run(case, data):
         assert hits == (1 if full.now > limit else 0), cls.__name__
 
 
+def star_fetch():
+    """24 leaves around hub node 1, a NAP on each; half fetch one URL from
+    the first. With link-mask seed 14 the response fid matches one hub link
+    off the tree: a loop-free off-tree forward, which random cases rarely
+    make."""
+    leaves = range(2, 26)
+    doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=14,
+                            naps=[{"client": leaf - 1, "node": leaf,
+                                   "prefixes": [f"10.0.{leaf - 1}.0/24"]} for leaf in leaves])
+    wl = [{"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "a.example"}]
+    wl += [{"t_us": 10, "op": "http_get", "client": c, "fqdn": "a.example", "url": "/x",
+            "resp_bytes": 100} for c in range(2, 14)]
+    return doc, Scenario(workload=wl)
+
+
 def repeated_sizes(mixed=False):
     """Line 1 - 2 - 3 - 4 with a NAP at each end: one flow of equal packets,
     and a fetch of three full segments and a short one. Every route and
-    plan carries a size again and again, so each is timed and then bills
-    most copies once, untraced. `mixed`: the middle link carries 8 Mbit/s,
-    so no route is timed and each message walks hop by hop."""
+    plan carries a size again and again, each copy in one step, untraced.
+    `mixed`: the middle link carries 8 Mbit/s, so no route or plan has one
+    capacity and each message walks hop by hop."""
     middle = {"capacity_bps": 8_000_000} if mixed else {}
     doc = make_topology_doc([1, 2, 3, 4], [(1, 2), (2, 3, middle), (3, 4)], seed=3,
                             naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
@@ -211,17 +233,22 @@ def repeated_sizes(mixed=False):
 
 
 @settings(max_examples=120, deadline=None)
-@given(case=st.one_of(runs(), runs(tie_prone=True)), cut=st.integers(0, 25_000))
+@given(case=st.one_of(runs(), runs(tie_prone=True), runs(two_capacities=True)),
+       cut=st.integers(0, 25_000))
 @example(case=repeated_sizes(), cut=12_345)
 @example(case=repeated_sizes(), cut=40_000)
 @example(case=repeated_sizes(mixed=True), cut=40_000)
+@example(case=star_fetch(), cut=3_500)
+@example(case=TestSaturatedFid.inputs(), cut=60_000)
 def test_billing_a_timed_message_once_is_only_a_cache(case, cut):
-    """Untraced, a route or plan that has timed a message bills it once, to
-    its own total, and the link counters take it when the report is built.
-    Every report of a run, and the events it queued, equal those of the run
-    whose sink drops every row: a full run, and runs cut at 50 ms and at
-    `cut` us. A second run() after a cut one raises: a simulation runs its
-    ops once."""
+    """Untraced, a route or plan whose links share one capacity carries a
+    message in one step and bills it once, to its own total, and the link
+    counters take it when the report is built. Every report of a run, and
+    the events it queued, equal those of the run whose sink drops every row:
+    a full run, and runs cut at 50 ms and at `cut` us. So the one-step
+    counts of off-tree forwards (the star fetch has one) and TTL drops (the
+    saturated fid has many) equal the walk's. A second run() after a cut
+    one raises: a simulation runs its ops once."""
     doc, scenario = case
     for cls in (IcnSimulation, BaselineSimulation):
 
@@ -250,21 +277,6 @@ class RecordingEmissions(IcnSimulation):
         self.emissions.append((pkt.wire_size,
                                self._tree_edges.get((client, pkt.name), frozenset())))
         super().transmit(client, pkt)
-
-
-def star_fetch():
-    """24 leaves around hub node 1, a NAP on each; half fetch one URL from
-    the first. With link-mask seed 14 the response fid matches one hub link
-    off the tree: a loop-free off-tree forward, which random cases rarely
-    make."""
-    leaves = range(2, 26)
-    doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=14,
-                            naps=[{"client": leaf - 1, "node": leaf,
-                                   "prefixes": [f"10.0.{leaf - 1}.0/24"]} for leaf in leaves])
-    wl = [{"t_us": 0, "op": "http_serve", "client": 1, "fqdn": "a.example"}]
-    wl += [{"t_us": 10, "op": "http_get", "client": c, "fqdn": "a.example", "url": "/x",
-            "resp_bytes": 100} for c in range(2, 14)]
-    return doc, Scenario(workload=wl)
 
 
 @settings(max_examples=150, deadline=None)

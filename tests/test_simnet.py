@@ -20,7 +20,7 @@ from conftest import (
     make_topology_doc,
     random_connected_graph,
 )
-from ipicn import gateways, routes, simnet
+from ipicn import gateways, simnet
 from ipicn.forwarding import IcnPacket
 from ipicn.gateways import encode_ip_packet
 from ipicn.names import Locality, name_for_http, name_for_ip, render_name
@@ -896,9 +896,9 @@ class TestDataPlan:
             f"{i}->{i + 1}": 100 for i in range(1, 5)}
 
     def test_a_second_emission_reuses_the_plan(self, monkeypatch):
-        """Link bytes are read from reports: a copy of a size its plan has
-        timed, as the third is, is billed to the plan, and reaches the link
-        counters when a report is built. A simulation runs once, so the
+        """Link bytes are read from reports: each copy, the first included,
+        is billed to the plan, and reaches the link counters when a report
+        is built. A simulation runs once, so the
         reports are built without a run: each copy is billed when it is
         emitted."""
         calls = TestForwardingMemo.count_forward_calls(monkeypatch)
@@ -1491,17 +1491,18 @@ class TestForwardingMemoBound:
 
 
 class TestBillingOnce:
-    """Untraced, a timed route or plan bills each message once, to its own
-    total. The link counters take every total when a report is built, and a
-    plan's also when the memo drops it."""
+    """Untraced, a route or plan whose links share one capacity bills each
+    message once, to its own total, the first included. The link counters
+    take every total when a report is built, and a plan's also when the
+    memo drops it."""
 
     @staticmethod
     def churn(cls=IcnSimulation, trace=None):
         """`TestForwardingMemoBound.one_shot_run`'s fetches, each response
-        three full segments and a short one: its plan times the full size
-        on the second segment and bills the third once, before the memo
-        drops it. Return the simulation after its run, its report and the
-        bytes each plan the memo dropped held then."""
+        three full segments and a short one: its plan bills each segment
+        once, before the memo drops it. Return the simulation after its
+        run, its report and the bytes each plan the memo dropped held
+        then."""
         leaves = range(2, 14)
         doc = make_topology_doc([1, *leaves], [(1, leaf) for leaf in leaves], seed=3,
                                 naps=[{"client": leaf, "node": leaf,
@@ -1562,18 +1563,90 @@ class TestBillingOnce:
                 sim.run()
             assert state() == before
 
-    def test_a_plan_times_four_sizes_and_a_route_none(self):
-        """A plan keeps the timings of the last `TIMED_SIZES` sizes it timed;
-        a route times every size by the sum of its link delays."""
-        assert routes.TIMED_SIZES == 4
+    def test_a_plan_bills_the_first_copy_of_every_size_once(self):
+        """The links of the timed line share one capacity, so the plan bills
+        every copy to its own total, the first of each of ten sizes
+        included: no link counter moves until the fold."""
         sim = IcnSimulation(TestDataPlan.timed_line(), Scenario(workload=[]))
-        for size in range(100, 110):
-            for _ in range(3):
-                sim.transmit(1, TestDataPlan.packet(size))
+        sizes = range(100, 110)
+        for size in sizes:
+            sim.transmit(1, TestDataPlan.packet(size))
         (plan,) = sim._plans.values()
-        assert [timing[0] for timing in plan.timed] == [106, 107, 108, 109]
-        assert routes.Route.__slots__ == ("billed", "delay_us")
-        assert sim._to_rv[5].delay_us == sim._from_rv[5].delay_us == 100 + 200 + 300 + 400
+        assert plan.capacity == 8_000_000 and plan.billed == sum(sizes)
+        assert not any(data for _, data in sim.link_bytes.values())
+        plan.fold(sim.link_bytes, 1)
+        assert {key: data for key, (_, data) in sim.link_bytes.items() if data} == {
+            (i, i + 1): sum(sizes) for i in range(1, 5)}
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
+    def test_a_route_is_timed_when_it_is_built(self, cls):
+        """A control path and a baseline route know their delay sum and
+        capacity from the start, so the first message over each is billed
+        to the route."""
+        wl = [{"t_us": 0, "op": "attach", "client": client, "addr": addr}
+              for client, addr in ((1, "10.0.1.5"), (2, "10.0.2.9"))]
+        wl.append({"t_us": 1000, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+                   "dst": "10.0.2.9", "bytes": 300})
+        sim = cls(TestDataPlan.timed_line(), Scenario(workload=wl))
+        if cls is IcnSimulation:
+            assert sim._to_rv[5].delay_us == sim._from_rv[5].delay_us == 100 + 200 + 300 + 400
+            assert sim._to_rv[5].capacity == sim._from_rv[5].capacity == 8_000_000
+        sim._drain(simnet.DEFAULT_MAX_TIME_US)
+        paths = list(sim._routes.values()) if cls is BaselineSimulation else [
+            *sim._to_rv.values(), *sim._from_rv.values()]
+        assert sum(path.billed for path in paths) > 0
+        assert not any(sum(slots) for slots in sim.link_bytes.values())
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
+    def test_mixed_capacities_never_carry_in_one_step(self, cls):
+        """With one link of the timed line at twice the capacity, no route
+        or plan has one capacity: every message walks and bills each link
+        when it is sent, and the report equals a traced run's."""
+        doc = make_topology_doc(
+            [1, 2, 3, 4, 5],
+            [(i, i + 1, {"delay_us": d, "capacity_bps": 16_000_000 if i == 2 else 8_000_000})
+             for i, d in enumerate((100, 200, 300, 400), 1)],
+            naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                  {"client": 2, "node": 5, "prefixes": ["10.0.2.0/24"]}])
+        wl = [{"t_us": 0, "op": "attach", "client": client, "addr": addr}
+              for client, addr in ((1, "10.0.1.5"), (2, "10.0.2.9"))]
+        wl += [{"t_us": 1000 * k, "op": "send_ip", "client": 1, "src": "10.0.1.5",
+                "dst": "10.0.2.9", "bytes": 300 + k} for k in range(1, 6)]
+        sim = cls(doc, Scenario(workload=wl))
+        sim._drain(simnet.DEFAULT_MAX_TIME_US)
+        tables = (sim._plans, sim._to_rv, sim._from_rv) if cls is IcnSimulation else (
+            sim._routes,)
+        paths = [path for table in tables for path in table.values()]
+        assert paths and all(path.capacity is None and path.billed == 0 for path in paths)
+        assert sum(data for _, data in sim.link_bytes.values()) > 0
+        untraced, traced = (cls(doc, Scenario(workload=wl), trace=trace).run().to_canonical_json()
+                            for trace in (None, drop_row))
+        assert untraced == traced
+
+    @pytest.mark.parametrize("size", [300, 484, 485, 486, 700])
+    def test_the_last_arrival_elsewhere_is_timed_at_any_size(self, size):
+        """From a NAP at node 1, one copy crosses 1->2 (1000 us) to node 2,
+        where no gateway is and it goes no further, and another crosses 1->3
+        ->4->5 (10 us each) to a NAP at node 5. At 1 byte per us a copy of
+        `size` bytes reaches node 2 at 1000 + size and node 5 at 30 + 3 x
+        size: below 485 bytes node 2 is reached last, and the run's clock
+        goes there, as when the copy walks."""
+        doc = make_topology_doc(
+            [1, 2, 3, 4, 5],
+            [(a, b, {"delay_us": d, "capacity_bps": 8_000_000})
+             for a, b, d in ((1, 2, 1000), (1, 3, 10), (3, 4, 10), (4, 5, 10))],
+            naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                  {"client": 2, "node": 5, "prefixes": ["10.0.2.0/24"]}])
+        clocks = []
+        for trace in (None, drop_row):
+            sim = IcnSimulation(doc, Scenario(workload=[]), trace=trace)
+            sim.call_at(0, lambda: sim.transmit(1, TestDataPlan.packet(size)))
+            report = sim.run()
+            clocks.append((sim.now, sim.queue._seq, report.to_canonical_json()))
+        (plan,) = sim._plans.values()
+        assert plan.tails == ((1000, 1),) and plan.handoffs == (30, 3, 5)
+        assert clocks[0] == clocks[1]
+        assert clocks[0][0] == max(1000 + size, 30 + 3 * size)
 
 
 class TestFpDeliveries:

@@ -10,29 +10,30 @@ plane at all.
 
 Links have no queues, so every hop of a message is fixed when it is sent,
 and every message is sent over its whole path in one step; only the
-arrivals where something acts are queued. Untraced, a route or plan whose
-links share one capacity carries a message of any size in one step and
-bills it once, to its own total (see `routes`); link counters take the
-totals when a report is built. A traced run, mixed capacities and a
+arrivals where something acts are queued. Every path is a `routes.Route`:
+a baseline route or a control path is a chain, a delivery plan a tree.
+Untraced, a route whose links share one capacity carries a message of any
+size in one step and bills it once, to its own total; link counters take
+the totals when a report is built. A traced run, mixed capacities and a
 message that does not arrive everywhere by the run's time limit walk hop
-by hop: each hop that starts by the limit is billed and traced then, its
-row stamped with its start, so rows come in send order.
-- Baseline and ICN control messages share one hop walk, `_walk`. The
-  baseline queues the arrival at the path's end. A control message queues
-  its handler at the arrival from the start of its last hop: when it is
-  sent for a one-hop path, else by one event queued there. So, up to two
-  hops, the arrival ties with other events as if each hop took its own.
-  RV and TM share a node, so the TM handles each match event of an RV
-  operation in the event where the RV takes it: an event due at the same
-  time that runs after it, an emission say, already sees the new tree. A
-  teardown builds no tree: `handle_match` would answer the zero fid.
+by hop, by `Route.walk`: each hop that starts by the limit is billed and
+traced then, its row stamped with its start, so rows come in send order.
+- Baseline and ICN control messages walk by `_walk`. The baseline queues
+  the arrival at the path's end. A control message queues its handler at
+  the arrival from the start of its last hop: when it is sent for a
+  one-hop path, else by one event queued there. So, up to two hops, the
+  arrival ties with other events as if each hop took its own. RV and TM
+  share a node, so the TM handles each match event of an RV operation in
+  the event where the RV takes it: an event due at the same time that
+  runs after it, an emission say, already sees the new tree. A teardown
+  builds no tree: `handle_match` would answer the zero fid.
 - An ICN copy replays its delivery plan, built once per (fid, emitting
   node, TTL, tree edges) from the forwarding answers and kept in one
-  least-recently-emitted table, `_plans`: the crossings of every copy the
-  emission makes, each with its parent crossing, whether it leaves the
-  tree and whether the TTL runs out there, and the arrivals at gateway
-  nodes. The replay queues one hand-off per arrival at a gateway node, and
-  counts a TTL drop only if it is reached by the limit.
+  least-recently-emitted table, `_plans`: the links every copy the
+  emission makes crosses, each with its parent crossing and its flags
+  (off the tree, TTL spent there), and the arrivals at gateway nodes. The
+  replay queues one hand-off per arrival at a gateway node, and counts a
+  TTL drop only if it is reached by the limit.
 
 Byte counters are per link traversal; a message whose source and
 destination share a node never touches a link and costs nothing. Reports
@@ -72,7 +73,7 @@ from .gateways import (
 )
 from .names import IcnName, render_name
 from .rendezvous import ClientId, MatchEvent, Rendezvous
-from .routes import Plan, Route, serialization_us
+from .routes import OFF_TREE, TTL_DROP, Plan, Route, serialization_us
 from .topology import (
     FidDelivery,
     Link,
@@ -299,26 +300,23 @@ class _AccountingMixin:
 
     def _walk(self, route: Route, sizes: Sequence[int], slot: int, name: object) -> int:
         """Send a packet of each of `sizes` wire bytes under `name` over
-        `route` now, hop by hop, and return when the last arrives: the walk
-        of a traced run, a route over mixed capacities, or a message the
-        route does not carry by the run's time limit. Each hop starts when
-        the one before it ends: every hop that starts by the limit is billed
-        to byte slot `slot` (0 control, 1 data) and traced now, its row
-        stamped with its start. A walk cut at the limit returns the first
-        start past it, so an event queued there ends the run."""
+        `route` now by `route.walk`, and return when the last arrives: the
+        walk of a traced run, a route over mixed capacities, or a message
+        the route does not carry by the run's time limit. Every hop that
+        starts by the limit is billed to byte slot `slot` (0 control, 1
+        data) and traced now, its row stamped with its start. A walk cut at
+        the limit returns the arrival of its last hop, the first past it, so
+        an event queued there ends the run."""
         now, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
         end = now
         for size in sizes:
-            time_us = now
-            for link in route:
-                if time_us > limit:
-                    break
+            for _, link, start, arrive in route.walk(now, size, limit):
                 link_bytes[link.src, link.dst][slot] += size
                 if self._trace is not None:
                     self._trace_row(link.src, "data" if slot else "ctrl", link, size, name,
-                                    time_us)
-                time_us += link.delay_us - (-8 * size * 1_000_000 // link.capacity_bps)
-            end = max(end, time_us)
+                                    start)
+                if arrive > end:
+                    end = arrive
         return end
 
     def _record_ip_flow(self, ip: IpPacket) -> bool:
@@ -692,27 +690,33 @@ class IcnSimulation(_AccountingMixin):
                 links = answers[key] = forward(self.graph, node, probe, in_link)
             return links
 
-        return Plan.build(node, pkt.ttl, links_at, meta, self._gateways_at, self.link_bytes)
+        return Plan.build(node, pkt.ttl, links_at, meta, self._gateways_at)
 
     def _replay(self, node: int, plan: Plan, pkt: IcnPacket, size: int) -> None:
         """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`:
         in one step if untraced and `plan.carry` can, each arrival then being
-        the delay sum plus hops times one hop's serialization; else crossing
-        by crossing, each starting when its parent crossing arrives, and one
-        that starts by the run's time limit billed, counted if off the tree
-        and traced now, its row stamped with its start, and a TTL drop
-        counted only if its copy arrives by the limit. Each arrival at a
+        the delay sum plus hops times one hop's serialization, and the plan's
+        off-tree crossings and TTL drops counted; else by `plan.walk`, each
+        crossing that starts by the run's time limit billed, counted if off
+        the tree and traced now, its row stamped with its start, and a TTL
+        drop counted only if its copy arrives by the limit. Each arrival at a
         gateway node is queued as a hand-off. If the copy's last arrival is
         at no gateway, it is queued too, so the run's clock reaches it and a
         run cut before it counts `time_limit_hits`."""
-        if plan.spent_here:
-            self.counters["ttl_drops"] += 1
-            if self._trace is not None:
-                self._trace_row(node, "ttl-drop", None, size, pkt.name)
+        if not plan:  # no crossing: a copy spent here, where links matched, is a drop
+            if plan.ttl_drops:
+                self.counters["ttl_drops"] += 1
+                if self._trace is not None:
+                    self._trace_row(node, "ttl-drop", None, size, pkt.name)
+            return
         now, limit, push = self.now, self._max_time_us, self.queue.push
         handed = last = now  # the latest arrival at a gateway node, and elsewhere
-        hop_us = plan.carry(now, size, limit, self.counters) if self._trace is None else None
-        if hop_us is not None:
+        if self._trace is None and plan.carry(now, size, size, limit) is not None:
+            hop_us = serialization_us(size, plan.capacity)
+            if plan.off_tree:
+                self.counters["off_tree_forwards"] += plan.off_tree
+            if plan.ttl_drops:
+                self.counters["ttl_drops"] += plan.ttl_drops
             fields = iter(plan.handoffs)
             for delay_us, hops, far_node in zip(fields, fields, fields):
                 arrive = now + delay_us + hops * hop_us
@@ -722,16 +726,12 @@ class IcnSimulation(_AccountingMixin):
             for delay_us, hops in plan.tails:
                 last = max(last, now + delay_us + hops * hop_us)
         else:
-            arrivals: list[int] = []
-            for link, parent, billed, off_tree, spent in plan.crossings:
-                start = now if parent < 0 else arrivals[parent]
-                arrive = start + link.delay_us - (-8 * size * 1_000_000 // link.capacity_bps)
-                arrivals.append(arrive)
-                if start > limit:
-                    continue
-                billed[1] += size
-                if off_tree:
-                    self.counters["off_tree_forwards"] += 1
+            counters, link_bytes, flags = self.counters, self.link_bytes, plan.flags
+            for index, link, start, arrive in plan.walk(now, size, limit):
+                link_bytes[link.src, link.dst][1] += size
+                flag = flags[index]
+                if flag & OFF_TREE:
+                    counters["off_tree_forwards"] += 1
                 if self._trace is not None:
                     self._trace_row(link.src, "data", link, size, pkt.name, start)
                 if link.dst in self._gateways_at:
@@ -740,8 +740,8 @@ class IcnSimulation(_AccountingMixin):
                         handed = arrive
                 elif arrive > last:
                     last = arrive
-                if spent and arrive <= limit:
-                    self.counters["ttl_drops"] += 1
+                if flag & TTL_DROP and arrive <= limit:
+                    counters["ttl_drops"] += 1
                     if self._trace is not None:
                         self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
         if last > handed:

@@ -13,9 +13,11 @@ up to it plus one serialization per hop crossed, so it carries a message of
 any size in one step, the first included (`Route.carry`): it adds the bytes
 to its own total, not to each link's counter, and `fold` adds that total to
 the counters of every link crossed when a report is built, or when the
-simulation lets go of a plan. A route over mixed capacities, a traced run
-and a message that does not arrive everywhere by the run's time limit walk
-hop by hop and bill each link directly, as the callers do.
+simulation lets go of a plan. A route over mixed capacities, a delivery
+plan that is not clean (its copies leave the tree, spend their TTL or end
+at no gateway), a traced run and a message that does not arrive
+everywhere by the run's time limit walk hop by hop and bill each link
+directly, as the callers do.
 """
 
 from __future__ import annotations
@@ -95,22 +97,21 @@ class Route(list):
 
 class Plan(Route):
     """A delivery plan (see `IcnSimulation._plan`): a route over the tree of
-    every crossing a copy's copies make, breadth first; each crossing's
-    `flags` (`OFF_TREE`, `TTL_DROP`); delay sum, hops, node, delay sum,
-    hops, node, ... of the crossings to gateway nodes, in walk order; the
-    (delay sum, hops) of each last crossing to another node; and its
-    off-tree crossings and TTL drops. A plan with no links and one TTL drop
-    is that of a copy emitted with its TTL spent where links matched."""
+    every crossing a copy's copies make, breadth first, and each crossing's
+    `flags` (`OFF_TREE`, `TTL_DROP`). A clean plan, one with no crossing
+    flagged and each last crossing at a gateway node, keeps the delay sum,
+    hops and node of each crossing to a gateway node, in walk order, in
+    `handoffs`; another keeps None there. A plan with no links and
+    `ttl_drops` set is that of a copy emitted with its TTL spent where
+    links matched."""
 
-    __slots__ = ("flags", "handoffs", "tails", "off_tree", "ttl_drops")
+    __slots__ = ("flags", "handoffs", "ttl_drops")
 
     def __init__(self, links: Iterable[Link] = (), parents: tuple[int, ...] = (),
                  delay_us: int = 0, hops: int = 0, flags: bytes = b"",
-                 handoffs: tuple[int, ...] = (), tails: tuple[tuple[int, int], ...] = (),
-                 off_tree: int = 0, ttl_drops: int = 0) -> None:
+                 handoffs: tuple[int, ...] | None = (), ttl_drops: int = 0) -> None:
         super().__init__(links, parents, delay_us, hops)
-        self.flags, self.handoffs, self.tails = flags, handoffs, tails
-        self.off_tree, self.ttl_drops = off_tree, ttl_drops
+        self.flags, self.handoffs, self.ttl_drops = flags, handoffs, ttl_drops
 
     @staticmethod
     def build(node: int, ttl: int, links_at: Callable[[int, Link | None], list[Link]],
@@ -129,8 +130,7 @@ class Plan(Route):
         parents: list[int] = []
         flags = bytearray()
         handoffs: list[int] = []
-        tails: list[tuple[int, int]] = []
-        off_tree = ttl_drops = reach_us = 0
+        clean, reach_us = True, 0
         frontier = deque([(root, ttl, -1, 0, 1)])
         while frontier:  # breadth first, so hops never fall
             hop_links, ttl, parent, delay_us, hops = frontier.popleft()
@@ -139,18 +139,15 @@ class Plan(Route):
                 far_us, onward = delay_us + link.delay_us, links_at(link.dst, link)
                 if far_us > reach_us:
                     reach_us = far_us
-                off, drop = link not in tree, spent and bool(onward)
                 links.append(link)
                 parents.append(parent)
-                flags.append(off * OFF_TREE | drop * TTL_DROP)
-                off_tree += off
-                ttl_drops += drop
+                flags.append((link not in tree) * OFF_TREE | (spent and bool(onward)) * TTL_DROP)
                 if link.dst in gateway_nodes:
                     handoffs += far_us, hops, link.dst
                 elif spent or not onward:  # a last crossing, at no gateway
-                    tails.append((far_us, hops))
+                    clean = False
                 if onward and not spent:
                     frontier.append((onward, ttl - 1, len(links) - 1, far_us, hops + 1))
         # every popped entry has links: `hops` is that of the last crossing
-        return Plan(links, tuple(parents), reach_us, hops, bytes(flags), tuple(handoffs),
-                    tuple(tails), off_tree, ttl_drops)
+        return Plan(links, tuple(parents), reach_us, hops, bytes(flags),
+                    tuple(handoffs) if clean and not any(flags) else None)

@@ -14,10 +14,11 @@ arrivals where something acts are queued. Every path is a `routes.Route`:
 a baseline route or a control path is a chain, a delivery plan a tree.
 Untraced, a route whose links share one capacity carries a message of any
 size in one step and bills it once, to its own total; link counters take
-the totals when a report is built. A traced run, mixed capacities and a
-message that does not arrive everywhere by the run's time limit walk hop
-by hop, by `Route.walk`: each hop that starts by the limit is billed and
-traced then, its row stamped with its start, so rows come in send order.
+the totals when a report is built. A traced run, mixed capacities, a
+delivery plan that is not clean and a message that does not arrive
+everywhere by the run's time limit walk hop by hop, by `Route.walk`: each
+hop that starts by the limit is billed and traced then, its row stamped
+with its start, so rows come in send order.
 - Baseline and ICN control messages walk by `_walk`. The baseline queues
   the arrival at the path's end. A control message queues its handler at
   the arrival from the start of its last hop: when it is sent for a
@@ -31,9 +32,12 @@ traced then, its row stamped with its start, so rows come in send order.
   node, TTL, tree edges) from the forwarding answers and kept in one
   least-recently-emitted table, `_plans`: the links every copy the
   emission makes crosses, each with its parent crossing and its flags
-  (off the tree, TTL spent there), and the arrivals at gateway nodes. The
-  replay queues one hand-off per arrival at a gateway node, and counts a
-  TTL drop only if it is reached by the limit.
+  (off the tree, TTL spent there), and, if the plan is clean (no crossing
+  flagged, every copy ending at a gateway node), the arrivals at gateway
+  nodes. The replay queues one hand-off per arrival at a gateway node.
+  Only a clean plan is carried in one step, so the walk alone counts
+  off-tree forwards and TTL drops, a drop only if it is reached by the
+  limit, and times a copy's last arrival at no gateway.
 
 Byte counters are per link traversal; a message whose source and
 destination share a node never touches a link and costs nothing. Reports
@@ -621,16 +625,14 @@ class IcnSimulation(_AccountingMixin):
         self._route_control(path, name, _REQUEST_PAYLOAD, arrive)
 
     def _tm_handle(self, ev: MatchEvent) -> None:
-        if ev.subscribers:
+        key = (ev.publisher, ev.name)
+        if ev.subscribers:  # a non-zero fid or a local subscriber: a tree stands
             tree = tree_for_match(self.graph, ev)
             fd = handle_match(self.graph, ev, tree)
+            self._tree_edges[key] = tree.edges
         else:  # a teardown of a tree that stood: handle_match's answer, built directly
             fd = FidDelivery(ev.publisher, ev.name, 0)
-        key = (ev.publisher, ev.name)
-        if fd.teardown:
             self._tree_edges.pop(key, None)
-        else:
-            self._tree_edges[key] = tree.edges
         gw = self.gateways[ev.publisher]
         self._route_control(self._from_rv[gw.node], ev.name, _FID_PAYLOAD,
                             lambda: gw.on_fid(fd))
@@ -674,35 +676,28 @@ class IcnSimulation(_AccountingMixin):
 
     def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[Link]) -> Plan:
         """The delivery plan of `pkt` emitted at `node` on the tree with edges
-        `meta` (see `Plan.build`). Every copy is the emitted packet, so only
-        one emitted with TTL 1 needs a copy to pass forward()'s check.
-
+        `meta` (see `Plan.build`), asking forward() at each crossing's end.
         The matching links depend only on the node, the fid and the arrival
-        link, never on the TTL, and the graph is fixed: so forward() runs once
-        per (node, arrival node) of the plan, with a TTL of at least 2."""
+        link, never on the TTL, and every copy is the emitted packet: so
+        only one emitted with TTL 1 needs a copy, of TTL 2, to pass
+        forward()'s check."""
         probe = pkt if pkt.ttl > 1 else replace(pkt, ttl=2)
-        answers: dict[tuple[int, int], list[Link]] = {}
-
-        def links_at(node: int, in_link: Link | None) -> list[Link]:
-            key = (node, -1 if in_link is None else in_link.src)
-            links = answers.get(key)
-            if links is None:
-                links = answers[key] = forward(self.graph, node, probe, in_link)
-            return links
-
-        return Plan.build(node, pkt.ttl, links_at, meta, self._gateways_at)
+        return Plan.build(node, pkt.ttl,
+                          lambda node, in_link: forward(self.graph, node, probe, in_link),
+                          meta, self._gateways_at)
 
     def _replay(self, node: int, plan: Plan, pkt: IcnPacket, size: int) -> None:
-        """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`:
-        in one step if untraced and `plan.carry` can, each arrival then being
-        the delay sum plus hops times one hop's serialization, and the plan's
-        off-tree crossings and TTL drops counted; else by `plan.walk`, each
-        crossing that starts by the run's time limit billed, counted if off
-        the tree and traced now, its row stamped with its start, and a TTL
-        drop counted only if its copy arrives by the limit. Each arrival at a
-        gateway node is queued as a hand-off. If the copy's last arrival is
-        at no gateway, it is queued too, so the run's clock reaches it and a
-        run cut before it counts `time_limit_hits`."""
+        """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`,
+        queueing each arrival at a gateway node as a hand-off: in one step
+        if untraced, the plan is clean (see `Plan`) and `plan.carry` can,
+        each arrival then being the delay sum plus hops times one hop's
+        serialization; else by `plan.walk`, each crossing that starts by the
+        run's time limit billed, counted if off the tree and traced now, its
+        row stamped with its start, and a TTL drop counted only if its copy
+        arrives by the limit. If the walk's last arrival is at no gateway, it
+        is queued too, so the run's clock reaches it and a run cut before it
+        counts `time_limit_hits`. A clean plan carried in one step has none:
+        each copy ends at a gateway node, after every node it crossed."""
         if not plan:  # no crossing: a copy spent here, where links matched, is a drop
             if plan.ttl_drops:
                 self.counters["ttl_drops"] += 1
@@ -710,40 +705,33 @@ class IcnSimulation(_AccountingMixin):
                     self._trace_row(node, "ttl-drop", None, size, pkt.name)
             return
         now, limit, push = self.now, self._max_time_us, self.queue.push
-        handed = last = now  # the latest arrival at a gateway node, and elsewhere
-        if self._trace is None and plan.carry(now, size, size, limit) is not None:
+        if (self._trace is None and plan.handoffs is not None
+                and plan.carry(now, size, size, limit) is not None):
             hop_us = serialization_us(size, plan.capacity)
-            if plan.off_tree:
-                self.counters["off_tree_forwards"] += plan.off_tree
-            if plan.ttl_drops:
-                self.counters["ttl_drops"] += plan.ttl_drops
             fields = iter(plan.handoffs)
             for delay_us, hops, far_node in zip(fields, fields, fields):
-                arrive = now + delay_us + hops * hop_us
-                push(arrive, lambda node=far_node: self._hand_off(node, pkt))
+                push(now + delay_us + hops * hop_us,
+                     lambda node=far_node: self._hand_off(node, pkt))
+            return
+        handed = last = now  # the latest arrival at a gateway node, and elsewhere
+        counters, link_bytes, flags = self.counters, self.link_bytes, plan.flags
+        for index, link, start, arrive in plan.walk(now, size, limit):
+            link_bytes[link.src, link.dst][1] += size
+            flag = flags[index]
+            if flag & OFF_TREE:
+                counters["off_tree_forwards"] += 1
+            if self._trace is not None:
+                self._trace_row(link.src, "data", link, size, pkt.name, start)
+            if link.dst in self._gateways_at:
+                push(arrive, lambda node=link.dst: self._hand_off(node, pkt))
                 if arrive > handed:
                     handed = arrive
-            for delay_us, hops in plan.tails:
-                last = max(last, now + delay_us + hops * hop_us)
-        else:
-            counters, link_bytes, flags = self.counters, self.link_bytes, plan.flags
-            for index, link, start, arrive in plan.walk(now, size, limit):
-                link_bytes[link.src, link.dst][1] += size
-                flag = flags[index]
-                if flag & OFF_TREE:
-                    counters["off_tree_forwards"] += 1
+            elif arrive > last:
+                last = arrive
+            if flag & TTL_DROP and arrive <= limit:
+                counters["ttl_drops"] += 1
                 if self._trace is not None:
-                    self._trace_row(link.src, "data", link, size, pkt.name, start)
-                if link.dst in self._gateways_at:
-                    push(arrive, lambda node=link.dst: self._hand_off(node, pkt))
-                    if arrive > handed:
-                        handed = arrive
-                elif arrive > last:
-                    last = arrive
-                if flag & TTL_DROP and arrive <= limit:
-                    counters["ttl_drops"] += 1
-                    if self._trace is not None:
-                        self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
+                    self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
         if last > handed:
             push(last, _noop)
 

@@ -1564,10 +1564,14 @@ class TestBillingOnce:
             assert state() == before
 
     def test_a_plan_bills_the_first_copy_of_every_size_once(self):
-        """The links of the timed line share one capacity, so the plan bills
-        every copy to its own total, the first of each of ten sizes
-        included: no link counter moves until the fold."""
+        """On a tree standing over the timed line, whose links share one
+        capacity, the plan bills every copy to its own total, the first of
+        each of ten sizes included: no link counter moves until the fold. A
+        copy emitted after the tree went crosses every link off a tree, so
+        it walks and bills each link when it is sent."""
         sim = IcnSimulation(TestDataPlan.timed_line(), Scenario(workload=[]))
+        tree = frozenset(sim.graph.link(i, i + 1) for i in range(1, 5))
+        sim._tree_edges[1, TestDataPlan.NAME] = tree
         sizes = range(100, 110)
         for size in sizes:
             sim.transmit(1, TestDataPlan.packet(size))
@@ -1577,6 +1581,14 @@ class TestBillingOnce:
         plan.fold(sim.link_bytes, 1)
         assert {key: data for key, (_, data) in sim.link_bytes.items() if data} == {
             (i, i + 1): sum(sizes) for i in range(1, 5)}
+        del sim._tree_edges[1, TestDataPlan.NAME]
+        for size in sizes:
+            sim.transmit(1, TestDataPlan.packet(size))
+        off_tree = sim._plans[(1 << 256) - 1, 1, 32, frozenset()]
+        assert off_tree.handoffs is None and off_tree.billed == 0
+        assert {key: data for key, (_, data) in sim.link_bytes.items() if data} == {
+            (i, i + 1): 2 * sum(sizes) for i in range(1, 5)}
+        assert sim.counters["off_tree_forwards"] == 4 * len(sizes)
 
     @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
     def test_a_route_is_timed_when_it_is_built(self, cls):
@@ -1630,7 +1642,8 @@ class TestBillingOnce:
         ->4->5 (10 us each) to a NAP at node 5. At 1 byte per us a copy of
         `size` bytes reaches node 2 at 1000 + size and node 5 at 30 + 3 x
         size: below 485 bytes node 2 is reached last, and the run's clock
-        goes there, as when the copy walks."""
+        goes there: the copy walks, as a plan with a last crossing at no
+        gateway is not clean, even with every crossing on its tree."""
         doc = make_topology_doc(
             [1, 2, 3, 4, 5],
             [(a, b, {"delay_us": d, "capacity_bps": 8_000_000})
@@ -1640,11 +1653,13 @@ class TestBillingOnce:
         clocks = []
         for trace in (None, drop_row):
             sim = IcnSimulation(doc, Scenario(workload=[]), trace=trace)
+            sim._tree_edges[1, TestDataPlan.NAME] = frozenset(
+                sim.graph.link(a, b) for a, b in ((1, 2), (1, 3), (3, 4), (4, 5)))
             sim.call_at(0, lambda: sim.transmit(1, TestDataPlan.packet(size)))
             report = sim.run()
             clocks.append((sim.now, sim.queue._seq, report.to_canonical_json()))
         (plan,) = sim._plans.values()
-        assert plan.tails == ((1000, 1),) and plan.handoffs == (30, 3, 5)
+        assert not any(plan.flags) and plan.handoffs is None
         assert clocks[0] == clocks[1]
         assert clocks[0][0] == max(1000 + size, 30 + 3 * size)
 

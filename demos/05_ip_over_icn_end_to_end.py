@@ -25,7 +25,7 @@ class LoggingSimulation(IcnSimulation):
 
     def _log(self, client: int, ip) -> None:
         if ip.id in self.send_time:  # a later copy only counts a duplicate
-            self.arrivals.setdefault(client, []).append((f"{ip.src}->{ip.dst}", len(ip.payload)))
+            self.arrivals.setdefault(client, []).append((f"{ip.src}->{ip.dst}", ip.size))
 
     def note_ip_delivered(self, client, ip) -> None:
         self._log(client, ip)

@@ -30,7 +30,8 @@ _FIXED_OVERHEAD = 32 + 4 + 2
 
 @dataclass(frozen=True)
 class IcnPacket:
-    """On-wire data unit: forwarding id, TTL, name, opaque payload."""
+    """On-wire data unit: forwarding id, TTL, name, opaque payload: `bytes`,
+    or a value whose `len()` and `bytes()` are those bytes."""
 
     fid: int
     name: IcnName
@@ -110,7 +111,7 @@ def encode_packet(pkt: IcnPacket) -> bytes:
         struct.pack(">BBBB", pkt.ttl, 0, len(name.scopes), 1 if name.is_item else 0),
         struct.pack(f">{len(elems)}Q", *elems),
         struct.pack(">H", len(pkt.payload)),
-        pkt.payload,
+        bytes(pkt.payload),
     ))
 
 

@@ -12,7 +12,10 @@ it holds a standing subscription to the external scope and encapsulates
 ingress traffic under internal names.
 
 Devices only ever see IpPacket and HttpResponse values; no ICN type
-crosses the device boundary. A gateway's `on_icn_data` says whether a data
+crosses the device boundary. An encapsulation carries the sent IpPacket
+itself: its payload has the length and bytes of `encode_ip_packet`, built
+only if read, and the far gateway gets the packet back unparsed; only a
+`bytes` payload is parsed. A gateway's `on_icn_data` says whether a data
 copy is its own; the environment counts the refusals. Gateways only report,
 keeping no copy: each decoded IP arrival for their own address or scope,
 duplicates included, goes to `note_ip_delivered` or `note_peer_emitted`,
@@ -29,9 +32,10 @@ import ipaddress
 import json
 import struct
 from collections import Counter, deque
-from collections.abc import Container, Iterable
+from collections.abc import Callable, Container, Iterable
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .forwarding import DEFAULT_TTL, IcnPacket
 from .names import (
@@ -75,19 +79,62 @@ def check_window(window_us: object) -> int:
     return window_us
 
 
-@dataclass(frozen=True)
-class IpPacket:
-    """A plain IP datagram as seen by devices and peers."""
+class IpPacket(tuple):
+    """A plain IP datagram as seen by devices and peers: an immutable
+    value, equal to another, hashed and shown by (src, dst, proto, id,
+    payload). It is the tuple of those fields with `size`, the payload's
+    length, before the payload, so `size` reads without building a payload
+    that `of_size` left to a maker."""
 
+    __slots__ = ()
     src: ipaddress.IPv4Address
     dst: ipaddress.IPv4Address
     proto: int
     id: int
+    size: int
     payload: bytes
 
-    def __post_init__(self) -> None:
-        if len(self.payload) > MAX_IP_PAYLOAD:
+    def __new__(cls, src: ipaddress.IPv4Address, dst: ipaddress.IPv4Address, proto: int,
+                id: int, payload: bytes) -> IpPacket:
+        return cls.of_size(src, dst, proto, id, len(payload), payload)
+
+    @classmethod
+    def of_size(cls, src: ipaddress.IPv4Address, dst: ipaddress.IPv4Address, proto: int,
+                id: int, size: int, payload: bytes | Callable[[IpPacket], bytes]) -> IpPacket:
+        """A packet with a `size`-byte payload: `payload`, or what that
+        maker returns for the packet, made anew at each read."""
+        if size > MAX_IP_PAYLOAD:
             raise ValueError(f"IP payload longer than {MAX_IP_PAYLOAD}")
+        return tuple.__new__(cls, (src, dst, proto, id, size, payload))
+
+    src = property(itemgetter(0))
+    dst = property(itemgetter(1))
+    proto = property(itemgetter(2))
+    id = property(itemgetter(3))
+    size = property(itemgetter(4))
+
+    @property
+    def payload(self) -> bytes:
+        payload = self[5]
+        return payload(self) if callable(payload) else payload
+
+    def _key(self) -> tuple:
+        return (*self[:4], self.payload)
+
+    # never equal to a plain tuple, either way round: a tuple subclass's
+    # comparisons are tried first
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is IpPacket and self[:5] == other[:5]
+                and self.payload == other.payload)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "IpPacket(src=%r, dst=%r, proto=%r, id=%r, payload=%r)" % self._key()
 
 
 class HttpResponse:
@@ -138,6 +185,23 @@ def encode_ip_packet(pkt: IpPacket) -> bytes:
     return _IP_HEADER.pack(pkt.src.packed, pkt.dst.packed, pkt.proto, pkt.id) + pkt.payload
 
 
+class _Encapsulated:
+    """The payload of an IP packet's encapsulation, carrying the packet
+    itself: its `len()` and `bytes()` are those of `encode_ip_packet(ip)`,
+    which is built only when read."""
+
+    __slots__ = ("ip",)
+
+    def __init__(self, ip: IpPacket) -> None:
+        self.ip = ip
+
+    def __len__(self) -> int:
+        return IP_HEADER_SIZE + self.ip.size
+
+    def __bytes__(self) -> bytes:
+        return encode_ip_packet(self.ip)
+
+
 def encode_http_request(client: ClientId, fqdn: str, url: str, resp_bytes: int) -> bytes:
     """The request a NAP publishes to fetch `url` from `fqdn`, as `json.dumps(
     request, sort_keys=True)` writes it: ints by their repr, strings by
@@ -181,7 +245,11 @@ def _decode_http_request(payload: bytes) -> tuple[str, str, int] | None:
     return None
 
 
-def decode_ip_packet(buf: bytes) -> IpPacket:
+def decode_ip_packet(buf: bytes | _Encapsulated) -> IpPacket:
+    """The packet an encapsulation carries: a gateway's own, as it was sent;
+    else parsed from the bytes, header first. ValueError if truncated."""
+    if type(buf) is _Encapsulated:
+        return buf.ip
     if len(buf) < _IP_HEADER.size:
         raise ValueError("truncated IP encapsulation")
     src, dst, proto, pkt_id = _IP_HEADER.unpack_from(buf)
@@ -296,9 +364,10 @@ class _IcnClient:
         if cached is None:
             self._queue_ip(name, pkt)
         else:
-            self._emit(name, encode_ip_packet(pkt), cached)
+            self._emit(name, _Encapsulated(pkt), cached)
 
-    def _emit(self, name: IcnName, payload: bytes, cached: tuple[int, bool]) -> None:
+    def _emit(self, name: IcnName, payload: bytes | _Encapsulated,
+              cached: tuple[int, bool]) -> None:
         fid, local = cached
         pkt = IcnPacket(fid=fid, name=name, payload=payload, ttl=DEFAULT_TTL)
         self.env.transmit(self.client, pkt)
@@ -318,7 +387,7 @@ class _IcnClient:
         self._fids[d.name] = cached
         queue = self._pending_ip.get(d.name)
         while queue:
-            self._emit(d.name, encode_ip_packet(queue.popleft()), cached)
+            self._emit(d.name, _Encapsulated(queue.popleft()), cached)
         payloads = self._pending_raw.pop(d.name, None)
         if payloads is not None:
             for payload in payloads:

@@ -39,6 +39,10 @@ with its start, so rows come in send order.
   off-tree forwards and TTL drops, a drop only if it is reached by the
   limit, and times a copy's last arrival at no gateway.
 
+A packet an op sends is made without its payload, which is built only if
+read (see `_ip_payload`); a run reads only its size, in the encapsulation's
+length and the trace, so it builds none.
+
 Byte counters are per link traversal; a message whose source and
 destination share a node never touches a link and costs nothing. Reports
 serialize canonically (sorted keys, integer microseconds and bytes) so
@@ -102,6 +106,13 @@ _FID_PAYLOAD = 4 + 32 + 1
 _NO_EDGES: frozenset[Link] = frozenset()  # a copy emitted on no standing tree
 _END_OF_OPS = {"t_us": math.inf}  # `_drain`'s sentinel after the last op
 _LOOSE_FIDS = 64  # delivery plans kept beyond one per standing tree
+
+
+def _ip_payload(pkt: IpPacket) -> bytes:
+    """The filler payload of a packet an op sends. An address's text is
+    the op's, as an IPv4 address parses from its one canonical form."""
+    return synth_bytes(f"{pkt.src}>{pkt.dst}#{pkt.id}", pkt.size)
+
 
 # (field, JSON type, bound, default) per field of each workload op: an
 # integer with a bound must lie in 0..bound, a string with a bound must not
@@ -373,7 +384,8 @@ class _AccountingMixin:
         return server
 
     def _make_ip_packet(self, action: dict) -> IpPacket:
-        """The packet a `send_ip` or `ext_in` op sends."""
+        """The packet a `send_ip` or `ext_in` op sends; its payload is made
+        only if read (see `_ip_payload`)."""
         pid = self._next_packet_id
         self._next_packet_id += 1
         src, dst = action.get("src", DEFAULT_EXT_SRC), action["dst"]
@@ -382,8 +394,8 @@ class _AccountingMixin:
         if flow is None:
             flow = self._ip_flows[(src, dst)] = f"ip:{src_addr}->{dst_addr}"
         self.send_time[pid] = (self.now, flow)
-        return IpPacket(src_addr, dst_addr, action.get("proto", 17), pid,
-                        synth_bytes(f"{src}>{dst}#{pid}", action.get("bytes", 0)))
+        return IpPacket.of_size(src_addr, dst_addr, action.get("proto", 17), pid,
+                                action.get("bytes", 0), _ip_payload)
 
     def _start_run(self) -> None:
         """Begin the one run a simulation makes: a second would inject every op again."""
@@ -579,13 +591,11 @@ class IcnSimulation(_AccountingMixin):
 
     def note_ip_delivered(self, client: ClientId, ip: IpPacket) -> None:
         if self._record_ip_flow(ip) and self._trace is not None:
-            self._trace_row(self.gateways[client].node, "deliver", None,
-                            len(ip.payload), ip.dst)
+            self._trace_row(self.gateways[client].node, "deliver", None, ip.size, ip.dst)
 
     def note_peer_emitted(self, client: ClientId, ip: IpPacket) -> None:
         if self._record_ip_flow(ip) and self._trace is not None:
-            self._trace_row(self.gateways[client].node, "peer-out", None,
-                            len(ip.payload), ip.dst)
+            self._trace_row(self.gateways[client].node, "peer-out", None, ip.size, ip.dst)
 
     def note_http_complete(self, client: ClientId, response: HttpResponse) -> None:
         self._record_http_flow(client, response.fqdn, response.url)
@@ -814,7 +824,7 @@ class BaselineSimulation(_AccountingMixin):
             self._http_get(action)
 
     def _route_ip(self, from_node: int, pkt: IpPacket) -> None:
-        size = IP_HEADER_SIZE + len(pkt.payload)  # the encapsulated packet's length, unbuilt
+        size = IP_HEADER_SIZE + pkt.size  # the encapsulated packet's length, unbuilt
         if pkt.dst in self.operator_plan:
             client = self._addr_at.get(pkt.dst)
             if client is None:

@@ -1,14 +1,14 @@
-"""The pinned cases: 81 benchmark cases and 120 dense-grid ones, and a check of them.
+"""The pinned cases: 81 benchmark cases and 150 dense-grid ones, and a check of them.
 
 A benchmark case is one workload of `perfbench/workloads.py` at seed 1, 2
 or 7, run in ICN mode, in ICN mode with ideal control or in IP mode, to
 quiescence or cut at 50 ms or at 200 ms. None of them forwards a copy off
 its tree or drops one for its TTL, so the grid cases pin those anomalies:
-a grid case is one of 20 seeded dense grids (`grid_inputs`), run in ICN
-mode with and without ideal control, to quiescence or cut at 10 ms or at
-105 ms. A row holds the sha1 of the report, the sha1 of the trace rows
-sorted and in the order the sink got them, and the events the run queued
-(`queue._seq`).
+a grid case is one of 25 seeded dense grids (`grid_inputs`; the last 5
+have a NAP on half of their nodes only), run in ICN mode with and without
+ideal control, to quiescence or cut at 10 ms or at 105 ms. A row holds
+the sha1 of the report, the sha1 of the trace rows sorted and in the
+order the sink got them, and the events the run queued (`queue._seq`).
 
     PYTHONPATH=src python tests/golden_cases.py > tests/data/golden_cases.json
     PYTHONPATH=src python tests/golden_cases.py --check [--seed 1]
@@ -38,7 +38,8 @@ WORKLOADS = ("flash_crowd", "http_churn", "unicast_mesh")
 SEEDS = (1, 2, 7)
 MODES = ("icn", "icn-ideal", "ip")
 LIMITS = {"full": None, "50ms": 50_000, "200ms": 200_000}
-GRIDS = tuple(range(20))
+GRIDS = tuple(range(25))
+FULL_GRIDS = 20  # grids below this index have a NAP on every node
 GRID_MODES = ("icn", "icn-ideal")
 # the 100 ms HTTP window holds each response, so 105 ms cuts them in flight
 GRID_LIMITS = {"full": None, "10ms": 10_000, "105ms": 105_000}
@@ -67,30 +68,33 @@ def inputs(workload: str, seed: int):
 def grid_inputs(index: int):
     """The topology text and loaded scenario of dense grid `index`, drawn
     from a generator seeded with it: a 5x5 to 8x8 grid whose links take 0,
-    1, 500 or 1000 us, with a NAP on every node. One NAP serves /a and /b
-    (0, 100 or 70,000 bytes each), and from a third of the others to all
-    of them fetch one at 1-4 ms, alongside up to 10 `send_ip`. So many
-    trees stand at once that on about half the grids fids match links off
-    their trees: copies leave them, some loop until their TTL is spent,
-    and some arrive twice."""
+    1, 500 or 1000 us, with a NAP on every node or, from index
+    `FULL_GRIDS` on, on half of them. One NAP serves /a and /b (0, 100 or
+    70,000 bytes each), and from a third of the others to all of them
+    fetch one at 1-4 ms, alongside up to 10 `send_ip`. So many trees
+    stand at once that on about half the grids fids match links off their
+    trees: copies leave them, some loop until their TTL is spent, and some
+    arrive twice. Where nodes have no NAP, copies cross nodes where no
+    gateway takes them."""
     rng = random.Random(index)
     rows, cols = rng.randint(5, 8), rng.randint(5, 8)
     nodes = range(1, rows * cols + 1)
     links = [{"a": node, "b": node + step, "delay_us": rng.choice((0, 1, 500, 1000))}
              for node in nodes for step in (1, cols)
              if node + step in nodes and (step == cols or node % cols)]
+    naps = nodes if index < FULL_GRIDS else sorted(rng.sample(nodes, len(nodes) // 2))
     topology = {"nodes": [{"id": node} for node in nodes], "links": links,
                 "naps": [{"client": node, "node": node, "prefixes": [f"10.0.{node}.0/24"]}
-                         for node in nodes]}
-    server = rng.choice(nodes)
+                         for node in naps]}
+    server = rng.choice(naps)
     sizes = {url: rng.choice((0, 100, 70_000)) for url in ("/a", "/b")}
-    others = [node for node in nodes if node != server]
+    others = [node for node in naps if node != server]
     ops = [{"t_us": 0, "op": "http_serve", "client": server, "fqdn": "s.example"}]
-    for client in rng.sample(others, rng.randint(len(nodes) // 3, len(others))):
+    for client in rng.sample(others, rng.randint(len(naps) // 3, len(others))):
         url = rng.choice(("/a", "/b"))
         ops.append({"t_us": rng.randint(1000, 4000), "op": "http_get", "client": client,
                     "fqdn": "s.example", "url": url, "resp_bytes": sizes[url]})
-    sends = [rng.sample(nodes, 2) for _ in range(rng.randint(0, 10))]
+    sends = [rng.sample(naps, 2) for _ in range(rng.randint(0, 10))]
     ops += [{"t_us": 0, "op": "attach", "client": node, "addr": f"10.0.{node}.9"}
             for node in sorted({node for pair in sends for node in pair})]
     ops += [{"t_us": rng.randint(1000, 4000), "op": "send_ip", "client": src,

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from conftest import SyncEnv
 from ipicn import gateways
-from ipicn.forwarding import IcnPacket
+from ipicn.forwarding import IcnPacket, decode_packet, encode_packet
 from ipicn.gateways import (
+    IP_HEADER_SIZE,
+    MAX_IP_PAYLOAD,
     MAX_RESPONSE_BYTES,
     PENDING_CAPACITY,
     SEGMENT_CHUNK,
@@ -107,6 +109,88 @@ class TestIpCodec:
     def test_payload_cap(self):
         with pytest.raises(ValueError):
             ip_packet("10.0.1.5", "10.0.2.9", payload=b"x" * 65508)
+
+
+def unbuilt(src, dst, pid=1, payload=b"hello", reads=None):
+    """`ip_packet`'s packet, made by `IpPacket.of_size` with a maker that
+    appends the packet to `reads` at each call."""
+
+    def make(pkt):
+        if reads is not None:
+            reads.append(pkt)
+        return payload
+
+    return IpPacket.of_size(ipaddress.IPv4Address(src), ipaddress.IPv4Address(dst), 17, pid,
+                            len(payload), make)
+
+
+class TestIpPacketValue:
+    def test_fields_cannot_be_assigned(self):
+        pkt = ip_packet("10.0.1.5", "10.0.2.9")
+        for field in ("src", "dst", "proto", "id", "payload", "size"):
+            with pytest.raises(AttributeError):
+                setattr(pkt, field, 0)
+
+    def test_equality_hash_and_repr_go_by_the_five_fields(self):
+        built = ip_packet("10.0.1.5", "10.0.2.9", pid=3)
+        made = unbuilt("10.0.1.5", "10.0.2.9", pid=3)
+        assert built == made and not built != made and hash(built) == hash(made)
+        assert repr(built) == repr(made) == (
+            "IpPacket(src=IPv4Address('10.0.1.5'), dst=IPv4Address('10.0.2.9'), "
+            "proto=17, id=3, payload=b'hello')")
+        assert made != unbuilt("10.0.1.5", "10.0.2.9", pid=3, payload=b"hellO")
+        assert built != ip_packet("10.0.1.5", "10.0.2.9", pid=4)
+        storage = tuple(built)
+        assert built != storage and storage != built and built != b"hello"
+
+    def test_both_constructors_refuse_an_oversized_payload(self):
+        src, dst = ipaddress.IPv4Address("10.0.1.5"), ipaddress.IPv4Address("10.0.2.9")
+        with pytest.raises(ValueError, match="longer than"):
+            IpPacket(src, dst, 17, 1, bytes(MAX_IP_PAYLOAD + 1))
+        with pytest.raises(ValueError, match="longer than"):
+            IpPacket.of_size(src, dst, 17, 1, MAX_IP_PAYLOAD + 1, bytes)
+        assert IpPacket(src, dst, 17, 1, bytes(MAX_IP_PAYLOAD)).size == MAX_IP_PAYLOAD
+
+    @pytest.mark.parametrize("payload", [b"", b"x", bytes(1400)], ids=["0", "1", "1400"])
+    def test_size_is_the_payload_length_and_reads_without_building_it(self, payload):
+        reads = []
+        pkt = unbuilt("10.0.1.5", "10.0.2.9", payload=payload, reads=reads)
+        assert pkt.size == len(payload) and reads == []
+        assert pkt.size == len(pkt.payload) and reads == [pkt]
+        assert ip_packet("10.0.1.5", "10.0.2.9", payload=payload).size == len(payload)
+
+
+class TestEncapsulation:
+    """A NAP's emission carries the sent packet itself: its payload reads
+    as `encode_ip_packet` of it, and the far end gets the packet back."""
+
+    def emitted(self, env, nap1, pkt):
+        nap1.attach_device("10.0.1.5")
+        nap1.on_fid(FidDelivery(1, name_for_ip("10.0.2.9", Locality.INTERNAL), fid=1,
+                                local=False))
+        nap1.send_ip(pkt)
+        [(_, icn)] = env.emissions
+        return icn
+
+    @pytest.mark.parametrize("payload", [b"", b"hello", bytes(1400)], ids=["0", "5", "1400"])
+    def test_payload_length_and_bytes_are_the_encoding(self, env, nap1, payload):
+        reads = []
+        sent = unbuilt("10.0.1.5", "10.0.2.9", pid=7, payload=payload, reads=reads)
+        icn = self.emitted(env, nap1, sent)
+        assert len(icn.payload) == IP_HEADER_SIZE + len(payload)
+        assert reads == []  # the emission built nothing
+        assert bytes(icn.payload) == encode_ip_packet(sent)
+        assert icn.wire_size == IcnPacket(icn.fid, icn.name, encode_ip_packet(sent)).wire_size
+        assert decode_ip_packet(icn.payload) is sent
+
+    def test_the_wire_encoding_reads_back_as_the_sent_packet(self, env, nap1):
+        sent = unbuilt("10.0.1.5", "10.0.2.9", pid=9, payload=b"\x00\xffdata")
+        icn = self.emitted(env, nap1, sent)
+        wire = encode_packet(icn)
+        assert len(wire) == icn.wire_size
+        back = decode_packet(wire)
+        assert type(back.payload) is bytes and back.fid == icn.fid and back.name == icn.name
+        assert decode_ip_packet(back.payload) == sent
 
 
 class TestAddressPlan:

@@ -1,4 +1,4 @@
-"""The seed-1 third of the pinned benchmark cases and two grids' cases
+"""The seed-1 third of the pinned benchmark cases and three grids' cases
 (see `golden_cases.py`).
 
 Each case runs traced and untraced: an untraced run carries each message
@@ -13,8 +13,9 @@ import golden_cases
 
 TABLE = golden_cases.pinned()
 # grid 0 cut at 105 ms and grid 13 cut at 10 ms each forward off their
-# trees, drop copies for their TTL and hit the time limit
-GRIDS = (0, 13)
+# trees, drop copies for their TTL and hit the time limit; grid 20 has a
+# NAP on half of its nodes only
+GRIDS = (0, 13, 20)
 
 
 def test_the_table_pins_every_case():

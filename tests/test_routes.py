@@ -1,10 +1,11 @@
 """Fixed paths: `Route.walk` against hand-computed hop times, and no
-untraced message of the benchmark workloads walks."""
+untraced message of the benchmark workloads walks or builds an IP payload."""
 
 import pytest
 
 import golden_cases
 from conftest import drop_row, make_topology_doc
+from ipicn import simnet
 from ipicn.routes import OFF_TREE, Plan, Route
 from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
 from ipicn.topology import load_topology_doc
@@ -88,3 +89,29 @@ class TestOneStepTraffic:
                   trace=drop_row if traced else None)
         sim.run()
         assert walked[0] > 0 if traced else walked[0] == 0
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation], ids=["icn", "ip"])
+    @pytest.mark.parametrize("workload", golden_cases.WORKLOADS)
+    def test_no_ip_payload_is_built(self, monkeypatch, workload, cls, traced):
+        """Nothing a run does reads a sent packet's payload, so none is made:
+        encapsulations and trace rows take its size. Reading the payload of
+        a packet made after the run makes it, by `simnet.synth_bytes`. (HTTP
+        segments are built by `gateways.synth_bytes` and not counted.)"""
+        built = [0]
+        synth = simnet.synth_bytes
+
+        def counting(tag, size):
+            built[0] += 1
+            return synth(tag, size)
+
+        monkeypatch.setattr(simnet, "synth_bytes", counting)
+        topology_text, scenario = golden_cases.inputs(workload, 1)
+        sim = cls(load_topology_doc(topology_text, scenario.seed), scenario,
+                  trace=drop_row if traced else None)
+        sim.run()
+        assert built[0] == 0
+        sends = [op for op in scenario.workload if op["op"] in ("send_ip", "ext_in")][:1]
+        assert ([len(sim._make_ip_packet(op).payload) for op in sends]
+                == [op.get("bytes", 0) for op in sends])
+        assert built[0] == len(sends)

@@ -5,7 +5,9 @@ For every publication match the manager computes a publisher-rooted
 shortest-path tree over link delay (deterministic tie-breaking by lowest
 predecessor id), ORs the tree's link masks into a forwarding identifier and
 hands that back to the publisher. Shortest-path predecessors are computed
-once per root and kept on the graph, one flat array of node numbers each.
+once per root and kept on the graph, one flat array of node numbers each,
+and so is the last tree built from each root, with its fid: a root asked
+again for the same leaves gets that tree back without a path walk.
 
 Dijkstra runs over an integer index of the graph, built by its first run
 and kept on the graph: the node ids sorted ascending, numbered 0..n-1, the
@@ -76,6 +78,10 @@ class NetworkGraph:
     _pred_by_root: dict[int, array] = field(
         init=False, repr=False, compare=False
     )
+    # root -> the last tree `shortest_path_tree` built from it, and its fid
+    _tree_by_root: dict[int, tuple[DeliveryTree, int]] = field(
+        init=False, repr=False, compare=False
+    )
     # `dijkstra`'s integer index, built by its first run
     _search_index: _SearchIndex | None = field(init=False, repr=False, compare=False)
 
@@ -88,6 +94,7 @@ class NetworkGraph:
         self._adjacency = {n: tuple(ls) for n, ls in adjacency.items()}
         self._by_pair = by_pair
         self._pred_by_root = {}
+        self._tree_by_root = {}
         self._search_index = None
 
     def out_links(self, node: int) -> tuple[Link, ...]:
@@ -134,7 +141,11 @@ class TopologyDoc:
 
 @dataclass(frozen=True)
 class DeliveryTree:
-    """Publisher-rooted tree spanning the subscriber attachment nodes."""
+    """Publisher-rooted tree spanning the subscriber attachment nodes.
+
+    A tree `shortest_path_tree` returns may be one it returned before, and
+    its `edges` are the graph's own `Link`s: treat it as shared.
+    """
 
     root: int
     leaves: frozenset[int]
@@ -400,26 +411,48 @@ def path_links(g: NetworkGraph, pred: array, root: int, node: int) -> list[Link]
 def shortest_path_tree(
     g: NetworkGraph, root: int, leaves: set[int] | frozenset[int]
 ) -> DeliveryTree:
-    """Union of least-delay root-to-leaf paths."""
+    """Union of least-delay root-to-leaf paths.
+
+    The graph keeps the last tree built from each root, with its fid, so at
+    most one tree per searched root is held. The graph never changes after
+    load, so a root asked again for the same leaves gets that same tree
+    back, after the same checks and `dijkstra` call, without a path walk.
+    """
     if root not in g.nodes:
         raise TopologyError(f"root {root} not in graph")
     if not g.nodes.issuperset(leaves):
         unknown = sorted(leaf for leaf in leaves if leaf not in g.nodes)
         raise TopologyError(f"leaves not in graph: {unknown}")
     pred = dijkstra(g, root)
+    held = g._tree_by_root.get(root)
+    if held is not None and held[0].leaves == leaves:
+        return held[0]
     number = g._search_index.number
     unreachable = [leaf for leaf in leaves if leaf != root and pred[number[leaf]] < 0]
     if unreachable:
         raise TopologyError(f"unreachable leaves: {sorted(unreachable)}")
-    edges = {link for leaf in leaves for link in path_links(g, pred, root, leaf)}
-    return DeliveryTree(root=root, leaves=frozenset(leaves), edges=frozenset(edges))
+    edges = frozenset(link for leaf in leaves for link in path_links(g, pred, root, leaf))
+    fid = 0
+    for link in edges:
+        fid |= link.lid
+    tree = DeliveryTree(root=root, leaves=frozenset(leaves), edges=edges)
+    g._tree_by_root[root] = (tree, fid)
+    return tree
 
 
 def fid_for_tree(g: NetworkGraph, tree: DeliveryTree) -> int:
-    """OR of the tree's link masks; the empty tree yields the zero mask."""
+    """OR of the tree's link masks; the empty tree yields the zero mask, and
+    an edge that is not one of `g`'s links raises `TopologyError`. The fid
+    of the last tree `shortest_path_tree` built from a root was computed
+    with it and is read back; any other tree's edges are checked one by one."""
+    held = g._tree_by_root.get(tree.root)
+    if held is not None and held[0] is tree:
+        return held[1]
     fid = 0
+    by_pair = g._by_pair
     for edge in tree.edges:
-        if g.link(edge.src, edge.dst) != edge:
+        link = by_pair.get((edge.src, edge.dst))
+        if link is not edge and link != edge:
             raise TopologyError(f"tree edge {edge.src}->{edge.dst} not in graph")
         fid |= edge.lid
     return fid

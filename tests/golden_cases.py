@@ -1,4 +1,4 @@
-"""The pinned cases: 81 benchmark cases and 150 dense-grid ones, and a check of them.
+"""The pinned cases: 81 benchmark, 150 dense-grid and 6 counter cases, and a check of them.
 
 A benchmark case is one workload of `perfbench/workloads.py` at seed 1, 2
 or 7, run in ICN mode, in ICN mode with ideal control or in IP mode, to
@@ -6,7 +6,10 @@ quiescence or cut at 50 ms or at 200 ms. None of them forwards a copy off
 its tree or drops one for its TTL, so the grid cases pin those anomalies:
 a grid case is one of 25 seeded dense grids (`grid_inputs`; the last 5
 have a NAP on half of their nodes only), run in ICN mode with and without
-ideal control, to quiescence or cut at 10 ms or at 105 ms. A row holds
+ideal control, to quiescence or cut at 10 ms or at 105 ms. Neither kind
+drops a packet or fetches a URL nobody serves, so the counter cases do:
+each is one hand-built scenario (`counter_inputs`) run in the three modes,
+to quiescence or cut at 3 ms. A row holds
 the sha1 of the report, the sha1 of the trace rows sorted and in the
 order the sink got them, and the events the run queued (`queue._seq`).
 
@@ -43,6 +46,7 @@ FULL_GRIDS = 20  # grids below this index have a NAP on every node
 GRID_MODES = ("icn", "icn-ideal")
 # the 100 ms HTTP window holds each response, so 105 ms cuts them in flight
 GRID_LIMITS = {"full": None, "10ms": 10_000, "105ms": 105_000}
+COUNTER_LIMITS = {"full": None, "3ms": 3_000}
 
 
 @lru_cache(maxsize=None)
@@ -61,6 +65,8 @@ def inputs(workload: str, seed: int):
     workload "grid", `seed` being its index."""
     if workload == "grid":
         return grid_inputs(seed)
+    if workload == "counters":
+        return counter_inputs()
     generated = _generator().generate(workload, seed)
     return generated.topology_text, load_scenario(generated.scenario_text)
 
@@ -104,13 +110,49 @@ def grid_inputs(index: int):
     return json.dumps(topology), scenario
 
 
-def case_ids(seeds: tuple[int, ...] = SEEDS, grids: tuple[int, ...] = GRIDS) -> list[str]:
-    """Every benchmark case of `seeds` and grid case of `grids`, as
-    "workload/seed/mode/limit" (a grid's is "grid/index/mode/limit")."""
+def counter_inputs():
+    """The topology text and loaded scenario of the counter cases: a ring of
+    six 1 ms links with NAPs 2-5 on nodes 2-5 and the border on node 1. A
+    fetch runs before its FQDN is served (`unroutable_http`) and one after;
+    one `ext_in` is addressed outside the address plan and one to a device;
+    70 sends to one name leave in one instant, so in ICN mode 6 fall out of
+    the pending queue before the fid arrives, while the baseline delivers
+    all 70; a send to an unattached address in the plan is dropped by the
+    baseline and stays pending in ICN mode; a send leaves by the border."""
+    topology = {"nodes": [{"id": node} for node in range(1, 7)],
+                "links": [{"a": node, "b": node % 6 + 1} for node in range(1, 7)],
+                "naps": [{"client": node, "node": node, "prefixes": [f"10.0.{node}.0/24"]}
+                         for node in range(2, 6)],
+                "border": {"client": 99, "node": 1}}
+    get = {"op": "http_get", "client": 4, "fqdn": "late.example", "url": "/x",
+           "resp_bytes": 3000}
+    send = {"op": "send_ip", "client": 2, "src": "10.0.2.9", "bytes": 100}
+    ops = [{"t_us": 0, "op": "attach", "client": node, "addr": f"10.0.{node}.9"}
+           for node in range(2, 5)]
+    ops += [{"t_us": 0, **get},
+            {"t_us": 500, "op": "http_serve", "client": 5, "fqdn": "late.example"},
+            {"t_us": 1000, "op": "ext_in", "dst": "192.0.2.7", "bytes": 200},
+            {"t_us": 1000, "op": "ext_in", "dst": "10.0.3.9", "bytes": 200},
+            *[{"t_us": 2000, **send, "dst": "10.0.3.9"}] * 70,
+            {"t_us": 2000, **send, "dst": "10.0.4.77"},
+            {"t_us": 2500, "op": "send_ip", "client": 3, "src": "10.0.3.9",
+             "dst": "198.51.100.1", "bytes": 300},
+            {"t_us": 4000, **get}]
+    scenario = load_scenario(json.dumps({"workload": ops, "seed": 5}))
+    return json.dumps(topology), scenario
+
+
+def case_ids(seeds: tuple[int, ...] = SEEDS, grids: tuple[int, ...] = GRIDS,
+             counters: bool = True) -> list[str]:
+    """Every benchmark case of `seeds`, grid case of `grids` and, if
+    `counters`, counter case, as "workload/seed/mode/limit" (a grid's is
+    "grid/index/mode/limit", a counter case's "counters/0/mode/limit")."""
     return [f"{workload}/{seed}/{mode}/{limit}" for workload in WORKLOADS for seed in seeds
             for mode in MODES for limit in LIMITS] + [
         f"grid/{index}/{mode}/{limit}" for index in grids for mode in GRID_MODES
-        for limit in GRID_LIMITS]
+        for limit in GRID_LIMITS] + [
+        f"counters/0/{mode}/{limit}" for mode in MODES if counters
+        for limit in COUNTER_LIMITS]
 
 
 def simulate(case: str, trace=None):
@@ -123,7 +165,8 @@ def simulate(case: str, trace=None):
         sim = BaselineSimulation(topo, scenario, trace=trace)
     else:
         sim = IcnSimulation(topo, scenario, ideal_control=mode == "icn-ideal", trace=trace)
-    max_time_us = (GRID_LIMITS if workload == "grid" else LIMITS)[limit]
+    limits = {"grid": GRID_LIMITS, "counters": COUNTER_LIMITS}.get(workload, LIMITS)
+    max_time_us = limits[limit]
     return sim, sim.run() if max_time_us is None else sim.run(max_time_us)
 
 
@@ -167,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, choices=SEEDS, action="append",
                         help="only this seed's benchmark cases (repeatable)")
     args = parser.parse_args(argv)
-    cases = case_ids(tuple(args.seed), grids=()) if args.seed else case_ids()
+    cases = case_ids(tuple(args.seed), grids=(), counters=False) if args.seed else case_ids()
     if not args.check:
         json.dump({case: run_case(case, traced=True) for case in cases}, sys.stdout,
                   indent=1, sort_keys=True)

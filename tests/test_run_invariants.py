@@ -10,6 +10,11 @@
 - The plan memo is only a cache: keeping one plan beyond the standing
   trees instead of `_LOOSE_FIDS`, or none at all, gives the same report
   and trace.
+- The tree memo is only a cache: a run whose graph forgets its trees
+  before each `shortest_path_tree` call gives the same report, sorted and
+  unsorted trace and events (also over the pinned tier-1 golden cases),
+  flash_crowd builds one tree per root, and after any run the graph holds
+  no more trees than roots it searched.
 - A teardown is answered without a tree, and that is only a shortcut:
   the fid message equals `handle_match` over `tree_for_match`'s tree,
   the publisher's node already has its Dijkstra run, and the tree's
@@ -33,6 +38,7 @@ depends on how ties break shows.
 """
 
 import math
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -42,8 +48,9 @@ from hypothesis import strategies as st
 import golden_cases
 from conftest import drop_row, make_topology_doc
 from test_mode_parity import cases
+from test_golden_cases import GRIDS, TABLE
 from test_simnet import TestSaturatedFid
-from ipicn import simnet
+from ipicn import simnet, topology
 from ipicn.gateways import SEGMENT_CHUNK
 from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
 from ipicn.topology import handle_match, load_topology_doc, tree_for_match
@@ -327,6 +334,74 @@ def test_the_fid_memo_is_only_a_cache(case):
         assert traced(IcnSimulation) == default
 
 
+@contextmanager
+def forgetting_trees():
+    """Each `shortest_path_tree` call finds its graph holding no tree, so
+    every tree is built anew."""
+    build = topology.shortest_path_tree
+
+    def forgetful(g, root, leaves):
+        g._tree_by_root.clear()
+        return build(g, root, leaves)
+
+    with mock.patch.object(topology, "shortest_path_tree", forgetful):
+        yield
+
+
+def assert_trees_bounded(graph) -> None:
+    """The graph holds one tree at most per root it searched, each with
+    the OR of its links' masks."""
+    assert graph._tree_by_root.keys() <= graph._pred_by_root.keys()
+    for root, (tree, fid) in graph._tree_by_root.items():
+        mask = 0
+        for edge in tree.edges:
+            mask |= graph.link(edge.src, edge.dst).lid
+        assert tree.root == root and fid == mask
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(runs(), runs(tie_prone=True)), ideal_control=st.booleans())
+@example(case=star_fetch(), ideal_control=False)
+def test_the_tree_memo_is_only_a_cache(case, ideal_control):
+    doc, scenario = case
+
+    def traced():
+        rows: list[str] = []
+        sim = IcnSimulation(doc, scenario, ideal_control=ideal_control, trace=rows.append)
+        report = sim.run()
+        return report.to_canonical_json(), rows, sim.queue._seq
+
+    default = traced()
+    assert_trees_bounded(doc.graph)
+    with forgetting_trees():
+        assert traced() == default
+
+
+@pytest.mark.parametrize("case", [case for case in golden_cases.case_ids(seeds=(1,), grids=GRIDS)
+                                  if "/ip/" not in case])
+def test_a_tier_1_case_with_no_tree_held_is_as_pinned(case):
+    with forgetting_trees():
+        assert golden_cases.check(case, TABLE) == []
+
+
+def test_flash_crowd_builds_one_tree_per_root():
+    """flash_crowd at seed 1 asks for 750 trees from 7 roots, and each root
+    always for one leaf set: 6 access nodes for the server's response tree,
+    the server's node for each access node's request tree."""
+    topology_text, scenario = golden_cases.inputs("flash_crowd", 1)
+    topo = load_topology_doc(topology_text, scenario.seed)
+    asked, built = [], []
+    ask, build = topology.shortest_path_tree, topology.DeliveryTree
+    with mock.patch.object(topology, "shortest_path_tree",
+                           lambda *args: asked.append(args[1]) or ask(*args)), \
+         mock.patch.object(topology, "DeliveryTree",
+                           lambda **fields: built.append(fields["root"]) or build(**fields)):
+        IcnSimulation(topo, scenario).run()
+    assert (len(asked), len(built)) == (750, 7)
+    assert sorted(built) == sorted(set(asked))
+    assert_trees_bounded(topo.graph)
+
+
 class RecordingTeardowns(IcnSimulation):
     """Checks each match event with no subscribers, which the TM answers
     without building a tree: the fid message it sends is what
@@ -371,6 +446,7 @@ def test_a_teardown_is_answered_as_its_tree_would_be(case, ideal_control):
     doc, scenario = case
     sim = RecordingTeardowns(doc, scenario, ideal_control=ideal_control)
     report = sim.run()
+    assert_trees_bounded(doc.graph)
     assert report.to_canonical_json() == IcnSimulation(
         doc, scenario, ideal_control=ideal_control).run().to_canonical_json()
 
@@ -380,5 +456,6 @@ def test_a_benchmark_teardown_is_answered_as_its_tree_would_be(workload):
     topology_text, scenario = golden_cases.inputs(workload, 1)
     sim = RecordingTeardowns(load_topology_doc(topology_text, scenario.seed), scenario)
     sim.run()
+    assert_trees_bounded(sim.graph)
     # unicast_mesh fetches nothing and withdraws nothing, so tears no tree down
     assert (sim.teardowns > 0) is (workload != "unicast_mesh")

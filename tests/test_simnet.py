@@ -1007,6 +1007,19 @@ class TestIpPacketFate:
         assert [r.split(",")[2] for r in rows].count(row) == 1
         assert sim.send_time == {}
 
+    @pytest.mark.parametrize("client, dst, locality", [
+        (1, "10.0.1.6", Locality.INTERNAL),
+        (99, "8.8.8.8", Locality.EXTERNAL),
+    ], ids=["nap", "border"])
+    def test_a_corrupt_copy_is_counted_in_the_report(self, client, dst, locality):
+        """No op sends a malformed payload, so no pinned case counts
+        `corrupt`: a gateway handed one mid-run must count it in the report."""
+        attach = {"t_us": 0, "op": "attach", "client": 1, "addr": "10.0.1.6"}
+        sim = IcnSimulation(two_node_doc(), Scenario(workload=[attach]))
+        copy = IcnPacket(fid=0, name=name_for_ip(dst, locality), payload=b"\x00")
+        sim.queue.push(10, lambda: sim.gateways[client].on_icn_data(copy))
+        assert sim.run().counters["corrupt"] == 1
+
 
 class TestEventOrder:
     """The ops, fed from the scenario's run-order tuple, interleave with

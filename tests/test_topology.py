@@ -15,6 +15,7 @@ from conftest import make_topology_doc, random_connected_graph
 from ipicn.names import IcnName
 from ipicn.rendezvous import MatchEvent
 from ipicn.topology import (
+    DeliveryTree,
     Link,
     NetworkGraph,
     TopologyError,
@@ -368,8 +369,55 @@ class TestShortestPathTree:
         assert t1 == t2
         assert fid_for_tree(g, t1) == fid_for_tree(g, t2)
 
+    def test_a_root_asked_again_for_its_leaves_gets_its_last_tree_back(self):
+        g = make_topology_doc([1, 2, 3], [(1, 2), (2, 3)]).graph
+        far = shortest_path_tree(g, 1, {3})
+        assert shortest_path_tree(g, 1, frozenset({3})) is far
+        assert shortest_path_tree(g, 3, {3}) is not far  # another root
+        near = shortest_path_tree(g, 1, {2})
+        assert {(e.src, e.dst) for e in near.edges} == {(1, 2)}
+        again = shortest_path_tree(g, 1, {3})  # the root's last tree is `near`
+        assert again == far and again is not far
+        assert g._tree_by_root.keys() == {1, 3}
+
+    def test_the_graph_holds_one_tree_at_most_per_searched_root(self):
+        rng = random.Random(71)
+        nodes, pairs = random_connected_graph(rng, 12, 10)
+        g = make_topology_doc(nodes, pairs).graph
+        for _ in range(200):
+            root = rng.choice(nodes)
+            leaves = set(rng.sample(nodes, rng.randint(0, 3)))
+            tree = shortest_path_tree(g, root, leaves)
+            assert tree.leaves == leaves
+            assert g._tree_by_root[root][0] is tree
+            assert len(g._tree_by_root) <= len(g._pred_by_root)
+
 
 class TestFidForTree:
+    def test_a_held_tree_and_an_equal_one_built_by_hand_get_one_fid(self):
+        rng = random.Random(73)
+        nodes, pairs = random_connected_graph(rng, 15, 10)
+        g = make_topology_doc(nodes, pairs).graph
+        for root in nodes:
+            tree = shortest_path_tree(g, root, set(rng.sample(nodes, 4)))
+            copy = DeliveryTree(tree.root, tree.leaves,
+                                frozenset(Link(e.src, e.dst, e.delay_us, e.capacity_bps, e.lid)
+                                          for e in tree.edges))
+            fid = 0
+            for edge in tree.edges:
+                fid |= g.link(edge.src, edge.dst).lid
+            assert fid_for_tree(g, tree) == fid_for_tree(g, copy) == fid
+
+    @pytest.mark.parametrize("edge", [
+        Link(1, 2, 1000, 10**9, 1),  # the graph's pair, another mask
+        Link(1, 3, 1000, 10**9, 1),  # no such link
+    ], ids=["changed", "absent"])
+    def test_an_edge_not_in_the_graph_is_refused(self, edge):
+        g = make_topology_doc([1, 2, 3], [(1, 2), (2, 3)]).graph
+        shortest_path_tree(g, 1, {2})  # the root's held tree is another
+        with pytest.raises(TopologyError, match=rf"^tree edge 1->{edge.dst} not in graph$"):
+            fid_for_tree(g, DeliveryTree(1, frozenset({edge.dst}), frozenset({edge})))
+
     def test_empty_tree_zero_mask(self):
         g = make_topology_doc([1, 2], [(1, 2)]).graph
         assert fid_for_tree(g, shortest_path_tree(g, 1, {1})) == 0

@@ -8,7 +8,6 @@ compares it with the analytic estimate rho^5, where rho is the fraction
 of identifier bits set.
 """
 
-import dataclasses
 import json
 import random
 
@@ -44,7 +43,8 @@ def walk(g, root, fid, tree_pairs):
             if (link.src, link.dst) not in tree_pairs:
                 hits += 1
             reached.add(link.dst)
-            frontier.append((link.dst, dataclasses.replace(copy, ttl=copy.ttl - 1), link))
+            onward = IcnPacket(copy.fid, copy.name, copy.payload, copy.ttl - 1)
+            frontier.append((link.dst, onward, link))
         if copy.ttl > 1:
             for link in g.out_links(node):
                 if in_link is not None and link.dst == in_link.src:

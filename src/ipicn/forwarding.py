@@ -5,13 +5,17 @@ the OR of the masks along a delivery tree. A node forwards a packet on
 exactly the outgoing links whose mask is contained in the packet's
 identifier, so multicast needs no per-node state. TTL bounds the loops that
 mask false positives can otherwise produce.
+
+A packet is an immutable tuple-based value, as cheap to build as a tuple.
+It carries its wire size, reckoned once when it is built by `wire_size`,
+the one formula control messages are sized by too, without building them.
 """
 
 from __future__ import annotations
 
 import random
 import struct
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from .names import MAX_DEPTH, IcnName
@@ -28,33 +32,62 @@ MAX_PAYLOAD = 65535
 _FIXED_OVERHEAD = 32 + 4 + 2
 
 
-@dataclass(frozen=True)
-class IcnPacket:
-    """On-wire data unit: forwarding id, TTL, name, opaque payload: `bytes`,
-    or a value whose `len()` and `bytes()` are those bytes."""
+class IcnPacket(tuple):
+    """On-wire data unit: forwarding id, name, opaque payload (`bytes`, or a
+    value whose `len()` and `bytes()` are those bytes) and TTL. An immutable
+    value, equal to another, hashed and shown by (fid, name, payload, ttl),
+    and never equal to a plain tuple. It is the tuple of those fields and
+    `wire_size`, the packet's bytes on the wire, reckoned once by
+    `wire_size()` when the packet is built."""
 
+    __slots__ = ()
     fid: int
     name: IcnName
-    payload: bytes = b""
-    ttl: int = DEFAULT_TTL
+    payload: bytes
+    ttl: int
+    wire_size: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.fid < (1 << FID_BITS):
+    def __new__(cls, fid: int, name: IcnName, payload: bytes = b"",
+                ttl: int = DEFAULT_TTL) -> IcnPacket:
+        if not 0 <= fid < (1 << FID_BITS):
             raise ValueError("forwarding id out of 256-bit range")
-        if not 1 <= self.ttl <= 255:
-            raise ValueError(f"ttl out of range: {self.ttl}")
-        if len(self.payload) > MAX_PAYLOAD:
+        if not 1 <= ttl <= 255:
+            raise ValueError(f"ttl out of range: {ttl}")
+        size = len(payload)
+        if size > MAX_PAYLOAD:
             raise ValueError(f"payload longer than {MAX_PAYLOAD} bytes")
+        return tuple.__new__(cls, (fid, name, payload, ttl, wire_size(name, size)))
 
-    @property
-    def wire_size(self) -> int:
-        return wire_size(self.name, len(self.payload))
+    fid = property(itemgetter(0))
+    name = property(itemgetter(1))
+    payload = property(itemgetter(2))
+    ttl = property(itemgetter(3))
+    wire_size = property(itemgetter(4))
+
+    # never equal to a plain tuple, either way round: a tuple subclass's
+    # comparisons are tried first
+    def __eq__(self, other: object) -> bool:
+        return type(other) is IcnPacket and self[:4] == other[:4]
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    def __hash__(self) -> int:
+        return hash(self[:4])
+
+    def __repr__(self) -> str:
+        return "IcnPacket(fid=%r, name=%r, payload=%r, ttl=%r)" % self[:4]
+
+    def __getnewargs__(self) -> tuple:
+        """The constructor's arguments, by which copy and pickle rebuild it."""
+        return self[:4]
 
 
 def wire_size(name: IcnName, payload_len: int) -> int:
     """Bytes on the wire of a packet under `name` with a `payload_len`-byte
-    payload; control messages are sized by this without being built."""
-    elems = len(name.scopes) + (1 if name.is_item else 0)
+    payload: every `IcnPacket`'s `wire_size`, and the size of each control
+    message, which is never built."""
+    elems = len(name.scopes) if name.item is None else len(name.scopes) + 1
     return _FIXED_OVERHEAD + 8 * elems + payload_len
 
 

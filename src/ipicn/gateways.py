@@ -11,6 +11,9 @@ The border gateway relays between the ICN domain and external IP peers:
 it holds a standing subscription to the external scope and encapsulates
 ingress traffic under internal names.
 
+Every gateway of a simulation shares one `AddressPlan`, which also names
+each destination once, the first time a packet is sent to it.
+
 Devices only ever see IpPacket and HttpResponse values; no ICN type
 crosses the device boundary. An encapsulation carries the sent IpPacket
 itself: its payload has the length and bytes of `encode_ip_packet`, built
@@ -264,13 +267,28 @@ def decode_ip_packet(buf: bytes | _Encapsulated) -> IpPacket:
 
 class AddressPlan:
     """The operator's address plan: which IPv4 addresses are internal. A
-    membership test is one set lookup per distinct prefix length."""
+    membership test is one set lookup per distinct prefix length.
+
+    The plan also names destinations for every gateway that shares it:
+    `name_for` gives and keeps an address's `name_for_ip` name under the
+    locality the plan gives it, one entry per distinct address asked about,
+    so every later packet to that address takes one lookup."""
 
     def __init__(self, prefixes: Iterable[ipaddress.IPv4Network]) -> None:
         by_mask: dict[int, set[int]] = {}
         for p in prefixes:
             by_mask.setdefault(int(p.netmask), set()).add(int(p.network_address))
         self._by_mask = tuple((mask, frozenset(nets)) for mask, nets in by_mask.items())
+        self._names: dict[ipaddress.IPv4Address, IcnName] = {}
+
+    def name_for(self, addr: ipaddress.IPv4Address) -> IcnName:
+        """The name packets to `addr` travel under: its internal name if the
+        plan holds it, else its external one."""
+        name = self._names.get(addr)
+        if name is None:
+            loc = Locality.INTERNAL if addr in self else Locality.EXTERNAL
+            name = self._names[addr] = name_for_ip(addr, loc)
+        return name
 
     def __contains__(self, addr: ipaddress.IPv4Address) -> bool:
         value = int(addr)
@@ -369,7 +387,7 @@ class _IcnClient:
     def _emit(self, name: IcnName, payload: bytes | _Encapsulated,
               cached: tuple[int, bool]) -> None:
         fid, local = cached
-        pkt = IcnPacket(fid=fid, name=name, payload=payload, ttl=DEFAULT_TTL)
+        pkt = IcnPacket(fid, name, payload, DEFAULT_TTL)
         self.env.transmit(self.client, pkt)
         if local:
             self.on_icn_data(pkt)  # the publisher's own copy: its verdict is not counted
@@ -435,11 +453,11 @@ class Nap(_IcnClient):
         self.env.subscribe(self.client, name)
 
     def send_ip(self, pkt: IpPacket) -> None:
-        """Encapsulate a device packet under its destination's name."""
+        """Encapsulate a device packet under its destination's name, as the
+        shared address plan names it."""
         if pkt.src not in self.addresses:
             raise ValueError(f"source {pkt.src} not assigned at this NAP")
-        loc = Locality.INTERNAL if pkt.dst in self.operator_plan else Locality.EXTERNAL
-        self._send_encapsulated(name_for_ip(pkt.dst, loc), pkt)
+        self._send_encapsulated(self.operator_plan.name_for(pkt.dst), pkt)
 
     def http_get(self, fqdn: str, url: str, resp_bytes: int) -> None:
         """Fetch a URL: subscribe to the response, publish the request."""
@@ -477,7 +495,7 @@ class Nap(_IcnClient):
         except ValueError:
             self.counters["corrupt"] += 1
             return True
-        if ip.dst != addr:
+        if ip.dst is not addr and ip.dst != addr:  # identity first: a run parses an address once
             return False
         self.env.note_ip_delivered(self.client, ip)
         return True
@@ -567,11 +585,14 @@ class BorderGateway(_IcnClient):
         self.env.subscribe(self.client, external_scope())
 
     def ingress(self, pkt: IpPacket) -> None:
-        """An external sender's packet entering the operator domain."""
-        if pkt.dst not in self.operator_plan:
+        """An external sender's packet entering the operator domain: sent
+        under its destination's internal name, or dropped if the address
+        plan names it external."""
+        name = self.operator_plan.name_for(pkt.dst)
+        if name.scopes[: 2] == _EXTERNAL_SCOPES:  # outside the plan
             self.env.note_ip_dropped(pkt)
             return
-        self._send_encapsulated(name_for_ip(pkt.dst, Locality.INTERNAL), pkt)
+        self._send_encapsulated(name, pkt)
 
     def on_icn_data(self, pkt: IcnPacket) -> bool:
         """Externally-destined data leaves over the peering link."""

@@ -56,7 +56,7 @@ import ipaddress
 import json
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -691,7 +691,7 @@ class IcnSimulation(_AccountingMixin):
         link, never on the TTL, and every copy is the emitted packet: so
         only one emitted with TTL 1 needs a copy, of TTL 2, to pass
         forward()'s check."""
-        probe = pkt if pkt.ttl > 1 else replace(pkt, ttl=2)
+        probe = pkt if pkt.ttl > 1 else IcnPacket(pkt.fid, pkt.name, pkt.payload, 2)
         return Plan.build(node, pkt.ttl,
                           lambda node, in_link: forward(self.graph, node, probe, in_link),
                           meta, self._gateways_at)

@@ -3,7 +3,6 @@ simulations that capture what their delivery hooks see."""
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import json
 import random
@@ -72,7 +71,8 @@ def flood(g: NetworkGraph, origin: int, pkt: IcnPacket):
         for link in forward(g, node, copy, in_link):
             traversals.append((link.src, link.dst))
             arrivals[link.dst] = arrivals.get(link.dst, 0) + 1
-            frontier.append((link.dst, dataclasses.replace(copy, ttl=copy.ttl - 1), link))
+            onward = IcnPacket(copy.fid, copy.name, copy.payload, copy.ttl - 1)
+            frontier.append((link.dst, onward, link))
     return arrivals, traversals
 
 

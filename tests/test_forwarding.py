@@ -1,14 +1,19 @@
 """Link masks, the forwarding decision and the packet codec."""
 
+import copy
+import ipaddress
 import math
+import pickle
 import random
 
 import pytest
 
 from conftest import flood, make_topology_doc
 from ipicn.forwarding import (
+    DEFAULT_TTL,
     FID_BITS,
     LID_SET_BITS,
+    MAX_PAYLOAD,
     IcnPacket,
     decode_packet,
     encode_packet,
@@ -16,6 +21,7 @@ from ipicn.forwarding import (
     gen_lid,
     lid_matches,
 )
+from ipicn.gateways import IP_HEADER_SIZE, IpPacket, _Encapsulated
 from ipicn.names import IcnName
 
 
@@ -199,3 +205,74 @@ class TestCodec:
     def test_payload_cap_enforced(self):
         with pytest.raises(ValueError):
             IcnPacket(fid=0, name=IcnName((1,)), payload=b"x" * 65536)
+
+
+class TestIcnPacketValue:
+    NAME = IcnName((1, 2), 3)
+
+    def test_fields_cannot_be_assigned(self):
+        pkt = IcnPacket(5, self.NAME, b"ab")
+        for field in ("fid", "name", "payload", "ttl", "wire_size", "other"):
+            with pytest.raises(AttributeError):
+                setattr(pkt, field, 0)
+
+    def test_both_forms_and_the_defaults_build_one_value(self):
+        pkt = IcnPacket(fid=5, name=self.NAME)
+        assert (pkt.fid, pkt.name, pkt.payload, pkt.ttl) == (5, self.NAME, b"", DEFAULT_TTL)
+        assert pkt == IcnPacket(5, self.NAME, b"", DEFAULT_TTL)
+
+    def test_equality_hash_and_repr_go_by_the_four_fields(self):
+        pkt = IcnPacket(5, self.NAME, b"ab", 7)
+        same = IcnPacket(fid=5, name=IcnName((1, 2), 3), payload=b"ab", ttl=7)
+        assert pkt == same and not pkt != same and hash(pkt) == hash(same)
+        assert hash(pkt) == hash((5, self.NAME, b"ab", 7))
+        assert repr(pkt) == repr(same) == (
+            "IcnPacket(fid=5, name=IcnName(scopes=(1, 2), item=3), payload=b'ab', ttl=7)")
+        for other in (IcnPacket(6, self.NAME, b"ab", 7), IcnPacket(5, IcnName((1, 2)), b"ab", 7),
+                      IcnPacket(5, self.NAME, b"aB", 7), IcnPacket(5, self.NAME, b"ab", 8)):
+            assert pkt != other and not pkt == other
+
+    def test_copies_and_pickles_are_equal_values(self):
+        pkt = IcnPacket(5, self.NAME, b"ab", 7)
+        for copied in (copy.copy(pkt), copy.deepcopy(pkt), pickle.loads(pickle.dumps(pkt))):
+            assert type(copied) is IcnPacket and copied == pkt and copied.wire_size == pkt.wire_size
+
+    def test_never_equal_to_a_plain_tuple(self):
+        pkt = IcnPacket(5, self.NAME, b"ab", 7)
+        for storage in (tuple(pkt), tuple(pkt)[:4]):
+            assert pkt != storage and storage != pkt and not pkt == storage
+
+    @pytest.mark.parametrize("fields, match", [
+        ((-1, NAME), "256-bit"),
+        ((1 << FID_BITS, NAME), "256-bit"),
+        ((0, NAME, b"", 0), "ttl"),
+        ((0, NAME, b"", 256), "ttl"),
+        ((0, NAME, bytes(MAX_PAYLOAD + 1)), "longer than"),
+    ], ids=["fid-negative", "fid-wide", "ttl-0", "ttl-256", "payload"])
+    def test_each_range_check_raises(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            IcnPacket(*fields)
+
+    def test_the_range_edges_are_accepted(self):
+        for fields in ((0, self.NAME, b"", 1), ((1 << FID_BITS) - 1, self.NAME, b"", 255),
+                       (0, self.NAME, bytes(MAX_PAYLOAD), DEFAULT_TTL)):
+            pkt = IcnPacket(*fields)
+            assert (pkt.fid, pkt.name, pkt.payload, pkt.ttl) == fields
+
+    @pytest.mark.parametrize("name", [IcnName((1,)), IcnName((1, 2), 3),
+                                      IcnName(tuple(range(16)))], ids=["scope", "item", "deep"])
+    @pytest.mark.parametrize("size", [0, 1, 1400])
+    def test_wire_size_is_the_encoded_length(self, name, size):
+        pkt = IcnPacket(7, name, bytes(size))
+        assert pkt.wire_size == len(encode_packet(pkt))
+
+    @pytest.mark.parametrize("size", [0, 5, 1400])
+    def test_an_encapsulation_is_sized_without_building_its_payload(self, size):
+        reads = []
+        src, dst = ipaddress.IPv4Address("10.0.1.5"), ipaddress.IPv4Address("10.0.2.9")
+        ip = IpPacket.of_size(src, dst, 17, 1, size, lambda pkt: reads.append(pkt) or bytes(size))
+        pkt = IcnPacket(7, self.NAME, _Encapsulated(ip))
+        overhead = IcnPacket(7, self.NAME).wire_size  # the header and the name's elements
+        assert pkt.wire_size == overhead + IP_HEADER_SIZE + size
+        assert reads == []
+        assert pkt.wire_size == len(encode_packet(pkt)) and reads == [ip]

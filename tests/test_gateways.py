@@ -213,6 +213,19 @@ class TestAddressPlan:
                 addr = ipaddress.IPv4Address(value)
                 assert (addr in plan) == any(addr in p for p in prefixes), (addr, prefixes)
 
+    def test_names_each_destination_once_under_its_locality(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gateways, "name_for_ip",
+                            lambda addr, loc: calls.append(addr) or name_for_ip(addr, loc))
+        plan = AddressPlan([ipaddress.IPv4Network("10.0.0.0/16")])
+        inside, outside = ipaddress.IPv4Address("10.0.1.5"), ipaddress.IPv4Address("8.8.8.8")
+        for _ in range(3):
+            assert plan.name_for(inside) is name_for_ip(inside, Locality.INTERNAL)
+            assert plan.name_for(outside) is name_for_ip(outside, Locality.EXTERNAL)
+            # an equal address parsed again finds the same entry
+            assert plan.name_for(ipaddress.IPv4Address("10.0.1.5")) is plan.name_for(inside)
+        assert calls == [inside, outside]
+
 
 class TestAttach:
     def test_attach_subscribes_to_internal_name(self, env, nap1):

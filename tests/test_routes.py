@@ -1,11 +1,16 @@
 """Fixed paths: `Route.walk` against hand-computed hop times, and no
-untraced message of the benchmark workloads walks or builds an IP payload."""
+untraced message of the benchmark workloads walks or builds an IP payload,
+and no ICN emission builds more than its one packet or names its destination
+again."""
+
+from collections import Counter
 
 import pytest
 
 import golden_cases
 from conftest import drop_row, make_topology_doc
-from ipicn import simnet
+from ipicn import gateways, simnet
+from ipicn.forwarding import IcnPacket
 from ipicn.routes import OFF_TREE, Plan, Route
 from ipicn.simnet import BaselineSimulation, IcnSimulation, Scenario
 from ipicn.topology import load_topology_doc
@@ -64,7 +69,8 @@ class TestWalk:
 
 class TestOneStepTraffic:
     """Untraced, every message of the benchmark workloads at seed 1 is
-    carried in one step, so none walks; a traced run walks every one."""
+    carried in one step, so none walks; a traced run walks every one. No
+    run builds an IP payload, and an ICN run builds one packet per emission."""
 
     @staticmethod
     def count_walked(monkeypatch):
@@ -115,3 +121,40 @@ class TestOneStepTraffic:
         assert ([len(sim._make_ip_packet(op).payload) for op in sends]
                 == [op.get("bytes", 0) for op in sends])
         assert built[0] == len(sends)
+
+    EMISSIONS = {"unicast_mesh": 6_600, "http_churn": 500, "flash_crowd": 930}
+
+    @pytest.mark.parametrize("workload", golden_cases.WORKLOADS)
+    def test_each_emission_builds_one_packet_and_names_nothing_again(self, monkeypatch,
+                                                                     workload):
+        """An ICN run builds one `IcnPacket` per emission: a copy crosses its
+        links as the emitted packet, and no emission here has TTL 1, so
+        `_plan` builds no probe. It names each destination once, in the
+        address plan's table: `name_for_ip` runs at most once per attach and
+        once per distinct destination of a send, not once per packet."""
+        counts = Counter()
+        new, transmit = IcnPacket.__new__, IcnSimulation.transmit
+        name_for_ip = gateways.name_for_ip
+
+        def counting_new(cls, *args, **kwargs):
+            counts["packets"] += 1
+            return new(cls, *args, **kwargs)
+
+        def counting_transmit(sim, client, pkt):
+            counts["emissions"] += 1
+            transmit(sim, client, pkt)
+
+        def counting_name(addr, loc):
+            counts["names"] += 1
+            return name_for_ip(addr, loc)
+
+        monkeypatch.setattr(IcnPacket, "__new__", staticmethod(counting_new))
+        monkeypatch.setattr(IcnSimulation, "transmit", counting_transmit)
+        monkeypatch.setattr(gateways, "name_for_ip", counting_name)
+        topology_text, scenario = golden_cases.inputs(workload, 1)
+        IcnSimulation(load_topology_doc(topology_text, scenario.seed), scenario).run()
+        ops = Counter(op["op"] for op in scenario.workload)
+        destinations = {op["dst"] for op in scenario.workload if op["op"] in ("send_ip", "ext_in")}
+        assert counts["emissions"] == self.EMISSIONS[workload]
+        assert counts["packets"] == counts["emissions"]
+        assert counts["names"] <= ops["attach"] + len(destinations)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import golden_cases
 from conftest import (
     CapturingBaselineSimulation,
     CapturingIcnSimulation,
@@ -1019,6 +1020,25 @@ class TestIpPacketFate:
         copy = IcnPacket(fid=0, name=name_for_ip(dst, locality), payload=b"\x00")
         sim.queue.push(10, lambda: sim.gateways[client].on_icn_data(copy))
         assert sim.run().counters["corrupt"] == 1
+
+    @pytest.mark.parametrize("cls", [
+        pytest.param(IcnSimulation, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "an ICN NAP queues a send to an unattached address in the plan under "
+                "a name no one subscribes to, so it is counted nowhere until its "
+                "pending queue overflows"))),
+        BaselineSimulation,
+    ], ids=["icn", "ip"])
+    def test_a_send_to_an_unattached_address_in_the_plan_is_a_drop(self, cls):
+        """The counter rows' send to 10.0.4.77 lies in NAP 4's prefix, where no
+        device has that address, so it can never be delivered: a run must
+        count it in `drops`, as the baseline does, and leave no packet
+        waiting. Every other packet of the scenario is delivered or dropped
+        by the run's end."""
+        topology_text, scenario = golden_cases.counter_inputs()
+        sim = cls(load_topology_doc(topology_text, scenario.seed), scenario)
+        sim.run()
+        assert [flow for _, flow in sim.send_time.values()] == []
 
 
 class TestEventOrder:

@@ -15,17 +15,21 @@ Every gateway of a simulation shares one `AddressPlan`, which also names
 each destination once, the first time a packet is sent to it.
 
 Devices only ever see IpPacket and HttpResponse values; no ICN type
-crosses the device boundary. An encapsulation carries the sent IpPacket
-itself: its payload has the length and bytes of `encode_ip_packet`, built
-only if read, and the far gateway gets the packet back unparsed; only a
-`bytes` payload is parsed. A gateway's `on_icn_data` says whether a data
-copy is its own; the environment counts the refusals. Gateways only report,
-keeping no copy: each decoded IP arrival for their own address or scope,
-duplicates included, goes to `note_ip_delivered` or `note_peer_emitted`,
-each dropped packet (a full pending queue, an ingress address outside the
-operator's plan) to `note_ip_dropped`, and each completed HTTP response to
+crosses the device boundary. A payload a gateway publishes carries its
+message as a value whose `len()` and `bytes()` are those of the message's
+encoding, built only if read: an encapsulation carries the sent IpPacket,
+an HTTP request its four fields and a response segment its frame and the
+place of its filler in the body. The far gateway takes the message back
+unparsed; only a `bytes` payload is parsed. A gateway's `on_icn_data`
+says whether a data copy is its own; the environment counts the
+refusals. Gateways only report, keeping no copy: each decoded IP arrival
+for their own address or scope, duplicates included, goes to
+`note_ip_delivered` or `note_peer_emitted`, each dropped packet (a full
+pending queue, an ingress address outside the operator's plan) to
+`note_ip_dropped`, and each completed HTTP response to
 `note_http_complete`. A response holds the fetch's segments as they
-arrived; its body is joined only when a device first reads it.
+arrived; its body, carried segments' bytes included, is made and joined
+only when a device first reads it.
 """
 
 from __future__ import annotations
@@ -139,14 +143,20 @@ class IpPacket(tuple):
     def __repr__(self) -> str:
         return "IpPacket(src=%r, dst=%r, proto=%r, id=%r, payload=%r)" % self._key()
 
+    def __getnewargs__(self) -> tuple:
+        """The constructor's arguments, by which copy and pickle rebuild an
+        equal packet; a payload left to a maker is built."""
+        return self._key()
+
 
 class HttpResponse:
     """A completed HTTP exchange as seen by the requesting device, equal to
     another by (fqdn, url, body).
 
     A NAP hands over the fetch's segments as they arrived, uncopied; `body`
-    joins them into one `bytes` on its first read and keeps that, so a run
-    that reads no body joins none.
+    makes each carried segment's chunk and joins the chunks into one `bytes`
+    on its first read and keeps that, so a run that reads no body makes and
+    joins none.
     """
 
     __slots__ = ("fqdn", "url", "_body")
@@ -156,11 +166,13 @@ class HttpResponse:
     def __init__(self, fqdn: str, url: str, body: bytes) -> None:
         self.fqdn = fqdn
         self.url = url
-        self._body: bytes | dict[int, memoryview] = body
+        self._body: bytes | dict[int, memoryview | _Segment] = body
 
     @classmethod
-    def _of_segments(cls, fqdn: str, url: str, segments: dict[int, memoryview]) -> HttpResponse:
-        """A response whose body is `segments` (offset -> chunk) joined."""
+    def _of_segments(cls, fqdn: str, url: str,
+                     segments: dict[int, memoryview | _Segment]) -> HttpResponse:
+        """A response whose body is `segments` (offset -> chunk, or the
+        segment carrying it) joined."""
         response = cls(fqdn, url, b"")
         response._body = segments
         return response
@@ -169,7 +181,10 @@ class HttpResponse:
     def body(self) -> bytes:
         body = self._body
         if type(body) is dict:
-            body = self._body = b"".join([body[offset] for offset in sorted(body)])
+            chunks = [body[offset] for offset in sorted(body)]
+            body = self._body = b"".join([
+                synth_bytes(c.tag, c.length, c.offset) if type(c) is _Segment else c
+                for c in chunks])
         return body
 
     def __eq__(self, other: object) -> bool:
@@ -205,15 +220,38 @@ class _Encapsulated:
         return encode_ip_packet(self.ip)
 
 
+class _HttpRequest:
+    """The payload of a NAP's HTTP request, carrying its fields: its `len()`
+    and `bytes()` are those of `encode_http_request` of them, which is built
+    only when read. TypeError if `client` or `resp_bytes` is not an int (a
+    bool neither), where `json` would write `true` or `1.5`."""
+
+    __slots__ = ("client", "fqdn", "url", "resp_bytes")
+
+    def __init__(self, client: ClientId, fqdn: str, url: str, resp_bytes: int) -> None:
+        if type(client) is not int or type(resp_bytes) is not int:
+            raise TypeError(
+                f"HTTP request fields must be ints: {brief(client)}, {brief(resp_bytes)}")
+        self.client = client
+        self.fqdn = fqdn
+        self.url = url
+        self.resp_bytes = resp_bytes
+
+    def __len__(self) -> int:
+        return http_request_size(self.client, self.fqdn, self.url, self.resp_bytes)
+
+    def __bytes__(self) -> bytes:
+        return ('{"client": %d, "fqdn": %s, "resp_bytes": %d, "url": %s}' % (
+            self.client, encode_basestring_ascii(self.fqdn), self.resp_bytes,
+            encode_basestring_ascii(self.url))).encode()
+
+
 def encode_http_request(client: ClientId, fqdn: str, url: str, resp_bytes: int) -> bytes:
     """The request a NAP publishes to fetch `url` from `fqdn`, as `json.dumps(
     request, sort_keys=True)` writes it: ints by their repr, strings by
     `encode_basestring_ascii`. TypeError if `client` or `resp_bytes` is not
     an int (a bool neither), where `json` would write `true` or `1.5`."""
-    if type(client) is not int or type(resp_bytes) is not int:
-        raise TypeError(f"HTTP request fields must be ints: {brief(client)}, {brief(resp_bytes)}")
-    return ('{"client": %d, "fqdn": %s, "resp_bytes": %d, "url": %s}' % (
-        client, encode_basestring_ascii(fqdn), resp_bytes, encode_basestring_ascii(url))).encode()
+    return bytes(_HttpRequest(client, fqdn, url, resp_bytes))
 
 
 # the request of two zeros and two empty strings, less those four fields
@@ -227,11 +265,26 @@ def http_request_size(client: ClientId, fqdn: str, url: str, resp_bytes: int) ->
             + len(encode_basestring_ascii(fqdn)) + len(encode_basestring_ascii(url)))
 
 
-def _decode_http_request(payload: bytes) -> tuple[str, str, int] | None:
-    """(fqdn, url, resp_bytes) of a well-formed request, else None: a JSON
-    object whose fqdn and url are non-empty strings and whose client and
-    resp_bytes are JSON integers (not 1.9, "7", true or 1e3) in range. The
-    client is checked only: the response goes to every subscriber."""
+def _valid_request(client: object, fqdn: object, url: object,
+                   size: object) -> tuple[str, str, int] | None:
+    """(fqdn, url, size) if fqdn and url are non-empty strings and client
+    and size are ints in range, else None."""
+    if (type(fqdn) is str and fqdn and type(url) is str and url
+            and type(client) is int and 0 <= client <= MAX_CLIENT_ID
+            and type(size) is int and 0 <= size <= MAX_RESPONSE_BYTES):
+        return fqdn, url, size
+    return None
+
+
+def _decode_http_request(payload: bytes | _HttpRequest) -> tuple[str, str, int] | None:
+    """(fqdn, url, resp_bytes) of a well-formed request, else None: fqdn and
+    url are non-empty strings and client and resp_bytes ints in range. A
+    carried request's fields are read as they are; `bytes` must be a JSON
+    object whose client and resp_bytes are JSON integers (not 1.9, "7",
+    true or 1e3). The client is checked only: the response goes to every
+    subscriber."""
+    if type(payload) is _HttpRequest:
+        return _valid_request(payload.client, payload.fqdn, payload.url, payload.resp_bytes)
     try:
         req = json.loads(payload)
     # ValueError: a JSONDecodeError, bad UTF-8, or an over-long integer literal
@@ -239,13 +292,8 @@ def _decode_http_request(payload: bytes) -> tuple[str, str, int] | None:
         return None
     if not isinstance(req, dict):
         return None
-    fqdn, url = req.get("fqdn"), req.get("url")
-    client, size = req.get("client"), req.get("resp_bytes")
-    if (type(fqdn) is str and fqdn and type(url) is str and url
-            and type(client) is int and 0 <= client <= MAX_CLIENT_ID
-            and type(size) is int and 0 <= size <= MAX_RESPONSE_BYTES):
-        return fqdn, url, size
-    return None
+    return _valid_request(req.get("client"), req.get("fqdn"), req.get("url"),
+                          req.get("resp_bytes"))
 
 
 def decode_ip_packet(buf: bytes | _Encapsulated) -> IpPacket:
@@ -330,12 +378,34 @@ def synth_bytes(tag: str, size: int, offset: int = 0) -> bytes:
     return (pattern * ((start + size) // len(pattern) + 1))[start : start + size]
 
 
+class _Segment:
+    """The payload of one segment of a server's response, carrying its frame
+    and the place of its chunk in the body: its `len()` and `bytes()` are
+    those of the frame and `synth_bytes(tag, length, offset)`, which are
+    built only when read."""
+
+    __slots__ = ("offset", "total", "tag", "length")
+
+    def __init__(self, offset: int, total: int, tag: str, length: int) -> None:
+        self.offset = offset
+        self.total = total
+        self.tag = tag
+        self.length = length
+
+    def __len__(self) -> int:
+        return _SEGMENT_FRAME.size + self.length
+
+    def __bytes__(self) -> bytes:
+        return (_SEGMENT_FRAME.pack(self.offset, self.total)
+                + synth_bytes(self.tag, self.length, self.offset))
+
+
 @dataclass
 class _GetState:
     fqdn: str
     url: str
     count: int = 1
-    buf: dict[int, memoryview] = field(default_factory=dict)
+    buf: dict[int, memoryview | _Segment] = field(default_factory=dict)
     received: int = 0  # bytes buffered so far
     total: int | None = None  # body size in the first buffered segment's frame
 
@@ -352,7 +422,7 @@ class _IcnClient:
         self.counters: Counter[str] = Counter()
         self._fids: dict[IcnName, tuple[int, bool]] = {}
         self._pending_ip: dict[IcnName, deque[IpPacket]] = {}
-        self._pending_raw: dict[IcnName, list[bytes]] = {}
+        self._pending_raw: dict[IcnName, list[_HttpRequest | _Segment]] = {}
 
     def _queue_ip(self, name: IcnName, pkt: IpPacket) -> None:
         queue = self._pending_ip.get(name)
@@ -365,7 +435,8 @@ class _IcnClient:
             self.env.note_ip_dropped(queue[0])
         queue.append(pkt)
 
-    def _publish_once(self, name: IcnName, payloads: Iterable[bytes]) -> None:
+    def _publish_once(self, name: IcnName,
+                      payloads: Iterable[_HttpRequest | _Segment]) -> None:
         """Publish `payloads` under `name` and withdraw the name once they are
         flushed. Everything is queued before the announce: the availability
         publication can complete the whole fid round trip synchronously,
@@ -384,7 +455,7 @@ class _IcnClient:
         else:
             self._emit(name, _Encapsulated(pkt), cached)
 
-    def _emit(self, name: IcnName, payload: bytes | _Encapsulated,
+    def _emit(self, name: IcnName, payload: _Encapsulated | _HttpRequest | _Segment,
               cached: tuple[int, bool]) -> None:
         fid, local = cached
         pkt = IcnPacket(fid, name, payload, DEFAULT_TTL)
@@ -467,10 +538,10 @@ class Nap(_IcnClient):
             # a fetch for this URL is already in flight; share its response
             state.count += 1
             return
+        request = _HttpRequest(self.client, fqdn, url, resp_bytes)  # may raise: keep no state yet
         self._gets[resp_name] = _GetState(fqdn=fqdn, url=url)
         self.env.subscribe(self.client, resp_name)
-        self._publish_once(name_for_http(fqdn, HttpRole.REQUEST, url),
-                           [encode_http_request(self.client, fqdn, url, resp_bytes)])
+        self._publish_once(name_for_http(fqdn, HttpRole.REQUEST, url), [request])
 
     def http_serve(self, fqdn: str) -> None:
         """Register as the server for a host: subscribe to its request scope."""
@@ -513,7 +584,7 @@ class Nap(_IcnClient):
             return True
         return False
 
-    def _recv_request(self, payload: bytes) -> None:
+    def _recv_request(self, payload: bytes | _HttpRequest) -> None:
         request = _decode_http_request(payload)
         if request is None:
             self.counters["corrupt"] += 1
@@ -530,25 +601,28 @@ class Nap(_IcnClient):
 
     def _close_exchange(self, resp_name: IcnName, fqdn: str, url: str) -> None:
         """Window expiry: publish the response once for every requester; a
-        later request for the URL opens a new exchange. Each segment's bytes
-        are made on their own, so the whole body (up to 16 MiB) is never
-        built at the server."""
+        later request for the URL opens a new exchange. Each segment carries
+        its place in the body, so no body bytes are built at the server."""
         total = self._exchanges.pop(resp_name)
+        tag = f"{fqdn}{url}"
         self._publish_once(resp_name, [
-            _SEGMENT_FRAME.pack(offset, total) + synth_bytes(f"{fqdn}{url}", length, offset)
-            for offset, length in body_segments(total)
-        ])
+            _Segment(offset, total, tag, length) for offset, length in body_segments(total)])
 
-    def _recv_response_segment(self, name: IcnName, state: _GetState, payload: bytes) -> None:
-        if len(payload) < _SEGMENT_FRAME.size:
+    def _recv_response_segment(self, name: IcnName, state: _GetState,
+                               payload: bytes | _Segment) -> None:
+        if type(payload) is _Segment:  # buffered as it is: its chunk is made when read
+            offset, total, length, chunk = payload.offset, payload.total, payload.length, payload
+        elif len(payload) < _SEGMENT_FRAME.size:
             self.counters["corrupt"] += 1
             return
-        offset, total = _SEGMENT_FRAME.unpack_from(payload)
-        chunk = memoryview(payload)[_SEGMENT_FRAME.size :]  # shared, not copied
+        else:
+            offset, total = _SEGMENT_FRAME.unpack_from(payload)
+            chunk = memoryview(payload)[_SEGMENT_FRAME.size :]  # shared, not copied
+            length = len(chunk)
         # a chunk fills its place in body_segments(total), under the fetch's
         # one total: it starts at a multiple of SEGMENT_CHUNK and runs to the
         # next one or to the total, so a fetch's chunks add up to its body
-        if (offset % SEGMENT_CHUNK or len(chunk) != min(SEGMENT_CHUNK, total - offset)
+        if (offset % SEGMENT_CHUNK or length != min(SEGMENT_CHUNK, total - offset)
                 or state.total is not None and total != state.total):
             self.counters["corrupt"] += 1
             return
@@ -557,7 +631,7 @@ class Nap(_IcnClient):
             return
         state.total = total
         state.buf[offset] = chunk
-        state.received += len(chunk)
+        state.received += length
         if state.received < total:
             return
         response = HttpResponse._of_segments(state.fqdn, state.url, state.buf)

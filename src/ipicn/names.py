@@ -40,6 +40,9 @@ class Locality(enum.Enum):
 class HttpRole(enum.Enum):
     REQUEST = 1
     RESPONSE = 2
+    # `name_for_http`'s cache keys on a member: hash it by identity, in C,
+    # as it compares (`Enum.__hash__` runs in Python)
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

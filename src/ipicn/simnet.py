@@ -380,7 +380,10 @@ class _AccountingMixin:
             self.counters["unroutable_http"] += 1
             return None
         key = (action["client"], action["fqdn"], action["url"])
-        self._http_issue.setdefault(key, deque()).append(self.now)
+        issued = self._http_issue.get(key)
+        if issued is None:
+            issued = self._http_issue[key] = deque()
+        issued.append(self.now)
         return server
 
     def _make_ip_packet(self, action: dict) -> IpPacket:

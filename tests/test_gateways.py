@@ -1,7 +1,9 @@
 """NAP and border gateway behaviour over a synchronous control plane."""
 
+import copy
 import ipaddress
 import json
+import pickle
 import random
 import re
 import struct
@@ -158,6 +160,18 @@ class TestIpPacketValue:
         assert pkt.size == len(payload) and reads == []
         assert pkt.size == len(pkt.payload) and reads == [pkt]
         assert ip_packet("10.0.1.5", "10.0.2.9", payload=payload).size == len(payload)
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.copy, copy.deepcopy, lambda pkt: pickle.loads(pickle.dumps(pkt))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copy_and_pickle_rebuild_an_equal_packet(self, copy_of):
+        """A packet left to a maker comes back built: an unpicklable maker
+        is never pickled."""
+        for pkt in (ip_packet("10.0.1.5", "10.0.2.9", pid=3, payload=b"\x00\xff"),
+                    unbuilt("10.0.1.5", "10.0.2.9", pid=4)):
+            back = copy_of(pkt)
+            assert type(back) is IpPacket and back == pkt and hash(back) == hash(pkt)
+            assert back.size == pkt.size and back.payload == pkt.payload
 
 
 class TestEncapsulation:
@@ -521,8 +535,12 @@ def paired(text):
     ("1", "cdn.example", 10), (None, "cdn.example", 10), (1, 7, 10),
 ])
 def test_a_request_field_of_another_type_raises(client, fqdn, resp_bytes):
+    """Encoded, or carried as a NAP publishes it."""
     with pytest.raises(TypeError):
         encode_http_request(client, fqdn, "/v/1", resp_bytes)
+    if type(fqdn) is str:
+        with pytest.raises(TypeError):
+            gateways._HttpRequest(client, fqdn, "/v/1", resp_bytes)
 
 
 class TestHttp:
@@ -572,8 +590,8 @@ class TestHttp:
 
     @pytest.mark.parametrize("tag", ["a", "cdn.example/v/1"])
     def test_filler_from_an_offset_is_that_slice_of_the_whole(self, tag):
-        """The server makes each segment's bytes from its offset, never the
-        whole body: each equals that slice of the whole filler."""
+        """A segment's chunk is made from its offset, never from the whole
+        body: each equals that slice of the whole filler."""
         size = 3 * SEGMENT_CHUNK + 123
         whole = gateways.synth_bytes(tag, size)
         for offset, length in body_segments(size) + [(1, 0), (5, 7), (size - 1, 1)]:
@@ -779,3 +797,141 @@ class TestHttp:
         ends = [offset + length for offset, length in segments]
         assert [offset for offset, _ in segments] == [0, *ends[:-1]]
         assert ends[-1] == total
+
+
+def carried_payloads():
+    """One payload of each kind a gateway publishes: an encapsulation, an
+    HTTP request and a response segment (here the partial last one)."""
+    return [
+        gateways._Encapsulated(unbuilt("10.0.1.5", "10.0.2.9", pid=5, payload=b"\x00\xff")),
+        gateways._HttpRequest(7, "\u00fcn\u00ef.example", "/vid\u00e9o/\u2603", 10),
+        gateways._Segment(2 * SEGMENT_CHUNK, 2 * SEGMENT_CHUNK + 5, "cdn.example/v/1", 5),
+    ]
+
+
+class TestHttpCarriers:
+    """A NAP publishes an HTTP request, and a server its response segments,
+    as values whose `len()` and `bytes()` are their encodings, built only if
+    read; the far NAP takes them back unparsed, by the rules that a `bytes`
+    payload meets."""
+
+    @pytest.mark.parametrize("client, fqdn, url, resp_bytes", [
+        (1, "cdn.example", "/v/1", 10),
+        (MAX_CLIENT_ID, "\u00fcn\u00ef.example", "/vid\u00e9o/\U0001f600", MAX_RESPONSE_BYTES),
+        (0, '\x00"\\', "\ud800/\u2028", 0),
+    ], ids=["ascii", "non-ascii", "escaped"])
+    def test_a_carried_request_reads_as_its_encoding(self, client, fqdn, url, resp_bytes):
+        carried = gateways._HttpRequest(client, fqdn, url, resp_bytes)
+        encoded = json.dumps({"client": client, "fqdn": fqdn, "resp_bytes": resp_bytes,
+                              "url": url}, sort_keys=True).encode()
+        assert bytes(carried) == encode_http_request(client, fqdn, url, resp_bytes) == encoded
+        assert len(carried) == http_request_size(client, fqdn, url, resp_bytes) == len(encoded)
+
+    @pytest.mark.parametrize("fqdn, url", [
+        ("cdn.example", "/v/1"), ("\u00fcn\u00ef.example", "/vid\u00e9o/\u2603"),
+        ("", "/v/1"), ("cdn.example", "")], ids=["ascii", "non-ascii", "no-fqdn", "no-url"])
+    @pytest.mark.parametrize("resp_bytes", [-1, 0, MAX_RESPONSE_BYTES, MAX_RESPONSE_BYTES + 1])
+    @pytest.mark.parametrize("client", [-1, 0, MAX_CLIENT_ID, MAX_CLIENT_ID + 1])
+    def test_a_carried_request_decodes_as_its_bytes(self, client, resp_bytes, fqdn, url):
+        carried = gateways._HttpRequest(client, fqdn, url, resp_bytes)
+        answer = gateways._decode_http_request(carried)
+        assert answer == gateways._decode_http_request(bytes(carried))
+        valid = (fqdn and url and 0 <= client <= MAX_CLIENT_ID
+                 and 0 <= resp_bytes <= MAX_RESPONSE_BYTES)
+        assert answer == ((fqdn, url, resp_bytes) if valid else None)
+
+    def test_a_fetch_of_a_non_int_size_raises_and_leaves_no_fetch(self, env, nap1, nap2):
+        nap2.http_serve("cdn.example")
+        with pytest.raises(TypeError):
+            nap1.http_get("cdn.example", "/v/1", 1.5)
+        assert nap1._gets == {} and env.emissions == []
+        assert [op for op, client, _ in env.control_log if client == 1] == []
+        nap1.http_get("cdn.example", "/v/1", 10)
+        env.advance(nap2.window_us + 1)
+        assert [client for client, _ in env.http_completions] == [1]
+
+    def test_a_carried_request_out_of_range_counts_corrupt(self, env, nap1, nap2):
+        nap2.http_serve("cdn.example")
+        nap1.http_get("cdn.example", "/v/1", MAX_RESPONSE_BYTES + 1)
+        [(_, request)] = env.emissions
+        assert type(request.payload) is gateways._HttpRequest
+        assert nap2.counters["corrupt"] == 1 and nap2._exchanges == {}
+
+    @pytest.mark.parametrize("tag", ["cdn.example/v/1", "\u00fcn\u00ef.example/vid\u00e9o"])
+    @pytest.mark.parametrize("total", [0, 10, SEGMENT_CHUNK, 2 * SEGMENT_CHUNK + 5],
+                             ids=["empty", "short", "one-full", "partial-last"])
+    def test_a_carried_segment_reads_as_its_frame_and_filler(self, total, tag):
+        segments = [gateways._Segment(offset, total, tag, length)
+                    for offset, length in body_segments(total)]
+        for seg in segments:
+            assert len(seg) == 16 + seg.length
+            assert bytes(seg) == (struct.pack(">QQ", seg.offset, total)
+                                  + gateways.synth_bytes(tag, seg.length, seg.offset))
+        assert b"".join([bytes(seg)[16:] for seg in segments]) == gateways.synth_bytes(tag, total)
+
+    def test_a_server_publishes_carriers_of_the_encoded_sizes(self, env, nap1, nap2):
+        size = 2 * SEGMENT_CHUNK + 5
+        nap2.http_serve("cdn.example")
+        nap1.http_get("cdn.example", "/v/1", size)
+        env.advance(nap2.window_us + 1)
+        request, *segments = [pkt.payload for _, pkt in env.emissions]
+        assert type(request) is gateways._HttpRequest
+        assert len(request) == len(encode_http_request(1, "cdn.example", "/v/1", size))
+        assert [type(seg) for seg in segments] == [gateways._Segment] * 3
+        assert [len(seg) for seg in segments] == [16 + SEGMENT_CHUNK] * 2 + [16 + 5]
+        assert env.http_completions == [
+            (1, HttpResponse("cdn.example", "/v/1", gateways.synth_bytes("cdn.example/v/1", size)))]
+
+    def test_a_response_of_carried_segments_equals_one_of_their_bytes(
+            self, env, nap1, nap2, monkeypatch):
+        """Each requester is handed the segments out of order and one of them
+        twice, one NAP as carried, the other as bytes. The carried chunks are
+        made only when the body is read."""
+        fqdn, url, size = "cdn.example", "/v/1", 2 * SEGMENT_CHUNK + 5
+        resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
+        segments = [gateways._Segment(offset, size, f"{fqdn}{url}", length)
+                    for offset, length in body_segments(size)]
+        for nap in (nap1, nap2):
+            nap.http_get(fqdn, url, size)
+        made, synth = [0], gateways.synth_bytes
+
+        def counting(*args):
+            made[0] += 1
+            return synth(*args)
+
+        monkeypatch.setattr(gateways, "synth_bytes", counting)
+        for seg in (segments[2], segments[0], segments[2], segments[1]):
+            nap1.on_icn_data(IcnPacket(0, resp_name, seg))
+            nap2.on_icn_data(IcnPacket(0, resp_name, bytes(seg)))
+        assert made == [4]  # only the byte segments were made
+        (_, carried), (_, parsed) = env.http_completions
+        assert carried == parsed == HttpResponse(fqdn, url, synth(f"{fqdn}{url}", size))
+        assert made == [7] and type(carried.body) is bytes and carried.body is carried.body
+        assert [nap.counters for nap in (nap1, nap2)] == [{"duplicates": 1}] * 2
+
+    @pytest.mark.parametrize("offset, total, length", [
+        (SEGMENT_CHUNK, SEGMENT_CHUNK + 5, 5),  # a total other than the first segment's
+        (SEGMENT_CHUNK + 5, SEGMENT_CHUNK + 10, 5),  # an offset no segment starts at
+        (SEGMENT_CHUNK, SEGMENT_CHUNK + 10, 9),  # a chunk short of its segment
+    ])
+    def test_an_inconsistent_segment_is_corrupt_carried_or_as_bytes(
+            self, env, nap1, offset, total, length):
+        size = SEGMENT_CHUNK + 10
+        nap1.http_get("b", "/y", size)
+        resp_name = name_for_http("b", HttpRole.RESPONSE, "/y")
+        first = gateways._Segment(0, size, "b/y", SEGMENT_CHUNK)
+        bad = gateways._Segment(offset, total, "b/y", length)
+        for payload in (first, bad, bytes(bad), bytes(bad)[:15]):
+            nap1.on_icn_data(IcnPacket(0, resp_name, payload))
+        assert nap1.counters["corrupt"] == 3
+        assert list(nap1._gets[resp_name].buf) == [0]
+
+    @pytest.mark.parametrize("copy_of", [
+        copy.deepcopy, lambda pkt: pickle.loads(pickle.dumps(pkt))], ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("kind", range(3), ids=["encapsulation", "request", "segment"])
+    def test_a_packet_of_each_payload_kind_survives_copy_and_pickle(self, copy_of, kind):
+        payload = carried_payloads()[kind]
+        pkt = IcnPacket(1, name_for_http("cdn.example", HttpRole.RESPONSE, "/v/1"), payload)
+        back = copy_of(pkt)
+        assert type(back.payload) is type(payload) and back.wire_size == pkt.wire_size
+        assert len(back.payload) == len(payload) and bytes(back.payload) == bytes(payload)

@@ -2,6 +2,7 @@
 
 import ipaddress
 import random
+import sys
 
 import pytest
 
@@ -190,6 +191,19 @@ class TestInterning:
         for _ in range(3):
             with pytest.raises((ValueError, KeyError)):
                 call()
+
+    def test_a_repeated_http_naming_runs_no_python_code(self):
+        """The cache hashes its key in C: a hit calls no Python function, as
+        `Enum.__hash__` would be."""
+        fqdn, role, url = "cdn.example", HttpRole.RESPONSE, "/v/1"
+        name = name_for_http(fqdn, role, url)
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+        try:
+            again = name_for_http(fqdn, role, url)
+        finally:
+            sys.setprofile(None)
+        assert again is name and calls == []
 
     def test_every_cache_is_bounded(self):
         for mapping in (name_for_ip, name_for_http):

@@ -1,9 +1,10 @@
 """Fixed paths: `Route.walk` against hand-computed hop times, and no
 untraced message of the benchmark workloads walks or builds an IP payload,
-and no ICN emission builds more than its one packet or names its destination
-again."""
+no ICN run builds an HTTP body or request JSON, and no ICN emission builds
+more than its one packet or names its destination again."""
 
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,7 +71,8 @@ class TestWalk:
 class TestOneStepTraffic:
     """Untraced, every message of the benchmark workloads at seed 1 is
     carried in one step, so none walks; a traced run walks every one. No
-    run builds an IP payload, and an ICN run builds one packet per emission."""
+    run builds an IP payload, no ICN run an HTTP body or request JSON, and
+    an ICN run builds one packet per emission."""
 
     @staticmethod
     def count_walked(monkeypatch):
@@ -103,7 +105,7 @@ class TestOneStepTraffic:
         """Nothing a run does reads a sent packet's payload, so none is made:
         encapsulations and trace rows take its size. Reading the payload of
         a packet made after the run makes it, by `simnet.synth_bytes`. (HTTP
-        segments are built by `gateways.synth_bytes` and not counted.)"""
+        bodies are made by `gateways.synth_bytes`: see the next test.)"""
         built = [0]
         synth = simnet.synth_bytes
 
@@ -121,6 +123,42 @@ class TestOneStepTraffic:
         assert ([len(sim._make_ip_packet(op).payload) for op in sends]
                 == [op.get("bytes", 0) for op in sends])
         assert built[0] == len(sends)
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    @pytest.mark.parametrize("workload", golden_cases.WORKLOADS)
+    def test_no_http_body_or_request_json_is_built(self, monkeypatch, workload, traced):
+        """An ICN run carries HTTP requests and response segments as values
+        and reads only their sizes, so it makes no body bytes
+        (`gateways.synth_bytes`) and parses no request JSON. Reading a
+        completed response's body afterwards makes each of its segments."""
+        counts, responses = Counter(), []
+        synth, loads = gateways.synth_bytes, gateways.json.loads
+        note = IcnSimulation.note_http_complete
+
+        def counting_synth(*args):
+            counts["synth"] += 1
+            return synth(*args)
+
+        def counting_loads(*args, **kwargs):
+            counts["loads"] += 1
+            return loads(*args, **kwargs)
+
+        def keeping(sim, client, response):
+            responses.append(response)
+            note(sim, client, response)
+
+        monkeypatch.setattr(gateways, "synth_bytes", counting_synth)
+        monkeypatch.setattr(gateways, "json", SimpleNamespace(loads=counting_loads))
+        monkeypatch.setattr(IcnSimulation, "note_http_complete", keeping)
+        topology_text, scenario = golden_cases.inputs(workload, 1)
+        IcnSimulation(load_topology_doc(topology_text, scenario.seed), scenario,
+                      trace=drop_row if traced else None).run()
+        assert counts == {}
+        assert bool(responses) == (workload != "unicast_mesh")
+        for response in responses[:1]:
+            body = response.body
+            assert counts == {"synth": len(gateways.body_segments(len(body)))}
+            assert body == synth(f"{response.fqdn}{response.url}", len(body))
 
     EMISSIONS = {"unicast_mesh": 6_600, "http_churn": 500, "flash_crowd": 930}
 

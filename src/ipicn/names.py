@@ -85,6 +85,7 @@ def fnv1a64(data: bytes) -> int:
 
 
 _IP_PREFIX = {loc: (ROOT_IP, loc.value) for loc in Locality}
+_HTTP_ROLE = {role: role.value for role in HttpRole}  # another enum's member raises
 
 
 @functools.lru_cache(maxsize=_INTERN_SIZE)
@@ -119,11 +120,11 @@ def external_scope() -> IcnName:
 @functools.lru_cache(maxsize=_INTERN_SIZE)
 def name_for_http(fqdn: str, role: HttpRole, url: str) -> IcnName:
     """Item name for an HTTP request or response about (fqdn, url); interned
-    like `name_for_ip`."""
+    like `name_for_ip`. A role not an `HttpRole` raises `KeyError`."""
     if not fqdn or not url:
         raise ValueError("fqdn and url must be non-empty")
     return IcnName(
-        scopes=(ROOT_HTTP, fnv1a64(fqdn.encode()), role.value),
+        scopes=(ROOT_HTTP, fnv1a64(fqdn.encode()), _HTTP_ROLE[role]),
         item=fnv1a64(url.encode()),
     )
 

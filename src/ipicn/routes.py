@@ -15,9 +15,9 @@ to its own total, not to each link's counter, and `fold` adds that total to
 the counters of every link crossed when a report is built, or when the
 simulation lets go of a plan. A route over mixed capacities, a delivery
 plan that is not clean (its copies leave the tree, spend their TTL or end
-at no gateway), a traced run and a message that does not arrive
-everywhere by the run's time limit walk hop by hop and bill each link
-directly, as the callers do.
+at no gateway) and a message that does not arrive everywhere by the run's
+time limit walk hop by hop and bill each link directly, as the callers do;
+a trace sink changes none of this, as `walk` itself bills nothing.
 """
 
 from __future__ import annotations

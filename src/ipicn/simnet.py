@@ -12,13 +12,13 @@ Links have no queues, so every hop of a message is fixed when it is sent,
 and every message is sent over its whole path in one step; only the
 arrivals where something acts are queued. Every path is a `routes.Route`:
 a baseline route or a control path is a chain, a delivery plan a tree.
-Untraced, a route whose links share one capacity carries a message of any
-size in one step and bills it once, to its own total; link counters take
-the totals when a report is built. A traced run, mixed capacities, a
-delivery plan that is not clean and a message that does not arrive
-everywhere by the run's time limit walk hop by hop, by `Route.walk`: each
-hop that starts by the limit is billed and traced then, its row stamped
-with its start, so rows come in send order.
+A route whose links share one capacity carries a message of any size in
+one step and bills it once, to its own total; link counters take the
+totals when a report is built. Mixed capacities, a delivery plan that is
+not clean and a message that does not arrive everywhere by the run's time
+limit walk hop by hop, by `Route.walk`, each hop that starts by the limit
+billed then. A trace sink only observes: carried or walked, every hop is
+traced when it is sent, stamped with its start, so rows come in send order.
 - Baseline and ICN control messages walk by `_walk`. The baseline queues
   the arrival at the path's end. A control message queues its handler at
   the arrival from the start of its last hop: when it is sent for a
@@ -313,26 +313,25 @@ class _AccountingMixin:
             stamp = self.now if time_us is None else time_us
             self._trace(f"{stamp},{node},{event},{link_text},{size},{name_text}")
 
-    def _walk(self, route: Route, sizes: Sequence[int], slot: int, name: object) -> int:
+    def _walk(self, route: Route, sizes: Sequence[int], slot: int, name: object,
+              end: int | None = None) -> int:
         """Send a packet of each of `sizes` wire bytes under `name` over
-        `route` now by `route.walk`, and return when the last arrives: the
-        walk of a traced run, a route over mixed capacities, or a message
-        the route does not carry by the run's time limit. Every hop that
-        starts by the limit is billed to byte slot `slot` (0 control, 1
-        data) and traced now, its row stamped with its start. A walk cut at
-        the limit returns the arrival of its last hop, the first past it, so
-        an event queued there ends the run."""
-        now, limit, link_bytes = self.now, self._max_time_us, self.link_bytes
-        end = now
+        `route` now by `route.walk`, tracing each hop now, stamped with its
+        start; return when the last arrives. `end` is `route.carry`'s answer:
+        a message it carried is only traced, and `end` returned. One it did
+        not (mixed capacities, or past the run's time limit) is billed to
+        byte slot `slot` (0 control, 1 data) on each hop that starts by the
+        limit; cut there, it returns the arrival of its last hop, the first
+        past the limit, so an event queued there ends the run."""
+        now, last, link_bytes = self.now, self.now, self.link_bytes
         for size in sizes:
-            for _, link, start, arrive in route.walk(now, size, limit):
-                link_bytes[link.src, link.dst][slot] += size
-                if self._trace is not None:
-                    self._trace_row(link.src, "data" if slot else "ctrl", link, size, name,
-                                    start)
-                if arrive > end:
-                    end = arrive
-        return end
+            for _, link, start, arrive in route.walk(now, size, self._max_time_us):
+                if end is None:
+                    link_bytes[link.src, link.dst][slot] += size
+                self._trace_row(link.src, "data" if slot else "ctrl", link, size, name, start)
+                if arrive > last:
+                    last = arrive
+        return last if end is None else end
 
     def _record_ip_flow(self, ip: IpPacket) -> bool:
         """Record `ip`'s delivery, or count a duplicate and return False: an IP
@@ -655,21 +654,21 @@ class IcnSimulation(_AccountingMixin):
         handler: Callable[[], None],
     ) -> None:
         """Carry a control message under `name` over `path`, then call
-        `handler`: in one step if untraced and `path.carry` can, else by
-        `_walk`. The handler is queued at the arrival from the start of the
-        last hop (by an event queued there, unless that is now), so the
-        arrival takes its tie-break number at the moment it would if each hop
-        took its own event; on paths of up to two hops, in the same order. An
-        end past the run's time limit is queued as it is: there the run ends,
-        and the handler never runs."""
+        `handler`: in one step if `path.carry` can, else by `_walk`, which
+        also traces a carried message's hops. The handler is queued at the
+        arrival from the start of the last hop (by an event queued there,
+        unless that is now), so the arrival takes its tie-break number at
+        the moment it would if each hop took its own event; on paths of up
+        to two hops, in the same order. An end past the run's time limit is
+        queued as it is: there the run ends, and the handler never runs."""
         push = self.queue.push
         if self.ideal_control or not path:
             push(self.now, handler)
             return
         size = wire_size(name, payload_len)
-        end = path.carry(self.now, size, size, self._max_time_us) if self._trace is None else None
-        if end is None:
-            end = self._walk(path, (size,), 0, name)
+        end = path.carry(self.now, size, size, self._max_time_us)
+        if end is None or self._trace is not None:
+            end = self._walk(path, (size,), 0, name, end)
         if len(path) == 1 or end > self._max_time_us:
             push(end, handler)
         else:
@@ -702,29 +701,30 @@ class IcnSimulation(_AccountingMixin):
     def _replay(self, node: int, plan: Plan, pkt: IcnPacket, size: int) -> None:
         """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`,
         queueing each arrival at a gateway node as a hand-off: in one step
-        if untraced, the plan is clean (see `Plan`) and `plan.carry` can,
-        each arrival then being the delay sum plus hops times one hop's
-        serialization; else by `plan.walk`, each crossing that starts by the
-        run's time limit billed, counted if off the tree and traced now, its
-        row stamped with its start, and a TTL drop counted only if its copy
-        arrives by the limit. If the walk's last arrival is at no gateway, it
-        is queued too, so the run's clock reaches it and a run cut before it
-        counts `time_limit_hits`. A clean plan carried in one step has none:
-        each copy ends at a gateway node, after every node it crossed."""
+        if the plan is clean (see `Plan`) and `plan.carry` can, each arrival
+        then being the delay sum plus hops times one hop's serialization,
+        and its crossings traced by `_walk`; else by `plan.walk`, each
+        crossing that starts by the run's time limit billed, counted if off
+        the tree and traced now, stamped with its start, and a TTL drop
+        counted only if its copy arrives by the limit. If the walk's last
+        arrival is at no gateway, it is queued too, so the run's clock
+        reaches it and a run cut before it counts `time_limit_hits`. A clean
+        plan has none: each copy ends at a gateway node, after all it crossed."""
         if not plan:  # no crossing: a copy spent here, where links matched, is a drop
             if plan.ttl_drops:
                 self.counters["ttl_drops"] += 1
-                if self._trace is not None:
-                    self._trace_row(node, "ttl-drop", None, size, pkt.name)
+                self._trace_row(node, "ttl-drop", None, size, pkt.name)
             return
         now, limit, push = self.now, self._max_time_us, self.queue.push
-        if (self._trace is None and plan.handoffs is not None
-                and plan.carry(now, size, size, limit) is not None):
+        end = plan.carry(now, size, size, limit) if plan.handoffs is not None else None
+        if end is not None:
             hop_us = serialization_us(size, plan.capacity)
             fields = iter(plan.handoffs)
             for delay_us, hops, far_node in zip(fields, fields, fields):
                 push(now + delay_us + hops * hop_us,
                      lambda node=far_node: self._hand_off(node, pkt))
+            if self._trace is not None:
+                self._walk(plan, (size,), 1, pkt.name, end)
             return
         handed = last = now  # the latest arrival at a gateway node, and elsewhere
         counters, link_bytes, flags = self.counters, self.link_bytes, plan.flags
@@ -733,8 +733,7 @@ class IcnSimulation(_AccountingMixin):
             flag = flags[index]
             if flag & OFF_TREE:
                 counters["off_tree_forwards"] += 1
-            if self._trace is not None:
-                self._trace_row(link.src, "data", link, size, pkt.name, start)
+            self._trace_row(link.src, "data", link, size, pkt.name, start)
             if link.dst in self._gateways_at:
                 push(arrive, lambda node=link.dst: self._hand_off(node, pkt))
                 if arrive > handed:
@@ -743,8 +742,7 @@ class IcnSimulation(_AccountingMixin):
                 last = arrive
             if flag & TTL_DROP and arrive <= limit:
                 counters["ttl_drops"] += 1
-                if self._trace is not None:
-                    self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
+                self._trace_row(link.dst, "ttl-drop", None, size, pkt.name, arrive)
         if last > handed:
             push(last, _noop)
 
@@ -805,9 +803,10 @@ class BaselineSimulation(_AccountingMixin):
         if route is None:
             route = self._routes[src, dst] = Route(path_links(
                 self.graph, dijkstra(self.graph, src), src, dst))
-        end = (route.carry(self.now, max(sizes), sum(sizes), self._max_time_us)
-               if self._trace is None else None)
-        self.queue.push(self._walk(route, sizes, 1, "-") if end is None else end, on_arrive)
+        end = route.carry(self.now, max(sizes), sum(sizes), self._max_time_us)
+        if end is None or self._trace is not None:
+            end = self._walk(route, sizes, 1, "-", end)
+        self.queue.push(end, on_arrive)
 
     def _inject(self, action: dict) -> None:
         op = action["op"]

@@ -6,9 +6,12 @@ from __future__ import annotations
 import heapq
 import json
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
+from ipicn import routes
 from ipicn.forwarding import IcnPacket, forward
 from ipicn.rendezvous import Rendezvous
 from ipicn.simnet import BaselineSimulation, IcnSimulation
@@ -54,8 +57,17 @@ def random_connected_graph(rng: random.Random, n_nodes: int, n_extra: int):
 
 
 def drop_row(row: str) -> None:
-    """A trace sink that keeps nothing: a run with it walks every message
-    hop by hop, billing each link, as a traced run does."""
+    """A trace sink that keeps nothing: a run with it writes every row and
+    sends and bills each message as an untraced run does."""
+
+
+@contextmanager
+def walking():
+    """Within it, `Route.carry` (and so `Plan.carry`) answers None, "the
+    caller walks": every message walks hop by hop and bills each link when
+    it is sent. The reference a run that carries must equal."""
+    with mock.patch.object(routes.Route, "carry", lambda *args: None):
+        yield
 
 
 def flood(g: NetworkGraph, origin: int, pkt: IcnPacket):

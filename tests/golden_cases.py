@@ -17,14 +17,18 @@ order the sink got them, and the events the run queued (`queue._seq`).
     PYTHONPATH=src python tests/golden_cases.py --check [--seed 1]
 
 The first prints the table to pin. The second runs every case (or only
-one seed's benchmark cases) twice, traced and untraced, and compares each
-with its pinned row; it exits 1 if any differs. An untraced run has no
-trace, so it is checked on its report and its events only.
+one seed's benchmark cases) three times, untraced, traced and walked
+(traced under `conftest.walking()`, where every message walks hop by hop
+and bills each link), and compares each with its pinned row; it exits 1
+if any differs. An untraced run has no trace, so it is checked on its
+report and its events only. So the walk is judged on every case, and
+carried and walked runs write the same rows.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.util
 import json
@@ -33,6 +37,7 @@ import sys
 from functools import lru_cache
 from pathlib import Path
 
+from conftest import walking
 from ipicn import BaselineSimulation, IcnSimulation, load_scenario, load_topology_doc
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,6 +52,7 @@ GRID_MODES = ("icn", "icn-ideal")
 # the 100 ms HTTP window holds each response, so 105 ms cuts them in flight
 GRID_LIMITS = {"full": None, "10ms": 10_000, "105ms": 105_000}
 COUNTER_LIMITS = {"full": None, "3ms": 3_000}
+RUNS = ("untraced", "traced", "walked")
 
 
 @lru_cache(maxsize=None)
@@ -170,14 +176,15 @@ def simulate(case: str, trace=None):
     return sim, sim.run() if max_time_us is None else sim.run(max_time_us)
 
 
-def run_case(case: str, traced: bool) -> dict[str, str | int]:
-    """The row of one case, from a traced run or, without its trace
-    digests, from an untraced one."""
+def run_case(case: str, run: str = "traced") -> dict[str, str | int]:
+    """The row of one case from a run of `RUNS`: without its trace digests
+    from an untraced one."""
     rows: list[str] = []
-    sim, report = simulate(case, rows.append if traced else None)
+    with walking() if run == "walked" else contextlib.nullcontext():
+        sim, report = simulate(case, None if run == "untraced" else rows.append)
     row: dict[str, str | int] = {"report": _sha1(report.to_canonical_json()),
                                  "events": sim.queue._seq}
-    if traced:
+    if run != "untraced":
         row["trace"] = _sha1("\n".join(rows))
         row["trace_sorted"] = _sha1("\n".join(sorted(rows)))
     return row
@@ -192,13 +199,13 @@ def pinned() -> dict[str, dict[str, str | int]]:
 
 
 def check(case: str, table: dict[str, dict[str, str | int]]) -> list[str]:
-    """How a case's traced and untraced runs differ from its pinned row."""
+    """How a case's untraced, traced and walked runs differ from its
+    pinned row."""
     want = table[case]
     faults = []
-    for traced in (True, False):
-        got = run_case(case, traced)
-        faults += [f"{case} {'traced' if traced else 'untraced'} {key}: "
-                   f"{got[key]} != pinned {want[key]}"
+    for run in RUNS:
+        got = run_case(case, run)
+        faults += [f"{case} {run} {key}: {got[key]} != pinned {want[key]}"
                    for key in got if got[key] != want[key]]
     return faults
 
@@ -206,13 +213,13 @@ def check(case: str, table: dict[str, dict[str, str | int]]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
-                        help="compare traced and untraced runs with the pinned table")
+                        help="compare untraced, traced and walked runs with the pinned table")
     parser.add_argument("--seed", type=int, choices=SEEDS, action="append",
                         help="only this seed's benchmark cases (repeatable)")
     args = parser.parse_args(argv)
     cases = case_ids(tuple(args.seed), grids=(), counters=False) if args.seed else case_ids()
     if not args.check:
-        json.dump({case: run_case(case, traced=True) for case in cases}, sys.stdout,
+        json.dump({case: run_case(case) for case in cases}, sys.stdout,
                   indent=1, sort_keys=True)
         print()
         return 0
@@ -220,7 +227,7 @@ def main(argv: list[str] | None = None) -> int:
     faults = [fault for case in cases for fault in check(case, table)]
     for fault in faults:
         print(fault)
-    print(f"{len(cases)} cases, traced and untraced: "
+    print(f"{len(cases)} cases, untraced, traced and walked: "
           f"{'all as pinned' if not faults else f'{len(faults)} differences'}")
     return 1 if faults else 0
 

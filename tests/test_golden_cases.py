@@ -1,10 +1,11 @@
 """The seed-1 third of the pinned benchmark cases, three grids' cases and
 the counter cases (see `golden_cases.py`).
 
-Each case runs traced and untraced: an untraced run carries each message
-over a path of one capacity in one step and bills it once, a traced one
-walks every hop, and both must give the pinned report and events. CI
-checks every case the same way.
+Each case runs three times: untraced and traced, each carrying a message
+over a path of one capacity in one step and billing it once, and walked,
+traced under `walking()`, where every message walks hop by hop. All three
+must give the pinned report and events, and both traced runs the pinned
+trace, sorted and unsorted. CI checks every case the same way.
 """
 
 import pytest

@@ -184,6 +184,7 @@ class TestInterning:
     @pytest.mark.parametrize("call", [
         lambda: name_for_ip("10.0.1.256", Locality.INTERNAL),
         lambda: name_for_ip("10.0.1.5", "internal"),
+        lambda: name_for_http("cdn.example", Locality.INTERNAL, "/v/1"),
         lambda: name_for_http("", HttpRole.REQUEST, "/v/1"),
         lambda: name_for_http("cdn.example", HttpRole.REQUEST, ""),
     ])

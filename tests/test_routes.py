@@ -1,7 +1,7 @@
 """Fixed paths: `Route.walk` against hand-computed hop times, and no
-untraced message of the benchmark workloads walks or builds an IP payload,
-no ICN run builds an HTTP body or request JSON, and no ICN emission builds
-more than its one packet or names its destination again."""
+message of the benchmark workloads walks, traced or not, or builds an IP
+payload, no ICN run builds an HTTP body or request JSON, and no ICN
+emission builds more than its one packet or names its destination again."""
 
 from collections import Counter
 from types import SimpleNamespace
@@ -69,34 +69,54 @@ class TestWalk:
 
 
 class TestOneStepTraffic:
-    """Untraced, every message of the benchmark workloads at seed 1 is
-    carried in one step, so none walks; a traced run walks every one. No
-    run builds an IP payload, no ICN run an HTTP body or request JSON, and
-    an ICN run builds one packet per emission."""
+    """Every message of the benchmark workloads at seed 1 is carried in one
+    step, traced or not, so none walks and bills hop by hop: a traced run
+    takes its rows from `Route.walk`, which bills nothing. No run builds an
+    IP payload, no ICN run an HTTP body or request JSON, and an ICN run
+    builds one packet per emission."""
 
     @staticmethod
     def count_walked(monkeypatch):
+        """Count the messages that walk and bill hop by hop: each carry a
+        route or clean plan declines, and each walk of a plan that is not
+        clean, as such a plan is never asked to carry. Walk calls alone
+        would count a carried message's trace rows too."""
         walked = [0]
-        walk = Route.walk
+        carry, walk = Route.carry, Route.walk
 
-        def counting(self, now, size, limit):
-            for crossing in walk(self, now, size, limit):
-                walked[0] += 1
-                yield crossing
+        def counting_carry(self, *args):
+            end = carry(self, *args)
+            walked[0] += end is None
+            return end
 
-        monkeypatch.setattr(Route, "walk", counting)
+        def counting_walk(self, *args):
+            walked[0] += isinstance(self, Plan) and self.handoffs is None
+            return walk(self, *args)
+
+        monkeypatch.setattr(Route, "carry", counting_carry)
+        monkeypatch.setattr(Route, "walk", counting_walk)
         return walked
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation], ids=["icn", "ip"])
     @pytest.mark.parametrize("workload", golden_cases.WORKLOADS)
-    def test_no_untraced_message_walks(self, monkeypatch, workload, cls, traced):
+    def test_no_message_walks(self, monkeypatch, workload, cls, traced):
         walked = self.count_walked(monkeypatch)
         topology_text, scenario = golden_cases.inputs(workload, 1)
         sim = cls(load_topology_doc(topology_text, scenario.seed), scenario,
                   trace=drop_row if traced else None)
         sim.run()
-        assert walked[0] > 0 if traced else walked[0] == 0
+        assert walked[0] == 0
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation], ids=["icn", "ip"])
+    def test_a_traced_run_cut_in_flight_walks_the_messages_it_cuts(self, monkeypatch, cls):
+        """The count sees walks: cut at 200 ms, http_churn has messages in
+        flight that do not arrive by the limit, and each walks to it."""
+        walked = self.count_walked(monkeypatch)
+        topology_text, scenario = golden_cases.inputs("http_churn", 1)
+        sim = cls(load_topology_doc(topology_text, scenario.seed), scenario, trace=drop_row)
+        sim.run(200_000)
+        assert walked[0] > 0
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation], ids=["icn", "ip"])

@@ -19,11 +19,11 @@
   the fid message equals `handle_match` over `tree_for_match`'s tree,
   the publisher's node already has its Dijkstra run, and the tree's
   edges go (also over the three benchmark workloads at seed 1).
-- Billing once is only a cache: an untraced run, whose routes and plans
-  over links of one capacity carry a message in one step and bill it once,
-  reports and queues exactly what a run whose trace sink drops every row
-  does, walking every message hop by hop (also over links of two
-  capacities, where paths of mixed capacity walk).
+- Billing once is only a cache: a run whose routes and plans over links
+  of one capacity carry a message in one step and bill it once, traced or
+  not, reports and queues exactly what a run under `walking()` does,
+  walking every message hop by hop (also over links of two capacities,
+  where paths of mixed capacity walk).
 - Time-limit prefix: a run cut at `max_time_us = T` bills each link
   exactly the `ctrl`/`data` bytes of the full run's trace rows stamped at
   or before T (a hop is billed only if it starts by the limit), folds
@@ -46,7 +46,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden_cases
-from conftest import drop_row, make_topology_doc
+from conftest import drop_row, make_topology_doc, walking
 from test_mode_parity import cases
 from test_golden_cases import GRIDS, TABLE
 from test_simnet import TestSaturatedFid
@@ -222,7 +222,7 @@ def star_fetch():
 def repeated_sizes(mixed=False):
     """Line 1 - 2 - 3 - 4 with a NAP at each end: one flow of equal packets,
     and a fetch of three full segments and a short one. Every route and
-    plan carries a size again and again, each copy in one step, untraced.
+    plan carries a size again and again, each copy in one step, traced or not.
     `mixed`: the middle link carries 8 Mbit/s, so no route or plan has one
     capacity and each message walks hop by hop."""
     middle = {"capacity_bps": 8_000_000} if mixed else {}
@@ -248,12 +248,13 @@ def repeated_sizes(mixed=False):
 @example(case=star_fetch(), cut=3_500)
 @example(case=TestSaturatedFid.inputs(), cut=60_000)
 def test_billing_a_timed_message_once_is_only_a_cache(case, cut):
-    """Untraced, a route or plan whose links share one capacity carries a
-    message in one step and bills it once, to its own total, and the link
-    counters take it when the report is built. Every report of a run, and
-    the events it queued, equal those of the run whose sink drops every row:
-    a full run, and runs cut at 50 ms and at `cut` us. So the one-step
-    counts of off-tree forwards (the star fetch has one) and TTL drops (the
+    """A route or plan whose links share one capacity carries a message in
+    one step and bills it once, to its own total, and the link counters
+    take it when the report is built. Every report of a run, untraced or
+    with a sink that drops every row, and the events it queued, equal those
+    of the run under `walking()`, which walks every message hop by hop: a
+    full run, and runs cut at 50 ms and at `cut` us. So the one-step counts
+    of off-tree forwards (the star fetch has one) and TTL drops (the
     saturated fid has many) equal the walk's. A second run() after a cut
     one raises: a simulation runs its ops once."""
     doc, scenario = case
@@ -265,7 +266,10 @@ def test_billing_a_timed_message_once_is_only_a_cache(case, cut):
             return text, sim.queue._seq
 
         for limit in (None, 50_000, cut):
-            assert reports(limit) == reports(limit, trace=drop_row), (cls.__name__, limit)
+            with walking():
+                walked = reports(limit)
+            assert reports(limit) == reports(limit, trace=drop_row) == walked, (
+                cls.__name__, limit)
         sim = cls(doc, scenario)
         sim.run(cut)
         with pytest.raises(RuntimeError, match="runs once"):
@@ -306,9 +310,12 @@ def test_each_emission_lands_on_exactly_its_tree_edges(case):
 
 class Forgetful(IcnSimulation):
     """Drops every delivery plan before each emission, so each copy's plan
-    and forward() answers are built anew."""
+    and forward() answers are built anew. Each plan's billed bytes go to
+    the links first, as `transmit`'s own eviction takes them."""
 
     def transmit(self, client, pkt) -> None:
+        for plan in self._plans.values():
+            plan.fold(self.link_bytes, 1)
         self._plans.clear()
         super().transmit(client, pkt)
 

@@ -20,6 +20,7 @@ from conftest import (
     drop_row,
     make_topology_doc,
     random_connected_graph,
+    walking,
 )
 from ipicn import gateways, simnet
 from ipicn.forwarding import IcnPacket
@@ -1524,10 +1525,10 @@ class TestForwardingMemoBound:
 
 
 class TestBillingOnce:
-    """Untraced, a route or plan whose links share one capacity bills each
-    message once, to its own total, the first included. The link counters
-    take every total when a report is built, and a plan's also when the
-    memo drops it."""
+    """Traced or not, a route or plan whose links share one capacity bills
+    each message once, to its own total, the first included. The link
+    counters take every total when a report is built, and a plan's also
+    when the memo drops it."""
 
     @staticmethod
     def churn(cls=IcnSimulation, trace=None):
@@ -1560,9 +1561,12 @@ class TestBillingOnce:
 
     def test_a_dropped_plan_takes_its_bytes_to_the_links(self):
         _, untraced, dropped = self.churn()
-        _, walked, _ = self.churn(trace=drop_row)
+        _, traced, _ = self.churn(trace=drop_row)
+        with walking():
+            _, walked, _ = self.churn()
         assert sum(dropped) > 0
-        assert untraced.to_canonical_json() == walked.to_canonical_json()
+        assert (untraced.to_canonical_json() == traced.to_canonical_json()
+                == walked.to_canonical_json())
 
     @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation])
     def test_every_total_is_zero_after_a_report(self, cls):
@@ -1646,7 +1650,8 @@ class TestBillingOnce:
     def test_mixed_capacities_never_carry_in_one_step(self, cls):
         """With one link of the timed line at twice the capacity, no route
         or plan has one capacity: every message walks and bills each link
-        when it is sent, and the report equals a traced run's."""
+        when it is sent, traced or not, and the report equals that of a run
+        under `walking()`."""
         doc = make_topology_doc(
             [1, 2, 3, 4, 5],
             [(i, i + 1, {"delay_us": d, "capacity_bps": 16_000_000 if i == 2 else 8_000_000})
@@ -1664,9 +1669,13 @@ class TestBillingOnce:
         paths = [path for table in tables for path in table.values()]
         assert paths and all(path.capacity is None and path.billed == 0 for path in paths)
         assert sum(data for _, data in sim.link_bytes.values()) > 0
-        untraced, traced = (cls(doc, Scenario(workload=wl), trace=trace).run().to_canonical_json()
-                            for trace in (None, drop_row))
-        assert untraced == traced
+
+        def report(trace=None):
+            return cls(doc, Scenario(workload=wl), trace=trace).run().to_canonical_json()
+
+        with walking():
+            walked = report()
+        assert report() == report(drop_row) == walked
 
     @pytest.mark.parametrize("size", [300, 484, 485, 486, 700])
     def test_the_last_arrival_elsewhere_is_timed_at_any_size(self, size):
@@ -1675,8 +1684,9 @@ class TestBillingOnce:
         ->4->5 (10 us each) to a NAP at node 5. At 1 byte per us a copy of
         `size` bytes reaches node 2 at 1000 + size and node 5 at 30 + 3 x
         size: below 485 bytes node 2 is reached last, and the run's clock
-        goes there: the copy walks, as a plan with a last crossing at no
-        gateway is not clean, even with every crossing on its tree."""
+        goes there: the copy walks, traced or not, as a plan with a last
+        crossing at no gateway is not clean, even with every crossing on its
+        tree, and its run equals that under `walking()`."""
         doc = make_topology_doc(
             [1, 2, 3, 4, 5],
             [(a, b, {"delay_us": d, "capacity_bps": 8_000_000})
@@ -1684,16 +1694,18 @@ class TestBillingOnce:
             naps=[{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
                   {"client": 2, "node": 5, "prefixes": ["10.0.2.0/24"]}])
         clocks = []
-        for trace in (None, drop_row):
-            sim = IcnSimulation(doc, Scenario(workload=[]), trace=trace)
-            sim._tree_edges[1, TestDataPlan.NAME] = frozenset(
-                sim.graph.link(a, b) for a, b in ((1, 2), (1, 3), (3, 4), (4, 5)))
-            sim.call_at(0, lambda: sim.transmit(1, TestDataPlan.packet(size)))
-            report = sim.run()
+        for trace, context in ((None, contextlib.nullcontext()),
+                               (drop_row, contextlib.nullcontext()), (None, walking())):
+            with context:
+                sim = IcnSimulation(doc, Scenario(workload=[]), trace=trace)
+                sim._tree_edges[1, TestDataPlan.NAME] = frozenset(
+                    sim.graph.link(a, b) for a, b in ((1, 2), (1, 3), (3, 4), (4, 5)))
+                sim.call_at(0, lambda: sim.transmit(1, TestDataPlan.packet(size)))
+                report = sim.run()
             clocks.append((sim.now, sim.queue._seq, report.to_canonical_json()))
         (plan,) = sim._plans.values()
         assert not any(plan.flags) and plan.handoffs is None
-        assert clocks[0] == clocks[1]
+        assert clocks[0] == clocks[1] == clocks[2]
         assert clocks[0][0] == max(1000 + size, 30 + 3 * size)
 
 

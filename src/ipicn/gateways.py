@@ -19,24 +19,26 @@ crosses the device boundary. A payload a gateway publishes carries its
 message as a value whose `len()` and `bytes()` are those of the message's
 encoding, built only if read: an encapsulation carries the sent IpPacket,
 an HTTP request its four fields and a response segment its frame and the
-place of its filler in the body. The far gateway takes the message back
-unparsed; only a `bytes` payload is parsed. A gateway's `on_icn_data`
-says whether a data copy is its own; the environment counts the
-refusals. Gateways only report, keeping no copy: each decoded IP arrival
-for their own address or scope, duplicates included, goes to
-`note_ip_delivered` or `note_peer_emitted`, each dropped packet (a full
-pending queue, an ingress address outside the operator's plan) to
-`note_ip_dropped`, and each completed HTTP response to
-`note_http_complete`. A response holds the fetch's segments as they
-arrived; its body, carried segments' bytes included, is made and joined
-only when a device first reads it.
+place of its filler in the body. The far gateway takes that value as it
+is and parses nothing; `decode_ip_packet` is only the codec inverse of
+`encode_ip_packet`. A request is checked where it is made (`Nap.http_get`),
+so a server reads its fields as they are, and `corrupt` counts only a
+response segment whose total differs from its fetch's first segment's,
+one of another exchange of the URL. A gateway's `on_icn_data` says
+whether a data copy is its own; the environment counts the refusals.
+Gateways only report, keeping no copy: each IP arrival for their own
+address or scope, duplicates included, goes to `note_ip_delivered` or
+`note_peer_emitted`, each dropped packet (a full pending queue, an
+ingress address outside the operator's plan) to `note_ip_dropped`, and
+each completed HTTP response to `note_http_complete`. A response holds
+the fetch's segments as they arrived; its body is made and joined only
+when a device first reads it.
 """
 
 from __future__ import annotations
 
 import functools
 import ipaddress
-import json
 import struct
 from collections import Counter, deque
 from collections.abc import Callable, Container, Iterable
@@ -57,7 +59,7 @@ from .names import (
     name_for_ip,
 )
 from .rendezvous import ClientId
-from .topology import MAX_CLIENT_ID, FidDelivery, brief
+from .topology import FidDelivery, brief
 
 MAX_IP_PAYLOAD = 65507
 PENDING_CAPACITY = 64
@@ -154,9 +156,9 @@ class HttpResponse:
     another by (fqdn, url, body).
 
     A NAP hands over the fetch's segments as they arrived, uncopied; `body`
-    makes each carried segment's chunk and joins the chunks into one `bytes`
-    on its first read and keeps that, so a run that reads no body makes and
-    joins none.
+    makes each segment's chunk and joins the chunks into one `bytes` on its
+    first read and keeps that, so a run that reads no body makes and joins
+    none.
     """
 
     __slots__ = ("fqdn", "url", "_body")
@@ -166,13 +168,12 @@ class HttpResponse:
     def __init__(self, fqdn: str, url: str, body: bytes) -> None:
         self.fqdn = fqdn
         self.url = url
-        self._body: bytes | dict[int, memoryview | _Segment] = body
+        self._body: bytes | dict[int, _Segment] = body
 
     @classmethod
-    def _of_segments(cls, fqdn: str, url: str,
-                     segments: dict[int, memoryview | _Segment]) -> HttpResponse:
-        """A response whose body is `segments` (offset -> chunk, or the
-        segment carrying it) joined."""
+    def _of_segments(cls, fqdn: str, url: str, segments: dict[int, _Segment]) -> HttpResponse:
+        """A response whose body is the chunks of `segments` (offset ->
+        segment) joined."""
         response = cls(fqdn, url, b"")
         response._body = segments
         return response
@@ -181,10 +182,9 @@ class HttpResponse:
     def body(self) -> bytes:
         body = self._body
         if type(body) is dict:
-            chunks = [body[offset] for offset in sorted(body)]
+            segments = [body[offset] for offset in sorted(body)]
             body = self._body = b"".join([
-                synth_bytes(c.tag, c.length, c.offset) if type(c) is _Segment else c
-                for c in chunks])
+                synth_bytes(s.tag, s.length, s.offset) for s in segments])
         return body
 
     def __eq__(self, other: object) -> bool:
@@ -224,14 +224,14 @@ class _HttpRequest:
     """The payload of a NAP's HTTP request, carrying its fields: its `len()`
     and `bytes()` are those of `encode_http_request` of them, which is built
     only when read. TypeError if `client` or `resp_bytes` is not an int (a
-    bool neither), where `json` would write `true` or `1.5`."""
+    bool neither: `json` would write `true` or `1.5`) or `fqdn` or `url` not a str."""
 
     __slots__ = ("client", "fqdn", "url", "resp_bytes")
 
     def __init__(self, client: ClientId, fqdn: str, url: str, resp_bytes: int) -> None:
-        if type(client) is not int or type(resp_bytes) is not int:
-            raise TypeError(
-                f"HTTP request fields must be ints: {brief(client)}, {brief(resp_bytes)}")
+        if not (type(client) is type(resp_bytes) is int and type(fqdn) is type(url) is str):
+            raise TypeError(f"HTTP request fields must be ints and strs: {brief(client)}, "
+                            f"{brief(fqdn)}, {brief(url)}, {brief(resp_bytes)}")
         self.client = client
         self.fqdn = fqdn
         self.url = url
@@ -249,8 +249,8 @@ class _HttpRequest:
 def encode_http_request(client: ClientId, fqdn: str, url: str, resp_bytes: int) -> bytes:
     """The request a NAP publishes to fetch `url` from `fqdn`, as `json.dumps(
     request, sort_keys=True)` writes it: ints by their repr, strings by
-    `encode_basestring_ascii`. TypeError if `client` or `resp_bytes` is not
-    an int (a bool neither), where `json` would write `true` or `1.5`."""
+    `encode_basestring_ascii`. TypeError on a field of another type, as for
+    a carried request."""
     return bytes(_HttpRequest(client, fqdn, url, resp_bytes))
 
 
@@ -265,42 +265,9 @@ def http_request_size(client: ClientId, fqdn: str, url: str, resp_bytes: int) ->
             + len(encode_basestring_ascii(fqdn)) + len(encode_basestring_ascii(url)))
 
 
-def _valid_request(client: object, fqdn: object, url: object,
-                   size: object) -> tuple[str, str, int] | None:
-    """(fqdn, url, size) if fqdn and url are non-empty strings and client
-    and size are ints in range, else None."""
-    if (type(fqdn) is str and fqdn and type(url) is str and url
-            and type(client) is int and 0 <= client <= MAX_CLIENT_ID
-            and type(size) is int and 0 <= size <= MAX_RESPONSE_BYTES):
-        return fqdn, url, size
-    return None
-
-
-def _decode_http_request(payload: bytes | _HttpRequest) -> tuple[str, str, int] | None:
-    """(fqdn, url, resp_bytes) of a well-formed request, else None: fqdn and
-    url are non-empty strings and client and resp_bytes ints in range. A
-    carried request's fields are read as they are; `bytes` must be a JSON
-    object whose client and resp_bytes are JSON integers (not 1.9, "7",
-    true or 1e3). The client is checked only: the response goes to every
-    subscriber."""
-    if type(payload) is _HttpRequest:
-        return _valid_request(payload.client, payload.fqdn, payload.url, payload.resp_bytes)
-    try:
-        req = json.loads(payload)
-    # ValueError: a JSONDecodeError, bad UTF-8, or an over-long integer literal
-    except (ValueError, RecursionError):
-        return None
-    if not isinstance(req, dict):
-        return None
-    return _valid_request(req.get("client"), req.get("fqdn"), req.get("url"),
-                          req.get("resp_bytes"))
-
-
-def decode_ip_packet(buf: bytes | _Encapsulated) -> IpPacket:
-    """The packet an encapsulation carries: a gateway's own, as it was sent;
-    else parsed from the bytes, header first. ValueError if truncated."""
-    if type(buf) is _Encapsulated:
-        return buf.ip
+def decode_ip_packet(buf: bytes) -> IpPacket:
+    """The packet `encode_ip_packet` wrote to `buf`, parsed header first.
+    ValueError if truncated."""
     if len(buf) < _IP_HEADER.size:
         raise ValueError("truncated IP encapsulation")
     src, dst, proto, pkt_id = _IP_HEADER.unpack_from(buf)
@@ -405,7 +372,7 @@ class _GetState:
     fqdn: str
     url: str
     count: int = 1
-    buf: dict[int, memoryview | _Segment] = field(default_factory=dict)
+    buf: dict[int, _Segment] = field(default_factory=dict)
     received: int = 0  # bytes buffered so far
     total: int | None = None  # body size in the first buffered segment's frame
 
@@ -506,7 +473,7 @@ class Nap(_IcnClient):
         self.operator_plan = operator_plan
         self.addresses: set[ipaddress.IPv4Address] = set()
         # internal name -> attached address, so data under any other name is
-        # rejected without decoding its payload
+        # rejected without reading its payload
         self._device_names: dict[IcnName, ipaddress.IPv4Address] = {}
         self._served: set[int] = set()  # host ids (fqdn hashes) of the FQDNs served here
         # response name -> largest body size asked for in its open window
@@ -531,14 +498,20 @@ class Nap(_IcnClient):
         self._send_encapsulated(self.operator_plan.name_for(pkt.dst), pkt)
 
     def http_get(self, fqdn: str, url: str, resp_bytes: int) -> None:
-        """Fetch a URL: subscribe to the response, publish the request."""
+        """Fetch a URL: subscribe to the response, publish the request.
+        TypeError if `resp_bytes` is not an int or `fqdn` or `url` not a str,
+        ValueError if `fqdn` or `url` is empty or `resp_bytes` outside
+        0..MAX_RESPONSE_BYTES; either raises before any state is kept."""
+        request = _HttpRequest(self.client, fqdn, url, resp_bytes)
+        if not (fqdn and url and 0 <= resp_bytes <= MAX_RESPONSE_BYTES):
+            raise ValueError(f"HTTP get needs an fqdn, a url and 0..{MAX_RESPONSE_BYTES} "
+                             f"bytes, got {brief(fqdn)}, {brief(url)}, {resp_bytes}")
         resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
         state = self._gets.get(resp_name)
         if state is not None:
             # a fetch for this URL is already in flight; share its response
             state.count += 1
             return
-        request = _HttpRequest(self.client, fqdn, url, resp_bytes)  # may raise: keep no state yet
         self._gets[resp_name] = _GetState(fqdn=fqdn, url=url)
         self.env.subscribe(self.client, resp_name)
         self._publish_once(name_for_http(fqdn, HttpRole.REQUEST, url), [request])
@@ -561,11 +534,7 @@ class Nap(_IcnClient):
         addr = self._device_names.get(pkt.name)
         if addr is None:
             return False
-        try:
-            ip = decode_ip_packet(pkt.payload)
-        except ValueError:
-            self.counters["corrupt"] += 1
-            return True
+        ip = pkt.payload.ip
         if ip.dst is not addr and ip.dst != addr:  # identity first: a run parses an address once
             return False
         self.env.note_ip_delivered(self.client, ip)
@@ -584,12 +553,8 @@ class Nap(_IcnClient):
             return True
         return False
 
-    def _recv_request(self, payload: bytes | _HttpRequest) -> None:
-        request = _decode_http_request(payload)
-        if request is None:
-            self.counters["corrupt"] += 1
-            return
-        fqdn, url, size = request
+    def _recv_request(self, request: _HttpRequest) -> None:
+        fqdn, url, size = request.fqdn, request.url, request.resp_bytes
         resp_name = name_for_http(fqdn, HttpRole.RESPONSE, url)
         open_size = self._exchanges.get(resp_name)
         if open_size is None:
@@ -608,30 +573,19 @@ class Nap(_IcnClient):
         self._publish_once(resp_name, [
             _Segment(offset, total, tag, length) for offset, length in body_segments(total)])
 
-    def _recv_response_segment(self, name: IcnName, state: _GetState,
-                               payload: bytes | _Segment) -> None:
-        if type(payload) is _Segment:  # buffered as it is: its chunk is made when read
-            offset, total, length, chunk = payload.offset, payload.total, payload.length, payload
-        elif len(payload) < _SEGMENT_FRAME.size:
+    def _recv_response_segment(self, name: IcnName, state: _GetState, seg: _Segment) -> None:
+        # a segment is buffered as it is, its chunk made when the body is read;
+        # one of another total is another exchange's and counts corrupt
+        total = seg.total
+        if state.total is not None and total != state.total:
             self.counters["corrupt"] += 1
             return
-        else:
-            offset, total = _SEGMENT_FRAME.unpack_from(payload)
-            chunk = memoryview(payload)[_SEGMENT_FRAME.size :]  # shared, not copied
-            length = len(chunk)
-        # a chunk fills its place in body_segments(total), under the fetch's
-        # one total: it starts at a multiple of SEGMENT_CHUNK and runs to the
-        # next one or to the total, so a fetch's chunks add up to its body
-        if (offset % SEGMENT_CHUNK or length != min(SEGMENT_CHUNK, total - offset)
-                or state.total is not None and total != state.total):
-            self.counters["corrupt"] += 1
-            return
-        if offset in state.buf:
+        if seg.offset in state.buf:
             self.counters["duplicates"] += 1
             return
         state.total = total
-        state.buf[offset] = chunk
-        state.received += length
+        state.buf[seg.offset] = seg
+        state.received += seg.length
         if state.received < total:
             return
         response = HttpResponse._of_segments(state.fqdn, state.url, state.buf)
@@ -672,10 +626,5 @@ class BorderGateway(_IcnClient):
         """Externally-destined data leaves over the peering link."""
         if pkt.name.scopes[: 2] != _EXTERNAL_SCOPES:
             return False
-        try:
-            ip = decode_ip_packet(pkt.payload)
-        except ValueError:
-            self.counters["corrupt"] += 1
-            return True
-        self.env.note_peer_emitted(self.client, ip)
+        self.env.note_peer_emitted(self.client, pkt.payload.ip)
         return True

@@ -53,8 +53,9 @@ def test_a_pinned_grid_case_meets_every_anomaly():
 
 def test_the_tier_1_cases_reach_every_counter():
     """Every counter a report holds is non-zero in some case checked here,
-    but `protocol_violations`, which nothing counts, and `corrupt`, which
-    only a hand-built packet reaches (test_simnet's
+    but `protocol_violations`, which nothing counts, and `corrupt`, whose
+    one site (`Nap._recv_response_segment`: a segment of another total
+    than its fetch's first) no pinned case reaches (test_simnet's
     `test_a_corrupt_copy_is_counted_in_the_report` gates it)."""
     cases = golden_cases.case_ids(seeds=(1,), grids=GRIDS)
     reports = [golden_cases.simulate(case)[1] for case in cases]

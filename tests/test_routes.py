@@ -1,10 +1,9 @@
 """Fixed paths: `Route.walk` against hand-computed hop times, and no
 message of the benchmark workloads walks, traced or not, or builds an IP
-payload, no ICN run builds an HTTP body or request JSON, and no ICN
+payload, no ICN run builds an HTTP body, and no ICN
 emission builds more than its one packet or names its destination again."""
 
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -72,7 +71,7 @@ class TestOneStepTraffic:
     """Every message of the benchmark workloads at seed 1 is carried in one
     step, traced or not, so none walks and bills hop by hop: a traced run
     takes its rows from `Route.walk`, which bills nothing. No run builds an
-    IP payload, no ICN run an HTTP body or request JSON, and an ICN run
+    IP payload, no ICN run an HTTP body, and an ICN run
     builds one packet per emission."""
 
     @staticmethod
@@ -146,29 +145,23 @@ class TestOneStepTraffic:
 
     @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
     @pytest.mark.parametrize("workload", golden_cases.WORKLOADS)
-    def test_no_http_body_or_request_json_is_built(self, monkeypatch, workload, traced):
+    def test_no_http_body_is_built(self, monkeypatch, workload, traced):
         """An ICN run carries HTTP requests and response segments as values
         and reads only their sizes, so it makes no body bytes
-        (`gateways.synth_bytes`) and parses no request JSON. Reading a
-        completed response's body afterwards makes each of its segments."""
+        (`gateways.synth_bytes`). Reading a completed response's body
+        afterwards makes each of its segments."""
         counts, responses = Counter(), []
-        synth, loads = gateways.synth_bytes, gateways.json.loads
-        note = IcnSimulation.note_http_complete
+        synth, note = gateways.synth_bytes, IcnSimulation.note_http_complete
 
         def counting_synth(*args):
             counts["synth"] += 1
             return synth(*args)
-
-        def counting_loads(*args, **kwargs):
-            counts["loads"] += 1
-            return loads(*args, **kwargs)
 
         def keeping(sim, client, response):
             responses.append(response)
             note(sim, client, response)
 
         monkeypatch.setattr(gateways, "synth_bytes", counting_synth)
-        monkeypatch.setattr(gateways, "json", SimpleNamespace(loads=counting_loads))
         monkeypatch.setattr(IcnSimulation, "note_http_complete", keeping)
         topology_text, scenario = golden_cases.inputs(workload, 1)
         IcnSimulation(load_topology_doc(topology_text, scenario.seed), scenario,

@@ -121,7 +121,7 @@ def test_repeat_serve_by_the_same_client_is_allowed(cls):
 def test_scenario_built_directly_gets_the_field_checks(cls, resp_bytes):
     """A Scenario built without load_scenario checks each op's fields too: a
     resp_bytes out of range or not an integer is refused before either run,
-    rather than counted corrupt by the ICN server or raised mid-run."""
+    rather than raised mid-run by the ICN NAP that makes the request."""
     get = {"t_us": 10, "op": "http_get", "client": 2, "fqdn": "a.example", "url": "/u",
            "resp_bytes": resp_bytes}
     with pytest.raises(ScenarioError, match="invalid 'resp_bytes'"):

@@ -25,7 +25,9 @@ is and parses nothing; `decode_ip_packet` is only the codec inverse of
 so a server reads its fields as they are, and `corrupt` counts only a
 response segment whose total differs from its fetch's first segment's,
 one of another exchange of the URL. A gateway's `on_icn_data` says
-whether a data copy is its own; the environment counts the refusals.
+whether a data copy is its own, and its `may_take` whether a copy under
+a name could ever be: the environment hands a copy only to gateways that
+may take it, and counts the refusals and the gateways it skips.
 Gateways only report, keeping no copy: each IP arrival for their own
 address or scope, duplicates included, goes to `note_ip_delivered` or
 `note_peer_emitted`, each dropped packet (a full pending queue, an
@@ -59,7 +61,7 @@ from .names import (
     name_for_ip,
 )
 from .rendezvous import ClientId
-from .topology import FidDelivery, brief
+from .topology import MAX_CLIENT_ID, FidDelivery, brief
 
 MAX_IP_PAYLOAD = 65507
 PENDING_CAPACITY = 64
@@ -72,6 +74,7 @@ SEGMENT_CHUNK = MAX_IP_PAYLOAD
 
 _REQUEST = HttpRole.REQUEST.value
 _EXTERNAL_SCOPES = external_scope().scopes  # the first two scopes of every external name
+_INTERNAL_SCOPES = (ROOT_IP, Locality.INTERNAL.value)  # and of every internal one
 
 _IP_HEADER = struct.Struct(">4s4sBQ")
 IP_HEADER_SIZE = _IP_HEADER.size  # encapsulation bytes added to each IP payload
@@ -287,25 +290,27 @@ class AddressPlan:
     The plan also names destinations for every gateway that shares it:
     `name_for` gives and keeps an address's `name_for_ip` name under the
     locality the plan gives it, one entry per distinct address asked about,
-    so every later packet to that address takes one lookup."""
+    so every later packet to that address takes one lookup, keyed by its
+    int: an `IPv4Address` hashes in Python."""
 
     def __init__(self, prefixes: Iterable[ipaddress.IPv4Network]) -> None:
         by_mask: dict[int, set[int]] = {}
         for p in prefixes:
             by_mask.setdefault(int(p.netmask), set()).add(int(p.network_address))
         self._by_mask = tuple((mask, frozenset(nets)) for mask, nets in by_mask.items())
-        self._names: dict[ipaddress.IPv4Address, IcnName] = {}
+        self._names: dict[int, IcnName] = {}
 
     def name_for(self, addr: ipaddress.IPv4Address) -> IcnName:
         """The name packets to `addr` travel under: its internal name if the
         plan holds it, else its external one."""
-        name = self._names.get(addr)
+        value = int(addr)
+        name = self._names.get(value)
         if name is None:
-            loc = Locality.INTERNAL if addr in self else Locality.EXTERNAL
-            name = self._names[addr] = name_for_ip(addr, loc)
+            loc = Locality.INTERNAL if value in self else Locality.EXTERNAL
+            name = self._names[value] = name_for_ip(addr, loc)
         return name
 
-    def __contains__(self, addr: ipaddress.IPv4Address) -> bool:
+    def __contains__(self, addr: ipaddress.IPv4Address | int) -> bool:
         value = int(addr)
         for mask, nets in self._by_mask:
             if value & mask in nets:
@@ -316,15 +321,15 @@ class AddressPlan:
 def assign_address(
     addr: ipaddress.IPv4Address | str,
     prefixes: tuple[ipaddress.IPv4Network, ...],
-    assigned: Container[ipaddress.IPv4Address],
+    assigned: Container[int],
 ) -> ipaddress.IPv4Address:
     """Parse a device address for a NAP: it must lie in the NAP's prefixes
-    and not be in `assigned` yet. Both modes attach devices by this rule."""
+    and its int not be in `assigned` yet. Both modes attach devices by this rule."""
     if not isinstance(addr, ipaddress.IPv4Address):
         addr = ipaddress.IPv4Address(addr)
     if not any(addr in p for p in prefixes):
         raise ValueError(f"{addr} outside this NAP's prefixes")
-    if addr in assigned:
+    if int(addr) in assigned:
         raise ValueError(f"{addr} already assigned")
     return addr
 
@@ -380,9 +385,13 @@ class _GetState:
 class _IcnClient:
     """Shared publish-side machinery: fid cache, pending buffers, announce.
     A name is published while it has a pending entry: an IP name from its first
-    packet on, a one-shot name until its fid arrives, it is flushed and withdrawn."""
+    packet on, a one-shot name until its fid arrives, it is flushed and withdrawn.
+    ValueError, before any state is kept, for a client id outside
+    0..MAX_CLIENT_ID, which a control message could not carry."""
 
     def __init__(self, env, client: ClientId, node: int) -> None:
+        if not 0 <= client <= MAX_CLIENT_ID:
+            raise ValueError(f"client id {brief(client)} outside 0..{MAX_CLIENT_ID}")
         self.env = env
         self.client = client
         self.node = node
@@ -427,7 +436,7 @@ class _IcnClient:
         fid, local = cached
         pkt = IcnPacket(fid, name, payload, DEFAULT_TTL)
         self.env.transmit(self.client, pkt)
-        if local:
+        if local and self.may_take(pkt.name):
             self.on_icn_data(pkt)  # the publisher's own copy: its verdict is not counted
 
     def on_fid(self, d: FidDelivery) -> None:
@@ -450,6 +459,11 @@ class _IcnClient:
                 self._emit(d.name, payload, cached)
             self.env.unpublish(self.client, d.name)
 
+    def may_take(self, name: IcnName) -> bool:
+        """Whether `on_icn_data` could ever take a copy under `name`: False
+        only for a name no copy of which it takes in any state."""
+        raise NotImplementedError
+
     def on_icn_data(self, pkt: IcnPacket) -> bool:
         """Take a data copy; False if it is not this gateway's."""
         raise NotImplementedError
@@ -467,11 +481,13 @@ class Nap(_IcnClient):
         operator_plan: AddressPlan,
         window_us: int = DEFAULT_WINDOW_US,
     ) -> None:
-        self.window_us = check_window(window_us)
+        check_window(window_us)
         super().__init__(env, client, node)
+        self.window_us = window_us
         self.prefixes = prefixes
+        self._inside = AddressPlan(prefixes)  # its own prefixes, for `may_take`
         self.operator_plan = operator_plan
-        self.addresses: set[ipaddress.IPv4Address] = set()
+        self.addresses: set[int] = set()  # the ints of its devices' addresses
         # internal name -> attached address, so data under any other name is
         # rejected without reading its payload
         self._device_names: dict[IcnName, ipaddress.IPv4Address] = {}
@@ -485,7 +501,7 @@ class Nap(_IcnClient):
     def attach_device(self, addr: ipaddress.IPv4Address | str) -> None:
         """Assign an address and subscribe to its internal name."""
         addr = assign_address(addr, self.prefixes, self.addresses)
-        self.addresses.add(addr)
+        self.addresses.add(int(addr))
         name = name_for_ip(addr, Locality.INTERNAL)
         self._device_names[name] = addr
         self.env.subscribe(self.client, name)
@@ -493,7 +509,7 @@ class Nap(_IcnClient):
     def send_ip(self, pkt: IpPacket) -> None:
         """Encapsulate a device packet under its destination's name, as the
         shared address plan names it."""
-        if pkt.src not in self.addresses:
+        if int(pkt.src) not in self.addresses:
             raise ValueError(f"source {pkt.src} not assigned at this NAP")
         self._send_encapsulated(self.operator_plan.name_for(pkt.dst), pkt)
 
@@ -523,6 +539,21 @@ class Nap(_IcnClient):
         self.env.subscribe(self.client, scope)
 
     # -- ICN-facing handlers ----------------------------------------------
+
+    def may_take(self, name: IcnName) -> bool:
+        """True for every HTTP name, as the fetches in flight and the hosts
+        served change during a run, and for the internal name of each
+        address inside this NAP's prefixes, attached or not."""
+        scopes = name.scopes
+        if scopes[0] == ROOT_HTTP:
+            return True
+        if scopes[:2] != _INTERNAL_SCOPES or len(scopes) != 5 or name.item is None:
+            return False
+        o1, o2, o3 = scopes[2:]
+        o4 = name.item
+        if o1 | o2 | o3 | o4 > 255:  # no address's octets
+            return False
+        return (o1 << 24 | o2 << 16 | o3 << 8 | o4) in self._inside
 
     def on_icn_data(self, pkt: IcnPacket) -> bool:
         root = pkt.name.scopes[0]
@@ -622,9 +653,13 @@ class BorderGateway(_IcnClient):
             return
         self._send_encapsulated(name, pkt)
 
+    def may_take(self, name: IcnName) -> bool:
+        """True for external IP names only."""
+        return name.scopes[: 2] == _EXTERNAL_SCOPES
+
     def on_icn_data(self, pkt: IcnPacket) -> bool:
         """Externally-destined data leaves over the peering link."""
-        if pkt.name.scopes[: 2] != _EXTERNAL_SCOPES:
+        if not self.may_take(pkt.name):
             return False
         self.env.note_peer_emitted(self.client, pkt.payload.ip)
         return True

@@ -101,17 +101,19 @@ class Plan(Route):
     `flags` (`OFF_TREE`, `TTL_DROP`). A clean plan, one with no crossing
     flagged and each last crossing at a gateway node, keeps the delay sum,
     hops and node of each crossing to a gateway node, in walk order, in
-    `handoffs`; another keeps None there. A plan with no links and
+    `handoffs`; another keeps None there. `takers` is the caller's memo of a
+    copy's hand-offs, per name. A plan with no links and
     `ttl_drops` set is that of a copy emitted with its TTL spent where
     links matched."""
 
-    __slots__ = ("flags", "handoffs", "ttl_drops")
+    __slots__ = ("flags", "handoffs", "ttl_drops", "takers")
 
     def __init__(self, links: Iterable[Link] = (), parents: tuple[int, ...] = (),
                  delay_us: int = 0, hops: int = 0, flags: bytes = b"",
                  handoffs: tuple[int, ...] | None = (), ttl_drops: int = 0) -> None:
         super().__init__(links, parents, delay_us, hops)
         self.flags, self.handoffs, self.ttl_drops = flags, handoffs, ttl_drops
+        self.takers: dict[object, tuple] = {}
 
     @staticmethod
     def build(node: int, ttl: int, links_at: Callable[[int, Link | None], list[Link]],

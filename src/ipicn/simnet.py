@@ -34,10 +34,15 @@ traced when it is sent, stamped with its start, so rows come in send order.
   emission makes crosses, each with its parent crossing and its flags
   (off the tree, TTL spent there), and, if the plan is clean (no crossing
   flagged, every copy ending at a gateway node), the arrivals at gateway
-  nodes. The replay queues one hand-off per arrival at a gateway node.
-  Only a clean plan is carried in one step, so the walk alone counts
-  off-tree forwards and TTL drops, a drop only if it is reached by the
-  limit, and times a copy's last arrival at no gateway.
+  nodes. The replay queues one hand-off per arrival at a node where a
+  gateway may take the copy's name (`may_take`), to those gateways only.
+  Each gateway that may not is counted in `fp_deliveries` without a
+  call or an event: when the copy is emitted for a carried copy, which
+  arrives everywhere by the limit, and for a walked arrival only if it
+  arrives by the limit. Only a clean plan is carried in one step, so the
+  walk alone counts off-tree forwards and TTL drops, a drop only if it is
+  reached by the limit, and times a copy's last arrival handed to no
+  gateway.
 
 A packet an op sends is made without its payload, which is built only if
 read (see `_ip_payload`); a run reads only its size, in the encapsulation's
@@ -57,6 +62,7 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -478,8 +484,9 @@ def _check_workload(topo: TopologyDoc,
     meets a bad reference. Return each address string the ops name, parsed
     once."""
     naps = {cfg.client: cfg for cfg in topo.naps}
-    attached: set[ipaddress.IPv4Address] = set()
-    owner: dict[str, ClientId] = {}  # by text: IPv4Address hashing is slow
+    # keyed by int or by text: IPv4Address hashing is slow
+    attached: set[int] = set()
+    owner: dict[str, ClientId] = {}
     server: dict[str, ClientId] = {}
     addresses: dict[str, ipaddress.IPv4Address] = {}
 
@@ -506,7 +513,7 @@ def _check_workload(topo: TopologyDoc,
                 raise UnknownClientError(f"workload references unknown client {brief(client)}")
             raise ScenarioError(f"client {client} is not a NAP")
         if op == "attach":
-            attached.add(assign_address(parse(action["addr"]), nap.prefixes, attached))
+            attached.add(int(assign_address(parse(action["addr"]), nap.prefixes, attached)))
             owner[action["addr"]] = client
         elif op == "send_ip":
             src = action["src"]
@@ -604,8 +611,10 @@ class IcnSimulation(_AccountingMixin):
 
     def transmit(self, client: ClientId, pkt: IcnPacket) -> None:
         """A gateway emits a data packet at its attachment node: hand it to
-        the node's other gateways, then send its copies on by the fid's
-        delivery plan."""
+        the node's other gateways that may take it, counting the others in
+        `fp_deliveries`, then send its copies on by the fid's delivery
+        plan, both as the plan's hand-offs for the packet's name say (see
+        `_handoffs`)."""
         gw = self.gateways[client]
         size = pkt.wire_size
         if self._trace is not None:
@@ -618,8 +627,13 @@ class IcnSimulation(_AccountingMixin):
                 plans.pop(next(iter(plans))).fold(self.link_bytes, 1)
             plan = self._plan(gw.node, pkt, meta)
         plans[key] = plan
-        self._hand_off(gw.node, pkt, gw)
-        self._replay(gw.node, plan, pkt, size)
+        here, unasked, skipped, handoffs = (plan.takers.get(pkt.name)
+                                            or self._handoffs(plan, gw.node, pkt.name))
+        unasked -= gw not in here  # the publisher is no bystander of its own copy
+        if unasked:
+            self.counters["fp_deliveries"] += unasked
+        self._hand_off(here, pkt, gw)
+        self._replay(gw.node, plan, pkt, size, skipped, handoffs)
 
     # -- control plane ------------------------------------------------------
 
@@ -678,13 +692,50 @@ class IcnSimulation(_AccountingMixin):
 
     # -- data plane ----------------------------------------------------------
 
-    def _hand_off(self, node: int, pkt: IcnPacket,
+    @staticmethod
+    def _takers(gateways: tuple[Nap | BorderGateway, ...],
+                name: IcnName) -> tuple[tuple[Nap | BorderGateway, ...], int]:
+        """Those of `gateways` that may take a copy under `name`, and how
+        many others there are: those are handed no copy, and each is a
+        refusal the caller counts in `fp_deliveries`."""
+        takers = tuple([gw for gw in gateways if gw.may_take(name)])
+        return takers, len(gateways) - len(takers)
+
+    def _hand_off(self, takers: tuple[Nap | BorderGateway, ...], pkt: IcnPacket,
                   publisher: Nap | BorderGateway | None = None) -> None:
-        """Hand a data copy at `node` to every gateway there but its
-        `publisher`, counting each refusal in `fp_deliveries`."""
-        for gw in self._gateways_at.get(node, ()):
+        """Hand a data copy to each of `takers` but its `publisher`, counting
+        each refusal in `fp_deliveries`."""
+        for gw in takers:
             if gw is not publisher and not gw.on_icn_data(pkt):
                 self.counters["fp_deliveries"] += 1
+
+    def _handoffs(self, plan: Plan, node: int, name: IcnName) -> tuple:
+        """The hand-offs of a copy under `name` emitted at `node` by `plan`:
+        the takers at `node` and how many gateways there may not take it
+        (see `_takers`), and, if the plan is clean, how many gateways its
+        arrivals skip and the delay sum, hops and takers of each arrival at
+        a node where some gateway may take it, in walk order (else 0 and
+        None). Kept in the plan per name (`plan.takers`), so each later
+        emission makes one lookup."""
+        gateways_at = self._gateways_at
+        here, unasked = gateways_at[node], 0  # the publisher alone is handed nothing
+        if len(here) > 1:
+            here, unasked = self._takers(here, name)
+        skipped, handoffs = 0, None
+        if plan.handoffs is not None:
+            kept, fields = [], iter(plan.handoffs)
+            for delay_us, hops, far_node in zip(fields, fields, fields):
+                takers, others = gateways_at[far_node], 0
+                if len(takers) > 1:
+                    takers, others = self._takers(takers, name)
+                elif not takers[0].may_take(name):
+                    takers, others = (), 1
+                skipped += others
+                if takers:
+                    kept += delay_us, hops, takers
+            handoffs = tuple(kept)
+        entry = plan.takers[name] = (here, unasked, skipped, handoffs)
+        return entry
 
     def _plan(self, node: int, pkt: IcnPacket, meta: frozenset[Link]) -> Plan:
         """The delivery plan of `pkt` emitted at `node` on the tree with edges
@@ -698,35 +749,42 @@ class IcnSimulation(_AccountingMixin):
                           lambda node, in_link: forward(self.graph, node, probe, in_link),
                           meta, self._gateways_at)
 
-    def _replay(self, node: int, plan: Plan, pkt: IcnPacket, size: int) -> None:
+    def _replay(self, node: int, plan: Plan, pkt: IcnPacket, size: int, skipped: int,
+                handoffs: tuple | None) -> None:
         """Send `pkt`, `size` wire bytes, emitted now at `node`, by `plan`,
-        queueing each arrival at a gateway node as a hand-off: in one step
-        if the plan is clean (see `Plan`) and `plan.carry` can, each arrival
-        then being the delay sum plus hops times one hop's serialization,
-        and its crossings traced by `_walk`; else by `plan.walk`, each
-        crossing that starts by the run's time limit billed, counted if off
-        the tree and traced now, stamped with its start, and a TTL drop
-        counted only if its copy arrives by the limit. If the walk's last
-        arrival is at no gateway, it is queued too, so the run's clock
-        reaches it and a run cut before it counts `time_limit_hits`. A clean
-        plan has none: each copy ends at a gateway node, after all it crossed."""
+        queueing each arrival at a node where a gateway may take it as a
+        hand-off to those that may (see `_takers`): in one step if the plan
+        is clean (see `Plan`) and `plan.carry` can, each arrival then being
+        the delay sum plus hops times one hop's serialization, as
+        `handoffs` lists them (see `_handoffs`), the `skipped` gateways
+        counted in `fp_deliveries` at once, as each copy arrives by the
+        limit, and its crossings traced by `_walk`; else by
+        `plan.walk`, each crossing that starts by the run's time limit
+        billed, counted if off the tree and traced now, stamped with its
+        start, and a TTL drop and the gateways an arrival skips counted only
+        if its copy arrives by the limit. If the walk's last arrival is
+        handed to no gateway, it is queued too, so the run's clock reaches
+        it and a run cut before it counts `time_limit_hits`. A carried plan
+        needs none: it arrives everywhere by the limit."""
         if not plan:  # no crossing: a copy spent here, where links matched, is a drop
             if plan.ttl_drops:
                 self.counters["ttl_drops"] += 1
                 self._trace_row(node, "ttl-drop", None, size, pkt.name)
             return
         now, limit, push = self.now, self._max_time_us, self.queue.push
-        end = plan.carry(now, size, size, limit) if plan.handoffs is not None else None
+        end = plan.carry(now, size, size, limit) if handoffs is not None else None
         if end is not None:
-            hop_us = serialization_us(size, plan.capacity)
-            fields = iter(plan.handoffs)
-            for delay_us, hops, far_node in zip(fields, fields, fields):
-                push(now + delay_us + hops * hop_us,
-                     lambda node=far_node: self._hand_off(node, pkt))
+            hand_off = self._hand_off
+            if skipped:
+                self.counters["fp_deliveries"] += skipped
+            hop_us = (end - now - plan.delay_us) // plan.hops  # one hop's serialization
+            fields = iter(handoffs)
+            for delay_us, hops, takers in zip(fields, fields, fields):
+                push(now + delay_us + hops * hop_us, partial(hand_off, takers, pkt))
             if self._trace is not None:
                 self._walk(plan, (size,), 1, pkt.name, end)
             return
-        handed = last = now  # the latest arrival at a gateway node, and elsewhere
+        handed = last = now  # the latest arrival handed to a gateway, and elsewhere
         counters, link_bytes, flags = self.counters, self.link_bytes, plan.flags
         for index, link, start, arrive in plan.walk(now, size, limit):
             link_bytes[link.src, link.dst][1] += size
@@ -734,8 +792,11 @@ class IcnSimulation(_AccountingMixin):
             if flag & OFF_TREE:
                 counters["off_tree_forwards"] += 1
             self._trace_row(link.src, "data", link, size, pkt.name, start)
-            if link.dst in self._gateways_at:
-                push(arrive, lambda node=link.dst: self._hand_off(node, pkt))
+            takers, skipped = self._takers(self._gateways_at.get(link.dst, ()), pkt.name)
+            if skipped and arrive <= limit:
+                counters["fp_deliveries"] += skipped
+            if takers:
+                push(arrive, partial(self._hand_off, takers, pkt))
                 if arrive > handed:
                     handed = arrive
             elif arrive > last:
@@ -788,7 +849,7 @@ class BaselineSimulation(_AccountingMixin):
     ) -> None:
         super().__init__(topo, scenario, trace)
         self.border = topo.border
-        self._addr_at: dict[ipaddress.IPv4Address, ClientId] = {}  # device -> its NAP
+        self._addr_at: dict[int, ClientId] = {}  # device address, by int -> its NAP
         self._routes: dict[tuple[int, int], Route] = {}  # the graph never changes
         self._billers = ((1, self._routes),)
 
@@ -811,7 +872,7 @@ class BaselineSimulation(_AccountingMixin):
     def _inject(self, action: dict) -> None:
         op = action["op"]
         if op == "attach":
-            self._addr_at[self._addresses[action["addr"]]] = action["client"]
+            self._addr_at[int(self._addresses[action["addr"]])] = action["client"]
         elif op == "send_ip":
             self._route_ip(self.graph.attachments[action["client"]], self._make_ip_packet(action))
         elif op == "ext_in":
@@ -828,7 +889,7 @@ class BaselineSimulation(_AccountingMixin):
     def _route_ip(self, from_node: int, pkt: IpPacket) -> None:
         size = IP_HEADER_SIZE + pkt.size  # the encapsulated packet's length, unbuilt
         if pkt.dst in self.operator_plan:
-            client = self._addr_at.get(pkt.dst)
+            client = self._addr_at.get(int(pkt.dst))
             if client is None:
                 self.note_ip_dropped(pkt)
                 return

@@ -9,10 +9,10 @@ import re
 import struct
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import SyncEnv
+from conftest import SyncEnv, make_topology_doc
 from ipicn import gateways
 from ipicn.forwarding import IcnPacket, decode_packet, encode_packet
 from ipicn.gateways import (
@@ -34,6 +34,7 @@ from ipicn.gateways import (
 )
 from ipicn.names import (
     HttpRole,
+    IcnName,
     Locality,
     name_for_http,
     name_for_ip,
@@ -471,6 +472,93 @@ class TestBorder:
         assert border.on_icn_data(pkt) is True
         assert env.peer_emissions == [(99, inner), (99, inner)]
         assert border.counters["duplicates"] == 0
+
+
+class TestMayTake:
+    """`may_take(name)` is False only for a name no copy of which the
+    gateway would ever take, so the simulation skips such gateways."""
+
+    @staticmethod
+    def network(value, length):
+        return ipaddress.IPv4Network((value >> (32 - length) << (32 - length), length))
+
+    @settings(max_examples=100, deadline=None)
+    @given(prefixes=st.lists(st.tuples(st.integers(0, 2**32 - 1),
+                                       st.sampled_from([8, 16, 20, 24, 31, 32])),
+                             min_size=1, max_size=3),
+           inside=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2**32 - 1)), max_size=6),
+           outside=st.lists(st.integers(0, 2**32 - 1), max_size=3),
+           served=st.sets(st.sampled_from(["a.example", "b.example"])),
+           gets=st.lists(st.tuples(st.sampled_from(["a.example", "b.example", "c.example"]),
+                                   st.sampled_from(["/x", "/y"]),
+                                   st.integers(0, 2 * SEGMENT_CHUNK)), max_size=3))
+    def test_a_copy_taken_is_one_that_may_be_taken(self, prefixes, inside, outside, served,
+                                                   gets):
+        """Over NAP prefixes, attached and unattached addresses inside and
+        outside them, hosts served and fetches in flight, a gateway that
+        takes a copy (`on_icn_data` True) may take its name, and a NAP may
+        take the internal name of an address exactly when one of its
+        prefixes holds it."""
+        prefixes = tuple(self.network(*p) for p in prefixes)
+        env = SyncEnv(make_topology_doc([1, 2, 3], [(1, 2), (2, 3)],
+                                        naps=[{"client": 1, "node": 3}],
+                                        border={"client": 99, "node": 1}).graph)
+        nap = Nap(env, 1, 3, prefixes, AddressPlan(prefixes))
+        border = BorderGateway(env, 99, 1, AddressPlan(prefixes))
+        for gw in (nap, border):
+            env.add(gw)
+        border.start()
+        addresses = [ipaddress.IPv4Address(value) for value in outside]
+        for index, offset in inside:
+            net = prefixes[index % len(prefixes)]
+            addr = net[offset % net.num_addresses]
+            addresses.append(addr)
+            if offset % 3 and int(addr) not in nap.addresses:  # some stay unattached
+                nap.attach_device(addr)
+        for fqdn in sorted(served):
+            nap.http_serve(fqdn)
+        for fqdn, url, size in gets:
+            nap.http_get(fqdn, url, size)
+        copies = []
+        for addr in addresses:
+            carried = gateways._Encapsulated(ip_packet("192.0.2.1", str(addr)))
+            copies += [IcnPacket(0, name_for_ip(addr, loc), carried) for loc in Locality]
+            assert nap.may_take(name_for_ip(addr, Locality.INTERNAL)) == any(
+                addr in p for p in prefixes)
+        for fqdn, url, size in gets + [("a.example", "/x", 5), ("b.example", "/z", 0)]:
+            copies.append(IcnPacket(0, name_for_http(fqdn, HttpRole.REQUEST, url),
+                                    gateways._HttpRequest(7, fqdn, url, size)))
+            copies += [IcnPacket(0, name_for_http(fqdn, HttpRole.RESPONSE, url),
+                                 gateways._Segment(offset, size, f"{fqdn}{url}", length))
+                       for offset, length in body_segments(size)]
+        for pkt in copies:
+            for gw in (nap, border):
+                assert not gw.on_icn_data(pkt) or gw.may_take(pkt.name), (gw.client, pkt.name)
+
+    def test_names_no_copy_of_which_is_taken(self, nap1, border):
+        inner = name_for_ip("10.0.1.5", Locality.INTERNAL)
+        outer = name_for_ip("10.0.1.5", Locality.EXTERNAL)
+        http = name_for_http("cdn.example", HttpRole.RESPONSE, "/v")
+        assert [nap1.may_take(n) for n in (inner, outer, http)] == [True, False, True]
+        assert [border.may_take(n) for n in (inner, outer, http)] == [False, True, False]
+        # an internal name that is no address's
+        assert not nap1.may_take(IcnName(inner.scopes[:4] + (256,), 5))
+        assert not nap1.may_take(IcnName(inner.scopes))
+
+
+class TestClientId:
+    @pytest.mark.parametrize("client", [-1, 2**32])
+    def test_an_id_a_control_message_cannot_carry_raises_and_keeps_no_state(
+            self, env, client):
+        for make in (lambda: Nap(env, client, 3, net("10.0.1.0/24"), plan("10.0.1.0/24")),
+                     lambda: BorderGateway(env, client, 1, plan("10.0.1.0/24"))):
+            with pytest.raises(ValueError, match=f"client id {client} outside 0..{MAX_CLIENT_ID}"):
+                make()
+        assert env.control_log == [] and env.gateways == {}
+
+    def test_both_ends_of_the_range_are_taken(self, env):
+        assert [Nap(env, client, 3, net("10.0.1.0/24"), plan("10.0.1.0/24")).client
+                for client in (0, MAX_CLIENT_ID)] == [0, MAX_CLIENT_ID]
 
 
 # text weighted towards what `json` escapes: control characters, quotes and

@@ -1,8 +1,10 @@
 """Fixed paths: `Route.walk` against hand-computed hop times, and no
 message of the benchmark workloads walks, traced or not, or builds an IP
-payload, no ICN run builds an HTTP body, and no ICN
-emission builds more than its one packet or names its destination again."""
+payload, no ICN run builds an HTTP body, no ICN
+emission builds more than its one packet or names its destination again,
+and no run hashes an address per packet."""
 
+import ipaddress
 from collections import Counter
 
 import pytest
@@ -71,8 +73,8 @@ class TestOneStepTraffic:
     """Every message of the benchmark workloads at seed 1 is carried in one
     step, traced or not, so none walks and bills hop by hop: a traced run
     takes its rows from `Route.walk`, which bills nothing. No run builds an
-    IP payload, no ICN run an HTTP body, and an ICN run
-    builds one packet per emission."""
+    IP payload, no ICN run an HTTP body, an ICN run
+    builds one packet per emission, and no run hashes an address per packet."""
 
     @staticmethod
     def count_walked(monkeypatch):
@@ -209,3 +211,27 @@ class TestOneStepTraffic:
         assert counts["emissions"] == self.EMISSIONS[workload]
         assert counts["packets"] == counts["emissions"]
         assert counts["names"] <= ops["attach"] + len(destinations)
+
+    @pytest.mark.parametrize("cls", [IcnSimulation, BaselineSimulation], ids=["icn", "ip"])
+    @pytest.mark.parametrize("workload", golden_cases.WORKLOADS)
+    def test_no_address_is_hashed_per_packet(self, monkeypatch, workload, cls):
+        """`IPv4Address.__hash__` runs in Python, so the tables a packet
+        meets key an address by its int: the address plan's names, a NAP's
+        devices and the baseline's device table. What hashes is
+        `name_for_ip`'s interning, once per attach and once per distinct
+        destination the plan names, so the count does not grow with the
+        packets sent."""
+        hashed = [0]
+        hash_of = ipaddress.IPv4Address.__hash__
+
+        def counting(addr):
+            hashed[0] += 1
+            return hash_of(addr)
+
+        topology_text, scenario = golden_cases.inputs(workload, 1)
+        sim = cls(load_topology_doc(topology_text, scenario.seed), scenario)
+        monkeypatch.setattr(ipaddress.IPv4Address, "__hash__", counting)
+        sim.run()
+        ops = Counter(op["op"] for op in scenario.workload)
+        destinations = {op["dst"] for op in scenario.workload if op["op"] in ("send_ip", "ext_in")}
+        assert hashed[0] <= (ops["attach"] + len(destinations) if cls is IcnSimulation else 0)

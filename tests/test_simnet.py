@@ -878,21 +878,29 @@ class TestDataPlan:
         sim.queue.push = counting_push
         return count
 
-    @pytest.mark.parametrize("bystander, pushes", [(False, 1), (True, 2)])
-    def test_an_emission_queues_only_its_gateway_arrivals(self, bystander, pushes):
+    @pytest.mark.parametrize("bystander, pushes, asked", [
+        (None, 1, [2]),
+        ("10.0.3.0/24", 1, [2]),
+        ("10.0.0.0/16", 2, [3, 2]),
+    ], ids=["no-bystander", "bystander-skipped", "bystander-asked"])
+    def test_an_emission_queues_only_its_gateway_arrivals(self, monkeypatch, bystander,
+                                                          pushes, asked):
         """Over 4 hops with NAPs only at the ends, one emission queues only
-        the hand-off at the far end; a NAP at a transit node adds its own
-        hand-off."""
+        the hand-off at the far end. A NAP at transit node 3 adds a hand-off
+        of its own only if its prefix holds the destination, 10.0.2.9;
+        else it is skipped, asked nothing, and still counted."""
         naps = [{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
                 {"client": 2, "node": 5, "prefixes": ["10.0.2.0/24"]}]
         if bystander:
-            naps.append({"client": 3, "node": 3, "prefixes": ["10.0.3.0/24"]})
+            naps.append({"client": 3, "node": 3, "prefixes": [bystander]})
+        verdicts = TestFpDeliveries.spy_verdicts(monkeypatch)
         sim = IcnSimulation(line_doc(4, naps=naps), Scenario(workload=[]))
         count = self.counting_pushes(sim)
         sim.transmit(1, self.packet(100))
         report = sim.run()
         assert count[0] == pushes
-        assert report.counters["fp_deliveries"] == pushes  # no NAP subscribed
+        assert verdicts == [(client, True, False) for client in asked]  # no NAP subscribed
+        assert report.counters["fp_deliveries"] == len(naps) - 1
         assert {k: v["data_bytes"] for k, v in report.per_link.items() if v["data_bytes"]} == {
             f"{i}->{i + 1}": 100 for i in range(1, 5)}
 
@@ -1749,17 +1757,23 @@ class TestBillingOnce:
 
 
 class TestFpDeliveries:
-    """Gateways say whether a copy is theirs; the simulation alone counts
-    each refusal of a copy it hands out in `fp_deliveries`."""
+    """Gateways say whether a copy is theirs, and whether one under a name
+    could ever be (`may_take`); the simulation hands a copy only to those
+    that may take it, and counts in `fp_deliveries` each refusal of a copy
+    it hands out and each gateway it skips."""
 
     # line 1 - 2 - 3: the publisher, a co-located subscriber and a bystander
     # at node 1, a bystander at transit node 2, a subscriber at node 3
     NAPS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3}  # client -> node
 
     @classmethod
-    def inputs(cls, local_sends, far_sends):
-        doc = line_doc(2, naps=[{"client": c, "node": n, "prefixes": [f"10.0.{c}.0/24"]}
-                                for c, n in cls.NAPS.items()])
+    def inputs(cls, local_sends, far_sends, transit_prefix="10.0.4.0/24"):
+        """The line's topology and a scenario of sends from NAP 1: first to
+        its co-located subscriber, then to the far one. The transit
+        bystander, NAP 4, has `transit_prefix`."""
+        doc = line_doc(2, naps=[
+            {"client": c, "node": n, "prefixes": [transit_prefix if c == 4 else f"10.0.{c}.0/24"]}
+            for c, n in cls.NAPS.items()])
         wl = [{"t_us": 0, "op": "attach", "client": c, "addr": f"10.0.{c}.9"}
               for c in cls.NAPS]
         wl += [{"t_us": 10_000 + 1000 * k, "op": "send_ip", "client": 1, "src": "10.0.1.9",
@@ -1768,40 +1782,100 @@ class TestFpDeliveries:
         return doc, Scenario(workload=wl)
 
     @staticmethod
-    def run_with_verdicts(monkeypatch, doc, scenario):
-        """The report and each gateway's (client, verdict) in call order."""
+    def spy_verdicts(monkeypatch, may_take=None):
+        """Each gateway's (client, `may_take` of the name, verdict) per copy
+        it is asked about, in call order, in the list returned. With
+        `may_take` set, every gateway answers that to `may_take`."""
         from ipicn.gateways import BorderGateway, Nap
 
         verdicts = []
         for cls in (Nap, BorderGateway):
             def spy(self, pkt, on_icn_data=cls.on_icn_data):
                 verdict = on_icn_data(self, pkt)
-                verdicts.append((self.client, verdict))
+                verdicts.append((self.client, self.may_take(pkt.name), verdict))
                 return verdict
             monkeypatch.setattr(cls, "on_icn_data", spy)
+            if may_take is not None:
+                monkeypatch.setattr(cls, "may_take", lambda self, name: may_take)
+        return verdicts
+
+    @classmethod
+    def run_with_verdicts(cls, monkeypatch, doc, scenario, may_take=None):
+        """The report and the verdicts of `spy_verdicts`."""
+        verdicts = cls.spy_verdicts(monkeypatch, may_take)
         return IcnSimulation(doc, scenario).run(), verdicts
 
     def test_bystanders_count_one_each_per_copy_and_the_publisher_none(self, monkeypatch):
         local_sends, far_sends = 3, 2
         report, verdicts = self.run_with_verdicts(monkeypatch,
                                                   *self.inputs(local_sends, far_sends))
-        refused = {c: [v for client, v in verdicts if client == c].count(False)
-                   for c in self.NAPS}
-        # the publisher refuses its own local copy of each co-located send, uncounted;
-        # the co-located subscriber refuses each far copy
-        assert refused == {1: local_sends, 2: far_sends, 3: local_sends + far_sends,
-                           4: far_sends, 5: 0}
+        # each copy is asked of its subscriber alone, which takes it; the
+        # publisher's own local copy of a co-located send is asked of no one
+        assert verdicts == [(2, True, True)] * local_sends + [(5, True, True)] * far_sends
+        # every bystander is skipped and counted, once per copy that reaches
+        # its node: the co-located subscriber skips each far copy
+        skipped = {2: far_sends, 3: local_sends + far_sends, 4: far_sends}
         assert report.counters["off_tree_forwards"] == 0
-        assert report.counters["fp_deliveries"] == local_sends + 3 * far_sends
+        assert report.counters["fp_deliveries"] == sum(skipped.values()) == (
+            local_sends + 3 * far_sends)
         assert sum(f["delivered"] for f in report.flows.values()) == local_sends + far_sends
 
-    @pytest.mark.parametrize("demo", [True, False], ids=["small-demo", "transit-bystander"])
-    def test_report_counts_every_refused_copy(self, monkeypatch, demo):
+    @pytest.mark.parametrize("demo, transit_prefix, transit_asked", [
+        (True, None, None),
+        (False, "10.0.0.0/16", True),
+        (False, "10.0.4.0/24", False),
+    ], ids=["small-demo", "transit-bystander-asked", "transit-bystander-skipped"])
+    def test_report_counts_every_refused_copy(self, monkeypatch, demo, transit_prefix,
+                                              transit_asked):
+        """`fp_deliveries` is the refused verdicts plus the gateways skipped:
+        those a run that asks every gateway (each `may_take` True) asks
+        beyond this run's. A gateway is asked only where `may_take` holds.
+        Four copies to 10.0.5.9 cross transit NAP 4: its prefix holds that
+        address, so each is queued and asked there and refused, or it does
+        not, so each is skipped and still counted."""
         if demo:
             scenario = load_scenario((DEMO_DATA / "small_scenario.json").read_text())
             doc = load_topology_doc((DEMO_DATA / "small.json").read_text(), scenario.seed)
         else:  # no local copies: every call comes from the simulation
-            doc, scenario = self.inputs(0, 4)
+            doc, scenario = self.inputs(0, 4, transit_prefix)
+        with monkeypatch.context() as every:
+            asking_all, every_verdict = self.run_with_verdicts(every, doc, scenario, True)
         report, verdicts = self.run_with_verdicts(monkeypatch, doc, scenario)
-        assert verdicts and all(type(v) is bool for _, v in verdicts)
-        assert report.counters["fp_deliveries"] == [v for _, v in verdicts].count(False)
+        assert verdicts and all(type(v) is bool and may for _, may, v in verdicts)
+        refused = [v for _, _, v in verdicts].count(False)
+        skipped = len(every_verdict) - len(verdicts)
+        assert report.counters["fp_deliveries"] == refused + skipped
+        assert report.to_canonical_json() == asking_all.to_canonical_json()
+        if not demo:
+            assert report.counters["fp_deliveries"] == 4 * 3  # NAPs 2, 3 and 4 per copy
+            assert [v for c, _, v in verdicts if c == 4] == [False] * 4 * transit_asked
+            assert skipped == 4 * (3 - transit_asked)
+
+    @pytest.mark.parametrize("limit, fp_deliveries, hits", [
+        (1000, 0, 1),  # the copy reaches the bystander at 1300, past the limit
+        (1300, 1, 1),
+        (None, 2, 0),
+    ])
+    def test_a_skipped_gateway_is_counted_only_if_its_copy_arrives_by_the_limit(
+            self, limit, fp_deliveries, hits):
+        """A 500-byte copy over the timed line reaches transit node 3 at 1300
+        and node 5 at 3000. Cut before 3000, it walks; the bystander at node
+        3 may not take it, so it is skipped and counted only if the copy
+        arrives by the limit, and no event is queued for it. The run's
+        clock still goes to that arrival, so a run cut before it counts
+        `time_limit_hits` once, as when the arrival was handed over."""
+        naps = [{"client": 1, "node": 1, "prefixes": ["10.0.1.0/24"]},
+                {"client": 2, "node": 5, "prefixes": ["10.0.2.0/24"]},
+                {"client": 3, "node": 3, "prefixes": ["10.0.3.0/24"]}]
+        doc = make_topology_doc(
+            [1, 2, 3, 4, 5],
+            [(i, i + 1, {"delay_us": d, "capacity_bps": 8_000_000})
+             for i, d in enumerate((100, 200, 300, 400), 1)], naps=naps)
+        sim = IcnSimulation(doc, Scenario(workload=[]))
+        sim.call_at(0, lambda: sim.transmit(1, TestDataPlan.packet(500)))
+        report = sim.run() if limit is None else sim.run(limit)
+        assert report.counters["fp_deliveries"] == fp_deliveries
+        assert report.counters.get("time_limit_hits", 0) == hits
+        # the emission and the hand-off at node 5, or an event at the walk's last
+        # arrival so far (node 3's at 1300, node 4's at 2100)
+        assert sim.queue._seq == 2
